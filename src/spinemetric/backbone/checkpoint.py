@@ -69,18 +69,30 @@ def load_model(path) -> PatchEncoder:
     model.mode = "eval"
 
     tensors = _all_tensors(model)
+    listed = [entry["name"] for entry in manifest["tensors"]]
+    if sorted(listed) != sorted(tensors):
+        missing = sorted(set(tensors) - set(listed))
+        unknown = sorted(set(listed) - set(tensors))
+        raise ValueError(
+            f"{path}: manifest tensors do not match the model "
+            f"(missing {missing}, unknown {unknown}, {len(listed)} listed)"
+        )
     offset = 12 + mlen
     for entry in manifest["tensors"]:
         name, shape = entry["name"], tuple(entry["shape"])
-        if name not in tensors:
-            raise ValueError(f"{path}: unknown tensor {name!r} in manifest")
         if tensors[name].shape != shape:
             raise ValueError(
                 f"{path}: tensor {name!r} shape {shape} does not match "
                 f"model shape {tensors[name].shape}"
             )
         nbytes = int(np.prod(shape)) * 4 if shape else 4
-        raw = np.frombuffer(data[offset : offset + nbytes], dtype="<f4")
+        payload = data[offset : offset + nbytes]
+        if len(payload) != nbytes:
+            raise ValueError(
+                f"{path}: truncated payload for tensor {name!r} "
+                f"({len(payload)} of {nbytes} bytes)"
+            )
+        raw = np.frombuffer(payload, dtype="<f4")
         tensors[name][...] = raw.reshape(shape).astype(config.np_dtype)
         offset += nbytes
     if offset != len(data):

@@ -4,7 +4,8 @@ Each layer owns its parameters and gradient buffers. A train-mode forward
 caches whatever backward needs; eval-mode forwards cache nothing and are
 side-effect free. Upstream gradients use the sum-reduction convention:
 ``backward(dy)`` expects d(scalar loss)/d(output) and returns the gradient
-with respect to the input while accumulating parameter gradients in-place.
+with respect to the input while accumulating parameter gradients in-place
+(a ``Conv2d`` with ``input_grad = False`` returns ``None`` instead).
 """
 
 from __future__ import annotations
@@ -49,12 +50,25 @@ class Layer:
             )
 
 
-class Conv2d(Layer):
-    """Stride-1 'same' convolution with square odd kernels.
+# Size of one im2col column buffer. The batch is split into chunks of whole
+# images so that no chunk's buffer exceeds it (a chunk holds at least one).
+COLS_BYTES = 16 * 2**20
 
-    Implemented as a sum over the k*k kernel offsets, each a single GEMM on
-    a shifted view of the padded input. Keeps memory at O(input) instead of
-    the O(input * k^2) of an im2col buffer.
+
+class Conv2d(Layer):
+    """Stride-1 'same' convolution with square odd kernels, lowered to GEMMs.
+
+    The input is padded once into a channel-major ``(C, N, H+2p, W+2p)``
+    buffer, which is also the backward cache. Each chunk of images is then
+    unrolled into a ``(C*k*k, b*H*W)`` column matrix (im2col, Chellapilla et
+    al. 2006) and the whole chunk is one GEMM against the OIHW weight viewed
+    as ``(O, C*k*k)``. Backward rebuilds the columns per chunk from the
+    cache, so memory stays at O(input) plus one chunk's columns, bounded by
+    ``COLS_BYTES``, in both passes.
+
+    ``input_grad = False`` makes backward skip the input gradient and return
+    ``None``; the network sets it on a first layer, whose input gradient
+    nothing uses.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng, dtype=np.float32):
@@ -71,6 +85,7 @@ class Conv2d(Layer):
         self.bias = np.zeros(out_channels, dtype=dtype)
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
+        self.input_grad = True
         self._cache = None
 
     def params(self):
@@ -79,51 +94,64 @@ class Conv2d(Layer):
     def grads(self):
         return {"weight": self.d_weight, "bias": self.d_bias}
 
+    def _chunks(self, xpad):
+        """Yield ``(lo, hi, cols)`` per batch chunk: ``cols`` is the
+        ``(C*k*k, b*H*W)`` column matrix of images ``lo:hi``, in one buffer
+        that every chunk refills (so a caller may overwrite it). Row ``(c*k + di)*k + dj`` holds channel c
+        shifted by kernel offset (di, dj), matching the OIHW weight order."""
+        c, n, hp, wp = xpad.shape
+        k = self.kernel
+        h, w = hp - 2 * self.pad, wp - 2 * self.pad
+        image_bytes = c * k * k * h * w * xpad.itemsize
+        step = max(1, min(n, COLS_BYTES // image_bytes))
+        buf = np.empty(c * k * k * step * h * w, dtype=xpad.dtype)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            cols = buf[: c * k * k * (hi - lo) * h * w].reshape(c, k, k, hi - lo, h, w)
+            for di in range(k):
+                for dj in range(k):
+                    cols[:, di, dj] = xpad[:, lo:hi, di : di + h, dj : dj + w]
+            yield lo, hi, cols.reshape(c * k * k, -1)
+
     def forward(self, x, train: bool):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
-        p, k = self.pad, self.kernel
-        xpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xpad[:, :, p : p + h, p : p + w] = x
-        # Accumulate in (out, n, h, w) layout so the offset GEMMs need no
-        # per-iteration transpose.
-        yt = np.zeros((self.out_channels, n, h, w), dtype=x.dtype)
-        for di in range(k):
-            for dj in range(k):
-                yt += np.tensordot(
-                    self.weight[:, :, di, dj],
-                    xpad[:, :, di : di + h, dj : dj + w],
-                    axes=(1, 1),
-                )
-        yt += self.bias[:, None, None, None]
-        y = np.ascontiguousarray(yt.transpose(1, 0, 2, 3))
+        p, o = self.pad, self.out_channels
+        xpad = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xpad[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+        wmat = self.weight.reshape(o, -1)
+        y = np.empty((n, o, h, w), dtype=x.dtype)
+        for lo, hi, cols in self._chunks(xpad):
+            yt = (wmat @ cols).reshape(o, hi - lo, h, w)
+            np.add(yt.transpose(1, 0, 2, 3), self.bias[:, None, None], out=y[lo:hi])
         self._cache = xpad if train else None
         return y
 
     def backward(self, dy):
         self._require_cache()
         xpad = self._cache
-        n = dy.shape[0]
-        h, w = dy.shape[2], dy.shape[3]
-        p, k = self.pad, self.kernel
-        dyt = dy.transpose(1, 0, 2, 3)
-        self.d_bias += dy.sum(axis=(0, 2, 3))
-        dxpad_t = np.zeros(
-            (self.in_channels, n, h + 2 * p, w + 2 * p), dtype=dy.dtype
-        )
-        for di in range(k):
-            for dj in range(k):
-                xs = xpad[:, :, di : di + h, dj : dj + w]
-                self.d_weight[:, :, di, dj] += np.tensordot(
-                    dyt, xs, axes=([1, 2, 3], [0, 2, 3])
-                )
-                dxpad_t[:, :, di : di + h, dj : dj + w] += np.tensordot(
-                    self.weight[:, :, di, dj], dyt, axes=(0, 0)
-                )
-        dx = dxpad_t[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
         self._cache = None
-        return np.ascontiguousarray(dx)
+        n, o, h, w = dy.shape
+        p, k = self.pad, self.kernel
+        self.d_bias += dy.sum(axis=(0, 2, 3))
+        wmat = self.weight.reshape(o, -1)
+        d_wmat = self.d_weight.reshape(o, -1)
+        dxpad = np.zeros_like(xpad) if self.input_grad else None
+        for lo, hi, cols in self._chunks(xpad):
+            dy_chunk = np.ascontiguousarray(dy[lo:hi].transpose(1, 0, 2, 3)).reshape(o, -1)
+            d_wmat += dy_chunk @ cols.T
+            if dxpad is not None:
+                # col2im, with dcols written over the spent columns: add each
+                # offset's rows back onto the padded input.
+                dcols = np.matmul(wmat.T, dy_chunk, out=cols)
+                dcols = dcols.reshape(self.in_channels, k, k, hi - lo, h, w)
+                for di in range(k):
+                    for dj in range(k):
+                        dxpad[:, lo:hi, di : di + h, dj : dj + w] += dcols[:, di, dj]
+        if dxpad is None:
+            return None
+        return np.ascontiguousarray(dxpad[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3))
 
 
 class MaxPool2d(Layer):

@@ -116,6 +116,8 @@ class PatchEncoder:
             self._add(f"relu{i}", LeakyReLU(0.0))
             self._add(f"pool{i}", MaxPool2d())
             c_in = c_out
+        # Nothing consumes the gradient with respect to the input batch.
+        self._layers[0].input_grad = False
         self._add("flatten", Flatten())
         d_in = config.flat_features
         for j, d_out in enumerate(config.linear_dims[:-1], start=1):

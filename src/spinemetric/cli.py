@@ -32,7 +32,7 @@ from .evaluation import (
     projection_svg,
     project_2d,
 )
-from .mining import GradeLabel, folds_from_json, folds_to_json, make_folds
+from .mining import GRADES, GradeLabel, folds_from_json, folds_to_json, make_folds
 from .pipeline import (
     STAGE_FRACTURE,
     STAGE_LABEL,
@@ -79,6 +79,30 @@ def _dataset_manifest_path(dataset) -> Path:
 # --- gen ---------------------------------------------------------------
 
 
+def _parse_grade(name: str, where: str) -> GradeLabel:
+    try:
+        return GradeLabel[name.strip().upper()]
+    except KeyError:
+        valid = ", ".join(g.name.lower() for g in GRADES)
+        raise ValueError(f"{where}: unknown grade {name.strip()!r} (valid grades: {valid})") from None
+
+
+def _parse_counts(text: str) -> dict:
+    """Per-grade totals from ``g0=100,g2=30,g3=10``; unnamed grades get 0."""
+    totals = {g: 0 for g in GRADES}
+    for token in text.split(","):
+        name, sep, value = token.partition("=")
+        where = f"--counts token {token!r}"
+        if not sep:
+            raise ValueError(f"{where} is not of the form grade=count")
+        grade = _parse_grade(name, where)
+        try:
+            totals[grade] = int(value)
+        except ValueError:
+            raise ValueError(f"{where}: count {value!r} is not an integer") from None
+    return totals
+
+
 def cmd_gen(args) -> int:
     out_dir = Path(args.out)
     cfg_file = _load_config_file(args.config)
@@ -86,10 +110,7 @@ def cmd_gen(args) -> int:
     config = phantom.PhantomConfig(seed=seed, jitter_px=cfg_file.get("jitter_px", 0))
 
     if args.counts:
-        totals = {g: 0 for g in phantom.PAPER_GRADE_TOTALS}
-        for part in args.counts.split(","):
-            key, val = part.split("=")
-            totals[GradeLabel[key.strip().upper()]] = int(val)
+        totals = _parse_counts(args.counts)
         if any(v < 0 for v in totals.values()):
             raise ValueError("counts must be nonnegative")
         counts = phantom.counts_at_ratio(totals, scale=1.0)
@@ -130,7 +151,7 @@ def cmd_reformat(args) -> int:
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng([seed, 555])
     if args.grades:
-        grades = [GradeLabel[g.strip().upper()] for g in args.grades.split(",")]
+        grades = [_parse_grade(g, "--grades") for g in args.grades.split(",")]
         if len(grades) != args.vertebrae:
             raise ValueError("--grades length must equal --vertebrae")
     else:

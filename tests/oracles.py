@@ -1,7 +1,8 @@
 """Independent measurement oracles shared across test modules.
 
 These deliberately avoid the library's own code paths: distances are scalar
-loops, gradients come from central differences, silhouette heights from
+loops, gradients come from central differences, convolutions from direct
+loops over every output and kernel tap, silhouette heights from
 threshold crossings with subpixel interpolation, and arc lengths from
 quadrature over an independently constructed spline.
 """
@@ -39,6 +40,44 @@ def rel_err(analytic, numeric, guard=1.0) -> float:
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), guard)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+# --- direct convolution ------------------------------------------------------
+
+
+def conv2d_direct(x, weight, bias, dy):
+    """Stride-1 'same' convolution of x (N, C, H, W) with an OIHW kernel, by
+    explicit loops in float64, and the gradients of sum(y * dy).
+
+    Returns ``(y, d_weight, d_bias, dx)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, c, h, w = x.shape
+    o, _, k, _ = weight.shape
+    p = k // 2
+    y = np.zeros((n, o, h, w))
+    d_weight = np.zeros((o, c, k, k))
+    d_bias = np.zeros(o)
+    dx = np.zeros((n, c, h, w))
+    for b in range(n):
+        for oc in range(o):
+            for i in range(h):
+                for j in range(w):
+                    g = float(dy[b, oc, i, j])
+                    total = float(bias[oc])
+                    d_bias[oc] += g
+                    for ic in range(c):
+                        for di in range(k):
+                            for dj in range(k):
+                                r, s = i + di - p, j + dj - p
+                                if 0 <= r < h and 0 <= s < w:
+                                    wv = float(weight[oc, ic, di, dj])
+                                    xv = float(x[b, ic, r, s])
+                                    total += wv * xv
+                                    d_weight[oc, ic, di, dj] += g * xv
+                                    dx[b, ic, r, s] += g * wv
+                    y[b, oc, i, j] = total
+    return y, d_weight, d_bias, dx
 
 
 # --- silhouette measurement -------------------------------------------------

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -189,6 +192,29 @@ class TestBackward:
         for name in single:
             assert np.allclose(double[name], 2.0 * single[name], rtol=1e-9, atol=1e-12)
 
+    def test_first_conv_skips_input_gradient(self):
+        x = np.random.default_rng(7).normal(size=(3, 2, 8, 8))
+        up = np.random.default_rng(8).normal(size=(3, 5))
+        grads, returned = [], []
+        for input_grad in (False, True):
+            m = init_model(REDUCED, seed=9)
+            conv1 = m._layers[0]
+            assert conv1.input_grad is False
+            conv1.input_grad = input_grad
+
+            def recording_backward(dy, backward=conv1.backward):
+                returned.append(backward(dy))
+                return returned[-1]
+
+            conv1.backward = recording_backward
+            m.forward(x, train=True)
+            m.zero_grad()
+            grads.append({k: v.copy() for k, v in m.backward(up).items()})
+        assert returned[0] is None
+        assert returned[1].shape == x.shape
+        for name in grads[0]:
+            assert np.array_equal(grads[0][name], grads[1][name]), name
+
     def test_backward_without_forward_raises(self):
         m = init_model(REDUCED, seed=0)
         with pytest.raises(RuntimeError):
@@ -334,6 +360,32 @@ class TestCheckpoint:
         path = tmp_path / "junk.gmck"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_manifest_missing_tensor_rejected(self, tmp_path):
+        path = tmp_path / "m.gmck"
+        save_model(init_model(REDUCED, seed=0), path)
+        data = path.read_bytes()
+        (mlen,) = struct.unpack("<I", data[8:12])
+        manifest = json.loads(data[12 : 12 + mlen])
+        # Drop head.weight from the manifest and its bytes from the payload.
+        offset, payload = 12 + mlen, b""
+        for entry in manifest["tensors"]:
+            nbytes = 4 * int(np.prod(entry["shape"]))
+            if entry["name"] != "head.weight":
+                payload += data[offset : offset + nbytes]
+            offset += nbytes
+        manifest["tensors"] = [e for e in manifest["tensors"] if e["name"] != "head.weight"]
+        blob = json.dumps(manifest).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + payload)
+        with pytest.raises(ValueError, match=r"m\.gmck.*missing \['head\.weight'\]"):
+            load_model(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "t.gmck"
+        save_model(init_model(REDUCED, seed=0), path)
+        path.write_bytes(path.read_bytes()[:-6])
+        with pytest.raises(ValueError, match=r"t\.gmck: truncated payload"):
             load_model(path)
 
     def test_non_head_bytes_unchanged_by_swap(self, tmp_path):

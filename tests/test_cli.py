@@ -39,6 +39,18 @@ class TestGen:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ("g0=5,g1=3", "--counts token 'g1=3': unknown grade 'g1' (valid grades: g0, g2, g3)"),
+            ("g0=5,g2", "--counts token 'g2' is not of the form grade=count"),
+            ("g0=5,g2=x", "--counts token 'g2=x': count 'x' is not an integer"),
+        ],
+    )
+    def test_bad_counts_token_named(self, tmp_path, capsys, counts, message):
+        assert run_cli("gen", "--counts", counts, "--out", str(tmp_path / "c")) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
     def test_repeat_run_identical_digest(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_cli("gen", "--counts", "g0=6,g2=3,g3=3", "--seed", "3", "--out", str(out1))
@@ -74,6 +86,13 @@ class TestReformat:
                        "--out", str(tmp_path / "x"))
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_grade_named(self, tmp_path, capsys):
+        code = run_cli("reformat", "--vertebrae", "2", "--grades", "g0,g4",
+                       "--out", str(tmp_path / "x"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error: --grades: unknown grade 'g4' (valid grades: g0, g2, g3)"
 
 
 class TestTrain:

@@ -4,6 +4,7 @@ behavioral contracts (tie-breaking, eval purity, cache errors)."""
 import numpy as np
 import pytest
 
+from spinemetric.backbone import layers
 from spinemetric.backbone.layers import (
     BatchNorm1d,
     BatchNorm2d,
@@ -14,7 +15,7 @@ from spinemetric.backbone.layers import (
     MaxPool2d,
 )
 
-from .oracles import rel_err
+from .oracles import conv2d_direct, rel_err
 
 RNG = np.random.default_rng(1234)
 
@@ -85,6 +86,30 @@ class TestGradientChecks:
     def test_linear(self):
         x = RNG.normal(size=(6, 10))
         fd_layer_check(Linear(10, 4, RNG, np.float64), x, stride=3)
+
+
+class TestConvOracle:
+    @pytest.mark.parametrize("kernel,size", [(3, 7), (5, 6)])
+    def test_chunked_conv_matches_direct_loops(self, monkeypatch, kernel, size):
+        n, c, o = 5, 2, 3
+        rng = np.random.default_rng(kernel)
+        conv = Conv2d(c, o, kernel, rng, np.float64)
+        conv.bias[...] = rng.normal(size=o)
+        x = rng.normal(size=(n, c, size, size))
+        dy = rng.normal(size=(n, o, size, size))
+        # Two images per column buffer: chunks of 2, 2 and 1.
+        image_bytes = c * kernel * kernel * size * size * 8
+        monkeypatch.setattr(layers, "COLS_BYTES", 2 * image_bytes + 1)
+
+        y = conv.forward(x, train=True)
+        assert [hi - lo for lo, hi, _ in conv._chunks(conv._cache)] == [2, 2, 1]
+        dx = conv.backward(dy)
+
+        y_ref, dw_ref, db_ref, dx_ref = conv2d_direct(x, conv.weight, conv.bias, dy)
+        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(conv.d_weight, dw_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(conv.d_bias, db_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
 
 
 class TestMaxPoolTies:
