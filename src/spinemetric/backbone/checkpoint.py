@@ -56,11 +56,19 @@ def load_model(path) -> PatchEncoder:
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic {data[:4]!r})")
-    (version,) = struct.unpack("<I", data[4:8])
+    if len(data) < 12:
+        raise ValueError(f"{path}: truncated header ({len(data)} of 12 bytes)")
+    version, mlen = struct.unpack("<II", data[4:12])
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (mlen,) = struct.unpack("<I", data[8:12])
-    manifest = json.loads(data[12 : 12 + mlen].decode("utf-8"))
+    if 12 + mlen > len(data):
+        raise ValueError(
+            f"{path}: truncated manifest ({len(data) - 12} of {mlen} bytes)"
+        )
+    try:
+        manifest = json.loads(data[12 : 12 + mlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: manifest is not UTF-8 JSON ({exc})") from exc
 
     config = NetworkConfig.from_dict(manifest["config"])
     model = PatchEncoder(config, seed=0)

@@ -6,6 +6,13 @@ side-effect free. Upstream gradients use the sum-reduction convention:
 ``backward(dy)`` expects d(scalar loss)/d(output) and returns the gradient
 with respect to the input while accumulating parameter gradients in-place
 (a ``Conv2d`` with ``input_grad = False`` returns ``None`` instead).
+
+Memory rule: a pass allocates no input-sized array beyond the ones it
+returns or caches, and works in place on those. At the ``full`` preset an
+input-sized float32 array is above glibc's mmap ceiling, so each one is
+page-faulted in fresh. No pass writes into its arguments (``x`` or
+``dy``): callers may reuse them. A layer may overwrite its own cache,
+which it drops after backward.
 """
 
 from __future__ import annotations
@@ -155,7 +162,14 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """2x2 max pooling, stride 2. Gradient goes to the first maximum."""
+    """2x2 max pooling, stride 2. Gradient goes to the first maximum.
+
+    Window offset ``k = 2*i + j`` is the strided view ``x[:, :, i::2, j::2]``;
+    forward takes the maximum of the four views and caches, per window, the
+    first ``k`` that attains it as a ``uint8`` index.
+    """
+
+    OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def __init__(self):
         self._cache = None
@@ -164,35 +178,42 @@ class MaxPool2d(Layer):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"spatial size ({h},{w}) not divisible by 2")
-        windows = (
-            x.reshape(n, c, h // 2, 2, w // 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h // 2, w // 2, 4)
-        )
-        # argmax returns the first occurrence, which fixes the tie rule
-        idx = np.argmax(windows, axis=-1)
-        y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        self._cache = (idx, (n, c, h, w)) if train else None
+        # Rows first: the pair maximum of whole rows reads x contiguously.
+        rows = np.maximum(x[:, :, 0::2], x[:, :, 1::2])
+        y = np.maximum(rows[..., 0::2], rows[..., 1::2])
+        del rows
+        self._cache = None
+        if train:
+            # First k whose view attains the maximum, as
+            # (v0 != y) * (1 + (v1 != y) * (1 + (v2 != y))).
+            views = [x[:, :, i::2, j::2] for i, j in self.OFFSETS]
+            idx = np.not_equal(views[2], y).view(np.uint8)
+            for k in (1, 0):
+                idx += 1
+                idx *= np.not_equal(views[k], y)
+            self._cache = (idx, x.shape)
         return y
 
     def backward(self, dy):
         self._require_cache()
-        idx, (n, c, h, w) = self._cache
-        dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dy.dtype)
-        np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-        dx = (
-            dwin.reshape(n, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        idx, shape = self._cache
         self._cache = None
+        dx = np.empty(shape, dtype=dy.dtype)
+        hit = np.empty(idx.shape, dtype=bool)
+        for k, (i, j) in enumerate(self.OFFSETS):
+            np.equal(idx, k, out=hit)
+            np.multiply(dy, hit, out=dx[:, :, i::2, j::2])
         return dx
 
 
 class _BatchNormBase(Layer):
-    """Shared batch-norm math; subclasses fix the normalization axes."""
+    """Batch normalization over every axis but the channel axis 1.
 
-    axes: tuple
+    ``(N, C)`` and ``(N, C, H, W)`` inputs share one path: both are viewed
+    as ``(N, C, L)``. Train mode centres the input into a new buffer, takes
+    the variance from it and scales it in place into ``xhat``, which is the
+    backward cache; backward builds the input gradient over that cache.
+    """
 
     def __init__(self, num_features, epsilon, momentum, dtype=np.float32):
         self.num_features = num_features
@@ -215,74 +236,88 @@ class _BatchNormBase(Layer):
     def state(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
-    def _reshape(self, v):
-        shape = [1] * self._ndim
-        shape[1] = self.num_features
-        return v.reshape(shape)
-
     def forward(self, x, train: bool):
-        self._ndim = x.ndim
-        if train:
-            mu = x.mean(axis=self.axes)
-            var = x.var(axis=self.axes)
-            n = x.size // self.num_features
-            # Running stats follow the usual convention: unbiased variance
-            # for the running estimate, biased for the normalization itself.
-            unbiased = var * (n / max(n - 1, 1))
-            m = self.momentum
-            self.running_mean[...] = (1 - m) * self.running_mean + m * mu
-            self.running_var[...] = (1 - m) * self.running_var + m * unbiased
-        else:
-            mu = self.running_mean
-            var = self.running_var
+        n, c = x.shape[:2]
+        x3 = x.reshape(n, c, -1)
+        self._cache = None
+        if not train:
+            scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+            shift = self.beta - self.running_mean * scale
+            y = np.multiply(x3, scale[:, None], dtype=x.dtype)
+            y += shift[:, None]
+            return y.reshape(x.shape)
+        m = n * x3.shape[2]
+        mu = x3.sum(axis=2).sum(axis=0) / m
+        xhat = np.subtract(x3, mu[:, None], dtype=x.dtype)
+        var = np.einsum("nci,nci->c", xhat, xhat) / m
+        # Running stats follow the usual convention: unbiased variance
+        # for the running estimate, biased for the normalization itself.
+        unbiased = var * (m / max(m - 1, 1))
+        mom = self.momentum
+        self.running_mean[...] = (1 - mom) * self.running_mean + mom * mu
+        self.running_var[...] = (1 - mom) * self.running_var + mom * unbiased
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        xhat = (x - self._reshape(mu)) * self._reshape(inv_std)
-        y = self._reshape(self.gamma) * xhat + self._reshape(self.beta)
-        self._cache = (xhat, inv_std) if train else None
-        return y.astype(x.dtype, copy=False)
+        xhat *= inv_std[:, None]
+        y = np.multiply(xhat, self.gamma[:, None], dtype=x.dtype)
+        y += self.beta[:, None]
+        self._cache = (xhat, inv_std)
+        return y.reshape(x.shape)
 
     def backward(self, dy):
         self._require_cache()
         xhat, inv_std = self._cache
-        n = dy.size // self.num_features
-        self.d_gamma += (dy * xhat).sum(axis=self.axes)
-        self.d_beta += dy.sum(axis=self.axes)
-        dxhat = dy * self._reshape(self.gamma)
-        mean_dxhat = dxhat.mean(axis=self.axes)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=self.axes)
-        dx = self._reshape(inv_std) * (
-            dxhat - self._reshape(mean_dxhat) - xhat * self._reshape(mean_dxhat_xhat)
-        )
         self._cache = None
-        return dx.astype(dy.dtype, copy=False)
+        n, c = dy.shape[:2]
+        dy3 = dy.reshape(n, c, -1)
+        m = n * dy3.shape[2]
+        sum_dy = dy3.sum(axis=2).sum(axis=0)
+        sum_dy_xhat = np.einsum("nci,nci->c", dy3, xhat)
+        self.d_beta += sum_dy
+        self.d_gamma += sum_dy_xhat
+        # dx = gamma * inv_std * (dy - mean(dy) - xhat * mean(dy * xhat)),
+        # built in the spent xhat buffer.
+        dx = xhat
+        dx *= (sum_dy_xhat / m)[:, None]
+        dx += (sum_dy / m)[:, None]
+        np.subtract(dy3, dx, out=dx)
+        dx *= (self.gamma * inv_std)[:, None]
+        return dx.reshape(dy.shape)
 
 
 class BatchNorm2d(_BatchNormBase):
-    axes = (0, 2, 3)
+    """Batch normalization of ``(N, C, H, W)`` maps, per channel."""
 
 
 class BatchNorm1d(_BatchNormBase):
-    axes = (0,)
+    """Batch normalization of ``(N, C)`` features, per feature."""
 
 
 class LeakyReLU(Layer):
-    """Leaky rectifier; slope 0 gives a plain ReLU. x == 0 takes the slope side."""
+    """Leaky rectifier; slope 0 gives a plain ReLU. x == 0 takes the slope side.
+
+    Backward multiplies by a cached mask: ``x > 0`` for a plain ReLU, else
+    the per-element gain (1 or the slope).
+    """
 
     def __init__(self, slope=0.01):
         self.slope = slope
         self._cache = None
 
     def forward(self, x, train: bool):
-        y = np.where(x > 0, x, self.slope * x)
-        self._cache = (x > 0) if train else None
-        return y.astype(x.dtype, copy=False)
+        self._cache = None
+        if self.slope == 0:
+            if train:
+                self._cache = x > 0
+            return np.maximum(x, 0, dtype=x.dtype)
+        gain = np.where(x > 0, x.dtype.type(1), x.dtype.type(self.slope))
+        self._cache = gain if train else None
+        return x * gain
 
     def backward(self, dy):
         self._require_cache()
-        pos = self._cache
-        dx = np.where(pos, dy, self.slope * dy)
+        mask = self._cache
         self._cache = None
-        return dx.astype(dy.dtype, copy=False)
+        return np.multiply(dy, mask, dtype=dy.dtype)
 
 
 class Flatten(Layer):

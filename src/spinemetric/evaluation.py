@@ -156,13 +156,18 @@ def binary_fracture_labels(samples) -> np.ndarray:
     return np.array([0 if s.grade == GradeLabel.G0 else 1 for s in samples], dtype=int)
 
 
-def embed_samples(model, samples, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode embeddings for a sample list, in order."""
+def _eval_outputs(model, samples, batch_size: int) -> np.ndarray:
+    """Eval-mode network outputs for a sample list, in order, batch by batch."""
     chunks = []
     for i in range(0, len(samples), batch_size):
         batch = stack_samples(samples[i : i + batch_size], model.config.input_size)
         chunks.append(model.forward(batch, train=False))
     return np.concatenate(chunks, axis=0)
+
+
+def embed_samples(model, samples, batch_size: int = 64) -> np.ndarray:
+    """Eval-mode embeddings for a sample list, in order."""
+    return _eval_outputs(model, samples, batch_size)
 
 
 def evaluate_probe_protocol(
@@ -210,15 +215,12 @@ def evaluate_classifier(models, samples, folds) -> FoldSummary:
 
 
 def embed_logits(model, samples, batch_size: int = 64) -> np.ndarray:
+    """Eval-mode classifier logits for a sample list, in order."""
     from .backbone.model import HEAD_CLASSIFIER
 
     if model.head != HEAD_CLASSIFIER:
         raise ValueError("classifier evaluation requires the classifier head")
-    chunks = []
-    for i in range(0, len(samples), batch_size):
-        batch = stack_samples(samples[i : i + batch_size], model.config.input_size)
-        chunks.append(model.forward(batch, train=False))
-    return np.concatenate(chunks, axis=0)
+    return _eval_outputs(model, samples, batch_size)
 
 
 def project_2d(embeddings) -> np.ndarray:

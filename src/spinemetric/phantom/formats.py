@@ -33,15 +33,24 @@ def write_sample_tensor(path, channels: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(channels).tobytes())
 
 
-def read_sample_tensor(path) -> np.ndarray:
+def _read_header(path, magic: bytes, kind: str):
+    """File bytes and the three u32 dimensions after the magic."""
     data = Path(path).read_bytes()
-    if data[:4] != VPAT_MAGIC:
-        raise ValueError(f"{path}: not a sample tensor file")
-    c, h, w = struct.unpack("<III", data[4:16])
-    arr = np.frombuffer(data[16:], dtype="<f4")
-    if arr.size != c * h * w:
-        raise ValueError(f"{path}: payload size mismatch")
-    return arr.reshape(c, h, w).copy()
+    if data[:4] != magic:
+        raise ValueError(f"{path}: not a {kind} file")
+    if len(data) < 16:
+        raise ValueError(f"{path}: truncated header ({len(data)} of 16 bytes)")
+    return data, struct.unpack("<III", data[4:16])
+
+
+def read_sample_tensor(path) -> np.ndarray:
+    data, (c, h, w) = _read_header(path, VPAT_MAGIC, "sample tensor")
+    nbytes = c * h * w * 4
+    if len(data) - 16 != nbytes:
+        raise ValueError(
+            f"{path}: payload size mismatch ({len(data) - 16} of {nbytes} bytes)"
+        )
+    return np.frombuffer(data[16:], dtype="<f4").reshape(c, h, w).copy()
 
 
 def write_volume(path, volume: SpineVolume) -> None:
@@ -65,13 +74,17 @@ def write_volume(path, volume: SpineVolume) -> None:
 
 
 def read_volume(path) -> SpineVolume:
-    data = Path(path).read_bytes()
-    if data[:4] != VVOL_MAGIC:
-        raise ValueError(f"{path}: not a volume file")
-    z, y, x = struct.unpack("<III", data[4:16])
+    data, (z, y, x) = _read_header(path, VVOL_MAGIC, "volume")
     nbytes = z * y * x * 4
+    if len(data) - 16 < nbytes:
+        raise ValueError(
+            f"{path}: truncated voxel payload ({len(data) - 16} of {nbytes} bytes)"
+        )
     vox = np.frombuffer(data[16 : 16 + nbytes], dtype="<f4").reshape(z, y, x).copy()
-    trailer = json.loads(data[16 + nbytes :].decode("utf-8"))
+    try:
+        trailer = json.loads(data[16 + nbytes :].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: centroid trailer is not UTF-8 JSON ({exc})") from exc
     centroids = [(c["label"], tuple(c["position"])) for c in trailer["centroids"]]
     grades = [GradeLabel(g) for g in trailer.get("grades", [])]
     return SpineVolume(voxels=vox, centroids=centroids, grades=grades)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: distances are scalar
 loops, gradients come from central differences, convolutions from direct
-loops over every output and kernel tap, silhouette heights from
+loops over every output and kernel tap, batch norm, rectifiers and max
+pooling from their textbook formulas in float64, silhouette heights from
 threshold crossings with subpixel interpolation, and arc lengths from
 quadrature over an independently constructed spline.
 """
@@ -78,6 +79,85 @@ def conv2d_direct(x, weight, bias, dy):
                                     dx[b, ic, r, s] += g * wv
                     y[b, oc, i, j] = total
     return y, d_weight, d_bias, dx
+
+
+# --- pointwise layers ---------------------------------------------------------
+
+
+def _bn_axes(x):
+    return (0,) + tuple(range(2, x.ndim))
+
+
+def _per_channel(v, ndim):
+    return np.reshape(v, (1, -1) + (1,) * (ndim - 2))
+
+
+def batchnorm_train(x, gamma, beta, running_mean, running_var, epsilon, momentum, dy):
+    """Train-mode batch norm over every axis but 1, in float64, and the
+    gradients of sum(y * dy).
+
+    Returns ``(y, dx, d_gamma, d_beta, running_mean, running_var)`` with the
+    running statistics after the update (unbiased variance for the running
+    estimate, biased for the normalization).
+    """
+    x, dy = np.asarray(x, np.float64), np.asarray(dy, np.float64)
+    gamma, beta = np.asarray(gamma, np.float64), np.asarray(beta, np.float64)
+    axes, nd = _bn_axes(x), x.ndim
+    n = x.size // x.shape[1]
+    mu = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    new_mean = (1 - momentum) * np.asarray(running_mean, np.float64) + momentum * mu
+    new_var = (1 - momentum) * np.asarray(running_var, np.float64) + momentum * var * (
+        n / max(n - 1, 1)
+    )
+    inv_std = 1.0 / np.sqrt(var + epsilon)
+    xhat = (x - _per_channel(mu, nd)) * _per_channel(inv_std, nd)
+    y = _per_channel(gamma, nd) * xhat + _per_channel(beta, nd)
+    d_gamma = (dy * xhat).sum(axis=axes)
+    d_beta = dy.sum(axis=axes)
+    dxhat = dy * _per_channel(gamma, nd)
+    mean_dxhat = dxhat.mean(axis=axes)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes)
+    dx = _per_channel(inv_std, nd) * (
+        dxhat - _per_channel(mean_dxhat, nd) - xhat * _per_channel(mean_dxhat_xhat, nd)
+    )
+    return y, dx, d_gamma, d_beta, new_mean, new_var
+
+
+def batchnorm_eval(x, gamma, beta, running_mean, running_var, epsilon):
+    """Eval-mode batch norm with the running statistics, in float64."""
+    x = np.asarray(x, np.float64)
+    gamma, beta, mean, var = (
+        _per_channel(np.asarray(v, np.float64), x.ndim)
+        for v in (gamma, beta, running_mean, running_var)
+    )
+    return gamma * ((x - mean) * (1.0 / np.sqrt(var + epsilon))) + beta
+
+
+def leaky_relu_reference(x, slope, dy):
+    """Leaky rectifier and its input gradient; x == 0 takes the slope side."""
+    x, dy = np.asarray(x, np.float64), np.asarray(dy, np.float64)
+    pos = x > 0
+    return np.where(pos, x, slope * x), np.where(pos, dy, slope * dy)
+
+
+def maxpool_reference(x, dy):
+    """2x2 stride-2 max pooling by window reshape and argmax, and its input
+    gradient; argmax picks the first maximum in window order
+    (0,0), (0,1), (1,0), (1,1)."""
+    x = np.asarray(x, np.float64)
+    n, c, h, w = x.shape
+    windows = (
+        x.reshape(n, c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h // 2, w // 2, 4)
+    )
+    idx = np.argmax(windows, axis=-1)
+    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    dwin = np.zeros(windows.shape)
+    np.put_along_axis(dwin, idx[..., None], np.asarray(dy, np.float64)[..., None], axis=-1)
+    dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+    return y, dx
 
 
 # --- silhouette measurement -------------------------------------------------

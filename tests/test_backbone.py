@@ -388,6 +388,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"t\.gmck: truncated payload"):
             load_model(path)
 
+    def test_header_cut_short_rejected(self, tmp_path):
+        path = tmp_path / "h.gmck"
+        path.write_bytes(b"GMCK\x01\x00")
+        with pytest.raises(ValueError, match=r"h\.gmck: truncated header"):
+            load_model(path)
+
+    def test_manifest_cut_short_rejected(self, tmp_path):
+        path = tmp_path / "m.gmck"
+        save_model(init_model(REDUCED, seed=0), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:8] + struct.pack("<I", len(data)) + data[12:])
+        with pytest.raises(ValueError, match=r"m\.gmck: truncated manifest"):
+            load_model(path)
+
+    @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json"])
+    def test_manifest_not_utf8_json_rejected(self, tmp_path, blob):
+        path = tmp_path / "j.gmck"
+        path.write_bytes(b"GMCK" + struct.pack("<II", 1, len(blob)) + blob)
+        with pytest.raises(ValueError, match=r"j\.gmck: manifest is not UTF-8 JSON"):
+            load_model(path)
+
     def test_non_head_bytes_unchanged_by_swap(self, tmp_path):
         m = init_model(REDUCED, seed=0)
         save_model(m, tmp_path / "before.gmck")

@@ -15,7 +15,14 @@ from spinemetric.backbone.layers import (
     MaxPool2d,
 )
 
-from .oracles import conv2d_direct, rel_err
+from .oracles import (
+    batchnorm_eval,
+    batchnorm_train,
+    conv2d_direct,
+    leaky_relu_reference,
+    maxpool_reference,
+    rel_err,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -112,6 +119,105 @@ class TestConvOracle:
         np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
 
 
+# float64 layers match the float64 oracles to 1e-12; float32 ones to 1e-5
+# relative, measured against the oracle run on the same float32 values.
+DTYPE_TOLERANCES = [(np.float64, 1e-12), (np.float32, 1e-5)]
+
+
+def assert_matches(actual, expected, tol):
+    """Element-wise relative error at most tol, with an absolute floor of tol
+    times the largest expected magnitude (for entries near zero)."""
+    expected = np.asarray(expected, dtype=np.float64)
+    floor = tol * max(float(np.max(np.abs(expected))), 1e-300)
+    np.testing.assert_allclose(np.asarray(actual, np.float64), expected, rtol=tol, atol=floor)
+
+
+def _seeded_batchnorm(cls, c, dtype, rng):
+    bn = cls(c, 1e-5, 0.1, dtype)
+    bn.gamma[...] = rng.uniform(0.5, 2.0, c)
+    bn.beta[...] = rng.normal(size=c)
+    bn.running_mean[...] = rng.normal(size=c)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, c)
+    return bn
+
+
+class TestPointwiseOracles:
+    @pytest.mark.parametrize("dtype,tol", DTYPE_TOLERANCES)
+    @pytest.mark.parametrize(
+        "cls,shape", [(BatchNorm2d, (4, 3, 5, 6)), (BatchNorm1d, (16, 5))]
+    )
+    def test_batchnorm_train(self, cls, shape, dtype, tol):
+        rng = np.random.default_rng(7)
+        bn = _seeded_batchnorm(cls, shape[1], dtype, rng)
+        bn.d_gamma[...] = rng.normal(size=shape[1])  # backward accumulates
+        bn.d_beta[...] = rng.normal(size=shape[1])
+        start = {k: v.copy() for k, v in (*bn.params().items(), *bn.state().items())}
+        d_gamma0, d_beta0 = bn.d_gamma.astype(np.float64), bn.d_beta.astype(np.float64)
+        x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
+        dy = rng.normal(size=shape).astype(dtype)
+
+        y = bn.forward(x, train=True)
+        dx = bn.backward(dy)
+
+        y_ref, dx_ref, dg_ref, db_ref, mean_ref, var_ref = batchnorm_train(
+            x, start["gamma"], start["beta"], start["running_mean"], start["running_var"],
+            1e-5, 0.1, dy,
+        )
+        assert_matches(y, y_ref, tol)
+        assert_matches(dx, dx_ref, tol)
+        assert_matches(bn.d_gamma, d_gamma0 + dg_ref, tol)
+        assert_matches(bn.d_beta, d_beta0 + db_ref, tol)
+        assert_matches(bn.running_mean, mean_ref, tol)
+        assert_matches(bn.running_var, var_ref, tol)
+
+    @pytest.mark.parametrize("dtype,tol", DTYPE_TOLERANCES)
+    @pytest.mark.parametrize(
+        "cls,shape", [(BatchNorm2d, (4, 3, 5, 6)), (BatchNorm1d, (16, 5))]
+    )
+    def test_batchnorm_eval(self, cls, shape, dtype, tol):
+        rng = np.random.default_rng(8)
+        bn = _seeded_batchnorm(cls, shape[1], dtype, rng)
+        x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
+        y = bn.forward(x, train=False)
+        assert_matches(
+            y, batchnorm_eval(x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, 1e-5), tol
+        )
+
+    @pytest.mark.parametrize("dtype,tol", DTYPE_TOLERANCES)
+    @pytest.mark.parametrize("slope", [0.0, 0.01])
+    def test_leaky_relu(self, slope, dtype, tol):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 4, 5, 6)).astype(dtype)
+        x[0, 0, 0, :3] = 0.0  # x == 0 takes the slope side
+        dy = rng.normal(size=x.shape).astype(dtype)
+        relu = LeakyReLU(slope)
+        y_train = relu.forward(x, train=True)
+        dx = relu.backward(dy)
+        y_ref, dx_ref = leaky_relu_reference(x, slope, dy)
+        for y in (y_train, relu.forward(x, train=False)):
+            assert_matches(y, y_ref, tol)
+        assert_matches(dx, dx_ref, tol)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("values", ["normal", "ties"])
+    def test_maxpool_is_exact(self, values, dtype):
+        rng = np.random.default_rng(10)
+        shape = (3, 4, 6, 8)
+        if values == "ties":
+            # Values in {-1, 0, 1, 2}: most windows hold a tied maximum.
+            x = rng.integers(-1, 3, size=shape).astype(dtype)
+        else:
+            x = rng.normal(size=shape).astype(dtype)
+        dy = rng.normal(size=(3, 4, 3, 4)).astype(dtype)
+        pool = MaxPool2d()
+        y_train = pool.forward(x, train=True)
+        dx = pool.backward(dy)
+        y_ref, dx_ref = maxpool_reference(x, dy)
+        for y in (y_train, pool.forward(x, train=False)):
+            np.testing.assert_array_equal(y, y_ref)
+        np.testing.assert_array_equal(dx, dx_ref)
+
+
 class TestMaxPoolTies:
     def test_gradient_goes_to_first_maximum(self):
         x = np.zeros((1, 1, 2, 2))
@@ -123,6 +229,20 @@ class TestMaxPoolTies:
         expected = np.zeros((1, 1, 2, 2))
         expected[0, 0, 0, 0] = 1.0
         assert np.array_equal(dx, expected)
+
+    def test_tied_positive_pair_routes_to_first(self):
+        # Channel p ties two window positions at 2.0 (the rest hold 1.0).
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        x = np.ones((1, len(pairs), 2, 2))
+        for p, (a, b) in enumerate(pairs):
+            x[0, p].flat[[a, b]] = 2.0
+        pool = MaxPool2d()
+        assert np.array_equal(pool.forward(x, train=True), np.full((1, len(pairs), 1, 1), 2.0))
+        dx = pool.backward(np.full((1, len(pairs), 1, 1), 3.0))
+        for p, (a, _) in enumerate(pairs):
+            expected = np.zeros(4)
+            expected[a] = 3.0
+            assert np.array_equal(dx[0, p].ravel(), expected), (a, pairs[p])
 
     def test_odd_spatial_size_rejected(self):
         with pytest.raises(ValueError):
@@ -152,6 +272,47 @@ class TestBatchNormBehavior:
         y = bn.forward(x, train=True)
         assert np.allclose(y.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(y.var(axis=0), 1.0, atol=1e-6)
+
+
+def _every_layer(dtype):
+    rng = np.random.default_rng(11)
+    return [
+        (Conv2d(2, 3, 3, rng, dtype), (2, 2, 4, 4)),
+        (BatchNorm2d(2, 1e-5, 0.1, dtype), (3, 2, 4, 4)),
+        (BatchNorm1d(4, 1e-5, 0.1, dtype), (5, 4)),
+        (MaxPool2d(), (2, 2, 4, 4)),
+        (LeakyReLU(0.0), (2, 2, 4, 4)),
+        (LeakyReLU(0.01), (2, 2, 4, 4)),
+        (Flatten(), (2, 2, 4, 4)),
+        (Linear(4, 3, rng, dtype), (5, 4)),
+    ]
+
+
+class TestLayerContracts:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inputs_are_never_modified(self, dtype):
+        rng = np.random.default_rng(12)
+        for layer, shape in _every_layer(dtype):
+            x = rng.normal(size=shape).astype(dtype)
+            x_copy = x.copy()
+            y = layer.forward(x, train=True)
+            dy = rng.normal(size=y.shape).astype(dtype)
+            dy_copy = dy.copy()
+            layer.backward(dy)
+            layer.forward(x, train=False)
+            name = type(layer).__name__
+            assert np.array_equal(x, x_copy), name
+            assert np.array_equal(dy, dy_copy), name
+
+    def test_float32_in_float32_out(self):
+        rng = np.random.default_rng(13)
+        for layer, shape in _every_layer(np.float32):
+            x = rng.normal(size=shape).astype(np.float32)
+            assert layer.forward(x, train=False).dtype == np.float32, type(layer).__name__
+            y = layer.forward(x, train=True)
+            assert y.dtype == np.float32, type(layer).__name__
+            dx = layer.backward(np.ones_like(y))
+            assert dx.dtype == np.float32, type(layer).__name__
 
 
 class TestCacheDiscipline:

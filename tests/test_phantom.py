@@ -167,6 +167,44 @@ class TestSampleTensorFormat:
             read_sample_tensor(tmp_path / "bad.vpat")
 
 
+    def test_header_cut_short_rejected(self, tmp_path):
+        (tmp_path / "h.vpat").write_bytes(b"VPAT" + b"\x02\x00\x00\x00")
+        with pytest.raises(ValueError, match=r"h\.vpat: truncated header"):
+            read_sample_tensor(tmp_path / "h.vpat")
+
+    def test_payload_cut_mid_float_rejected(self, tmp_path):
+        write_sample_tensor(tmp_path / "p.vpat", np.zeros((2, 3, 3), np.float32))
+        data = (tmp_path / "p.vpat").read_bytes()
+        (tmp_path / "p.vpat").write_bytes(data[:-3])
+        with pytest.raises(ValueError, match=r"p\.vpat: payload size mismatch"):
+            read_sample_tensor(tmp_path / "p.vpat")
+
+
+class TestVolumeFormat:
+    @pytest.fixture
+    def volume_bytes(self, tmp_path):
+        vol = generate_spine_volume(CFG, 2, curvature=0.0, grades=[G0, G2], seed=0)
+        write_volume(tmp_path / "v.vvol", vol)
+        return (tmp_path / "v.vvol").read_bytes(), vol.voxels.size * 4
+
+    def test_header_cut_short_rejected(self, tmp_path):
+        (tmp_path / "h.vvol").write_bytes(b"VVOL" + b"\x00" * 7)
+        with pytest.raises(ValueError, match=r"h\.vvol: truncated header"):
+            read_volume(tmp_path / "h.vvol")
+
+    def test_payload_cut_short_rejected(self, tmp_path, volume_bytes):
+        data, nbytes = volume_bytes
+        (tmp_path / "p.vvol").write_bytes(data[: 16 + nbytes - 5])
+        with pytest.raises(ValueError, match=r"p\.vvol: truncated voxel payload"):
+            read_volume(tmp_path / "p.vvol")
+
+    def test_trailer_not_json_rejected(self, tmp_path, volume_bytes):
+        data, nbytes = volume_bytes
+        (tmp_path / "t.vvol").write_bytes(data[: 16 + nbytes] + b'{"centroids": [')
+        with pytest.raises(ValueError, match=r"t\.vvol: centroid trailer is not UTF-8 JSON"):
+            read_volume(tmp_path / "t.vvol")
+
+
 class TestSpineVolume:
     def test_straight_spine_centroids_colinear(self):
         vol = generate_spine_volume(CFG, 17, curvature=0.0, grades=[G0] * 17, seed=5)
