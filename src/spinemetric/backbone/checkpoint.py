@@ -70,14 +70,20 @@ def load_model(path) -> PatchEncoder:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: manifest is not UTF-8 JSON ({exc})") from exc
 
-    config = NetworkConfig.from_dict(manifest["config"])
-    model = PatchEncoder(config, seed=0)
-    if manifest["head"] != model.head:
-        model.swap_head(manifest["head"], seed=0)
+    try:
+        config = NetworkConfig.from_dict(manifest["config"])
+        model = PatchEncoder(config, seed=0)
+        if manifest["head"] != model.head:
+            model.swap_head(manifest["head"], seed=0)
+        entries = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
+        if not all(isinstance(name, str) for name, _ in entries):
+            raise TypeError("tensor names must be strings")
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed manifest ({exc!r})") from exc
     model.mode = "eval"
 
     tensors = _all_tensors(model)
-    listed = [entry["name"] for entry in manifest["tensors"]]
+    listed = [name for name, _ in entries]
     if sorted(listed) != sorted(tensors):
         missing = sorted(set(tensors) - set(listed))
         unknown = sorted(set(listed) - set(tensors))
@@ -86,8 +92,7 @@ def load_model(path) -> PatchEncoder:
             f"(missing {missing}, unknown {unknown}, {len(listed)} listed)"
         )
     offset = 12 + mlen
-    for entry in manifest["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
+    for name, shape in entries:
         if tensors[name].shape != shape:
             raise ValueError(
                 f"{path}: tensor {name!r} shape {shape} does not match "

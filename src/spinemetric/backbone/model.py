@@ -215,12 +215,6 @@ class PatchEncoder:
         self._forward_live = False
         return self
 
-    def embed(self, x):
-        """Eval-mode forward, asserting the embedding head is mounted."""
-        if self.head != HEAD_EMBEDDING:
-            raise RuntimeError("embed() requires the embedding head")
-        return self.forward(x, train=False)
-
 
 def init_model(config: NetworkConfig, seed: int) -> PatchEncoder:
     """Build a seeded network: He-uniform weights, zero biases, unit BN scale."""

@@ -6,6 +6,10 @@ import numpy as np
 
 from .phantom.patches import PATCH_SIZE
 
+# Samples converted per step of stack_samples: bounds the full-resolution
+# temporary to 64 patches whatever the split size.
+_STACK_CHUNK = 64
+
 
 def block_mean(x: np.ndarray, factor: int) -> np.ndarray:
     """Downsample (N, C, H, W) by integer-factor area averaging."""
@@ -16,14 +20,22 @@ def block_mean(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def stack_samples(samples, input_size: int = PATCH_SIZE) -> np.ndarray:
-    """Stack PatchSamples into a network batch, downsampling if the model
-    takes smaller inputs than the native patch size."""
-    batch = np.stack([s.to_tensor() for s in samples])
-    if input_size != batch.shape[-1]:
-        if batch.shape[-1] % input_size != 0:
-            raise ValueError(
-                f"cannot resize {batch.shape[-1]} px patches to {input_size} px "
-                f"(non-integer factor)"
-            )
-        batch = block_mean(batch, batch.shape[-1] // input_size)
-    return batch.astype(np.float32)
+    """Stack PatchSamples into one float32 (N, 2, s, s) array, downsampling
+    if the model takes smaller inputs than the native patch size.
+
+    The array is filled 64 samples at a time, so a full-resolution copy of
+    the whole set never exists at once. Each row depends on its own sample
+    only: stacking a subset gives the same bits as indexing the full stack.
+    """
+    if len(samples) == 0:
+        raise ValueError("no samples to stack")
+    native = samples[0].image.shape[-1]
+    if native % input_size != 0:
+        raise ValueError(
+            f"cannot resize {native} px patches to {input_size} px (non-integer factor)"
+        )
+    out = np.empty((len(samples), 2, input_size, input_size), dtype=np.float32)
+    for lo in range(0, len(samples), _STACK_CHUNK):
+        chunk = np.stack([s.to_tensor() for s in samples[lo : lo + _STACK_CHUNK]])
+        out[lo : lo + len(chunk)] = block_mean(chunk, native // input_size)
+    return out

@@ -113,15 +113,10 @@ def linear_probe_train(
     embeddings,
     labels,
     regularization: float = 1e-3,
-    seed: int = 0,
     n_steps: int = 100_000,
 ) -> LinearProbe:
-    """Fit the maximum-margin linear probe on frozen embeddings.
-
-    Full-batch subgradient descent is deterministic, so the seed does not
-    influence the result; it is accepted for interface uniformity.
-    """
-    del seed
+    """Fit the maximum-margin linear probe on frozen embeddings by
+    deterministic full-batch subgradient descent."""
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=int)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -176,7 +171,6 @@ def evaluate_probe_protocol(
     folds,
     regularization: float = 1e-3,
     n_steps: int = 100_000,
-    seed: int = 0,
 ) -> FoldSummary:
     """Linear separability of a frozen embedding model.
 
@@ -193,9 +187,7 @@ def evaluate_probe_protocol(
     for fold in folds:
         tr = np.array(fold.train_ids)
         te = np.array(fold.test_ids)
-        probe = linear_probe_train(
-            emb[tr], y[tr], regularization=regularization, seed=seed, n_steps=n_steps
-        )
+        probe = linear_probe_train(emb[tr], y[tr], regularization=regularization, n_steps=n_steps)
         summary.folds.append(confusion_metrics(probe.predict(emb[te]), y[te]))
     return summary
 

@@ -1,11 +1,14 @@
 """Metric and classification losses with analytic gradients.
 
-All losses operate on 1-D embedding vectors (or a logit vector for
-cross-entropy) and return a :class:`LossValue` carrying the scalar total,
-the named sub-terms, and exact (sub)gradients with respect to every input.
-Distances are squared Euclidean throughout. At hinge kinks the zero-side
-subgradient is chosen, so configurations with zero loss are exact fixed
-points of gradient descent.
+Every loss takes either one tuple, as 1-D embedding vectors (or a logit
+vector for cross-entropy), or a batch of T tuples, as (T, D) arrays whose
+row t is tuple t. Per-tuple arguments (anchor class, similar flag, label)
+are a scalar shared by the batch or a (T,) array. The returned
+:class:`LossValue` carries the total and the named sub-terms, each summed
+over the batch, and exact (sub)gradients with respect to every input, in
+the input's shape. Distances are squared Euclidean throughout. At hinge
+kinks the zero-side subgradient is chosen, so configurations with zero loss
+are exact fixed points of gradient descent.
 """
 
 from __future__ import annotations
@@ -46,31 +49,56 @@ class LossValue:
     gradients: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _check_embedding(name, e):
-    e = np.asarray(e, dtype=np.float64)
-    if e.ndim == 0:
-        e = e.reshape(1)
-    if e.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {e.shape}")
-    if not np.all(np.isfinite(e)):
-        raise ValueError(f"{name} contains non-finite values")
-    return e
-
-
-def _check_same_dim(*named):
-    dims = {e.shape[0] for _, e in named}
-    if len(dims) != 1:
-        detail = ", ".join(f"{n}:{e.shape[0]}" for n, e in named)
+def _check_inputs(**named):
+    """The inputs as (T, D) float64 arrays of one shape, and whether they
+    were all single 1-D tuples."""
+    single = all(np.ndim(e) <= 1 for e in named.values())
+    arrays = []
+    for name, e in named.items():
+        e = np.asarray(e, dtype=np.float64)
+        e = e.reshape(1, -1) if e.ndim <= 1 else e
+        if e.ndim != 2:
+            raise ValueError(f"{name} must be a 1-D vector or a (T, D) batch, got shape {e.shape}")
+        if not np.all(np.isfinite(e)):
+            raise ValueError(f"{name} contains non-finite values")
+        arrays.append(e)
+    if len({e.shape for e in arrays}) != 1:
+        detail = ", ".join(f"{n}:{e.shape}" for n, e in zip(named, arrays))
         raise ValueError(f"embedding dimension mismatch ({detail})")
+    return arrays, single
 
 
-def sq_dist(a, b) -> float:
-    """Squared Euclidean distance ||a - b||^2 between two embeddings."""
-    a = _check_embedding("a", a)
-    b = _check_embedding("b", b)
-    _check_same_dim(("a", a), ("b", b))
-    diff = a - b
-    return float(diff @ diff)
+def _per_tuple(name, value, count) -> np.ndarray:
+    """A scalar or (T,) per-tuple argument as a (T,) array."""
+    v = np.asarray(value)
+    if v.ndim > 1 or (v.ndim == 1 and v.shape[0] != count):
+        raise ValueError(f"{name} must be a scalar or hold {count} entries, got shape {v.shape}")
+    return np.broadcast_to(v, (count,))
+
+
+def _row_sq_dist(x, y) -> np.ndarray:
+    d = x - y
+    return np.einsum("ij,ij->i", d, d)
+
+
+def _active(arg, grad) -> np.ndarray:
+    """``grad`` on the rows whose hinge argument is positive, else zero."""
+    return np.where((arg > 0.0)[:, None], grad, 0.0)
+
+
+def _result(single, terms, grads) -> LossValue:
+    terms = {k: float(v.sum()) for k, v in terms.items()}
+    if single:
+        grads = {k: g[0] for k, g in grads.items()}
+    return LossValue(total=sum(terms.values()), terms=terms, gradients=grads)
+
+
+def sq_dist(a, b):
+    """Squared Euclidean distance ||a - b||^2 between two embeddings; for
+    two (T, D) batches, the (T,) row-wise distances."""
+    (a, b), single = _check_inputs(a=a, b=b)
+    d = _row_sq_dist(a, b)
+    return float(d[0]) if single else d
 
 
 def grading_loss(
@@ -78,7 +106,7 @@ def grading_loss(
     e_g2,
     e_g3,
     e_anchor,
-    anchor_class: int,
+    anchor_class,
     margins: GradingMargins = GradingMargins(),
     clustering_mode: str = "textual",
 ) -> LossValue:
@@ -101,116 +129,87 @@ def grading_loss(
     Returns a LossValue with terms L1/L2/L3 and gradients keyed by
     "g0", "g2", "g3", "anchor".
     """
-    g0 = _check_embedding("e_g0", e_g0)
-    g2 = _check_embedding("e_g2", e_g2)
-    g3 = _check_embedding("e_g3", e_g3)
-    anc = _check_embedding("e_anchor", e_anchor)
-    _check_same_dim(("e_g0", g0), ("e_g2", g2), ("e_g3", g3), ("e_anchor", anc))
-    if anchor_class not in ANCHOR_CLASSES:
+    (g0, g2, g3, anc), single = _check_inputs(e_g0=e_g0, e_g2=e_g2, e_g3=e_g3, e_anchor=e_anchor)
+    cls = _per_tuple("anchor_class", anchor_class, len(g0))
+    if not np.all(np.isin(cls, ANCHOR_CLASSES)):
         raise ValueError(f"anchor_class must be one of {ANCHOR_CLASSES}, got {anchor_class}")
     if clustering_mode not in ("textual", "literal"):
         raise ValueError(f"unknown clustering_mode {clustering_mode!r}")
 
-    grads = {k: np.zeros_like(g0) for k in ("g0", "g2", "g3", "anchor")}
-
     # L1: rank g3 nearer to g2 than g0 is, by at least alpha.
-    arg1 = sq_dist(g2, g3) - sq_dist(g2, g0) + margins.alpha
-    l1 = max(0.0, arg1)
-    if arg1 > 0.0:
-        grads["g2"] += 2.0 * (g2 - g3) - 2.0 * (g2 - g0)
-        grads["g3"] += 2.0 * (g3 - g2)
-        grads["g0"] += 2.0 * (g2 - g0)
-
+    arg1 = _row_sq_dist(g2, g3) - _row_sq_dist(g2, g0) + margins.alpha
     # L2: rank g2 nearer to g0 than g3 is, by at least beta.
-    arg2 = sq_dist(g0, g2) - sq_dist(g0, g3) + margins.beta
-    l2 = max(0.0, arg2)
-    if arg2 > 0.0:
-        grads["g0"] += 2.0 * (g0 - g2) - 2.0 * (g0 - g3)
-        grads["g2"] += 2.0 * (g2 - g0)
-        grads["g3"] += 2.0 * (g0 - g3)
+    arg2 = _row_sq_dist(g0, g2) - _row_sq_dist(g0, g3) + margins.beta
+    grads = {
+        "g0": _active(arg1, 2.0 * (g2 - g0)) + _active(arg2, 2.0 * (g0 - g2) - 2.0 * (g0 - g3)),
+        "g2": _active(arg1, 2.0 * (g2 - g3) - 2.0 * (g2 - g0)) + _active(arg2, 2.0 * (g2 - g0)),
+        "g3": _active(arg1, 2.0 * (g3 - g2)) + _active(arg2, 2.0 * (g0 - g3)),
+    }
 
-    # L3: tie the anchor to the static-triplet member of its own class.
-    match_key = {0: "g0", 2: "g2", 3: "g3"}[anchor_class]
-    match = {"g0": g0, "g2": g2, "g3": g3}[match_key]
-    dm = sq_dist(match, anc)
-    if clustering_mode == "textual":
-        arg3 = dm - margins.gamma
-        l3 = max(0.0, arg3)
-        if arg3 > 0.0:
-            grads[match_key] += 2.0 * (match - anc)
-            grads["anchor"] += 2.0 * (anc - match)
-    else:
-        arg3 = margins.gamma - dm
-        l3 = max(0.0, arg3)
-        if arg3 > 0.0:
-            grads[match_key] += -2.0 * (match - anc)
-            grads["anchor"] += -2.0 * (anc - match)
+    # L3: tie the anchor to the static-triplet member of its own class;
+    # "literal" mode flips the hinge's sign.
+    sign = 1.0 if clustering_mode == "textual" else -1.0
+    match = np.where((cls == 0)[:, None], g0, np.where((cls == 2)[:, None], g2, g3))
+    arg3 = sign * (_row_sq_dist(match, anc) - margins.gamma)
+    pull = _active(arg3, sign * 2.0 * (match - anc))
+    for key, c in zip(("g0", "g2", "g3"), ANCHOR_CLASSES):
+        grads[key] = grads[key] + np.where((cls == c)[:, None], pull, 0.0)
+    grads["anchor"] = -pull
 
-    terms = {"L1": l1, "L2": l2, "L3": l3}
-    return LossValue(total=l1 + l2 + l3, terms=terms, gradients=grads)
+    terms = {"L1": np.maximum(0.0, arg1), "L2": np.maximum(0.0, arg2), "L3": np.maximum(0.0, arg3)}
+    return _result(single, terms, grads)
 
 
 def triplet_loss(anchor, positive, negative, margin: float = 1.0) -> LossValue:
     """Hinge triplet loss max(0, d(a,p) - d(a,n) + margin)."""
-    a = _check_embedding("anchor", anchor)
-    p = _check_embedding("positive", positive)
-    n = _check_embedding("negative", negative)
-    _check_same_dim(("anchor", a), ("positive", p), ("negative", n))
+    (a, p, n), single = _check_inputs(anchor=anchor, positive=positive, negative=negative)
     if margin < 0:
         raise ValueError("margin must be nonnegative")
 
-    arg = sq_dist(a, p) - sq_dist(a, n) + margin
-    loss = max(0.0, arg)
-    grads = {k: np.zeros_like(a) for k in ("anchor", "positive", "negative")}
-    if arg > 0.0:
-        grads["anchor"] = 2.0 * (a - p) - 2.0 * (a - n)
-        grads["positive"] = 2.0 * (p - a)
-        grads["negative"] = 2.0 * (a - n)
-    return LossValue(total=loss, terms={"hinge": loss}, gradients=grads)
+    arg = _row_sq_dist(a, p) - _row_sq_dist(a, n) + margin
+    grads = {
+        "anchor": _active(arg, 2.0 * (a - p) - 2.0 * (a - n)),
+        "positive": _active(arg, 2.0 * (p - a)),
+        "negative": _active(arg, 2.0 * (a - n)),
+    }
+    return _result(single, {"hinge": np.maximum(0.0, arg)}, grads)
 
 
-def contrastive_loss(a, b, similar: bool, margin: float = 1.0) -> LossValue:
+def contrastive_loss(a, b, similar, margin: float = 1.0) -> LossValue:
     """Pairwise contrastive loss on squared distance.
 
-    Similar pairs pay d(a,b); dissimilar pairs pay max(0, margin - d(a,b)).
+    Similar pairs pay d(a,b) (term "attract"); dissimilar pairs pay
+    max(0, margin - d(a,b)) (term "repel").
     """
-    ea = _check_embedding("a", a)
-    eb = _check_embedding("b", b)
-    _check_same_dim(("a", ea), ("b", eb))
+    (ea, eb), single = _check_inputs(a=a, b=b)
     if margin < 0:
         raise ValueError("margin must be nonnegative")
 
-    d = sq_dist(ea, eb)
-    grads = {"a": np.zeros_like(ea), "b": np.zeros_like(eb)}
-    if similar:
-        loss = d
-        grads["a"] = 2.0 * (ea - eb)
-        grads["b"] = 2.0 * (eb - ea)
-        term = {"attract": loss}
-    else:
-        arg = margin - d
-        loss = max(0.0, arg)
-        if arg > 0.0:
-            grads["a"] = -2.0 * (ea - eb)
-            grads["b"] = -2.0 * (eb - ea)
-        term = {"repel": loss}
-    return LossValue(total=loss, terms=term, gradients=grads)
+    sim = _per_tuple("similar", similar, len(ea)).astype(bool)
+    d = _row_sq_dist(ea, eb)
+    arg = margin - d
+    grads = {
+        "a": np.where(sim[:, None], 2.0 * (ea - eb), _active(arg, -2.0 * (ea - eb))),
+        "b": np.where(sim[:, None], 2.0 * (eb - ea), _active(arg, -2.0 * (eb - ea))),
+    }
+    terms = {"attract": np.where(sim, d, 0.0), "repel": np.where(sim, 0.0, np.maximum(0.0, arg))}
+    return _result(single, terms, grads)
 
 
-def cross_entropy(logits, label: int) -> LossValue:
+def cross_entropy(logits, label) -> LossValue:
     """Softmax cross-entropy with log-sum-exp stabilization.
 
     Gradient w.r.t. the logits is softmax(logits) - one_hot(label).
     """
-    z = _check_embedding("logits", logits)
-    if not (0 <= label < z.shape[0]):
-        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
+    (z,), single = _check_inputs(logits=logits)
+    labels = _per_tuple("label", label, len(z))
+    classes = z.shape[1]
+    if not np.issubdtype(labels.dtype, np.integer) or np.any((labels < 0) | (labels >= classes)):
+        raise ValueError(f"label {label} out of range for {classes} classes")
 
-    zmax = float(np.max(z))
-    shifted = z - zmax
-    lse = zmax + float(np.log(np.sum(np.exp(shifted))))
-    loss = lse - float(z[label])
-    probs = np.exp(z - lse)
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return LossValue(total=loss, terms={"nll": loss}, gradients={"logits": grad})
+    rows = np.arange(len(z))
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax + np.log(np.sum(np.exp(z - zmax), axis=1, keepdims=True))
+    grad = np.exp(z - lse)
+    grad[rows, labels] -= 1.0
+    return _result(single, {"nll": lse[:, 0] - z[rows, labels]}, {"logits": grad})

@@ -85,8 +85,11 @@ def read_volume(path) -> SpineVolume:
         trailer = json.loads(data[16 + nbytes :].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: centroid trailer is not UTF-8 JSON ({exc})") from exc
-    centroids = [(c["label"], tuple(c["position"])) for c in trailer["centroids"]]
-    grades = [GradeLabel(g) for g in trailer.get("grades", [])]
+    try:
+        centroids = [(c["label"], tuple(c["position"])) for c in trailer["centroids"]]
+        grades = [GradeLabel(g) for g in trailer.get("grades", [])]
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed centroid trailer ({exc!r})") from exc
     return SpineVolume(voxels=vox, centroids=centroids, grades=grades)
 
 
@@ -115,7 +118,12 @@ def save_dataset(samples, manifest: dict, out_dir) -> dict:
 def load_dataset(manifest_path):
     """Load samples listed in a manifest back into PatchSample objects."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{manifest_path}: manifest is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
+        raise ValueError(f"{manifest_path}: manifest has no samples list")
     base = manifest_path.parent
     samples = []
     for entry in manifest["samples"]:

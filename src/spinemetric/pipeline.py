@@ -165,68 +165,69 @@ def label_targets(regions) -> list[int]:
     return [int(r) for r in regions]
 
 
-def _metric_rows(samples, tuples, loss_kind):
-    """Flatten mined tuples into a forward batch, tuple members contiguous."""
-    idxs = []
-    for t in tuples:
-        if loss_kind == "grading":
-            idxs.extend([t.idx_g0, t.idx_g2, t.idx_g3, t.idx_anchor])
-        elif loss_kind == "triplet":
-            idxs.extend(t)
-        else:
-            idxs.extend([t[0], t[1]])
-    return [samples[i] for i in idxs]
+def _epoch_tuples(plan, targets, count, seed):
+    """One epoch's tuples: (T, W) row indices into the stacked split, and
+    the loss's per-tuple argument (anchor class, similar flag or label;
+    None for triplets)."""
+    if plan.stage == STAGE_FRACTURE:
+        order = np.random.default_rng([seed]).permutation(count)
+        return order[:, None], targets[order]
+    if plan.loss_kind == "grading":
+        quads = mine_quadruplets(targets, count, seed)
+        rows = [(q.idx_g0, q.idx_g2, q.idx_g3, q.idx_anchor) for q in quads]
+        return np.array(rows), np.array([q.anchor_class for q in quads])
+    if plan.loss_kind == "triplet":
+        return np.array(mine_triplets(targets, count, seed)), None
+    pairs = mine_pairs(targets, count, similar_fraction=0.5, seed=seed)
+    return np.array([p[:2] for p in pairs]), np.array([p[2] for p in pairs])
 
 
-def _tuple_width(loss_kind) -> int:
-    return {"grading": 4, "triplet": 3, "contrastive": 2}[loss_kind]
+def _metric_batch_loss(emb, per_tuple, loss_kind, config):
+    """Mean loss over a batch of T tuples and d(mean)/d(emb).
+
+    ``emb`` is (T, W, D): the network outputs of each tuple's W members
+    (one row of logits for cross-entropy); ``per_tuple`` is the loss's
+    (T,) per-tuple argument, None for triplets.
+    """
+    members = [emb[:, j] for j in range(emb.shape[1])]
+    if loss_kind == "grading":
+        lv = grading_loss(
+            *members,
+            anchor_class=per_tuple,
+            margins=config.margins,
+            clustering_mode=config.clustering_mode,
+        )
+        keys = ("g0", "g2", "g3", "anchor")
+    elif loss_kind == "triplet":
+        lv = triplet_loss(*members, margin=config.triplet_margin)
+        keys = ("anchor", "positive", "negative")
+    elif loss_kind == "contrastive":
+        lv = contrastive_loss(*members, similar=per_tuple, margin=config.contrastive_margin)
+        keys = ("a", "b")
+    else:
+        lv = cross_entropy(*members, label=per_tuple)
+        keys = ("logits",)
+    inv = 1.0 / len(emb)
+    upstream = np.stack([lv.gradients[k] for k in keys], axis=1) * inv
+    return lv.total * inv, upstream.astype(emb.dtype, copy=False)
 
 
-def _metric_batch_loss(emb, tuples, loss_kind, config):
-    """Mean loss over the tuples in one batch plus d(mean)/d(embeddings)."""
-    width = _tuple_width(loss_kind)
-    upstream = np.zeros_like(emb)
-    total = 0.0
-    inv = 1.0 / len(tuples)
-    for i, t in enumerate(tuples):
-        rows = slice(i * width, (i + 1) * width)
-        e = emb[rows]
-        if loss_kind == "grading":
-            lv = grading_loss(
-                e[0], e[1], e[2], e[3],
-                anchor_class=t.anchor_class,
-                margins=config.margins,
-                clustering_mode=config.clustering_mode,
-            )
-            keys = ("g0", "g2", "g3", "anchor")
-        elif loss_kind == "triplet":
-            lv = triplet_loss(e[0], e[1], e[2], margin=config.triplet_margin)
-            keys = ("anchor", "positive", "negative")
-        else:
-            lv = contrastive_loss(e[0], e[1], similar=t[2], margin=config.contrastive_margin)
-            keys = ("a", "b")
-        total += lv.total
-        for j, key in enumerate(keys):
-            upstream[i * width + j] += lv.gradients[key] * inv
-    return total * inv, upstream
-
-
-def _stage_labels(plan, samples):
+def _stage_targets(plan, samples):
+    if plan.stage == STAGE_FRACTURE:
+        return binary_fracture_labels(samples)
     if plan.stage == STAGE_LABEL:
         return label_targets([s.region for s in samples])
     return [int(s.grade) for s in samples]
 
 
-def _mine(plan, labels, count, seed):
-    if plan.loss_kind == "grading":
-        return mine_quadruplets(labels, count, seed)
-    if plan.loss_kind == "triplet":
-        return mine_triplets(labels, count, seed)
-    return mine_pairs(labels, count, similar_fraction=0.5, seed=seed)
-
-
 def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: PipelineConfig) -> RunRecord:
-    """Train one stage in place over the given training samples."""
+    """Train one stage in place over the given training samples.
+
+    The split is stacked once; every epoch draws its tuples (mined for the
+    metric stages, a shuffled order for fracture training) as row indices
+    into that stack and minimizes the stage's loss with Adam, one batch of
+    tuples per step.
+    """
     if not samples:
         raise ValueError("empty training split")
     started = time.perf_counter()
@@ -235,75 +236,43 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
     if plan.stage == STAGE_FRACTURE:
         if model.head != HEAD_CLASSIFIER:
             model.swap_head(HEAD_CLASSIFIER, seed=seed + _HEAD_SEED_OFFSET)
-        _train_fracture(model, plan, samples, seed, config, record)
-    else:
-        if model.head != HEAD_EMBEDDING:
-            raise ValueError(f"stage {plan.stage} requires the embedding head")
-        _train_metric(model, plan, samples, seed, config, record)
+    elif model.head != HEAD_EMBEDDING:
+        raise ValueError(f"stage {plan.stage} requires the embedding head")
+    targets = _stage_targets(plan, samples)
+    if plan.stage == STAGE_FRACTURE and len(np.unique(targets)) < 2:
+        raise ValueError("fracture training split contains a single class")
 
-    record.seconds = time.perf_counter() - started
-    return record
-
-
-def _train_metric(model, plan, samples, seed, config, record):
-    labels = _stage_labels(plan, samples)
+    images = stack_samples(samples, model.config.input_size)
     base_seed = seed + _STAGE_SEED_OFFSET[plan.stage]
     opt = adam_init(model, learning_rate=config.learning_rate)
     model.mode = "train"
     for epoch in range(plan.epochs):
-        tuples = _mine(plan, labels, count=len(samples), seed=base_seed + epoch)
+        rows, per_tuple = _epoch_tuples(plan, targets, len(samples), base_seed + epoch)
         losses = []
-        for start in range(0, len(tuples), plan.batch_size):
-            chunk = tuples[start : start + plan.batch_size]
-            rows = _metric_rows(samples, chunk, plan.loss_kind)
-            batch = stack_samples(rows, model.config.input_size)
-            emb = model.forward(batch, train=True)
-            mean_loss, upstream = _metric_batch_loss(emb, chunk, plan.loss_kind, config)
+        for lo in range(0, len(rows), plan.batch_size):
+            step = slice(lo, lo + plan.batch_size)
+            batch = rows[step]
+            out = model.forward(images[batch.ravel()], train=True)
+            mean_loss, upstream = _metric_batch_loss(
+                out.reshape(batch.shape + (-1,)),
+                None if per_tuple is None else per_tuple[step],
+                plan.loss_kind,
+                config,
+            )
             if not np.isfinite(mean_loss):
                 raise FloatingPointError(
                     f"{plan.stage} diverged at epoch {epoch} (loss={mean_loss})"
                 )
             model.zero_grad()
-            grads = model.backward(upstream)
+            grads = model.backward(upstream.reshape(out.shape))
             adam_step(model, opt, grads)
-            losses.append((mean_loss, len(chunk)))
+            losses.append((mean_loss, len(batch)))
         record.epoch_losses.append(
             float(sum(l * n for l, n in losses) / sum(n for _, n in losses))
         )
 
-
-def _train_fracture(model, plan, samples, seed, config, record):
-    y = binary_fracture_labels(samples)
-    if len(np.unique(y)) < 2:
-        raise ValueError("fracture training split contains a single class")
-    base_seed = seed + _STAGE_SEED_OFFSET[STAGE_FRACTURE]
-    opt = adam_init(model, learning_rate=config.learning_rate)
-    model.mode = "train"
-    for epoch in range(plan.epochs):
-        order = np.random.default_rng([base_seed + epoch]).permutation(len(samples))
-        losses = []
-        for start in range(0, len(order), plan.batch_size):
-            ids = order[start : start + plan.batch_size]
-            batch = stack_samples([samples[i] for i in ids], model.config.input_size)
-            logits = model.forward(batch, train=True)
-            upstream = np.zeros_like(logits)
-            total = 0.0
-            for j, i in enumerate(ids):
-                lv = cross_entropy(logits[j], int(y[i]))
-                total += lv.total
-                upstream[j] = lv.gradients["logits"] / len(ids)
-            mean_loss = total / len(ids)
-            if not np.isfinite(mean_loss):
-                raise FloatingPointError(
-                    f"{plan.stage} diverged at epoch {epoch} (loss={mean_loss})"
-                )
-            model.zero_grad()
-            grads = model.backward(upstream)
-            adam_step(model, opt, grads)
-            losses.append((mean_loss, len(ids)))
-        record.epoch_losses.append(
-            float(sum(l * n for l, n in losses) / sum(n for _, n in losses))
-        )
+    record.seconds = time.perf_counter() - started
+    return record
 
 
 def model_seed_for_fold(config: PipelineConfig, fold_id: int) -> int:

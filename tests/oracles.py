@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: distances are scalar
 loops, gradients come from central differences, convolutions from direct
 loops over every output and kernel tap, batch norm, rectifiers and max
 pooling from their textbook formulas in float64, silhouette heights from
-threshold crossings with subpixel interpolation, and arc lengths from
-quadrature over an independently constructed spline.
+threshold crossings with subpixel interpolation, arc lengths from
+quadrature over an independently constructed spline, and the metric and
+classification losses one tuple of 1-D vectors at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+
+from spinemetric.losses import ANCHOR_CLASSES, GradingMargins, LossValue
 
 
 def sq_dist_loop(a, b) -> float:
@@ -258,3 +261,178 @@ def arc_length_to_knot(points, k: int) -> float:
         seg, _ = quad(speed, t[j], t[j + 1], limit=200)
         total += seg
     return total
+
+
+# --- per-vector losses -------------------------------------------------------
+# The losses as they were written for one tuple of 1-D vectors, kept verbatim
+# as the reference for the batched library losses.
+
+
+def _check_embedding(name, e):
+    e = np.asarray(e, dtype=np.float64)
+    if e.ndim == 0:
+        e = e.reshape(1)
+    if e.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {e.shape}")
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"{name} contains non-finite values")
+    return e
+
+
+def _check_same_dim(*named):
+    dims = {e.shape[0] for _, e in named}
+    if len(dims) != 1:
+        detail = ", ".join(f"{n}:{e.shape[0]}" for n, e in named)
+        raise ValueError(f"embedding dimension mismatch ({detail})")
+
+
+def _sq_dist(a, b) -> float:
+    """Squared Euclidean distance ||a - b||^2 between two embeddings."""
+    a = _check_embedding("a", a)
+    b = _check_embedding("b", b)
+    _check_same_dim(("a", a), ("b", b))
+    diff = a - b
+    return float(diff @ diff)
+
+
+def grading_loss_reference(
+    e_g0,
+    e_g2,
+    e_g3,
+    e_anchor,
+    anchor_class: int,
+    margins: GradingMargins = GradingMargins(),
+    clustering_mode: str = "textual",
+) -> LossValue:
+    """Ranked quadruplet loss over the three fracture grades.
+
+    Two separating hinges order the grades in embedding space
+    (g2 closer to g3 than to g0; g0 closer to g2 than to g3), and a third
+    clustering term ties the floating anchor to the static-triplet member
+    of its own class:
+
+        L1 = max(0, d(g2, g3) - d(g2, g0) + alpha)
+        L2 = max(0, d(g0, g2) - d(g0, g3) + beta)
+        L3 = max(0, d(match, anchor) - gamma)   ["textual" mode]
+             max(0, gamma - d(match, anchor))   ["literal" mode]
+
+    ``textual`` (default) attracts the anchor to its match, the intended
+    clustering behaviour; ``literal`` keeps the opposite-signed variant
+    for comparison runs.
+
+    Returns a LossValue with terms L1/L2/L3 and gradients keyed by
+    "g0", "g2", "g3", "anchor".
+    """
+    g0 = _check_embedding("e_g0", e_g0)
+    g2 = _check_embedding("e_g2", e_g2)
+    g3 = _check_embedding("e_g3", e_g3)
+    anc = _check_embedding("e_anchor", e_anchor)
+    _check_same_dim(("e_g0", g0), ("e_g2", g2), ("e_g3", g3), ("e_anchor", anc))
+    if anchor_class not in ANCHOR_CLASSES:
+        raise ValueError(f"anchor_class must be one of {ANCHOR_CLASSES}, got {anchor_class}")
+    if clustering_mode not in ("textual", "literal"):
+        raise ValueError(f"unknown clustering_mode {clustering_mode!r}")
+
+    grads = {k: np.zeros_like(g0) for k in ("g0", "g2", "g3", "anchor")}
+
+    # L1: rank g3 nearer to g2 than g0 is, by at least alpha.
+    arg1 = _sq_dist(g2, g3) - _sq_dist(g2, g0) + margins.alpha
+    l1 = max(0.0, arg1)
+    if arg1 > 0.0:
+        grads["g2"] += 2.0 * (g2 - g3) - 2.0 * (g2 - g0)
+        grads["g3"] += 2.0 * (g3 - g2)
+        grads["g0"] += 2.0 * (g2 - g0)
+
+    # L2: rank g2 nearer to g0 than g3 is, by at least beta.
+    arg2 = _sq_dist(g0, g2) - _sq_dist(g0, g3) + margins.beta
+    l2 = max(0.0, arg2)
+    if arg2 > 0.0:
+        grads["g0"] += 2.0 * (g0 - g2) - 2.0 * (g0 - g3)
+        grads["g2"] += 2.0 * (g2 - g0)
+        grads["g3"] += 2.0 * (g0 - g3)
+
+    # L3: tie the anchor to the static-triplet member of its own class.
+    match_key = {0: "g0", 2: "g2", 3: "g3"}[anchor_class]
+    match = {"g0": g0, "g2": g2, "g3": g3}[match_key]
+    dm = _sq_dist(match, anc)
+    if clustering_mode == "textual":
+        arg3 = dm - margins.gamma
+        l3 = max(0.0, arg3)
+        if arg3 > 0.0:
+            grads[match_key] += 2.0 * (match - anc)
+            grads["anchor"] += 2.0 * (anc - match)
+    else:
+        arg3 = margins.gamma - dm
+        l3 = max(0.0, arg3)
+        if arg3 > 0.0:
+            grads[match_key] += -2.0 * (match - anc)
+            grads["anchor"] += -2.0 * (anc - match)
+
+    terms = {"L1": l1, "L2": l2, "L3": l3}
+    return LossValue(total=l1 + l2 + l3, terms=terms, gradients=grads)
+
+
+def triplet_loss_reference(anchor, positive, negative, margin: float = 1.0) -> LossValue:
+    """Hinge triplet loss max(0, d(a,p) - d(a,n) + margin)."""
+    a = _check_embedding("anchor", anchor)
+    p = _check_embedding("positive", positive)
+    n = _check_embedding("negative", negative)
+    _check_same_dim(("anchor", a), ("positive", p), ("negative", n))
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
+
+    arg = _sq_dist(a, p) - _sq_dist(a, n) + margin
+    loss = max(0.0, arg)
+    grads = {k: np.zeros_like(a) for k in ("anchor", "positive", "negative")}
+    if arg > 0.0:
+        grads["anchor"] = 2.0 * (a - p) - 2.0 * (a - n)
+        grads["positive"] = 2.0 * (p - a)
+        grads["negative"] = 2.0 * (a - n)
+    return LossValue(total=loss, terms={"hinge": loss}, gradients=grads)
+
+
+def contrastive_loss_reference(a, b, similar: bool, margin: float = 1.0) -> LossValue:
+    """Pairwise contrastive loss on squared distance.
+
+    Similar pairs pay d(a,b); dissimilar pairs pay max(0, margin - d(a,b)).
+    """
+    ea = _check_embedding("a", a)
+    eb = _check_embedding("b", b)
+    _check_same_dim(("a", ea), ("b", eb))
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
+
+    d = _sq_dist(ea, eb)
+    grads = {"a": np.zeros_like(ea), "b": np.zeros_like(eb)}
+    if similar:
+        loss = d
+        grads["a"] = 2.0 * (ea - eb)
+        grads["b"] = 2.0 * (eb - ea)
+        term = {"attract": loss}
+    else:
+        arg = margin - d
+        loss = max(0.0, arg)
+        if arg > 0.0:
+            grads["a"] = -2.0 * (ea - eb)
+            grads["b"] = -2.0 * (eb - ea)
+        term = {"repel": loss}
+    return LossValue(total=loss, terms=term, gradients=grads)
+
+
+def cross_entropy_reference(logits, label: int) -> LossValue:
+    """Softmax cross-entropy with log-sum-exp stabilization.
+
+    Gradient w.r.t. the logits is softmax(logits) - one_hot(label).
+    """
+    z = _check_embedding("logits", logits)
+    if not (0 <= label < z.shape[0]):
+        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
+
+    zmax = float(np.max(z))
+    shifted = z - zmax
+    lse = zmax + float(np.log(np.sum(np.exp(shifted))))
+    loss = lse - float(z[label])
+    probs = np.exp(z - lse)
+    grad = probs.copy()
+    grad[label] -= 1.0
+    return LossValue(total=loss, terms={"nll": loss}, gradients={"logits": grad})

@@ -409,6 +409,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"j\.gmck: manifest is not UTF-8 JSON"):
             load_model(path)
 
+    def test_manifest_wrong_shape_rejected(self, tmp_path):
+        path = tmp_path / "w.gmck"
+        path.write_bytes(b"GMCK" + struct.pack("<II", 1, 2) + b"[]")
+        with pytest.raises(ValueError, match=r"w\.gmck: malformed manifest"):
+            load_model(path)
+
     def test_non_head_bytes_unchanged_by_swap(self, tmp_path):
         m = init_model(REDUCED, seed=0)
         save_model(m, tmp_path / "before.gmck")

@@ -128,8 +128,8 @@ class TestLinearProbe:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 8))
         y = (rng.random(40) < 0.4).astype(int)
-        a = linear_probe_train(X, y, n_steps=3000, seed=1)
-        b = linear_probe_train(X, y, n_steps=3000, seed=1)
+        a = linear_probe_train(X, y, n_steps=3000)
+        b = linear_probe_train(X, y, n_steps=3000)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     def test_separates_shifted_blobs(self):

@@ -12,7 +12,15 @@ from spinemetric.losses import (
     triplet_loss,
 )
 
-from .oracles import numeric_gradient, rel_err, sq_dist_loop
+from .oracles import (
+    contrastive_loss_reference,
+    cross_entropy_reference,
+    grading_loss_reference,
+    numeric_gradient,
+    rel_err,
+    sq_dist_loop,
+    triplet_loss_reference,
+)
 
 MARGINS = GradingMargins(1.5, 1.0, 0.5)
 
@@ -268,3 +276,111 @@ class TestGradients:
             lv = cross_entropy(z, 2)
             fd = numeric_gradient(lambda v: cross_entropy(v, 2).total, z, h=1e-4)
             assert rel_err(lv.gradients["logits"], fd, guard=1e-6) < 1e-4
+
+
+# --- batched losses against the per-vector oracles --------------------------
+
+
+def _assert_matches_oracle(batched, per_row, keys):
+    """A batched LossValue equals the per-tuple oracle values: total and
+    terms summed over the rows, gradients stacked row by row."""
+    assert batched.total == pytest.approx(sum(lv.total for lv in per_row), rel=1e-12, abs=1e-12)
+    for term, value in batched.terms.items():
+        want = sum(lv.terms.get(term, 0.0) for lv in per_row)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12), term
+    for key in keys:
+        want = np.stack([lv.gradients[key] for lv in per_row])
+        if len(per_row) == 1 and batched.gradients[key].ndim == 1:
+            want = want[0]
+        np.testing.assert_allclose(batched.gradients[key], want, rtol=1e-12, atol=1e-12)
+
+
+GRADING_KEYS = ("g0", "g2", "g3", "anchor")
+
+
+def _kink_quadruplets():
+    """Rows on each hinge kink, from dyadic coordinates so every distance
+    and hinge argument is exact: L1 = 0 (d(g2,g3)=2.5, d(g2,g0)=4), L2 = 0
+    (d(g0,g2)=1, d(g0,g3)=2), and the anchor at distance gamma = 0.5 from
+    its match, for each anchor class."""
+    rows, classes = [], []
+    for g0, g2, g3 in (
+        ([0.0, 0.0], [2.0, 0.0], [3.5, 0.5]),
+        ([0.0, 0.0], [1.0, 0.0], [1.0, 1.0]),
+    ):
+        for c, match in zip((0, 2, 3), (g0, g2, g3)):
+            anchor = [match[0] + 0.5, match[1] + 0.5]
+            rows.append(np.array([g0, g2, g3, anchor]))
+            classes.append(c)
+    return np.array(rows), np.array(classes)
+
+
+class TestBatchedLossesMatchOracles:
+    @pytest.mark.parametrize("mode", ["textual", "literal"])
+    def test_grading_random_batches(self, mode):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            # Per-row scales put every hinge active on some rows, not all.
+            e = rng.normal(size=(4, 64, 8)) * rng.uniform(0.05, 1.5, size=(1, 64, 1))
+            cls = rng.choice([0, 2, 3], size=64)
+            lv = grading_loss(*e, cls, MARGINS, clustering_mode=mode)
+            per_row = [
+                grading_loss_reference(*e[:, t], int(cls[t]), MARGINS, clustering_mode=mode)
+                for t in range(64)
+            ]
+            _assert_matches_oracle(lv, per_row, GRADING_KEYS)
+            for term in ("L1", "L2", "L3"):
+                active = [r.terms[term] > 0 for r in per_row]
+                assert any(active) and not all(active), term
+
+    @pytest.mark.parametrize("mode", ["textual", "literal"])
+    def test_grading_rows_on_the_kinks(self, mode):
+        e, cls = _kink_quadruplets()
+        lv = grading_loss(*e.transpose(1, 0, 2), cls, MARGINS, clustering_mode=mode)
+        per_row = [grading_loss_reference(*q, int(c), MARGINS, clustering_mode=mode) for q, c in zip(e, cls)]
+        _assert_matches_oracle(lv, per_row, GRADING_KEYS)
+        assert lv.terms["L3"] == 0.0
+
+    def test_single_tuple_keeps_vector_shapes(self):
+        e = np.random.default_rng(4).normal(size=(4, 8))
+        lv = grading_loss(*e, 3, MARGINS)
+        _assert_matches_oracle(lv, [grading_loss_reference(*e, 3, MARGINS)], GRADING_KEYS)
+        assert all(g.shape == (8,) for g in lv.gradients.values())
+
+    def test_triplet_random_batches_and_kink(self):
+        rng = np.random.default_rng(22)
+        e = rng.normal(size=(3, 64, 8)) * 0.4
+        kink = np.array([[[0.0, 0.0]], [[1.0, 0.0]], [[1.0, 1.0]]])  # d(a,p) - d(a,n) + 1 = 0
+        for batch in (e, kink):
+            lv = triplet_loss(*batch, margin=1.0)
+            per_row = [triplet_loss_reference(*batch[:, t], margin=1.0) for t in range(batch.shape[1])]
+            _assert_matches_oracle(lv, per_row, ("anchor", "positive", "negative"))
+        assert triplet_loss(*kink, margin=1.0).total == 0.0
+
+    def test_contrastive_mixed_flags_and_kink(self):
+        rng = np.random.default_rng(23)
+        a, b = rng.normal(size=(2, 64, 8)) * 0.4
+        similar = rng.random(64) < 0.5
+        # A dissimilar pair at distance exactly the margin.
+        a = np.vstack([a, np.zeros(8)])
+        b = np.vstack([b, np.eye(8)[0]])
+        similar = np.append(similar, False)
+        lv = contrastive_loss(a, b, similar, margin=1.0)
+        per_row = [contrastive_loss_reference(x, y, bool(s), margin=1.0) for x, y, s in zip(a, b, similar)]
+        _assert_matches_oracle(lv, per_row, ("a", "b"))
+        assert np.all(lv.gradients["a"][-1] == 0.0)
+
+    def test_cross_entropy_random_batches(self):
+        rng = np.random.default_rng(24)
+        z = rng.normal(size=(64, 3)) * 5
+        labels = rng.integers(3, size=64)
+        lv = cross_entropy(z, labels)
+        per_row = [cross_entropy_reference(row, int(y)) for row, y in zip(z, labels)]
+        _assert_matches_oracle(lv, per_row, ("logits",))
+
+    def test_per_tuple_argument_length_checked(self):
+        e = np.zeros((4, 3, 2))
+        with pytest.raises(ValueError):
+            grading_loss(*e, [0, 2], MARGINS)
+        with pytest.raises(ValueError):
+            cross_entropy(np.zeros((3, 2)), [0, 1])

@@ -154,6 +154,16 @@ class TestGenerateDataset:
         assert manifest_digest(saved) == manifest_digest(manifest2)
 
 
+    def test_manifest_not_json_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"samples": [')
+        with pytest.raises(ValueError, match=r"manifest\.json: manifest is not UTF-8 JSON"):
+            load_dataset(tmp_path / "manifest.json")
+
+    def test_manifest_without_samples_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"seed": 3}')
+        with pytest.raises(ValueError, match=r"manifest\.json: manifest has no samples list"):
+            load_dataset(tmp_path / "manifest.json")
+
 class TestSampleTensorFormat:
     def test_round_trip(self, tmp_path):
         arr = np.random.default_rng(0).normal(size=(2, 7, 9)).astype(np.float32)
@@ -204,6 +214,12 @@ class TestVolumeFormat:
         with pytest.raises(ValueError, match=r"t\.vvol: centroid trailer is not UTF-8 JSON"):
             read_volume(tmp_path / "t.vvol")
 
+
+    def test_trailer_wrong_shape_rejected(self, tmp_path, volume_bytes):
+        data, nbytes = volume_bytes
+        (tmp_path / "w.vvol").write_bytes(data[: 16 + nbytes] + b"{}")
+        with pytest.raises(ValueError, match=r"w\.vvol: malformed centroid trailer"):
+            read_volume(tmp_path / "w.vvol")
 
 class TestSpineVolume:
     def test_straight_spine_centroids_colinear(self):

@@ -21,7 +21,15 @@ from spinemetric.pipeline import (
     label_targets,
     run_pipeline,
     run_stage,
+    _metric_batch_loss,
     validate_stage_plans,
+)
+
+from .oracles import (
+    contrastive_loss_reference,
+    cross_entropy_reference,
+    grading_loss_reference,
+    triplet_loss_reference,
 )
 
 G0, G2, G3 = GradeLabel.G0, GradeLabel.G2, GradeLabel.G3
@@ -157,6 +165,54 @@ class TestRunStage:
         record = run_stage(model, config.stages[0], samples, seed=1, config=config)
         assert len(record.epoch_losses) == 2
         assert all(np.isfinite(v) for v in record.epoch_losses)
+
+
+class TestMetricBatchLoss:
+    """One batched loss call per step equals the mean of the per-tuple
+    oracle losses, with each tuple's gradients divided by the batch size."""
+
+    T = 12
+
+    def _oracle(self, loss_kind, emb, per_tuple, config):
+        if loss_kind == "grading":
+            return [
+                grading_loss_reference(
+                    *e, int(c), config.margins, clustering_mode=config.clustering_mode
+                )
+                for e, c in zip(emb, per_tuple)
+            ], ("g0", "g2", "g3", "anchor")
+        if loss_kind == "triplet":
+            return [triplet_loss_reference(*e, margin=config.triplet_margin) for e in emb], (
+                "anchor", "positive", "negative",
+            )
+        if loss_kind == "contrastive":
+            return [
+                contrastive_loss_reference(*e, bool(s), margin=config.contrastive_margin)
+                for e, s in zip(emb, per_tuple)
+            ], ("a", "b")
+        return [cross_entropy_reference(e[0], int(y)) for e, y in zip(emb, per_tuple)], ("logits",)
+
+    @pytest.mark.parametrize(
+        "loss_kind, width, per_tuple, mode",
+        [
+            ("grading", 4, [0, 2, 3] * 4, "textual"),
+            ("grading", 4, [0, 2, 3] * 4, "literal"),
+            ("triplet", 3, None, "textual"),
+            ("contrastive", 2, [True, False, False] * 4, "textual"),
+            ("cross_entropy", 1, [0, 1, 1] * 4, "textual"),
+        ],
+    )
+    def test_equals_mean_of_oracle(self, loss_kind, width, per_tuple, mode):
+        config = PipelineConfig(clustering_mode=mode)
+        dim = 2 if loss_kind == "cross_entropy" else 8
+        emb = np.random.default_rng(31).normal(size=(self.T, width, dim)) * 0.5
+        per_tuple = None if per_tuple is None else np.array(per_tuple)
+        mean, upstream = _metric_batch_loss(emb, per_tuple, loss_kind, config)
+        per_row, keys = self._oracle(loss_kind, emb, per_tuple, config)
+        assert mean == pytest.approx(np.mean([lv.total for lv in per_row]), rel=1e-12, abs=1e-12)
+        want = np.stack([[lv.gradients[k] for k in keys] for lv in per_row]) / self.T
+        assert upstream.dtype == np.float64 and upstream.shape == emb.shape
+        np.testing.assert_allclose(upstream, want, rtol=1e-12, atol=1e-12)
 
 
 class TestCheckpointContinuity:
