@@ -21,17 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import phantom
-from .backbone import NetworkConfig, load_model, save_model
-from .evaluation import (
-    FoldSummary,
-    binary_fracture_labels,
-    embed_samples,
-    evaluate_classifier,
-    evaluate_probe_protocol,
-    projection_csv,
-    projection_svg,
-    project_2d,
-)
+from .backbone import HEAD_CLASSIFIER, HEAD_EMBEDDING, NetworkConfig, load_model, save_model
+from .evaluation import embed_samples, evaluate_folds, projection_csv, projection_svg, project_2d
 from .mining import GRADES, GradeLabel, folds_from_json, folds_to_json, make_folds
 from .pipeline import (
     STAGE_FRACTURE,
@@ -336,32 +327,40 @@ def _print_summary_table(title: str, rows) -> None:
         )
 
 
+def _protocol_folds(args, samples, seed):
+    """The protocol's folds, one checkpoint path per fold, the head those
+    checkpoints must carry, and the name of the evaluated setup."""
+    if args.protocol == "probe":
+        if not args.checkpoint:
+            raise ValueError("--protocol probe requires --checkpoint")
+        labels = [s.grade for s in samples]
+        folds = make_folds(labels, n_folds=args.folds, test_fraction=args.test_fraction, seed=seed)
+        path = Path(args.checkpoint)
+        return folds, [path] * len(folds), HEAD_EMBEDDING, path.stem
+    if args.protocol == "classify":
+        if not args.run:
+            raise ValueError("--protocol classify requires --run (a train output dir)")
+        run_dir = Path(args.run)
+        folds = folds_from_json((run_dir / "folds.json").read_text())
+        paths = [run_dir / f"fold_{f.fold_id:02d}" / "final.gmck" for f in folds]
+        return folds, paths, HEAD_CLASSIFIER, run_dir.name
+    raise ValueError(f"unknown protocol {args.protocol!r}")
+
+
 def cmd_eval(args) -> int:
     manifest_path = _dataset_manifest_path(args.dataset)
     samples, _ = phantom.load_dataset(manifest_path)
     out_dir = Path(args.out)
     seed = args.seed if args.seed is not None else 0
 
-    if args.protocol == "probe":
-        if not args.checkpoint:
-            raise ValueError("--protocol probe requires --checkpoint")
-        model = load_model(args.checkpoint)
-        labels = [s.grade for s in samples]
-        folds = make_folds(labels, n_folds=args.folds, test_fraction=args.test_fraction, seed=seed)
-        summary = evaluate_probe_protocol(model, samples, folds, n_steps=args.probe_steps)
-        name = Path(args.checkpoint).stem
-    elif args.protocol == "classify":
-        if not args.run:
-            raise ValueError("--protocol classify requires --run (a train output dir)")
-        run_dir = Path(args.run)
-        folds = folds_from_json((run_dir / "folds.json").read_text())
-        models = [
-            load_model(run_dir / f"fold_{f.fold_id:02d}" / "final.gmck") for f in folds
-        ]
-        summary = evaluate_classifier(models, samples, folds)
-        name = run_dir.name
-    else:
-        raise ValueError(f"unknown protocol {args.protocol!r}")
+    folds, paths, head, name = _protocol_folds(args, samples, seed)
+    models = {path: load_model(path) for path in dict.fromkeys(paths)}
+    for path, model in models.items():
+        if model.head != head:
+            raise ValueError(
+                f"{path}: --protocol {args.protocol} needs the {head} head, not {model.head}"
+            )
+    summary = evaluate_folds([models[p] for p in paths], samples, folds, n_steps=args.probe_steps)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(summary.to_json() + "\n")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backbone.model import HEAD_CLASSIFIER
 from .data import stack_samples
 from .mining import GradeLabel
 
@@ -165,51 +166,41 @@ def embed_samples(model, samples, batch_size: int = 64) -> np.ndarray:
     return _eval_outputs(model, samples, batch_size)
 
 
-def evaluate_probe_protocol(
-    model,
+def evaluate_folds(
+    models,
     samples,
     folds,
     regularization: float = 1e-3,
     n_steps: int = 100_000,
 ) -> FoldSummary:
-    """Linear separability of a frozen embedding model.
+    """Per-fold metrics of one model per fold, scored on the fold's test split.
 
-    Per fold: fit the probe on the training split's embeddings, score the
-    test split. The model is embedded once; only the probe varies by fold.
+    A classifier-headed model predicts by argmax over its two logits. An
+    embedding-headed model is embedded over all samples, once for a run of
+    consecutive folds that share it, and a linear probe fit on the fold's
+    training rows predicts its test rows.
     """
-    from .backbone.model import HEAD_EMBEDDING
-
-    if model.head != HEAD_EMBEDDING:
-        raise ValueError("probe protocol requires the embedding head")
-    emb = embed_samples(model, samples)
-    y = binary_fracture_labels(samples)
-    summary = FoldSummary()
-    for fold in folds:
-        tr = np.array(fold.train_ids)
-        te = np.array(fold.test_ids)
-        probe = linear_probe_train(emb[tr], y[tr], regularization=regularization, n_steps=n_steps)
-        summary.folds.append(confusion_metrics(probe.predict(emb[te]), y[te]))
-    return summary
-
-
-def evaluate_classifier(models, samples, folds) -> FoldSummary:
-    """Per-fold metrics of trained two-logit classifiers (argmax decision)."""
     if len(models) != len(folds):
-        raise ValueError("need one trained model per fold")
+        raise ValueError(f"need one model per fold ({len(models)} models, {len(folds)} folds)")
     y = binary_fracture_labels(samples)
+    embedded, emb = None, None
     summary = FoldSummary()
     for model, fold in zip(models, folds):
         te = list(fold.test_ids)
-        logits = embed_logits(model, [samples[i] for i in te])
-        preds = np.argmax(logits, axis=1)
+        if model.head == HEAD_CLASSIFIER:
+            preds = np.argmax(embed_logits(model, [samples[i] for i in te]), axis=1)
+        else:
+            if model is not embedded:
+                embedded, emb = model, embed_samples(model, samples)
+            tr = list(fold.train_ids)
+            probe = linear_probe_train(emb[tr], y[tr], regularization=regularization, n_steps=n_steps)
+            preds = probe.predict(emb[te])
         summary.folds.append(confusion_metrics(preds, y[te]))
     return summary
 
 
 def embed_logits(model, samples, batch_size: int = 64) -> np.ndarray:
     """Eval-mode classifier logits for a sample list, in order."""
-    from .backbone.model import HEAD_CLASSIFIER
-
     if model.head != HEAD_CLASSIFIER:
         raise ValueError("classifier evaluation requires the classifier head")
     return _eval_outputs(model, samples, batch_size)

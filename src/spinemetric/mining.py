@@ -175,28 +175,34 @@ def mine_quadruplets(labels, count: int, seed: int) -> list[Quadruplet]:
     return out
 
 
+def _class_pools(labels):
+    """Per class label, its members' indices and every other index, both in
+    index order; and the sorted classes that hold at least two members."""
+    by_class: dict = {}
+    for i, l in enumerate(labels):
+        by_class.setdefault(l, []).append(i)
+    everyone = np.arange(len(labels))
+    pools = {c: (m, np.delete(everyone, m).tolist()) for c, m in by_class.items()}
+    return pools, sorted(c for c, m in by_class.items() if len(m) >= 2)
+
+
 def mine_triplets(labels, count: int, seed: int) -> list[tuple[int, int, int]]:
     """Sample (anchor, positive, negative) index triplets from class labels."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     labels = list(labels)
-    by_class: dict = {}
-    for i, l in enumerate(labels):
-        by_class.setdefault(l, []).append(i)
-    rich = sorted(k for k, v in by_class.items() if len(v) >= 2)
+    pools, rich = _class_pools(labels)
     if not rich:
         raise ValueError("no class has >= 2 samples; no positive pair exists")
-    if len(by_class) < 2:
+    if len(pools) < 2:
         raise ValueError("need at least two classes for negatives")
 
     rng = np.random.default_rng([seed])
     out = []
     for _ in range(count):
-        c = rich[int(rng.integers(len(rich)))]
-        pool = by_class[c]
+        pool, neg_pool = pools[rich[int(rng.integers(len(rich)))]]
         a_pos = rng.choice(len(pool), size=2, replace=False)
         anchor, positive = int(pool[a_pos[0]]), int(pool[a_pos[1]])
-        neg_pool = [i for i, l in enumerate(labels) if l != c]
         negative = int(neg_pool[rng.integers(len(neg_pool))])
         out.append((anchor, positive, negative))
     return out
@@ -213,26 +219,22 @@ def mine_pairs(labels, count: int, similar_fraction: float, seed: int):
     if not (0.0 <= similar_fraction <= 1.0):
         raise ValueError("similar_fraction must lie in [0, 1]")
     labels = list(labels)
-    by_class: dict = {}
-    for i, l in enumerate(labels):
-        by_class.setdefault(l, []).append(i)
-    rich = sorted(k for k, v in by_class.items() if len(v) >= 2)
+    pools, rich = _class_pools(labels)
     if not rich:
         raise ValueError("no class has >= 2 samples; no similar pair exists")
-    if len(by_class) < 2:
+    if len(pools) < 2:
         raise ValueError("need at least two classes for dissimilar pairs")
 
     rng = np.random.default_rng([seed])
     n_similar = int(np.floor(count * similar_fraction + 0.5))
     pairs = []
     for _ in range(n_similar):
-        c = rich[int(rng.integers(len(rich)))]
-        pool = by_class[c]
+        pool = pools[rich[int(rng.integers(len(rich)))]][0]
         ij = rng.choice(len(pool), size=2, replace=False)
         pairs.append((int(pool[ij[0]]), int(pool[ij[1]]), True))
     for _ in range(count - n_similar):
         i = int(rng.integers(len(labels)))
-        other = [j for j, l in enumerate(labels) if l != labels[i]]
+        other = pools[labels[i]][1]
         j = int(other[rng.integers(len(other))])
         pairs.append((i, j, False))
     order = rng.permutation(len(pairs))

@@ -126,16 +126,18 @@ def load_dataset(manifest_path):
         raise ValueError(f"{manifest_path}: manifest has no samples list")
     base = manifest_path.parent
     samples = []
-    for entry in manifest["samples"]:
-        tensor = read_sample_tensor(base / entry["file"])
-        samples.append(
-            PatchSample(
-                image=tensor[0],
-                heatmap=tensor[1],
+    for k, entry in enumerate(manifest["samples"]):
+        try:
+            if not isinstance(entry["file"], str):
+                raise TypeError(f"file {entry['file']!r} is not a string")
+            fields = dict(
                 grade=GradeLabel(entry["grade"]),
                 region=RegionLabel(entry["region"]),
                 id=entry["id"],
                 params=entry.get("params", {}),
             )
-        )
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"{manifest_path}: malformed sample entry {k} ({exc!r})") from exc
+        tensor = read_sample_tensor(base / entry["file"])
+        samples.append(PatchSample(image=tensor[0], heatmap=tensor[1], **fields))
     return samples, manifest

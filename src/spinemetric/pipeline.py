@@ -26,13 +26,7 @@ from .backbone.model import (
 )
 from .backbone.optim import adam_init, adam_step
 from .data import stack_samples
-from .evaluation import (
-    Metrics,
-    binary_fracture_labels,
-    confusion_metrics,
-    embed_samples,
-    linear_probe_train,
-)
+from .evaluation import Metrics, binary_fracture_labels, evaluate_folds
 from .losses import GradingMargins, contrastive_loss, cross_entropy, grading_loss, triplet_loss
 from .mining import FoldSplit, mine_pairs, mine_quadruplets, mine_triplets
 
@@ -310,27 +304,13 @@ def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_di
             record.checkpoint = path.name
         records.append(record)
 
+    model.mode = "eval"
     metrics = score_fold(model, samples, fold, config)
     return model, metrics, records
 
 
 def score_fold(model, samples, fold, config: PipelineConfig) -> Metrics:
-    y = binary_fracture_labels(samples)
-    test_samples = [samples[i] for i in fold.test_ids]
-    y_test = y[list(fold.test_ids)]
-    model.mode = "eval"
-    if model.head == HEAD_CLASSIFIER:
-        from .evaluation import embed_logits
-
-        logits = embed_logits(model, test_samples)
-        preds = np.argmax(logits, axis=1)
-    else:
-        train_emb = embed_samples(model, [samples[i] for i in fold.train_ids])
-        probe = linear_probe_train(
-            train_emb,
-            y[list(fold.train_ids)],
-            regularization=config.probe_regularization,
-            n_steps=config.probe_steps,
-        )
-        preds = probe.predict(embed_samples(model, test_samples))
-    return confusion_metrics(preds, y_test)
+    """Metrics of a trained model on the fold's test split (see evaluate_folds)."""
+    return evaluate_folds(
+        [model], samples, [fold], config.probe_regularization, config.probe_steps
+    ).folds[0]

@@ -5,8 +5,9 @@ loops, gradients come from central differences, convolutions from direct
 loops over every output and kernel tap, batch norm, rectifiers and max
 pooling from their textbook formulas in float64, silhouette heights from
 threshold crossings with subpixel interpolation, arc lengths from
-quadrature over an independently constructed spline, and the metric and
-classification losses one tuple of 1-D vectors at a time.
+quadrature over an independently constructed spline, the metric and
+classification losses one tuple of 1-D vectors at a time, and triplet and
+pair mining with each tuple's pool rebuilt by a scan over all labels.
 """
 
 from __future__ import annotations
@@ -436,3 +437,65 @@ def cross_entropy_reference(logits, label: int) -> LossValue:
     grad = probs.copy()
     grad[label] -= 1.0
     return LossValue(total=loss, terms={"nll": loss}, gradients={"logits": grad})
+
+
+def mine_triplets_reference(labels, count: int, seed: int) -> list[tuple[int, int, int]]:
+    """``mine_triplets`` as a per-tuple scan: the negative pool is rebuilt
+    from all labels for every triplet."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    labels = list(labels)
+    by_class: dict = {}
+    for i, l in enumerate(labels):
+        by_class.setdefault(l, []).append(i)
+    rich = sorted(k for k, v in by_class.items() if len(v) >= 2)
+    if not rich:
+        raise ValueError("no class has >= 2 samples; no positive pair exists")
+    if len(by_class) < 2:
+        raise ValueError("need at least two classes for negatives")
+
+    rng = np.random.default_rng([seed])
+    out = []
+    for _ in range(count):
+        c = rich[int(rng.integers(len(rich)))]
+        pool = by_class[c]
+        a_pos = rng.choice(len(pool), size=2, replace=False)
+        anchor, positive = int(pool[a_pos[0]]), int(pool[a_pos[1]])
+        neg_pool = [i for i, l in enumerate(labels) if l != c]
+        negative = int(neg_pool[rng.integers(len(neg_pool))])
+        out.append((anchor, positive, negative))
+    return out
+
+
+def mine_pairs_reference(labels, count: int, similar_fraction: float, seed: int):
+    """``mine_pairs`` as a per-tuple scan: the other-class pool is rebuilt
+    from all labels for every dissimilar pair."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if not (0.0 <= similar_fraction <= 1.0):
+        raise ValueError("similar_fraction must lie in [0, 1]")
+    labels = list(labels)
+    by_class: dict = {}
+    for i, l in enumerate(labels):
+        by_class.setdefault(l, []).append(i)
+    rich = sorted(k for k, v in by_class.items() if len(v) >= 2)
+    if not rich:
+        raise ValueError("no class has >= 2 samples; no similar pair exists")
+    if len(by_class) < 2:
+        raise ValueError("need at least two classes for dissimilar pairs")
+
+    rng = np.random.default_rng([seed])
+    n_similar = int(np.floor(count * similar_fraction + 0.5))
+    pairs = []
+    for _ in range(n_similar):
+        c = rich[int(rng.integers(len(rich)))]
+        pool = by_class[c]
+        ij = rng.choice(len(pool), size=2, replace=False)
+        pairs.append((int(pool[ij[0]]), int(pool[ij[1]]), True))
+    for _ in range(count - n_similar):
+        i = int(rng.integers(len(labels)))
+        other = [j for j, l in enumerate(labels) if l != labels[i]]
+        j = int(other[rng.integers(len(other))])
+        pairs.append((i, j, False))
+    order = rng.permutation(len(pairs))
+    return [pairs[k] for k in order]

@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
-Criteria 1/2/6/7/8/9 are exact property suites. Criteria 3/4/5 are the
-directional reproductions on the synthetic desk-scale benchmark: a 600-sample
-dataset at the published class ratio and a reduced 16x16-input backbone, so
-the full suite stays inside the stated runtime budgets on a small CPU box.
+This module checks criteria 1, 2 and 6-9, which are exact property suites.
+Criteria 3-5, the directional reproductions of the paper's claim (margin
+ordering, the probe comparison and the classifier comparison), are not
+checked here; ROADMAP item 4 tracks them.
 """
 
 import json
@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from spinemetric.backbone import NetworkConfig, init_model
-from spinemetric.evaluation import (
-    confusion_metrics,
-    embed_samples,
-    evaluate_probe_protocol,
-)
+from spinemetric.evaluation import confusion_metrics, embed_samples
 from spinemetric.losses import (
     GradingMargins,
     contrastive_loss,

@@ -218,6 +218,35 @@ class TestEvalAndProject:
             blobs.append((out / "metrics.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_classify_reproduces_train_metrics(self, dataset_dir, trained, tmp_path):
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--protocol", "classify", "--dataset", str(dataset_dir),
+                       "--run", str(trained), "--out", str(out)) == 0
+        doc = json.loads((out / "metrics.json").read_text())
+        for k, got in enumerate(doc["folds"]):
+            assert got == json.loads((trained / f"fold_{k:02d}" / "metrics.json").read_text())
+
+    def test_probe_wrong_head_names_checkpoint(self, dataset_dir, trained, tmp_path, capsys):
+        ckpt = trained / "fold_00" / "final.gmck"
+        code = run_cli("eval", "--protocol", "probe", "--dataset", str(dataset_dir),
+                       "--checkpoint", str(ckpt), "--folds", "1", "--probe-steps", "10",
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        want = "--protocol probe needs the embedding8 head, not classifier2"
+        assert f"error: {ckpt}: {want}" in err
+
+    def test_classify_wrong_head_names_checkpoint(
+        self, dataset_dir, embedding_ckpt, tmp_path, capsys
+    ):
+        run_dir = embedding_ckpt.parent.parent
+        code = run_cli("eval", "--protocol", "classify", "--dataset", str(dataset_dir),
+                       "--run", str(run_dir), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        want = "--protocol classify needs the classifier2 head, not embedding8"
+        assert f"error: {embedding_ckpt}: {want}" in err
+
     def test_eval_missing_checkpoint_errors(self, dataset_dir, tmp_path, capsys):
         code = run_cli("eval", "--protocol", "probe", "--dataset", str(dataset_dir),
                        "--checkpoint", str(tmp_path / "missing.gmck"),

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinemetric import evaluation
 from spinemetric.backbone import HEAD_CLASSIFIER, NetworkConfig, init_model
 from spinemetric.evaluation import (
     FoldSummary,
     Metrics,
+    binary_fracture_labels,
     confusion_metrics,
-    evaluate_classifier,
-    evaluate_probe_protocol,
+    embed_samples,
+    evaluate_folds,
     linear_probe_train,
     project_2d,
     projection_csv,
@@ -168,17 +170,51 @@ class TestProtocols:
         samples = tiny_dataset()
         model = init_model(TINY_NET, seed=0)
         folds = make_folds([s.grade for s in samples], 2, 0.3, seed=1)
-        a = evaluate_probe_protocol(model, samples, folds, n_steps=500)
-        b = evaluate_probe_protocol(model, samples, folds, n_steps=500)
+        a = evaluate_folds([model] * len(folds), samples, folds, n_steps=500)
+        b = evaluate_folds([model] * len(folds), samples, folds, n_steps=500)
         assert a.to_json() == b.to_json()
         assert len(a.folds) == 2
 
-    def test_probe_protocol_requires_embedding_head(self):
+    def test_probe_fits_train_rows_and_scores_test_rows(self, monkeypatch):
         samples = tiny_dataset()
-        model = init_model(TINY_NET, seed=0).swap_head(HEAD_CLASSIFIER, seed=0)
-        folds = make_folds([s.grade for s in samples], 1, 0.3, seed=1)
-        with pytest.raises(ValueError):
-            evaluate_probe_protocol(model, samples, folds, n_steps=10)
+        model = init_model(TINY_NET, seed=0)
+        folds = make_folds([s.grade for s in samples], 2, 0.3, seed=1)
+        emb = embed_samples(model, samples)
+        y = binary_fracture_labels(samples)
+        fits = []
+
+        def recording(x, labels, **kwargs):
+            fits.append((x, labels, kwargs))
+            return linear_probe_train(x, labels, **kwargs)
+
+        monkeypatch.setattr(evaluation, "linear_probe_train", recording)
+        got = evaluate_folds([model] * 2, samples, folds, regularization=0.01, n_steps=300)
+        assert len(fits) == 2
+        for fold, (x, labels, kwargs), metrics in zip(folds, fits, got.folds):
+            tr, te = list(fold.train_ids), list(fold.test_ids)
+            np.testing.assert_array_equal(x, emb[tr])
+            np.testing.assert_array_equal(labels, y[tr])
+            assert kwargs == {"regularization": 0.01, "n_steps": 300}
+            probe = linear_probe_train(emb[tr], y[tr], regularization=0.01, n_steps=300)
+            assert metrics == confusion_metrics(probe.predict(emb[te]), y[te])
+
+    def test_one_model_over_folds_is_embedded_once(self, monkeypatch):
+        samples = tiny_dataset()
+        folds = make_folds([s.grade for s in samples], 3, 0.3, seed=1)
+        calls = []
+
+        def counting(model, samples, *args, **kwargs):
+            calls.append(model)
+            return embed_samples(model, samples, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "embed_samples", counting)
+        model = init_model(TINY_NET, seed=0)
+        evaluate_folds([model] * 3, samples, folds, n_steps=50)
+        assert calls == [model]
+        other = init_model(TINY_NET, seed=1)
+        calls.clear()
+        evaluate_folds([model, other, other], samples, folds, n_steps=50)
+        assert calls == [model, other]
 
     def test_classifier_majority_predictor_has_zero_sensitivity(self):
         samples = tiny_dataset()
@@ -190,15 +226,16 @@ class TestProtocols:
             m.parameters()["head.weight"][...] = 0.0
             m.parameters()["head.bias"][...] = np.array([10.0, -10.0], dtype=np.float32)
             models.append(m)
-        summary = evaluate_classifier(models, samples, folds)
-        for m in summary.folds:
+        summary = evaluate_folds(models, samples, folds)
+        for fold, m in zip(folds, summary.folds):
             assert m.sensitivity == 0.0 and m.specificity == 1.0
+            assert m.tn + m.fn == len(fold.test_ids)
 
     def test_classifier_needs_model_per_fold(self):
         samples = tiny_dataset()
         folds = make_folds([s.grade for s in samples], 2, 0.3, seed=2)
-        with pytest.raises(ValueError):
-            evaluate_classifier([init_model(TINY_NET, seed=0)], samples, folds)
+        with pytest.raises(ValueError, match="one model per fold"):
+            evaluate_folds([init_model(TINY_NET, seed=0)], samples, folds)
 
 
 class TestProjection:

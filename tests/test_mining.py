@@ -14,6 +14,8 @@ from spinemetric.mining import (
     mine_triplets,
 )
 
+from .oracles import mine_pairs_reference, mine_triplets_reference
+
 G0, G2, G3 = GradeLabel.G0, GradeLabel.G2, GradeLabel.G3
 
 
@@ -165,6 +167,37 @@ class TestMinePairs:
     def test_determinism(self):
         labels = ["A"] * 6 + ["B"] * 6
         assert mine_pairs(labels, 50, 0.4, seed=9) == mine_pairs(labels, 50, 0.4, seed=9)
+
+
+def random_label_sets():
+    """30 (labels, seed) cases: five grade and five region label sets of
+    growing size, three seeds each. Small sets may hold singleton classes."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for kind, values in (("grades", list(GradeLabel)), ("regions", list(RegionLabel))):
+        for n in (6, 13, 40, 120, 300):
+            labels = [values[k] for k in rng.integers(len(values), size=n)]
+            labels[:2] = [values[0], values[0]]  # one class with a positive pair
+            labels[2] = values[1]  # and a second class
+            for seed in (0, 7, 31):
+                cases.append(pytest.param(labels, seed, id=f"{kind}-{n}-seed{seed}"))
+    return cases
+
+
+class TestMiningMatchesReference:
+    @pytest.mark.parametrize("labels,seed", random_label_sets())
+    def test_triplets_identical(self, labels, seed):
+        count = 2 * len(labels)
+        got = mine_triplets(labels, count, seed)
+        assert got == mine_triplets_reference(labels, count, seed)
+        assert all(type(v) is int for t in got for v in t)
+
+    @pytest.mark.parametrize("labels,seed", random_label_sets())
+    def test_pairs_identical(self, labels, seed):
+        count = 2 * len(labels)
+        got = mine_pairs(labels, count, 0.5, seed)
+        assert got == mine_pairs_reference(labels, count, 0.5, seed)
+        assert all(type(v) is int for i, j, _ in got for v in (i, j))
 
 
 class TestEnums:

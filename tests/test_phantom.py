@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from .oracles import anterior_height_ratio, mid_height_ratio, min_height_ratio
 
 G0, G2, G3 = GradeLabel.G0, GradeLabel.G2, GradeLabel.G3
 CFG = PhantomConfig(seed=0)
+GOOD_ENTRY = {"file": "sample_000000.vpat", "grade": 0, "region": 1, "id": 0}
 
 
 class TestConfig:
@@ -163,6 +166,25 @@ class TestGenerateDataset:
         (tmp_path / "manifest.json").write_text('{"seed": 3}')
         with pytest.raises(ValueError, match=r"manifest\.json: manifest has no samples list"):
             load_dataset(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {},
+            {**GOOD_ENTRY, "grade": 7},
+            {**GOOD_ENTRY, "region": "x"},
+            {**GOOD_ENTRY, "file": 5},
+            list(GOOD_ENTRY.values()),
+        ],
+        ids=["empty", "grade-7", "region-x", "file-not-string", "list"],
+    )
+    def test_malformed_sample_entry_rejected(self, tmp_path, entry):
+        write_sample_tensor(tmp_path / GOOD_ENTRY["file"], np.zeros((2, 4, 4), np.float32))
+        doc = {"samples": [GOOD_ENTRY, entry]}
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"manifest\.json: malformed sample entry 1 "):
+            load_dataset(tmp_path / "manifest.json")
+
 
 class TestSampleTensorFormat:
     def test_round_trip(self, tmp_path):
