@@ -73,10 +73,7 @@ class NetworkConfig:
         return np.dtype(self.dtype)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["conv_channels"] = list(self.conv_channels)
-        d["linear_dims"] = list(self.linear_dims)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d) -> "NetworkConfig":

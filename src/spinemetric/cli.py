@@ -10,18 +10,21 @@ Every run writes a ``run.json`` echoing the fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import phantom
 from .backbone import HEAD_CLASSIFIER, HEAD_EMBEDDING, NetworkConfig, load_model, save_model
+from .data import patch_set
 from .evaluation import embed_samples, evaluate_folds, projection_csv, projection_svg, project_2d
 from .mining import GRADES, GradeLabel, folds_from_json, folds_to_json, make_folds
 from .pipeline import (
@@ -32,6 +35,15 @@ from .pipeline import (
     StagePlan,
     run_pipeline,
 )
+
+# --stages tokens, in stage order: the stage each one adds and its loss.
+_STAGE_TOKENS = {
+    "label": (STAGE_LABEL, "contrastive"),
+    "contrastive": (STAGE_REPRESENTATION, "contrastive"),
+    "triplet": (STAGE_REPRESENTATION, "triplet"),
+    "grading": (STAGE_REPRESENTATION, "grading"),
+    "fracture": (STAGE_FRACTURE, "cross_entropy"),
+}
 
 log = logging.getLogger("spinemetric")
 
@@ -195,23 +207,15 @@ def _build_pipeline_config(args, cfg_file) -> PipelineConfig:
         rep_losses = [t for t in tokens if t in ("contrastive", "triplet", "grading")]
         if len(rep_losses) > 1:
             raise ValueError("at most one representation loss may be listed")
-        epochs = {p.stage: p.epochs for p in base.stages}
-        batch = {p.stage: p.batch_size for p in base.stages}
-        plans = []
-        if "label" in tokens:
-            plans.append(StagePlan(STAGE_LABEL, "contrastive",
-                                   epochs=epochs.get(STAGE_LABEL, 30),
-                                   batch_size=batch.get(STAGE_LABEL, 32)))
-        if rep_losses:
-            plans.append(StagePlan(STAGE_REPRESENTATION, rep_losses[0],
-                                   epochs=epochs.get(STAGE_REPRESENTATION, 30),
-                                   batch_size=batch.get(STAGE_REPRESENTATION, 32)))
-        if "fracture" in tokens:
-            plans.append(StagePlan(STAGE_FRACTURE, "cross_entropy",
-                                   epochs=epochs.get(STAGE_FRACTURE, 40),
-                                   batch_size=batch.get(STAGE_FRACTURE, 32)))
-        known = set(rep_losses) | {"label", "fracture"}
-        unknown = [t for t in tokens if t not in known]
+        # Epochs and batch size come from the configured plan of the same
+        # stage, else from the default config's.
+        known = {p.stage: p for p in PipelineConfig().stages + base.stages}
+        plans = [
+            StagePlan(stage, loss, epochs=known[stage].epochs, batch_size=known[stage].batch_size)
+            for token, (stage, loss) in _STAGE_TOKENS.items()
+            if token in tokens
+        ]
+        unknown = [t for t in tokens if t not in _STAGE_TOKENS]
         if unknown:
             raise ValueError(f"unknown stage tokens: {unknown}")
         if not plans:
@@ -232,16 +236,13 @@ def _build_pipeline_config(args, cfg_file) -> PipelineConfig:
     return base
 
 
-def _train_one_fold(payload):
-    """Worker for fold-level parallelism; reloads the dataset from disk."""
-    manifest_path, config_json, fold_json, out_dir = payload
-    samples, _ = phantom.load_dataset(manifest_path)
-    config = PipelineConfig.from_dict(json.loads(config_json))
-    fold = folds_from_json(fold_json)[0]
+def _train_one_fold(data, config, fold, out_dir):
+    """Train and score one fold into ``out_dir/fold_NN``; also the worker
+    of fold-level parallelism."""
     fold_dir = Path(out_dir) / f"fold_{fold.fold_id:02d}"
     fold_dir.mkdir(parents=True, exist_ok=True)
 
-    model, metrics, records = run_pipeline(config, samples, fold, checkpoint_dir=fold_dir)
+    model, metrics, records = run_pipeline(config, data, fold, checkpoint_dir=fold_dir)
     save_model(model, fold_dir / "final.gmck")
     record_doc = {
         "seed": config.seed,
@@ -264,6 +265,8 @@ def cmd_train(args) -> int:
     manifest_path = _dataset_manifest_path(dataset)
     samples, manifest = phantom.load_dataset(manifest_path)
     config = _build_pipeline_config(args, cfg_file)
+    data = patch_set(samples, config.network.input_size)
+    del samples  # frees the full-resolution patches
     out_dir = Path(args.out)
 
     n_folds = args.folds if args.folds is not None else int(cfg_file.get("folds", 15))
@@ -272,8 +275,7 @@ def cmd_train(args) -> int:
         if args.test_fraction is not None
         else float(cfg_file.get("test_fraction", 0.25))
     )
-    labels = [s.grade for s in samples]
-    folds = make_folds(labels, n_folds=n_folds, test_fraction=test_fraction, seed=config.seed)
+    folds = make_folds(data.grades, n_folds=n_folds, test_fraction=test_fraction, seed=config.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "folds.json").write_text(folds_to_json(folds) + "\n")
 
@@ -290,24 +292,12 @@ def cmd_train(args) -> int:
         },
     )
 
-    payloads = [
-        (str(manifest_path), config.to_json(), folds_to_json([fold]), str(out_dir))
-        for fold in folds
-    ]
-    results = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for fold_id, metrics in pool.map(_train_one_fold, payloads):
-                log.info("fold %d done: f1=%.3f", fold_id, metrics["f1"])
-                results.append((fold_id, metrics))
-    else:
-        for payload in payloads:
-            fold_id, metrics = _train_one_fold(payload)
+    parallel = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    with parallel or contextlib.nullcontext():
+        run = parallel.map if parallel else map
+        for fold_id, metrics in run(_train_one_fold, repeat(data), repeat(config), folds, repeat(out_dir)):
             log.info("fold %d done: f1=%.3f", fold_id, metrics["f1"])
-            results.append((fold_id, metrics))
-
-    results.sort()
-    print(json.dumps({"folds_trained": len(results)}))
+    print(json.dumps({"folds_trained": len(folds)}))
     return 0
 
 
@@ -327,23 +317,38 @@ def _print_summary_table(title: str, rows) -> None:
         )
 
 
-def _protocol_folds(args, samples, seed):
+# The probe protocol's fold and probe options, with their defaults. The
+# classify protocol reads its folds from the run and fits no probe.
+_PROBE_OPTIONS = {"folds": 15, "test_fraction": 0.25, "probe_steps": 100_000, "seed": 0}
+
+
+def _protocol_folds(args, grades):
     """The protocol's folds, one checkpoint path per fold, the head those
-    checkpoints must carry, and the name of the evaluated setup."""
+    checkpoints must carry, and the name of the evaluated setup. Fills in
+    the probe options' defaults on ``args``."""
     if args.protocol == "probe":
         if not args.checkpoint:
             raise ValueError("--protocol probe requires --checkpoint")
-        labels = [s.grade for s in samples]
-        folds = make_folds(labels, n_folds=args.folds, test_fraction=args.test_fraction, seed=seed)
+        for option, default in _PROBE_OPTIONS.items():
+            if getattr(args, option) is None:
+                setattr(args, option, default)
+        folds = make_folds(grades, n_folds=args.folds, test_fraction=args.test_fraction, seed=args.seed)
         path = Path(args.checkpoint)
         return folds, [path] * len(folds), HEAD_EMBEDDING, path.stem
     if args.protocol == "classify":
         if not args.run:
             raise ValueError("--protocol classify requires --run (a train output dir)")
-        run_dir = Path(args.run)
-        folds = folds_from_json((run_dir / "folds.json").read_text())
-        paths = [run_dir / f"fold_{f.fold_id:02d}" / "final.gmck" for f in folds]
-        return folds, paths, HEAD_CLASSIFIER, run_dir.name
+        for option in _PROBE_OPTIONS:
+            if getattr(args, option) is not None:
+                flag = "--" + option.replace("_", "-")
+                raise ValueError(f"--protocol classify does not take {flag}: its folds come from --run")
+        folds_path = Path(args.run) / "folds.json"
+        try:
+            folds = folds_from_json(folds_path.read_text(), n_samples=len(grades))
+        except ValueError as exc:
+            raise ValueError(f"{folds_path}: {exc}") from None
+        paths = [folds_path.parent / f"fold_{f.fold_id:02d}" / "final.gmck" for f in folds]
+        return folds, paths, HEAD_CLASSIFIER, folds_path.parent.name
     raise ValueError(f"unknown protocol {args.protocol!r}")
 
 
@@ -351,16 +356,17 @@ def cmd_eval(args) -> int:
     manifest_path = _dataset_manifest_path(args.dataset)
     samples, _ = phantom.load_dataset(manifest_path)
     out_dir = Path(args.out)
-    seed = args.seed if args.seed is not None else 0
 
-    folds, paths, head, name = _protocol_folds(args, samples, seed)
+    folds, paths, head, name = _protocol_folds(args, [s.grade for s in samples])
     models = {path: load_model(path) for path in dict.fromkeys(paths)}
     for path, model in models.items():
         if model.head != head:
             raise ValueError(
                 f"{path}: --protocol {args.protocol} needs the {head} head, not {model.head}"
             )
-    summary = evaluate_folds([models[p] for p in paths], samples, folds, n_steps=args.probe_steps)
+    data = patch_set(samples, next(iter(models.values())).config.input_size)
+    del samples  # frees the full-resolution patches
+    summary = evaluate_folds([models[p] for p in paths], data, folds, n_steps=args.probe_steps)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(summary.to_json() + "\n")
@@ -373,7 +379,9 @@ def cmd_eval(args) -> int:
             "checkpoint": args.checkpoint,
             "run": args.run,
             "folds": len(summary.folds),
-            "seed": seed,
+            "test_fraction": args.test_fraction,
+            "probe_steps": args.probe_steps,
+            "seed": args.seed,
         },
     )
     _print_summary_table(f"protocol={args.protocol}", [(name, summary)])
@@ -389,24 +397,24 @@ def cmd_project(args) -> int:
     model = load_model(args.checkpoint)
     out_dir = Path(args.out)
 
-    emb = embed_samples(model, samples)
-    coords = project_2d(emb)
     ids = [s.id for s in samples]
-    grades = [s.grade for s in samples]
+    data = patch_set(samples, model.config.input_size)
+    del samples  # frees the full-resolution patches
+    coords = project_2d(embed_samples(model, data))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "projection.csv").write_text(projection_csv(ids, grades, coords))
-    (out_dir / "projection.svg").write_text(projection_svg(grades, coords))
+    (out_dir / "projection.csv").write_text(projection_csv(ids, data.grades, coords))
+    (out_dir / "projection.svg").write_text(projection_svg(data.grades, coords))
     _write_run_json(
         out_dir,
         {
             "command": "project",
             "dataset": str(manifest_path),
             "checkpoint": args.checkpoint,
-            "samples": len(samples),
+            "samples": len(data),
         },
     )
-    print(f"projected {len(samples)} embeddings")
+    print(f"projected {len(data)} embeddings")
     return 0
 
 
@@ -457,10 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", help="embedding checkpoint (probe protocol)")
     p.add_argument("--run", help="train output directory (classify protocol)")
-    p.add_argument("--folds", type=int, default=15)
-    p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--probe-steps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, help="fold RNG seed")
+    p.add_argument("--folds", type=int, help="number of folds (probe protocol; default 15)")
+    p.add_argument("--test-fraction", type=float, help="test split share (probe protocol; default 0.25)")
+    p.add_argument("--probe-steps", type=int, help="probe iterations (probe protocol; default 100000)")
+    p.add_argument("--seed", type=int, help="fold RNG seed (probe protocol; default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

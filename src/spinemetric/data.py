@@ -1,6 +1,14 @@
-"""Batch assembly helpers shared by training and evaluation."""
+"""The in-memory patch set shared by training and evaluation.
+
+A run reads its ``PatchSample`` list from disk once, converts it once with
+``patch_set`` to a ``PatchSet`` at the network's input size, and from then
+on only indexes rows of that set: folds, stage splits, mined tuples and
+scoring batches are all row indices into one array.
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,3 +47,37 @@ def stack_samples(samples, input_size: int = PATCH_SIZE) -> np.ndarray:
         chunk = np.stack([s.to_tensor() for s in samples[lo : lo + _STACK_CHUNK]])
         out[lo : lo + len(chunk)] = block_mean(chunk, native // input_size)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class PatchSet:
+    """Network-ready patches: float32 (N, 2, s, s) images with their (N,)
+    grade and region labels, row for row."""
+
+    images: np.ndarray
+    grades: np.ndarray
+    regions: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def take(self, rows) -> "PatchSet":
+        """The subset at the given row indices, in their order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return PatchSet(self.images[rows], self.grades[rows], self.regions[rows])
+
+
+def patch_set(samples, input_size: int) -> PatchSet:
+    """A PatchSet at ``input_size`` px from a PatchSample list, stacked once;
+    a PatchSet at that size is returned as it is."""
+    if isinstance(samples, PatchSet):
+        if samples.images.shape[-1] != input_size:
+            raise ValueError(
+                f"patch set holds {samples.images.shape[-1]} px images, not {input_size} px"
+            )
+        return samples
+    return PatchSet(
+        stack_samples(samples, input_size),
+        np.array([int(s.grade) for s in samples]),
+        np.array([int(s.region) for s in samples]),
+    )

@@ -10,12 +10,12 @@ Fractured is the positive class everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .backbone.model import HEAD_CLASSIFIER
-from .data import stack_samples
+from .data import PatchSet, patch_set
 from .mining import GradeLabel
 
 METRIC_NAMES = ("sensitivity", "specificity", "f1")
@@ -42,15 +42,7 @@ class Metrics:
         return 2 * self.tp / denom if denom else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "f1": self.f1,
-        }
+        return {**asdict(self), **{name: getattr(self, name) for name in METRIC_NAMES}}
 
 
 @dataclass
@@ -148,21 +140,28 @@ def linear_probe_train(
 
 
 def binary_fracture_labels(samples) -> np.ndarray:
-    """Fractured = {G2, G3}, healthy = {G0}."""
-    return np.array([0 if s.grade == GradeLabel.G0 else 1 for s in samples], dtype=int)
+    """Fractured = {G2, G3}, healthy = {G0}, of a PatchSet or a PatchSample list."""
+    grades = samples.grades if isinstance(samples, PatchSet) else [s.grade for s in samples]
+    return (np.asarray(grades, dtype=int) != GradeLabel.G0).astype(int)
 
 
 def _eval_outputs(model, samples, batch_size: int) -> np.ndarray:
-    """Eval-mode network outputs for a sample list, in order, batch by batch."""
-    chunks = []
-    for i in range(0, len(samples), batch_size):
-        batch = stack_samples(samples[i : i + batch_size], model.config.input_size)
-        chunks.append(model.forward(batch, train=False))
-    return np.concatenate(chunks, axis=0)
+    """Eval-mode network outputs for a PatchSet or a PatchSample list, in
+    order, batch by batch."""
+    images = patch_set(samples, model.config.input_size).images
+    batches = range(0, len(images), batch_size)
+    return np.concatenate([model.forward(images[i : i + batch_size], train=False) for i in batches])
 
 
 def embed_samples(model, samples, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode embeddings for a sample list, in order."""
+    """Eval-mode embeddings for a PatchSet or a PatchSample list, in order."""
+    return _eval_outputs(model, samples, batch_size)
+
+
+def embed_logits(model, samples, batch_size: int = 64) -> np.ndarray:
+    """Eval-mode classifier logits for a PatchSet or a PatchSample list, in order."""
+    if model.head != HEAD_CLASSIFIER:
+        raise ValueError("classifier evaluation requires the classifier head")
     return _eval_outputs(model, samples, batch_size)
 
 
@@ -175,35 +174,30 @@ def evaluate_folds(
 ) -> FoldSummary:
     """Per-fold metrics of one model per fold, scored on the fold's test split.
 
-    A classifier-headed model predicts by argmax over its two logits. An
-    embedding-headed model is embedded over all samples, once for a run of
-    consecutive folds that share it, and a linear probe fit on the fold's
-    training rows predicts its test rows.
+    ``samples`` is a PatchSet or a PatchSample list; a list is stacked once,
+    at the first model's input size. A classifier-headed model predicts by
+    argmax over its two logits. An embedding-headed model is embedded over
+    all samples, once for a run of consecutive folds that share it, and a
+    linear probe fit on the fold's training rows predicts its test rows.
     """
     if len(models) != len(folds):
         raise ValueError(f"need one model per fold ({len(models)} models, {len(folds)} folds)")
     y = binary_fracture_labels(samples)
-    embedded, emb = None, None
+    data, embedded, emb = samples, None, None
     summary = FoldSummary()
     for model, fold in zip(models, folds):
+        data = patch_set(data, model.config.input_size)
         te = list(fold.test_ids)
         if model.head == HEAD_CLASSIFIER:
-            preds = np.argmax(embed_logits(model, [samples[i] for i in te]), axis=1)
+            preds = np.argmax(embed_logits(model, data.take(te)), axis=1)
         else:
             if model is not embedded:
-                embedded, emb = model, embed_samples(model, samples)
+                embedded, emb = model, embed_samples(model, data)
             tr = list(fold.train_ids)
             probe = linear_probe_train(emb[tr], y[tr], regularization=regularization, n_steps=n_steps)
             preds = probe.predict(emb[te])
         summary.folds.append(confusion_metrics(preds, y[te]))
     return summary
-
-
-def embed_logits(model, samples, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode classifier logits for a sample list, in order."""
-    if model.head != HEAD_CLASSIFIER:
-        raise ValueError("classifier evaluation requires the classifier head")
-    return _eval_outputs(model, samples, batch_size)
 
 
 def project_2d(embeddings) -> np.ndarray:

@@ -125,17 +125,36 @@ def folds_to_json(folds) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def folds_from_json(text: str) -> list[FoldSplit]:
-    doc = json.loads(text)
-    return [
-        FoldSplit(
-            fold_id=f["fold_id"],
-            train_ids=tuple(f["train_ids"]),
-            test_ids=tuple(f["test_ids"]),
-            seed=doc["seed"],
-        )
-        for f in doc["folds"]
-    ]
+def folds_from_json(text: str, n_samples: int | None = None) -> list[FoldSplit]:
+    """Parse a folds_to_json document. Raises ValueError if it is not one,
+    or if a fold's sample ids are not ints in [0, n_samples) (n_samples
+    unbounded if not given), repeat, or appear in both train and test."""
+    try:
+        doc = json.loads(text)
+        folds = [
+            FoldSplit(
+                fold_id=f["fold_id"],
+                train_ids=tuple(f["train_ids"]),
+                test_ids=tuple(f["test_ids"]),
+                seed=doc["seed"],
+            )
+            for f in doc["folds"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a folds document ({type(exc).__name__}: {exc})") from None
+    if not folds:
+        raise ValueError("no folds")
+    for f in folds:
+        ids = f.train_ids + f.test_ids
+        if not all(type(i) is int and i >= 0 for i in (f.fold_id,) + ids):
+            raise ValueError(f"fold {f.fold_id!r}: fold and sample ids must be nonnegative ints")
+        if n_samples is not None and ids and max(ids) >= n_samples:
+            raise ValueError(f"fold {f.fold_id}: sample id {max(ids)} is out of range for {n_samples} samples")
+        if len(set(f.train_ids)) < len(f.train_ids) or len(set(f.test_ids)) < len(f.test_ids):
+            raise ValueError(f"fold {f.fold_id}: a sample id is repeated")
+        if set(f.train_ids) & set(f.test_ids):
+            raise ValueError(f"fold {f.fold_id}: a sample id is in both train and test")
+    return folds
 
 
 def mine_quadruplets(labels, count: int, seed: int) -> list[Quadruplet]:

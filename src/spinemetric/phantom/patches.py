@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -66,24 +66,7 @@ class PhantomConfig:
             raise ValueError("jitter_px must be nonnegative")
 
     def digest(self) -> str:
-        blob = json.dumps(
-            {
-                "region_dims": {int(k): v for k, v in sorted(self.region_dims.items())},
-                "g2_height_loss": self.g2_height_loss,
-                "g3_height_loss": self.g3_height_loss,
-                "wedge_probability": self.wedge_probability,
-                "body_intensity": self.body_intensity,
-                "noise_amplitude": self.noise_amplitude,
-                "blur_sigma": self.blur_sigma,
-                "neighbor_context": self.neighbor_context,
-                "neighbor_gap": self.neighbor_gap,
-                "heatmap_sigma": self.heatmap_sigma,
-                "jitter_px": self.jitter_px,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
+        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -139,6 +122,22 @@ def _render_body(image, cy, cx, width, height, mode, loss, intensity):
         image[:, c] = np.maximum(image[:, c], intensity * cover)
 
 
+def _height_loss(config, grade, u: float) -> float:
+    """Height-loss fraction of a body of ``grade`` from a uniform draw ``u``;
+    healthy bodies keep zero loss."""
+    if grade == GradeLabel.G0:
+        return 0.0
+    lo, hi = config.g2_height_loss if grade == GradeLabel.G2 else config.g3_height_loss
+    return lo + u * (hi - lo)
+
+
+def centroid_heatmap(row, col, sigma: float, size: int = PATCH_SIZE) -> np.ndarray:
+    """float32 (size, size) Gaussian heatmap channel peaking at 1 at (row, col)."""
+    axis = np.arange(size, dtype=np.float64)
+    d2 = (axis[:, None] - row) ** 2 + (axis[None, :] - col) ** 2
+    return np.exp(-d2 / (2.0 * sigma**2)).astype(np.float32)
+
+
 def _draw_body_params(rng, config, region, grade):
     (w_lo, w_hi), (h_lo, h_hi) = config.region_dims[RegionLabel(region)]
     width = rng.uniform(w_lo, w_hi)
@@ -146,16 +145,8 @@ def _draw_body_params(rng, config, region, grade):
     intensity = rng.uniform(*config.body_intensity)
     mode = "wedge" if rng.random() < config.wedge_probability else "biconcave"
     # Draw the loss fraction unconditionally so consuming the stream does
-    # not depend on the grade; healthy bodies keep zero loss.
-    u = rng.random()
-    if grade == GradeLabel.G0:
-        loss = 0.0
-    elif grade == GradeLabel.G2:
-        lo, hi = config.g2_height_loss
-        loss = lo + u * (hi - lo)
-    else:
-        lo, hi = config.g3_height_loss
-        loss = lo + u * (hi - lo)
+    # not depend on the grade.
+    loss = _height_loss(config, grade, rng.random())
     return width, height, intensity, mode, loss
 
 
@@ -196,13 +187,7 @@ def generate_patch(
         image = image + rng.normal(0.0, config.noise_amplitude, size=image.shape)
     image = np.clip(image, 0.0, 1.0).astype(np.float32)
 
-    rr, cc = np.meshgrid(
-        np.arange(PATCH_SIZE, dtype=np.float64),
-        np.arange(PATCH_SIZE, dtype=np.float64),
-        indexing="ij",
-    )
-    sig2 = 2.0 * config.heatmap_sigma**2
-    heatmap = np.exp(-((rr - cy) ** 2 + (cc - cx) ** 2) / sig2).astype(np.float32)
+    heatmap = centroid_heatmap(cy, cx, config.heatmap_sigma)
 
     params = {
         "width": round(width, 6),

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.ndimage import map_coordinates
 
+from .patches import centroid_heatmap
 from .volume import SpineVolume
 
 _DENSE_PER_SEGMENT = 512
@@ -133,11 +134,5 @@ def extract_patch(
         grid, np.stack([rr.ravel(), cc.ravel()]), order=1, mode="constant", cval=0.0
     ).reshape(patch_size, patch_size)
 
-    pi, pj = half - jr, half - jc  # centroid position inside the patch
-    ii, jj = np.meshgrid(
-        np.arange(patch_size, dtype=np.float64),
-        np.arange(patch_size, dtype=np.float64),
-        indexing="ij",
-    )
-    heatmap = np.exp(-((ii - pi) ** 2 + (jj - pj) ** 2) / (2.0 * sigma**2))
-    return image.astype(np.float32), heatmap.astype(np.float32)
+    # The heatmap peaks at the centroid's position inside the patch.
+    return image.astype(np.float32), centroid_heatmap(half - jr, half - jc, sigma, patch_size)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mining import GradeLabel, RegionLabel
-from .patches import PhantomConfig, _column_heights
+from .patches import PhantomConfig, _column_heights, _height_loss
 
 # T1..L5, cranio-caudal. Requests for n vertebrae take the last n names.
 SPINE_NAMES = tuple(f"T{i}" for i in range(1, 13)) + tuple(f"L{i}" for i in range(1, 6))
@@ -77,15 +77,7 @@ def generate_spine_volume(
         width = int(rng.integers(int(w_lo), int(w_hi) + 1))
         depth = int(rng.integers(int(w_lo), int(w_hi) + 1))
         height = int(rng.integers(int(h_lo), int(h_hi) + 1))
-        u = rng.random()
-        if grade == GradeLabel.G0:
-            loss = 0.0
-        elif grade == GradeLabel.G2:
-            lo, hi = config.g2_height_loss
-            loss = lo + u * (hi - lo)
-        else:
-            lo, hi = config.g3_height_loss
-            loss = lo + u * (hi - lo)
+        loss = _height_loss(config, grade, rng.random())
         intensity = rng.uniform(*config.body_intensity)
         bodies.append((name, grade, width, depth, height, loss, intensity))
 

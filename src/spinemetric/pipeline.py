@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .backbone.model import (
     init_model,
 )
 from .backbone.optim import adam_init, adam_step
-from .data import stack_samples
+from .data import patch_set
 from .evaluation import Metrics, binary_fracture_labels, evaluate_folds
 from .losses import GradingMargins, contrastive_loss, cross_entropy, grading_loss, triplet_loss
 from .mining import FoldSplit, mine_pairs, mine_quadruplets, mine_triplets
@@ -82,13 +82,7 @@ class RunRecord:
     checkpoint: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "loss_kind": self.loss_kind,
-            "epoch_losses": [float(v) for v in self.epoch_losses],
-            "seconds": self.seconds,
-            "checkpoint": self.checkpoint,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -113,31 +107,7 @@ class PipelineConfig:
         validate_stage_plans(self.stages)
 
     def to_dict(self) -> dict:
-        return {
-            "network": self.network.to_dict(),
-            "margins": {
-                "alpha": self.margins.alpha,
-                "beta": self.margins.beta,
-                "gamma": self.margins.gamma,
-            },
-            "stages": [
-                {
-                    "stage": p.stage,
-                    "loss_kind": p.loss_kind,
-                    "epochs": p.epochs,
-                    "batch_size": p.batch_size,
-                    "enabled": p.enabled,
-                }
-                for p in self.stages
-            ],
-            "learning_rate": self.learning_rate,
-            "triplet_margin": self.triplet_margin,
-            "contrastive_margin": self.contrastive_margin,
-            "clustering_mode": self.clustering_mode,
-            "probe_regularization": self.probe_regularization,
-            "probe_steps": self.probe_steps,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -152,11 +122,6 @@ class PipelineConfig:
         if "stages" in d:
             d["stages"] = tuple(StagePlan(**p) for p in d["stages"])
         return cls(**d)
-
-
-def label_targets(regions) -> list[int]:
-    """Five-class region targets with the fixed T1_T5=0 ... L5=4 ordering."""
-    return [int(r) for r in regions]
 
 
 def _epoch_tuples(plan, targets, count, seed):
@@ -206,24 +171,25 @@ def _metric_batch_loss(emb, per_tuple, loss_kind, config):
     return lv.total * inv, upstream.astype(emb.dtype, copy=False)
 
 
-def _stage_targets(plan, samples):
+def _stage_targets(plan, data):
+    """Per-row targets: region classes T1_T5=0 ... L5=4, grades, or fractured."""
     if plan.stage == STAGE_FRACTURE:
-        return binary_fracture_labels(samples)
-    if plan.stage == STAGE_LABEL:
-        return label_targets([s.region for s in samples])
-    return [int(s.grade) for s in samples]
+        return binary_fracture_labels(data)
+    return data.regions if plan.stage == STAGE_LABEL else data.grades
 
 
 def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: PipelineConfig) -> RunRecord:
-    """Train one stage in place over the given training samples.
+    """Train one stage in place over a training split given as a PatchSet
+    or a PatchSample list.
 
-    The split is stacked once; every epoch draws its tuples (mined for the
+    A list is stacked once; every epoch draws its tuples (mined for the
     metric stages, a shuffled order for fracture training) as row indices
-    into that stack and minimizes the stage's loss with Adam, one batch of
-    tuples per step.
+    into the split's images and minimizes the stage's loss with Adam, one
+    batch of tuples per step.
     """
-    if not samples:
+    if len(samples) == 0:
         raise ValueError("empty training split")
+    data = patch_set(samples, model.config.input_size)
     started = time.perf_counter()
     record = RunRecord(stage=plan.stage, loss_kind=plan.loss_kind)
 
@@ -232,21 +198,20 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
             model.swap_head(HEAD_CLASSIFIER, seed=seed + _HEAD_SEED_OFFSET)
     elif model.head != HEAD_EMBEDDING:
         raise ValueError(f"stage {plan.stage} requires the embedding head")
-    targets = _stage_targets(plan, samples)
+    targets = _stage_targets(plan, data)
     if plan.stage == STAGE_FRACTURE and len(np.unique(targets)) < 2:
         raise ValueError("fracture training split contains a single class")
 
-    images = stack_samples(samples, model.config.input_size)
     base_seed = seed + _STAGE_SEED_OFFSET[plan.stage]
     opt = adam_init(model, learning_rate=config.learning_rate)
     model.mode = "train"
     for epoch in range(plan.epochs):
-        rows, per_tuple = _epoch_tuples(plan, targets, len(samples), base_seed + epoch)
+        rows, per_tuple = _epoch_tuples(plan, targets, len(data), base_seed + epoch)
         losses = []
         for lo in range(0, len(rows), plan.batch_size):
             step = slice(lo, lo + plan.batch_size)
             batch = rows[step]
-            out = model.forward(images[batch.ravel()], train=True)
+            out = model.forward(data.images[batch.ravel()], train=True)
             mean_loss, upstream = _metric_batch_loss(
                 out.reshape(batch.shape + (-1,)),
                 None if per_tuple is None else per_tuple[step],
@@ -275,7 +240,8 @@ def model_seed_for_fold(config: PipelineConfig, fold_id: int) -> int:
 
 def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_dir=None):
     """Run the enabled stages on the fold's training split, then score the
-    test split.
+    test split. ``samples`` is a PatchSet or a PatchSample list, which is
+    stacked once at the network's input size.
 
     Classifier-headed models are scored by argmax over the two logits;
     embedding-headed runs fall back to the linear-probe protocol on this
@@ -286,18 +252,18 @@ def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_di
 
     from .backbone.checkpoint import save_model
 
-    n = len(samples)
+    data = patch_set(samples, config.network.input_size)
     ids = set(fold.train_ids) | set(fold.test_ids)
-    if ids != set(range(n)):
+    if ids != set(range(len(data))):
         raise ValueError("fold does not cover the dataset exactly")
 
     model = init_model(config.network, seed=model_seed_for_fold(config, fold.fold_id))
-    train_samples = [samples[i] for i in fold.train_ids]
+    train = data.take(fold.train_ids)
     records = []
     for k, plan in enumerate(config.stages, start=1):
         if not plan.enabled or plan.epochs == 0:
             continue
-        record = run_stage(model, plan, train_samples, seed=config.seed, config=config)
+        record = run_stage(model, plan, train, seed=config.seed, config=config)
         if checkpoint_dir is not None:
             path = Path(checkpoint_dir) / f"stage{k}_{plan.stage}.gmck"
             save_model(model, path)
@@ -305,12 +271,13 @@ def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_di
         records.append(record)
 
     model.mode = "eval"
-    metrics = score_fold(model, samples, fold, config)
+    metrics = score_fold(model, data, fold, config)
     return model, metrics, records
 
 
 def score_fold(model, samples, fold, config: PipelineConfig) -> Metrics:
-    """Metrics of a trained model on the fold's test split (see evaluate_folds)."""
+    """Metrics of a trained model on the fold's test split of a PatchSet or
+    a PatchSample list (see evaluate_folds)."""
     return evaluate_folds(
         [model], samples, [fold], config.probe_regularization, config.probe_steps
     ).folds[0]

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinemetric.cli import build_parser, main
+from spinemetric import data, phantom
+from spinemetric.cli import _build_pipeline_config, build_parser, main
 from spinemetric.phantom import read_sample_tensor
 
 
@@ -95,6 +96,53 @@ class TestReformat:
         assert err == "error: --grades: unknown grade 'g4' (valid grades: g0, g2, g3)"
 
 
+class TestStagesFlag:
+    @staticmethod
+    def plans(stages, cfg_file=None):
+        args = build_parser().parse_args(["train", "--stages", stages, "--out", "o"])
+        config = _build_pipeline_config(args, cfg_file or {})
+        return [(p.stage, p.loss_kind, p.epochs, p.batch_size) for p in config.stages]
+
+    @pytest.mark.parametrize(
+        "stages, want",
+        [
+            ("fracture,grading,label", [
+                ("LabelPretrain", "contrastive", 30, 32),
+                ("RepresentationLearn", "grading", 30, 32),
+                ("FractureTrain", "cross_entropy", 40, 32),
+            ]),
+            ("triplet,fracture", [
+                ("RepresentationLearn", "triplet", 30, 32), ("FractureTrain", "cross_entropy", 40, 32),
+            ]),
+            ("contrastive", [("RepresentationLearn", "contrastive", 30, 32)]),
+            ("label,label", [("LabelPretrain", "contrastive", 30, 32)]),
+        ],
+    )
+    def test_tokens_give_plans_in_stage_order(self, stages, want):
+        assert self.plans(stages) == want
+
+    def test_epochs_and_batch_size_from_config_file(self):
+        cfg = {"pipeline": {"stages": [
+            {"stage": "RepresentationLearn", "loss_kind": "grading", "epochs": 7, "batch_size": 5},
+        ]}}
+        assert self.plans("triplet,fracture", cfg) == [
+            ("RepresentationLearn", "triplet", 7, 5), ("FractureTrain", "cross_entropy", 40, 32),
+        ]
+
+    @pytest.mark.parametrize(
+        "stages, message",
+        [
+            ("grading,triplet", "at most one representation loss may be listed"),
+            ("label,finetune", "unknown stage tokens: ['finetune']"),
+            (" , ", "--stages selected no stages"),
+        ],
+    )
+    def test_bad_tokens_refused(self, stages, message):
+        with pytest.raises(ValueError) as exc:
+            self.plans(stages)
+        assert str(exc.value) == message
+
+
 class TestTrain:
     def test_naive_run_and_rerun_identical_metrics(self, dataset_dir, tmp_path):
         outs = []
@@ -150,6 +198,25 @@ class TestTrain:
                 parallel / fold / "metrics.json"
             ).read_bytes()
 
+    def test_dataset_loaded_and_stacked_once(self, dataset_dir, tmp_path, monkeypatch):
+        calls = {"load": 0, "stack": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(phantom, "load_dataset", counted("load", phantom.load_dataset))
+        monkeypatch.setattr(data, "stack_samples", counted("stack", data.stack_samples))
+        code = run_cli(
+            "train", "--dataset", str(dataset_dir), "--stages", "label,grading,fracture",
+            "--epochs", "1,1,1", "--network", "tiny", "--folds", "2",
+            "--test-fraction", "0.3", "--seed", "5", "--jobs", "1", "--out", str(tmp_path / "o"),
+        )
+        assert code == 0
+        assert calls == {"load": 1, "stack": 1}
+
     def test_missing_dataset_errors(self, tmp_path, capsys):
         code = run_cli("train", "--dataset", str(tmp_path / "nope"),
                        "--stages", "fracture", "--out", str(tmp_path / "o"))
@@ -204,6 +271,63 @@ class TestEvalAndProject:
         assert code == 0
         doc = json.loads((out / "metrics.json").read_text())
         assert set(doc["mean"]) == {"sensitivity", "specificity", "f1"}
+
+    def test_probe_run_json_records_probe_options(self, dataset_dir, embedding_ckpt, tmp_path):
+        out = tmp_path / "probe"
+        code = run_cli(
+            "eval", "--protocol", "probe", "--dataset", str(dataset_dir),
+            "--checkpoint", str(embedding_ckpt), "--folds", "2", "--probe-steps", "300",
+            "--out", str(out),
+        )
+        assert code == 0
+        run = json.loads((out / "run.json").read_text())
+        assert (run["folds"], run["test_fraction"], run["probe_steps"], run["seed"]) == (2, 0.25, 300, 0)
+
+    def test_classify_run_json_has_no_probe_options(self, dataset_dir, trained, tmp_path):
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--protocol", "classify", "--dataset", str(dataset_dir),
+                       "--run", str(trained), "--out", str(out)) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert (run["folds"], run["test_fraction"], run["probe_steps"], run["seed"]) == (2, None, None, None)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--folds", "3"), ("--test-fraction", "0.3"), ("--probe-steps", "10"), ("--seed", "1")]
+    )
+    def test_classify_rejects_probe_options(self, dataset_dir, trained, tmp_path, capsys, flag, value):
+        code = run_cli("eval", "--protocol", "classify", "--dataset", str(dataset_dir),
+                       "--run", str(trained), flag, value, "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: --protocol classify does not take {flag}: its folds come from --run"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not json", "Expecting value"),
+            ('{"folds":[{}]}', "not a folds document (KeyError: 'fold_id')"),
+            ('{"seed":0,"folds":[]}', "no folds"),
+            ('{"seed":0,"folds":[{"fold_id":0,"train_ids":[0,1],"test_ids":[22]}]}',
+             "fold 0: sample id 22 is out of range for 22 samples"),
+            ('{"seed":0,"folds":[{"fold_id":0,"train_ids":[0,1],"test_ids":[-1,-2,-3,-1]}]}',
+             "fold 0: fold and sample ids must be nonnegative ints"),
+            ('{"seed":0,"folds":[{"fold_id":0,"train_ids":[0,1.5],"test_ids":[2]}]}',
+             "fold 0: fold and sample ids must be nonnegative ints"),
+            ('{"seed":0,"folds":[{"fold_id":0,"train_ids":[0,1],"test_ids":[2,3,2]}]}',
+             "fold 0: a sample id is repeated"),
+            ('{"seed":0,"folds":[{"fold_id":0,"train_ids":[0,1,2],"test_ids":[2,3]}]}',
+             "fold 0: a sample id is in both train and test"),
+        ],
+    )
+    def test_classify_malformed_folds_named(self, dataset_dir, tmp_path, capsys, text, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "folds.json").write_text(text)
+        code = run_cli("eval", "--protocol", "classify", "--dataset", str(dataset_dir),
+                       "--run", str(run_dir), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {run_dir / 'folds.json'}: ") and message in err
 
     def test_probe_rerun_byte_identical(self, dataset_dir, embedding_ckpt, tmp_path):
         blobs = []

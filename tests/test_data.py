@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinemetric.data import stack_samples
+from spinemetric.data import patch_set, stack_samples
 from spinemetric.mining import GRADES, RegionLabel
 from spinemetric.phantom import PhantomConfig, generate_patch
 
@@ -30,3 +30,35 @@ class TestStackSamples:
     def test_empty_refused(self):
         with pytest.raises(ValueError):
             stack_samples([], 16)
+
+
+class TestPatchSet:
+    def test_list_is_stacked_once_with_labels(self, samples):
+        data = patch_set(samples, 16)
+        assert len(data) == 70
+        assert np.array_equal(data.images.view(np.uint32), stack_samples(samples, 16).view(np.uint32))
+        assert data.grades.tolist() == [int(s.grade) for s in samples]
+        assert data.regions.tolist() == [int(s.region) for s in samples]
+
+    def test_patch_set_passes_through(self, samples):
+        data = patch_set(samples[:5], 28)
+        assert patch_set(data, 28) is data
+
+    def test_size_mismatch_refused(self, samples):
+        with pytest.raises(ValueError, match="28 px images, not 16 px"):
+            patch_set(patch_set(samples[:5], 28), 16)
+
+    def test_take_equals_stacking_the_subset(self, samples):
+        data = patch_set(samples, 16)
+        rows = [69, 0, 64, 63, 5]
+        sub = data.take(rows)
+        want = patch_set([samples[i] for i in rows], 16)
+        assert len(sub) == 5
+        assert np.array_equal(sub.images.view(np.uint32), want.images.view(np.uint32))
+        assert sub.grades.tolist() == want.grades.tolist()
+        assert sub.regions.tolist() == want.regions.tolist()
+        assert len(data.take([])) == 0
+
+    def test_empty_list_refused(self):
+        with pytest.raises(ValueError):
+            patch_set([], 16)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinemetric import evaluation
 from spinemetric.backbone import HEAD_CLASSIFIER, NetworkConfig, init_model
+from spinemetric.data import patch_set
 from spinemetric.evaluation import (
     FoldSummary,
     Metrics,
@@ -230,6 +231,21 @@ class TestProtocols:
         for fold, m in zip(folds, summary.folds):
             assert m.sensitivity == 0.0 and m.specificity == 1.0
             assert m.tn + m.fn == len(fold.test_ids)
+
+    def test_patch_set_scores_like_sample_list(self):
+        samples = tiny_dataset()
+        data = patch_set(samples, TINY_NET.input_size)
+        folds = make_folds([s.grade for s in samples], 2, 0.3, seed=1)
+        embedder = init_model(TINY_NET, seed=0)
+        classifiers = [init_model(TINY_NET, seed=k).swap_head(HEAD_CLASSIFIER, seed=k) for k in (1, 2)]
+        for models in ([embedder] * 2, classifiers):
+            a = evaluate_folds(models, samples, folds, n_steps=300)
+            b = evaluate_folds(models, data, folds, n_steps=300)
+            assert a.to_json() == b.to_json()
+        a, b = embed_samples(embedder, samples, batch_size=7), embed_samples(embedder, data, batch_size=7)
+        assert a.shape == (len(samples), 8)
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+        assert np.array_equal(binary_fracture_labels(samples), binary_fracture_labels(data))
 
     def test_classifier_needs_model_per_fold(self):
         samples = tiny_dataset()

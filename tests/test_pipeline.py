@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from spinemetric import pipeline
 from spinemetric.backbone import (
     HEAD_CLASSIFIER,
     HEAD_EMBEDDING,
@@ -9,16 +12,17 @@ from spinemetric.backbone import (
     load_model,
     save_model,
 )
+from spinemetric.data import patch_set
 from spinemetric.losses import GradingMargins
-from spinemetric.mining import GradeLabel, RegionLabel, make_folds
+from spinemetric.mining import GradeLabel, RegionLabel, make_folds, mine_pairs
 from spinemetric.phantom import PhantomConfig, generate_dataset
 from spinemetric.pipeline import (
     STAGE_FRACTURE,
     STAGE_LABEL,
     STAGE_REPRESENTATION,
     PipelineConfig,
+    RunRecord,
     StagePlan,
-    label_targets,
     run_pipeline,
     run_stage,
     _metric_batch_loss,
@@ -51,17 +55,6 @@ def param_bytes(model):
     tensors = dict(model.parameters())
     tensors.update(model.bn_stats())
     return {k: v.tobytes() for k, v in tensors.items()}
-
-
-class TestLabelTargets:
-    def test_enumeration(self):
-        assert label_targets([RegionLabel.T1_T5, RegionLabel.L5]) == [0, 4]
-
-    def test_empty(self):
-        assert label_targets([]) == []
-
-    def test_all_regions_cover_five_classes(self):
-        assert set(label_targets(list(RegionLabel))) == {0, 1, 2, 3, 4}
 
 
 class TestStagePlans:
@@ -101,6 +94,21 @@ class TestStagePlans:
         )
         back = PipelineConfig.from_dict(config.to_dict())
         assert back.to_json() == config.to_json()
+
+    def test_default_config_digest_pinned(self):
+        # records.json carries this digest: to_dict must not move its bytes.
+        digest = hashlib.sha256(PipelineConfig().to_json().encode()).hexdigest()
+        assert digest == "d0952812e00741537f3bc2dbc4641c1d4f52be0005fd9ead09bc24a7db909b05"
+
+    def test_run_record_to_dict(self):
+        record = RunRecord("FractureTrain", "cross_entropy", [0.5, 0.25], 1.5, "stage1.gmck")
+        assert record.to_dict() == {
+            "stage": "FractureTrain",
+            "loss_kind": "cross_entropy",
+            "epoch_losses": [0.5, 0.25],
+            "seconds": 1.5,
+            "checkpoint": "stage1.gmck",
+        }
 
     def test_margin_hierarchy_refused_at_config_parse(self):
         doc = tiny_config(StagePlan(STAGE_REPRESENTATION, "grading", epochs=1)).to_dict()
@@ -156,6 +164,45 @@ class TestRunStage:
         config = tiny_config(StagePlan(STAGE_REPRESENTATION, "grading", epochs=1))
         with pytest.raises(ValueError):
             run_stage(init_model(TINY_NET, seed=0), config.stages[0], [], seed=0, config=config)
+
+    def test_empty_patch_set_refused(self):
+        config = tiny_config(StagePlan(STAGE_REPRESENTATION, "grading", epochs=1))
+        empty = patch_set(balanced_samples(per_grade=1), TINY_NET.input_size).take([])
+        with pytest.raises(ValueError, match="empty training split"):
+            run_stage(init_model(TINY_NET, seed=0), config.stages[0], empty, seed=0, config=config)
+
+    @pytest.mark.parametrize("stage, label", [(STAGE_LABEL, "region"), (STAGE_REPRESENTATION, "grade")])
+    def test_metric_stage_mines_its_labels(self, monkeypatch, stage, label):
+        samples = balanced_samples(per_grade=2)
+        seen = []
+
+        def recording(labels, *args, **kwargs):
+            seen.append([int(v) for v in labels])
+            return mine_pairs(labels, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "mine_pairs", recording)
+        plan = StagePlan(stage, "contrastive", epochs=1)
+        run_stage(init_model(TINY_NET, seed=0), plan, samples, seed=0, config=tiny_config(plan))
+        assert seen == [[int(getattr(s, label)) for s in samples]]
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            StagePlan(STAGE_LABEL, "contrastive", epochs=2),
+            StagePlan(STAGE_LABEL, "triplet", epochs=2),
+            StagePlan(STAGE_REPRESENTATION, "grading", epochs=2),
+            StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=2),
+        ],
+    )
+    def test_patch_set_trains_like_sample_list(self, plan):
+        samples = balanced_samples(per_grade=2)
+        config = tiny_config(plan)
+        runs = []
+        for split in (samples, patch_set(samples, TINY_NET.input_size)):
+            model = init_model(TINY_NET, seed=5)
+            record = run_stage(model, plan, split, seed=5, config=config)
+            runs.append((record.epoch_losses, param_bytes(model)))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("loss_kind", ["contrastive", "triplet"])
     def test_label_pretrain_losses_run(self, loss_kind):
