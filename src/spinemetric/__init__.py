@@ -20,7 +20,6 @@ from .losses import (
 from .mining import (
     FoldSplit,
     GradeLabel,
-    Quadruplet,
     RegionLabel,
     make_folds,
     mine_pairs,
@@ -35,7 +34,6 @@ __all__ = [
     "GradeLabel",
     "GradingMargins",
     "LossValue",
-    "Quadruplet",
     "RegionLabel",
     "contrastive_loss",
     "cross_entropy",

@@ -52,7 +52,7 @@ def save_model(model: PatchEncoder, path) -> None:
 
 
 def load_model(path) -> PatchEncoder:
-    """Reconstruct a model from a checkpoint; loads in eval mode."""
+    """Reconstruct a model from a checkpoint."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic {data[:4]!r})")
@@ -80,7 +80,6 @@ def load_model(path) -> PatchEncoder:
             raise TypeError("tensor names must be strings")
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest ({exc!r})") from exc
-    model.mode = "eval"
 
     tensors = _all_tensors(model)
     listed = [name for name, _ in entries]

@@ -99,7 +99,6 @@ class PatchEncoder:
     def __init__(self, config: NetworkConfig, seed: int):
         self.config = config
         self.head = HEAD_EMBEDDING
-        self.mode = "train"
         self._forward_live = False
         rng = np.random.default_rng([seed])
         dtype = config.np_dtype
@@ -164,14 +163,13 @@ class PatchEncoder:
 
     # --- forward / backward -----------------------------------------------
 
-    def forward(self, x, train: bool | None = None):
+    def forward(self, x, train: bool):
         """Run the network on a (N, C, H, W) batch.
 
-        Train mode normalizes with batch statistics, updates running stats,
-        and caches activations for backward. Eval mode uses running stats
-        and leaves the model untouched.
+        With ``train`` set, batch norm uses batch statistics and updates its
+        running stats, and activations are cached for backward. Otherwise
+        the running stats are used and the model is left untouched.
         """
-        train = (self.mode == "train") if train is None else train
         x = np.asarray(x, dtype=self.config.np_dtype)
         expected = (
             self.config.input_channels,

@@ -64,7 +64,13 @@ def _write_run_json(out_dir: Path, resolved: dict) -> None:
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: config file is not UTF-8 JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: config file is not a JSON object")
+    return doc
 
 
 def _dataset_manifest_path(dataset) -> Path:
@@ -199,7 +205,10 @@ def cmd_reformat(args) -> int:
 
 
 def _build_pipeline_config(args, cfg_file) -> PipelineConfig:
-    base = PipelineConfig.from_dict(cfg_file["pipeline"]) if "pipeline" in cfg_file else PipelineConfig()
+    try:
+        base = PipelineConfig.from_dict(cfg_file["pipeline"]) if "pipeline" in cfg_file else PipelineConfig()
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"{args.config}: bad pipeline section ({exc!r})") from None
     if args.network:
         base = replace(base, network=NETWORK_PRESETS[args.network])
     if args.stages:
@@ -352,12 +361,25 @@ def _protocol_folds(args, grades):
     raise ValueError(f"unknown protocol {args.protocol!r}")
 
 
+def _check_run_dataset(run_dir: Path, manifest_path: Path, manifest: dict) -> None:
+    """Refuse a dataset other than the one that ``run_dir`` was trained on."""
+    run_json = run_dir / "run.json"
+    try:
+        trained_on = json.loads(run_json.read_bytes().decode("utf-8"))["dataset_digest"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{run_json}: no dataset_digest to check {manifest_path} against ({exc!r})") from None
+    if trained_on != phantom.manifest_digest(manifest):
+        raise ValueError(f"{manifest_path} is not the dataset that {run_json} was trained on")
+
+
 def cmd_eval(args) -> int:
     manifest_path = _dataset_manifest_path(args.dataset)
-    samples, _ = phantom.load_dataset(manifest_path)
+    samples, manifest = phantom.load_dataset(manifest_path)
     out_dir = Path(args.out)
 
     folds, paths, head, name = _protocol_folds(args, [s.grade for s in samples])
+    if args.protocol == "classify":
+        _check_run_dataset(Path(args.run), manifest_path, manifest)
     models = {path: load_model(path) for path in dict.fromkeys(paths)}
     for path, model in models.items():
         if model.head != head:

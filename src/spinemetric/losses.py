@@ -6,9 +6,10 @@ row t is tuple t. Per-tuple arguments (anchor class, similar flag, label)
 are a scalar shared by the batch or a (T,) array. The returned
 :class:`LossValue` carries the total and the named sub-terms, each summed
 over the batch, and exact (sub)gradients with respect to every input, in
-the input's shape. Distances are squared Euclidean throughout. At hinge
-kinks the zero-side subgradient is chosen, so configurations with zero loss
-are exact fixed points of gradient descent.
+the input's shape, keyed by input name in argument order (the training loop
+stacks them in that order). Distances are squared Euclidean throughout. At
+hinge kinks the zero-side subgradient is chosen, so configurations with
+zero loss are exact fixed points of gradient descent.
 """
 
 from __future__ import annotations

@@ -38,20 +38,6 @@ REGIONS = tuple(RegionLabel)
 
 
 @dataclass(frozen=True)
-class Quadruplet:
-    """Index tuple (g0, g2, g3, anchor); anchor_class names the anchor's grade."""
-
-    idx_g0: int
-    idx_g2: int
-    idx_g3: int
-    idx_anchor: int
-    anchor_class: int
-
-    def static_index(self) -> int:
-        return {0: self.idx_g0, 2: self.idx_g2, 3: self.idx_g3}[self.anchor_class]
-
-
-@dataclass(frozen=True)
 class FoldSplit:
     fold_id: int
     train_ids: tuple[int, ...]
@@ -157,12 +143,13 @@ def folds_from_json(text: str, n_samples: int | None = None) -> list[FoldSplit]:
     return folds
 
 
-def mine_quadruplets(labels, count: int, seed: int) -> list[Quadruplet]:
+def mine_quadruplets(labels, count: int, seed: int) -> np.ndarray:
     """Sample ``count`` quadruplets: one static member per grade plus an anchor.
 
-    Static slots are drawn uniformly within their grade. The anchor class is
-    drawn uniformly from {0, 2, 3}, then the anchor uniformly from that grade
-    excluding the static slot (no self-pairing).
+    Returns a (count, 5) intp array with columns (g0, g2, g3, anchor,
+    anchor_class). Static slots are drawn uniformly within their grade. The
+    anchor class is drawn uniformly from {0, 2, 3}, then the anchor
+    uniformly from that grade excluding the static slot (no self-pairing).
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -175,22 +162,19 @@ def mine_quadruplets(labels, count: int, seed: int) -> list[Quadruplet]:
 
     pools = {int(g): np.array(by_grade[g]) for g in GRADES}
     rng = np.random.default_rng([seed])
-    out = []
-    for _ in range(count):
-        i0 = int(pools[0][rng.integers(len(pools[0]))])
-        i2 = int(pools[2][rng.integers(len(pools[2]))])
-        i3 = int(pools[3][rng.integers(len(pools[3]))])
+    out = np.empty((count, 5), dtype=np.intp)
+    for t in range(count):
+        statics = [int(pool[rng.integers(len(pool))]) for pool in pools.values()]
         n = int(rng.choice([0, 2, 3]))
         pool = pools[n]
-        static = {0: i0, 2: i2, 3: i3}[n]
         if len(pool) < 2:
             raise ValueError(
                 f"anchor class {n} has a single sample occupying the static slot"
             )
-        anchor = static
+        anchor = static = statics[GRADES.index(n)]
         while anchor == static:
             anchor = int(pool[rng.integers(len(pool))])
-        out.append(Quadruplet(i0, i2, i3, anchor, n))
+        out[t] = statics + [anchor, n]
     return out
 
 
@@ -205,8 +189,9 @@ def _class_pools(labels):
     return pools, sorted(c for c, m in by_class.items() if len(m) >= 2)
 
 
-def mine_triplets(labels, count: int, seed: int) -> list[tuple[int, int, int]]:
-    """Sample (anchor, positive, negative) index triplets from class labels."""
+def mine_triplets(labels, count: int, seed: int) -> np.ndarray:
+    """Sample ``count`` index triplets from class labels, as a (count, 3)
+    intp array with columns (anchor, positive, negative)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     labels = list(labels)
@@ -217,18 +202,17 @@ def mine_triplets(labels, count: int, seed: int) -> list[tuple[int, int, int]]:
         raise ValueError("need at least two classes for negatives")
 
     rng = np.random.default_rng([seed])
-    out = []
-    for _ in range(count):
+    out = np.empty((count, 3), dtype=np.intp)
+    for t in range(count):
         pool, neg_pool = pools[rich[int(rng.integers(len(rich)))]]
         a_pos = rng.choice(len(pool), size=2, replace=False)
-        anchor, positive = int(pool[a_pos[0]]), int(pool[a_pos[1]])
-        negative = int(neg_pool[rng.integers(len(neg_pool))])
-        out.append((anchor, positive, negative))
+        out[t] = pool[a_pos[0]], pool[a_pos[1]], neg_pool[rng.integers(len(neg_pool))]
     return out
 
 
-def mine_pairs(labels, count: int, similar_fraction: float, seed: int):
-    """Sample ``count`` (i, j, similar) pairs with an exact similar share.
+def mine_pairs(labels, count: int, similar_fraction: float, seed: int) -> np.ndarray:
+    """Sample ``count`` pairs with an exact similar share, as a (count, 3)
+    intp array with columns (i, j, similar), ``similar`` being 1 or 0.
 
     Exactly round(count * similar_fraction) pairs share a class; the rest
     cross classes. Pair order is shuffled deterministically.
@@ -246,15 +230,14 @@ def mine_pairs(labels, count: int, similar_fraction: float, seed: int):
 
     rng = np.random.default_rng([seed])
     n_similar = int(np.floor(count * similar_fraction + 0.5))
-    pairs = []
-    for _ in range(n_similar):
+    pairs = np.zeros((count, 3), dtype=np.intp)
+    pairs[:n_similar, 2] = 1
+    for t in range(n_similar):
         pool = pools[rich[int(rng.integers(len(rich)))]][0]
         ij = rng.choice(len(pool), size=2, replace=False)
-        pairs.append((int(pool[ij[0]]), int(pool[ij[1]]), True))
-    for _ in range(count - n_similar):
+        pairs[t, :2] = pool[ij[0]], pool[ij[1]]
+    for t in range(n_similar, count):
         i = int(rng.integers(len(labels)))
         other = pools[labels[i]][1]
-        j = int(other[rng.integers(len(other))])
-        pairs.append((i, j, False))
-    order = rng.permutation(len(pairs))
-    return [pairs[k] for k in order]
+        pairs[t, :2] = i, other[rng.integers(len(other))]
+    return pairs[rng.permutation(count)]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..mining import GradeLabel, RegionLabel
-from .patches import PatchSample
+from .patches import PATCH_SIZE, PatchSample
 from .volume import SpineVolume
 
 VPAT_MAGIC = b"VPAT"
@@ -116,7 +116,8 @@ def save_dataset(samples, manifest: dict, out_dir) -> dict:
 
 
 def load_dataset(manifest_path):
-    """Load samples listed in a manifest back into PatchSample objects."""
+    """Load samples listed in a manifest back into PatchSample objects.
+    Each sample file must hold a (2, PATCH_SIZE, PATCH_SIZE) tensor."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
@@ -138,6 +139,9 @@ def load_dataset(manifest_path):
             )
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"{manifest_path}: malformed sample entry {k} ({exc!r})") from exc
-        tensor = read_sample_tensor(base / entry["file"])
+        path = base / entry["file"]
+        tensor = read_sample_tensor(path)
+        if tensor.shape != (2, PATCH_SIZE, PATCH_SIZE):
+            raise ValueError(f"{path}: sample tensor shape {tensor.shape} is not (2, {PATCH_SIZE}, {PATCH_SIZE})")
         samples.append(PatchSample(image=tensor[0], heatmap=tensor[1], **fields))
     return samples, manifest

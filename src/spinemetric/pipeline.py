@@ -131,14 +131,13 @@ def _epoch_tuples(plan, targets, count, seed):
     if plan.stage == STAGE_FRACTURE:
         order = np.random.default_rng([seed]).permutation(count)
         return order[:, None], targets[order]
-    if plan.loss_kind == "grading":
-        quads = mine_quadruplets(targets, count, seed)
-        rows = [(q.idx_g0, q.idx_g2, q.idx_g3, q.idx_anchor) for q in quads]
-        return np.array(rows), np.array([q.anchor_class for q in quads])
     if plan.loss_kind == "triplet":
-        return np.array(mine_triplets(targets, count, seed)), None
-    pairs = mine_pairs(targets, count, similar_fraction=0.5, seed=seed)
-    return np.array([p[:2] for p in pairs]), np.array([p[2] for p in pairs])
+        return mine_triplets(targets, count, seed), None
+    if plan.loss_kind == "grading":
+        mined = mine_quadruplets(targets, count, seed)
+    else:
+        mined = mine_pairs(targets, count, similar_fraction=0.5, seed=seed)
+    return mined[:, :-1], mined[:, -1]
 
 
 def _metric_batch_loss(emb, per_tuple, loss_kind, config):
@@ -156,18 +155,14 @@ def _metric_batch_loss(emb, per_tuple, loss_kind, config):
             margins=config.margins,
             clustering_mode=config.clustering_mode,
         )
-        keys = ("g0", "g2", "g3", "anchor")
     elif loss_kind == "triplet":
         lv = triplet_loss(*members, margin=config.triplet_margin)
-        keys = ("anchor", "positive", "negative")
     elif loss_kind == "contrastive":
         lv = contrastive_loss(*members, similar=per_tuple, margin=config.contrastive_margin)
-        keys = ("a", "b")
     else:
         lv = cross_entropy(*members, label=per_tuple)
-        keys = ("logits",)
     inv = 1.0 / len(emb)
-    upstream = np.stack([lv.gradients[k] for k in keys], axis=1) * inv
+    upstream = np.stack(list(lv.gradients.values()), axis=1) * inv
     return lv.total * inv, upstream.astype(emb.dtype, copy=False)
 
 
@@ -204,7 +199,6 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
 
     base_seed = seed + _STAGE_SEED_OFFSET[plan.stage]
     opt = adam_init(model, learning_rate=config.learning_rate)
-    model.mode = "train"
     for epoch in range(plan.epochs):
         rows, per_tuple = _epoch_tuples(plan, targets, len(data), base_seed + epoch)
         losses = []
@@ -270,7 +264,6 @@ def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_di
             record.checkpoint = path.name
         records.append(record)
 
-    model.mode = "eval"
     metrics = score_fold(model, data, fold, config)
     return model, metrics, records
 

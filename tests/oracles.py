@@ -6,8 +6,9 @@ loops over every output and kernel tap, batch norm, rectifiers and max
 pooling from their textbook formulas in float64, silhouette heights from
 threshold crossings with subpixel interpolation, arc lengths from
 quadrature over an independently constructed spline, the metric and
-classification losses one tuple of 1-D vectors at a time, and triplet and
-pair mining with each tuple's pool rebuilt by a scan over all labels.
+classification losses one tuple of 1-D vectors at a time, and quadruplet,
+triplet and pair mining as lists of Python tuples, with the class pools
+rebuilt by a scan over all labels.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from spinemetric.losses import ANCHOR_CLASSES, GradingMargins, LossValue
+from spinemetric.mining import GradeLabel
 
 
 def sq_dist_loop(a, b) -> float:
@@ -437,6 +439,39 @@ def cross_entropy_reference(logits, label: int) -> LossValue:
     grad = probs.copy()
     grad[label] -= 1.0
     return LossValue(total=loss, terms={"nll": loss}, gradients={"logits": grad})
+
+
+def mine_quadruplets_reference(labels, count: int, seed: int) -> list[tuple[int, int, int, int, int]]:
+    """``mine_quadruplets`` as a list of (g0, g2, g3, anchor, anchor_class)
+    tuples, with each grade's pool found by a scan over all labels."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    labels = [GradeLabel(l) for l in labels]
+    pools = {g: np.array([i for i, l in enumerate(labels) if l == g]) for g in ANCHOR_CLASSES}
+    for g, pool in pools.items():
+        if len(pool) == 0:
+            raise ValueError(f"grade {GradeLabel(g).name} has no samples")
+    if max(len(pool) for pool in pools.values()) < 2:
+        raise ValueError("need at least one grade with >= 2 samples for anchors")
+
+    rng = np.random.default_rng([seed])
+    out = []
+    for _ in range(count):
+        i0 = int(pools[0][rng.integers(len(pools[0]))])
+        i2 = int(pools[2][rng.integers(len(pools[2]))])
+        i3 = int(pools[3][rng.integers(len(pools[3]))])
+        n = int(rng.choice([0, 2, 3]))
+        pool = pools[n]
+        static = {0: i0, 2: i2, 3: i3}[n]
+        if len(pool) < 2:
+            raise ValueError(
+                f"anchor class {n} has a single sample occupying the static slot"
+            )
+        anchor = static
+        while anchor == static:
+            anchor = int(pool[rng.integers(len(pool))])
+        out.append((i0, i2, i3, anchor, n))
+    return out
 
 
 def mine_triplets_reference(labels, count: int, seed: int) -> list[tuple[int, int, int]]:

@@ -119,14 +119,14 @@ class TestForward:
     def test_bad_shape_rejected(self):
         m = init_model(REDUCED, seed=0)
         with pytest.raises(ValueError):
-            m.forward(np.zeros((1, 2, 10, 10)))
+            m.forward(np.zeros((1, 2, 10, 10)), train=False)
 
     def test_non_finite_rejected(self):
         m = init_model(REDUCED, seed=0)
         x = np.zeros((1, 2, 8, 8))
         x[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            m.forward(x)
+            m.forward(x, train=False)
 
     def test_eval_mode_is_pure(self):
         m = init_model(REDUCED, seed=0)

@@ -71,6 +71,39 @@ class TestGen:
         assert tensor.shape == (2, 112, 112)
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{not json", "config file is not UTF-8 JSON (Expecting property name"),
+            (b'{"seed": "\xff"}', "config file is not UTF-8 JSON ("),
+        ],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_not_json_named(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_not_an_object_named(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.strip() == f"error: {path}: config file is not a JSON object"
+
+    def test_bad_pipeline_section_named(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pipeline": {"bogus": 1}}))
+        code = run_cli("train", "--dataset", str(dataset_dir), "--config", str(path),
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {path}: bad pipeline section (TypeError(") and "'bogus'" in err
+
+
 class TestReformat:
     def test_straight_and_curved(self, tmp_path):
         out = tmp_path / "cpr"
@@ -328,6 +361,52 @@ class TestEvalAndProject:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: {run_dir / 'folds.json'}: ") and message in err
+
+    def test_classify_other_dataset_refused(self, trained, tmp_path, capsys):
+        other = tmp_path / "seed8"
+        assert run_cli("gen", "--counts", "g0=12,g2=5,g3=5", "--seed", "8", "--out", str(other)) == 0
+        capsys.readouterr()
+        code = run_cli("eval", "--protocol", "classify", "--dataset", str(other),
+                       "--run", str(trained), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        want = f"{other / 'manifest.json'} is not the dataset that {trained / 'run.json'} was trained on"
+        assert err == f"error: {want}"
+        assert not (tmp_path / "o").exists()
+
+    def test_classify_regenerated_dataset_accepted(self, dataset_dir, trained, tmp_path):
+        copy = tmp_path / "elsewhere" / "ds"
+        assert run_cli("gen", "--counts", "g0=12,g2=5,g3=5", "--seed", "7", "--out", str(copy)) == 0
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--protocol", "classify", "--dataset", str(copy),
+                       "--run", str(trained), "--out", str(out)) == 0
+        doc = json.loads((out / "metrics.json").read_text())
+        for k, got in enumerate(doc["folds"]):
+            assert got == json.loads((trained / f"fold_{k:02d}" / "metrics.json").read_text())
+
+    @pytest.mark.parametrize(
+        "run_json, message",
+        [
+            (None, "FileNotFoundError"),
+            ("{not json", "JSONDecodeError"),
+            ("[]", "TypeError"),
+            ('{"command": "train"}', "KeyError('dataset_digest')"),
+        ],
+        ids=["missing", "not-json", "list", "no-digest"],
+    )
+    def test_classify_unreadable_run_json_named(self, dataset_dir, trained, tmp_path, capsys, run_json, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "folds.json").write_bytes((trained / "folds.json").read_bytes())
+        if run_json is not None:
+            (run_dir / "run.json").write_text(run_json)
+        code = run_cli("eval", "--protocol", "classify", "--dataset", str(dataset_dir),
+                       "--run", str(run_dir), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        manifest = dataset_dir / "manifest.json"
+        assert err.startswith(f"error: {run_dir / 'run.json'}: no dataset_digest to check {manifest} against (")
+        assert message in err
 
     def test_probe_rerun_byte_identical(self, dataset_dir, embedding_ckpt, tmp_path):
         blobs = []

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -384,3 +386,31 @@ class TestBatchedLossesMatchOracles:
             grading_loss(*e, [0, 2], MARGINS)
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((3, 2)), [0, 1])
+
+
+def input_names(loss, count):
+    """The names of a loss's first ``count`` parameters, without ``e_``."""
+    return [name.removeprefix("e_") for name in list(inspect.signature(loss).parameters)[:count]]
+
+
+class TestGradientOrder:
+    """The training loop stacks ``gradients.values()`` as the tuple's members,
+    so every loss must key its gradients by its inputs, in argument order."""
+
+    E = np.arange(6.0).reshape(2, 3)
+
+    def test_grading(self):
+        lv = grading_loss(self.E, self.E + 1, self.E + 2, self.E + 3, anchor_class=[0, 3])
+        assert list(lv.gradients) == input_names(grading_loss, 4) == ["g0", "g2", "g3", "anchor"]
+
+    def test_triplet(self):
+        lv = triplet_loss(self.E, self.E + 1, self.E + 2)
+        assert list(lv.gradients) == input_names(triplet_loss, 3) == ["anchor", "positive", "negative"]
+
+    def test_contrastive(self):
+        lv = contrastive_loss(self.E, self.E + 1, similar=[1, 0])
+        assert list(lv.gradients) == input_names(contrastive_loss, 2) == ["a", "b"]
+
+    def test_cross_entropy(self):
+        lv = cross_entropy(self.E, label=[0, 2])
+        assert list(lv.gradients) == input_names(cross_entropy, 1) == ["logits"]

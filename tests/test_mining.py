@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from spinemetric.mining import (
     mine_triplets,
 )
 
-from .oracles import mine_pairs_reference, mine_triplets_reference
+from .oracles import mine_pairs_reference, mine_quadruplets_reference, mine_triplets_reference
 
 G0, G2, G3 = GradeLabel.G0, GradeLabel.G2, GradeLabel.G3
 
@@ -78,18 +79,18 @@ class TestMineQuadruplets:
     def test_slot_validity_exhaustive(self):
         labels = [G0] * 30 + [G2] * 12 + [G3] * 8
         quads = mine_quadruplets(labels, count=500, seed=2)
-        assert len(quads) == 500
-        for q in quads:
-            assert labels[q.idx_g0] == G0
-            assert labels[q.idx_g2] == G2
-            assert labels[q.idx_g3] == G3
-            assert labels[q.idx_anchor] == GradeLabel(q.anchor_class)
-            assert q.idx_anchor != q.static_index()
+        assert quads.shape == (500, 5)
+        for g0, g2, g3, anchor, anchor_class in quads.tolist():
+            assert labels[g0] == G0
+            assert labels[g2] == G2
+            assert labels[g3] == G3
+            assert labels[anchor] == GradeLabel(anchor_class)
+            assert anchor != {0: g0, 2: g2, 3: g3}[anchor_class]
 
     def test_anchor_class_roughly_uniform(self):
         labels = [G0] * 851 + [G2] * 79 + [G3] * 36
         quads = mine_quadruplets(labels, count=1000, seed=7)
-        freq = {n: sum(1 for q in quads if q.anchor_class == n) / 1000 for n in (0, 2, 3)}
+        freq = {n: np.mean(quads[:, 4] == n) for n in (0, 2, 3)}
         for n, f in freq.items():
             assert 0.30 <= f <= 0.37, (n, f)
 
@@ -103,22 +104,19 @@ class TestMineQuadruplets:
 
     def test_count_zero(self):
         labels = [G0, G0, G2, G2, G3, G3]
-        assert mine_quadruplets(labels, count=0, seed=0) == []
+        assert mine_quadruplets(labels, count=0, seed=0).shape == (0, 5)
 
     def test_determinism(self):
         labels = [G0] * 9 + [G2] * 5 + [G3] * 4
         a = mine_quadruplets(labels, count=100, seed=13)
         b = mine_quadruplets(labels, count=100, seed=13)
-        assert a == b
-        assert a != mine_quadruplets(labels, count=100, seed=14)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, mine_quadruplets(labels, count=100, seed=14))
 
     def test_coverage_at_ten_times_dataset(self):
         labels = [G0] * 20 + [G2] * 6 + [G3] * 4
         quads = mine_quadruplets(labels, count=10 * len(labels), seed=21)
-        seen = set()
-        for q in quads:
-            seen.update({q.idx_g0, q.idx_g2, q.idx_g3, q.idx_anchor})
-        assert seen == set(range(len(labels)))
+        assert set(quads[:, :4].ravel().tolist()) == set(range(len(labels)))
 
 
 class TestMineTriplets:
@@ -127,7 +125,7 @@ class TestMineTriplets:
         valid = {(0, 1, 2), (1, 0, 2)}
         triplets = mine_triplets(labels, count=5, seed=1)
         assert len(triplets) == 5
-        assert set(triplets) <= valid
+        assert set(map(tuple, triplets.tolist())) <= valid
 
     def test_validity_on_three_classes(self):
         labels = ["A"] * 5 + ["B"] * 4 + ["C"] * 3
@@ -145,7 +143,7 @@ class TestMineTriplets:
             mine_triplets(["A", "A", "A"], count=1, seed=0)
 
     def test_count_zero(self):
-        assert mine_triplets(["A", "A", "B"], count=0, seed=0) == []
+        assert mine_triplets(["A", "A", "B"], count=0, seed=0).shape == (0, 3)
 
 
 class TestMinePairs:
@@ -162,11 +160,11 @@ class TestMinePairs:
             mine_pairs(["A", "B"], count=10, similar_fraction=1.0, seed=0)
 
     def test_count_zero(self):
-        assert mine_pairs(["A", "A", "B"], count=0, similar_fraction=0.5, seed=0) == []
+        assert mine_pairs(["A", "A", "B"], count=0, similar_fraction=0.5, seed=0).shape == (0, 3)
 
     def test_determinism(self):
         labels = ["A"] * 6 + ["B"] * 6
-        assert mine_pairs(labels, 50, 0.4, seed=9) == mine_pairs(labels, 50, 0.4, seed=9)
+        assert np.array_equal(mine_pairs(labels, 50, 0.4, seed=9), mine_pairs(labels, 50, 0.4, seed=9))
 
 
 def random_label_sets():
@@ -184,20 +182,49 @@ def random_label_sets():
     return cases
 
 
+def assert_matches_reference(got, reference, width):
+    """``got`` is the (count, width) intp array of the reference's tuples."""
+    assert got.dtype == np.intp and got.shape == (len(reference), width)
+    assert np.array_equal(got, np.array(reference).reshape(-1, width))
+
+
 class TestMiningMatchesReference:
+    @pytest.mark.parametrize("labels,seed", random_label_sets())
+    def test_quadruplets_identical(self, labels, seed):
+        count = 2 * len(labels)
+        try:
+            reference = mine_quadruplets_reference(labels, count, seed)
+        except ValueError as exc:
+            # Region labels, and grade sets missing a grade, have no quadruplets.
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                mine_quadruplets(labels, count, seed)
+            return
+        assert_matches_reference(mine_quadruplets(labels, count, seed), reference, 5)
+
     @pytest.mark.parametrize("labels,seed", random_label_sets())
     def test_triplets_identical(self, labels, seed):
         count = 2 * len(labels)
         got = mine_triplets(labels, count, seed)
-        assert got == mine_triplets_reference(labels, count, seed)
-        assert all(type(v) is int for t in got for v in t)
+        assert_matches_reference(got, mine_triplets_reference(labels, count, seed), 3)
 
     @pytest.mark.parametrize("labels,seed", random_label_sets())
     def test_pairs_identical(self, labels, seed):
         count = 2 * len(labels)
         got = mine_pairs(labels, count, 0.5, seed)
-        assert got == mine_pairs_reference(labels, count, 0.5, seed)
-        assert all(type(v) is int for i, j, _ in got for v in (i, j))
+        assert_matches_reference(got, mine_pairs_reference(labels, count, 0.5, seed), 3)
+
+    @pytest.mark.parametrize("count", [0, 1, 9])
+    def test_index_arrays(self, count):
+        grades = [G0, G0, G2, G2, G3, G3]
+        assert_matches_reference(
+            mine_quadruplets(grades, count, 3), mine_quadruplets_reference(grades, count, 3), 5
+        )
+        assert_matches_reference(
+            mine_triplets(grades, count, 3), mine_triplets_reference(grades, count, 3), 3
+        )
+        assert_matches_reference(
+            mine_pairs(grades, count, 0.5, 3), mine_pairs_reference(grades, count, 0.5, 3), 3
+        )
 
 
 class TestEnums:

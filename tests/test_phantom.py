@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,10 +180,19 @@ class TestGenerateDataset:
         ids=["empty", "grade-7", "region-x", "file-not-string", "list"],
     )
     def test_malformed_sample_entry_rejected(self, tmp_path, entry):
-        write_sample_tensor(tmp_path / GOOD_ENTRY["file"], np.zeros((2, 4, 4), np.float32))
+        write_sample_tensor(tmp_path / GOOD_ENTRY["file"], np.zeros((2, 112, 112), np.float32))
         doc = {"samples": [GOOD_ENTRY, entry]}
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"manifest\.json: malformed sample entry 1 "):
+            load_dataset(tmp_path / "manifest.json")
+
+
+    @pytest.mark.parametrize("shape", [(1, 112, 112), (2, 56, 56), (3, 112, 112), (2, 112, 56)])
+    def test_sample_tensor_shape_checked(self, tmp_path, shape):
+        write_sample_tensor(tmp_path / GOOD_ENTRY["file"], np.zeros(shape, np.float32))
+        (tmp_path / "manifest.json").write_text(json.dumps({"samples": [GOOD_ENTRY]}))
+        want = f"{tmp_path / GOOD_ENTRY['file']}: sample tensor shape {shape} is not (2, 112, 112)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_dataset(tmp_path / "manifest.json")
 
 
