@@ -61,7 +61,9 @@ def _write_run_json(out_dir: Path, resolved: dict) -> None:
     )
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(path, keys) -> dict:
+    """The JSON object in config file ``path`` ({} for None); its top-level
+    keys must be among ``keys``."""
     if path is None:
         return {}
     try:
@@ -70,6 +72,9 @@ def _load_config_file(path) -> dict:
         raise ValueError(f"{path}: config file is not UTF-8 JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config file is not a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {unknown} (known keys: {sorted(keys)})")
     return doc
 
 
@@ -114,7 +119,7 @@ def _parse_counts(text: str) -> dict:
 
 def cmd_gen(args) -> int:
     out_dir = Path(args.out)
-    cfg_file = _load_config_file(args.config)
+    cfg_file = _load_config_file(args.config, ("seed", "jitter_px"))
     seed = args.seed if args.seed is not None else cfg_file.get("seed", 0)
     config = phantom.PhantomConfig(seed=seed, jitter_px=cfg_file.get("jitter_px", 0))
 
@@ -267,7 +272,7 @@ def _train_one_fold(data, config, fold, out_dir):
 
 
 def cmd_train(args) -> int:
-    cfg_file = _load_config_file(args.config)
+    cfg_file = _load_config_file(args.config, ("dataset", "folds", "test_fraction", "pipeline"))
     dataset = args.dataset or cfg_file.get("dataset")
     if not dataset:
         raise ValueError("no dataset given (use --dataset or a config file entry)")
@@ -341,6 +346,8 @@ def _protocol_folds(args, grades):
         for option, default in _PROBE_OPTIONS.items():
             if getattr(args, option) is None:
                 setattr(args, option, default)
+        if args.probe_steps < 1:
+            raise ValueError(f"--probe-steps must be at least 1, got {args.probe_steps}")
         folds = make_folds(grades, n_folds=args.folds, test_fraction=args.test_fraction, seed=args.seed)
         path = Path(args.checkpoint)
         return folds, [path] * len(folds), HEAD_EMBEDDING, path.stem
@@ -489,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", help="train output directory (classify protocol)")
     p.add_argument("--folds", type=int, help="number of folds (probe protocol; default 15)")
     p.add_argument("--test-fraction", type=float, help="test split share (probe protocol; default 0.25)")
-    p.add_argument("--probe-steps", type=int, help="probe iterations (probe protocol; default 100000)")
+    p.add_argument("--probe-steps", type=int,
+                   help="probe solver iteration cap (probe protocol; default 100000)")
     p.add_argument("--seed", type=int, help="fold RNG seed (probe protocol; default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

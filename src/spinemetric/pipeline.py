@@ -105,6 +105,11 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
         validate_stage_plans(self.stages)
+        if self.probe_steps < 1:
+            raise ValueError(f"probe_steps must be at least 1, got {self.probe_steps}")
+        lam = self.probe_regularization
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValueError(f"probe_regularization must be finite and positive, got {lam}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -6,9 +6,10 @@ loops over every output and kernel tap, batch norm, rectifiers and max
 pooling from their textbook formulas in float64, silhouette heights from
 threshold crossings with subpixel interpolation, arc lengths from
 quadrature over an independently constructed spline, the metric and
-classification losses one tuple of 1-D vectors at a time, and quadruplet,
+classification losses one tuple of 1-D vectors at a time, quadruplet,
 triplet and pair mining as lists of Python tuples, with the class pools
-rebuilt by a scan over all labels.
+rebuilt by a scan over all labels, and the linear probe by Pegasos
+subgradient descent, with its objective summed one row at a time.
 """
 
 from __future__ import annotations
@@ -534,3 +535,33 @@ def mine_pairs_reference(labels, count: int, similar_fraction: float, seed: int)
         pairs.append((i, j, False))
     order = rng.permutation(len(pairs))
     return [pairs[k] for k in order]
+
+
+def pegasos_probe_reference(embeddings, labels, regularization: float = 1e-3, n_steps: int = 100_000):
+    """The linear probe by deterministic full-batch Pegasos subgradient
+    descent (1/(lambda t) steps, projection onto the 1/sqrt(lambda) ball),
+    in float64; returns (weights, bias)."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    ypm = np.where(np.asarray(labels) == 1, 1.0, -1.0)
+    xa = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+    lam, n = regularization, xa.shape[0]
+    w = np.zeros(xa.shape[1])
+    radius = 1.0 / np.sqrt(lam)
+    for t in range(1, n_steps + 1):
+        viol = ypm * (xa @ w) < 1.0
+        grad = lam * w - (ypm[viol][:, None] * xa[viol]).sum(axis=0) / n
+        w = w - grad / (lam * t)
+        norm = np.linalg.norm(w)
+        if norm > radius:
+            w *= radius / norm
+    return w[:-1], float(w[-1])
+
+
+def probe_objective(embeddings, labels, regularization, weights, bias) -> float:
+    """The probe's primal objective lambda/2 |(w, b)|^2 + mean hinge, one row
+    at a time."""
+    total = 0.0
+    for row, label in zip(np.asarray(embeddings, dtype=np.float64), labels):
+        margin = (1.0 if label == 1 else -1.0) * (float(row @ weights) + bias)
+        total += max(0.0, 1.0 - margin)
+    return regularization / 2 * (float(weights @ weights) + bias * bias) + total / len(labels)

@@ -103,6 +103,27 @@ class TestConfigFile:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: {path}: bad pipeline section (TypeError(") and "'bogus'" in err
 
+    def test_unknown_gen_key_named(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"jiter_px": 3, "sed": 9}))
+        out = tmp_path / "o"
+        assert run_cli("gen", "--counts", "g0=3,g2=2,g3=2", "--config", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: {path}: unknown config keys ['jiter_px', 'sed'] (known keys: ['jitter_px', 'seed'])"
+        assert not out.exists()
+
+    def test_unknown_train_key_named(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": str(dataset_dir), "seed": 3, "folds": 2}))
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == (
+            f"error: {path}: unknown config keys ['seed'] "
+            "(known keys: ['dataset', 'folds', 'pipeline', 'test_fraction'])"
+        )
+        assert not out.exists()
+
 
 class TestReformat:
     def test_straight_and_curved(self, tmp_path):
@@ -322,6 +343,15 @@ class TestEvalAndProject:
                        "--run", str(trained), "--out", str(out)) == 0
         run = json.loads((out / "run.json").read_text())
         assert (run["folds"], run["test_fraction"], run["probe_steps"], run["seed"]) == (2, None, None, None)
+
+    @pytest.mark.parametrize("steps", ["0", "-4"])
+    def test_probe_steps_below_one_refused(self, dataset_dir, embedding_ckpt, tmp_path, capsys, steps):
+        out = tmp_path / "probe"
+        code = run_cli("eval", "--protocol", "probe", "--dataset", str(dataset_dir),
+                       "--checkpoint", str(embedding_ckpt), "--probe-steps", steps, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.strip() == f"error: --probe-steps must be at least 1, got {steps}"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value", [("--folds", "3"), ("--test-fraction", "0.3"), ("--probe-steps", "10"), ("--seed", "1")]

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, minimize
 
 from spinemetric import evaluation
 from spinemetric.backbone import HEAD_CLASSIFIER, NetworkConfig, init_model
 from spinemetric.data import patch_set
 from spinemetric.evaluation import (
+    PROBE_GAP_TOL,
     FoldSummary,
     Metrics,
     binary_fracture_labels,
@@ -22,6 +24,8 @@ from spinemetric.evaluation import (
 )
 from spinemetric.mining import GradeLabel, RegionLabel, make_folds
 from spinemetric.phantom import PhantomConfig, generate_dataset
+
+from .oracles import pegasos_probe_reference, probe_objective
 
 G0, G2, G3 = GradeLabel.G0, GradeLabel.G2, GradeLabel.G3
 
@@ -50,6 +54,55 @@ def tiny_dataset(n0=14, n2=5, n3=5, seed=3):
     }
     samples, _ = generate_dataset(PhantomConfig(seed=seed), counts, seed=seed)
     return samples
+
+
+PROBE_SETS = ("separable_pair", "xor", "random", "shifted_blobs", "tiny_dataset")
+# Pegasos steps of the oracle probe: enough that its predictions on every
+# probe set have settled.
+PEGASOS_STEPS = 20_000
+
+
+@pytest.fixture(scope="module")
+def probe_sets():
+    """Each probe set's embeddings, labels and Pegasos (weights, bias): the
+    TestLinearProbe fixtures and the tiny dataset's untrained embeddings."""
+    rng = np.random.default_rng(4)
+    random = rng.normal(size=(40, 8)), (rng.random(40) < 0.4).astype(int)
+    rng = np.random.default_rng(5)
+    blobs = np.vstack([rng.normal(size=(60, 4)), rng.normal(size=(20, 4)) + 2.5]), np.array([0] * 60 + [1] * 20)
+    samples = tiny_dataset()
+    sets = {
+        "separable_pair": (np.array([[-1.0], [1.0]]), np.array([0, 1])),
+        "xor": (np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), np.array([0, 1, 1, 0])),
+        "random": random,
+        "shifted_blobs": blobs,
+        "tiny_dataset": (embed_samples(init_model(TINY_NET, seed=0), samples), binary_fracture_labels(samples)),
+    }
+    return {name: (x, y, pegasos_probe_reference(x, y, n_steps=PEGASOS_STEPS)) for name, (x, y) in sets.items()}
+
+
+def record_solver(monkeypatch, per_call=None):
+    """Record every L-BFGS-B result of linear_probe_train, with each call's
+    iteration budget cut to ``per_call`` when given."""
+    results = []
+
+    def recording(fun, x0, **kwargs):
+        if per_call is not None:
+            options = kwargs["options"]
+            kwargs["options"] = {**options, "maxiter": min(per_call, options["maxiter"])}
+        results.append(minimize(fun, x0, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(evaluation, "minimize", recording)
+    return results
+
+
+def duality_gap(x, y, regularization, a):
+    """The probe's primal objective at w = z^T a minus its dual objective at a."""
+    z = np.where(np.asarray(y) == 1, 1.0, -1.0)[:, None] * np.concatenate([x, np.ones((len(x), 1))], axis=1)
+    w = a @ z
+    dual = regularization * (a.sum() - 0.5 * (w @ w))
+    return probe_objective(x, y, regularization, w[:-1], float(w[-1])) - dual, w
 
 
 class TestConfusionMetrics:
@@ -127,13 +180,12 @@ class TestLinearProbe:
         assert best == 0.75
         assert acc <= 0.75
 
-    def test_determinism(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(40, 8))
-        y = (rng.random(40) < 0.4).astype(int)
-        a = linear_probe_train(X, y, n_steps=3000)
-        b = linear_probe_train(X, y, n_steps=3000)
-        assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+    def test_determinism(self, probe_sets):
+        for x, y, _ in probe_sets.values():
+            for n_steps in (5, 100_000):
+                a, b = linear_probe_train(x, y, n_steps=n_steps), linear_probe_train(x, y, n_steps=n_steps)
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
 
     def test_separates_shifted_blobs(self):
         rng = np.random.default_rng(5)
@@ -145,6 +197,84 @@ class TestLinearProbe:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             linear_probe_train([[0.0], [1.0]], [1, 1], n_steps=10)
+
+
+class TestProbeSolver:
+    @pytest.mark.parametrize("name", PROBE_SETS)
+    def test_objective_not_above_pegasos(self, probe_sets, name):
+        x, y, (w, b) = probe_sets[name]
+        probe = linear_probe_train(x, y)
+        assert probe_objective(x, y, 1e-3, probe.weights, probe.bias) <= probe_objective(x, y, 1e-3, w, b) + 1e-6
+
+    @pytest.mark.parametrize("name", PROBE_SETS)
+    def test_predictions_match_pegasos(self, probe_sets, name):
+        x, y, (w, b) = probe_sets[name]
+        np.testing.assert_array_equal(linear_probe_train(x, y).predict(x), (x @ w + b > 0).astype(int))
+
+    # A restart measures the dual's change from its start point, so it can
+    # close the gap below what rounding of the dual's own value allows.
+    @pytest.mark.parametrize("regularization, tol", [(1e-3, PROBE_GAP_TOL), (0.1, PROBE_GAP_TOL), (1e-3, 1e-12)])
+    @pytest.mark.parametrize("name", PROBE_SETS)
+    def test_duality_gap_at_return(self, probe_sets, monkeypatch, name, regularization, tol):
+        x, y, _ = probe_sets[name]
+        monkeypatch.setattr(evaluation, "PROBE_GAP_TOL", tol)
+        results = record_solver(monkeypatch)
+        probe = linear_probe_train(x, y, regularization=regularization, n_steps=5_000)
+        a = results[-1].x
+        assert np.all((a >= 0) & (a <= 1 / (regularization * len(x))))
+        gap, w = duality_gap(x, y, regularization, a)
+        assert gap <= tol
+        np.testing.assert_allclose(np.append(probe.weights, probe.bias), w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["random", "shifted_blobs", "tiny_dataset"])
+    def test_restarts_until_the_gap_holds(self, probe_sets, monkeypatch, name):
+        x, y, (w, b) = probe_sets[name]
+        results = record_solver(monkeypatch, per_call=3)
+        probe = linear_probe_train(x, y)
+        assert len(results) > 1 and all(r.nit <= 3 for r in results)
+        assert duality_gap(x, y, 1e-3, results[-1].x)[0] <= PROBE_GAP_TOL
+        np.testing.assert_array_equal(probe.predict(x), (x @ w + b > 0).astype(int))
+
+    def test_restart_without_progress_stops(self, probe_sets, monkeypatch):
+        x, y, _ = probe_sets["random"]
+        calls = []
+
+        def stalling(fun, x0, **kwargs):
+            calls.append(x0.copy())
+            if len(calls) == 1:  # stop short of the gap
+                return minimize(fun, x0, **{**kwargs, "options": {**kwargs["options"], "maxiter": 10}})
+            return OptimizeResult(x=x0.copy(), fun=fun(x0, *kwargs["args"])[0], nit=1)
+
+        monkeypatch.setattr(evaluation, "minimize", stalling)
+        probe = linear_probe_train(x, y)
+        assert len(calls) == 2
+        assert np.all(np.isfinite(probe.weights)) and np.isfinite(probe.bias)
+
+    @pytest.mark.parametrize("n_steps, per_call", [(1, None), (5, None), (5, 2), (7, 3)])
+    def test_iteration_cap(self, probe_sets, monkeypatch, n_steps, per_call):
+        x, y, _ = probe_sets["tiny_dataset"]
+        results = record_solver(monkeypatch, per_call)
+        probe = linear_probe_train(x, y, n_steps=n_steps)
+        assert sum(r.nit for r in results) == n_steps
+        assert np.all(np.isfinite(probe.weights)) and np.isfinite(probe.bias)
+
+    @pytest.mark.parametrize(
+        "labels, kwargs, message",
+        [
+            ([0, 1, 0], {"n_steps": 0}, "probe iteration cap must be at least 1, got 0"),
+            ([0, 1, 0], {"n_steps": -5}, "probe iteration cap must be at least 1, got -5"),
+            ([0, 1, 0], {"regularization": 0.0}, "probe regularization must be finite and positive, got 0.0"),
+            ([0, 1, 0], {"regularization": -1e-3}, "probe regularization must be finite and positive"),
+            ([0, 1, 0], {"regularization": float("nan")}, "probe regularization must be finite and positive"),
+            ([0, 1, 0], {"regularization": float("inf")}, "probe regularization must be finite and positive"),
+            ([0, 1, 2], {}, "probe labels must be 0 \\(healthy\\) or 1 \\(fractured\\)"),
+            ([-1, 1, -1], {}, "probe labels must be 0"),
+            ([0, 1, 0.5], {}, "probe labels must be 0"),
+        ],
+    )
+    def test_bad_inputs_rejected(self, labels, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            linear_probe_train([[0.0], [1.0], [2.0]], labels, **kwargs)
 
 
 class TestFoldSummary:

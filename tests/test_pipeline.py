@@ -116,6 +116,23 @@ class TestStagePlans:
         with pytest.raises(ValueError):
             PipelineConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("probe_steps", 0, "probe_steps must be at least 1, got 0"),
+            ("probe_steps", -1, "probe_steps must be at least 1, got -1"),
+            ("probe_regularization", 0.0, "probe_regularization must be finite and positive, got 0.0"),
+            ("probe_regularization", -1e-3, "probe_regularization must be finite and positive, got -0.001"),
+            ("probe_regularization", float("nan"), "probe_regularization must be finite and positive, got nan"),
+            ("probe_regularization", float("inf"), "probe_regularization must be finite and positive, got inf"),
+        ],
+    )
+    def test_bad_probe_options_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_dict({**PipelineConfig().to_dict(), field: value})
+
 
 class TestRunStage:
     def test_zero_epochs_is_noop(self):
