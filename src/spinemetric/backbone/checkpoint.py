@@ -5,7 +5,7 @@ manifest JSON (utf-8) | raw float32 little-endian tensor payloads in
 manifest order. The manifest records the network configuration, the
 mounted head, and every tensor's name/shape/dtype (trainable parameters
 plus batch-norm running statistics). save -> load -> save reproduces the
-file byte for byte.
+file byte for byte, and a save replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_open
 from .model import NetworkConfig, PatchEncoder
 
 MAGIC = b"GMCK"
@@ -42,7 +43,7 @@ def save_model(model: PatchEncoder, path) -> None:
         ],
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(blob)))

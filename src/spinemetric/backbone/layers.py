@@ -13,11 +13,24 @@ input-sized float32 array is above glibc's mmap ceiling, so each one is
 page-faulted in fresh. No pass writes into its arguments (``x`` or
 ``dy``): callers may reuse them. A layer may overwrite its own cache,
 which it drops after backward.
+
+Layout rule: every array inside a conv block (conv, batch norm, ReLU,
+max-pool) keeps the ``(N, C, H, W)`` shape but is laid out batch-innermost:
+it is the ``.transpose(3, 0, 1, 2)`` view of a C-contiguous ``(C, H, W, N)``
+buffer. Outputs and input gradients of those layers are allocated that way,
+so the im2col copies in ``Conv2d`` move runs of ``W*N`` floats. The layers
+take any layout; a C-contiguous input gives the same values, only slower.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _empty_batch_inner(shape, dtype):
+    """An uninitialised ``(N, C, H, W)`` array laid out batch-innermost."""
+    n, c, h, w = shape
+    return np.empty((c, h, w, n), dtype=dtype).transpose(3, 0, 1, 2)
 
 
 def kaiming_uniform(rng, shape, fan_in, dtype):
@@ -57,21 +70,23 @@ class Layer:
             )
 
 
-# Size of one im2col column buffer. The batch is split into chunks of whole
-# images so that no chunk's buffer exceeds it (a chunk holds at least one).
+# Size of one im2col column buffer. The output rows are split into chunks
+# so that no chunk's buffer exceeds it (a chunk holds at least one row).
 COLS_BYTES = 16 * 2**20
 
 
 class Conv2d(Layer):
     """Stride-1 'same' convolution with square odd kernels, lowered to GEMMs.
 
-    The input is padded once into a channel-major ``(C, N, H+2p, W+2p)``
-    buffer, which is also the backward cache. Each chunk of images is then
-    unrolled into a ``(C*k*k, b*H*W)`` column matrix (im2col, Chellapilla et
-    al. 2006) and the whole chunk is one GEMM against the OIHW weight viewed
-    as ``(O, C*k*k)``. Backward rebuilds the columns per chunk from the
-    cache, so memory stays at O(input) plus one chunk's columns, bounded by
-    ``COLS_BYTES``, in both passes.
+    The input is padded once into a batch-innermost ``(C, H+2p, W+2p, N)``
+    buffer, which is also the backward cache. Each chunk of output rows is
+    then unrolled into a ``(C*k*k, rows*W*N)`` column matrix (im2col,
+    Chellapilla et al. 2006): every one of the k*k offset copies moves runs
+    of ``W*N`` floats, one per channel and row. The chunk is one GEMM
+    against the OIHW weight viewed as ``(O, C*k*k)``, written straight into
+    those rows of the ``(O, H, W, N)`` output. Backward rebuilds the columns
+    per chunk from the cache, so memory stays at O(input) plus one chunk's
+    columns, bounded by ``COLS_BYTES``, in both passes.
 
     ``input_grad = False`` makes backward skip the input gradient and return
     ``None``; the network sets it on a first layer, whose input gradient
@@ -102,22 +117,24 @@ class Conv2d(Layer):
         return {"weight": self.d_weight, "bias": self.d_bias}
 
     def _chunks(self, xpad):
-        """Yield ``(lo, hi, cols)`` per batch chunk: ``cols`` is the
-        ``(C*k*k, b*H*W)`` column matrix of images ``lo:hi``, in one buffer
-        that every chunk refills (so a caller may overwrite it). Row ``(c*k + di)*k + dj`` holds channel c
-        shifted by kernel offset (di, dj), matching the OIHW weight order."""
-        c, n, hp, wp = xpad.shape
+        """Yield ``(lo, hi, cols)`` per chunk of output rows: ``cols`` is the
+        ``(C*k*k, (hi-lo)*W*N)`` column matrix of rows ``lo:hi`` of every
+        image, in one buffer that every chunk refills (so a caller may
+        overwrite it). Row ``(c*k + di)*k + dj`` holds channel c shifted by
+        kernel offset (di, dj), matching the OIHW weight order; its columns
+        run over (row, column, image), like the ``(O, H, W, N)`` output."""
+        c, hp, wp, n = xpad.shape
         k = self.kernel
         h, w = hp - 2 * self.pad, wp - 2 * self.pad
-        image_bytes = c * k * k * h * w * xpad.itemsize
-        step = max(1, min(n, COLS_BYTES // image_bytes))
-        buf = np.empty(c * k * k * step * h * w, dtype=xpad.dtype)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            cols = buf[: c * k * k * (hi - lo) * h * w].reshape(c, k, k, hi - lo, h, w)
+        row_bytes = c * k * k * w * n * xpad.itemsize
+        step = max(1, min(h, COLS_BYTES // row_bytes))
+        buf = np.empty(c * k * k * step * w * n, dtype=xpad.dtype)
+        for lo in range(0, h, step):
+            hi = min(lo + step, h)
+            cols = buf[: c * k * k * (hi - lo) * w * n].reshape(c, k, k, hi - lo, w, n)
             for di in range(k):
                 for dj in range(k):
-                    cols[:, di, dj] = xpad[:, lo:hi, di : di + h, dj : dj + w]
+                    cols[:, di, dj] = xpad[:, lo + di : hi + di, dj : dj + w]
             yield lo, hi, cols.reshape(c * k * k, -1)
 
     def forward(self, x, train: bool):
@@ -125,15 +142,17 @@ class Conv2d(Layer):
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
         p, o = self.pad, self.out_channels
-        xpad = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xpad[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+        xpad = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
+        xpad[:, p : p + h, p : p + w] = x.transpose(1, 2, 3, 0)
         wmat = self.weight.reshape(o, -1)
-        y = np.empty((n, o, h, w), dtype=x.dtype)
+        y = np.empty((o, h, w, n), dtype=x.dtype)
+        ymat = y.reshape(o, -1)
         for lo, hi, cols in self._chunks(xpad):
-            yt = (wmat @ cols).reshape(o, hi - lo, h, w)
-            np.add(yt.transpose(1, 0, 2, 3), self.bias[:, None, None], out=y[lo:hi])
+            rows = ymat[:, lo * w * n : hi * w * n]
+            np.matmul(wmat, cols, out=rows)
+            rows += self.bias[:, None]
         self._cache = xpad if train else None
-        return y
+        return y.transpose(3, 0, 1, 2)
 
     def backward(self, dy):
         self._require_cache()
@@ -141,24 +160,25 @@ class Conv2d(Layer):
         self._cache = None
         n, o, h, w = dy.shape
         p, k = self.pad, self.kernel
-        self.d_bias += dy.sum(axis=(0, 2, 3))
+        dymat = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).reshape(o, -1)
+        self.d_bias += dymat.sum(axis=1)
         wmat = self.weight.reshape(o, -1)
         d_wmat = self.d_weight.reshape(o, -1)
         dxpad = np.zeros_like(xpad) if self.input_grad else None
         for lo, hi, cols in self._chunks(xpad):
-            dy_chunk = np.ascontiguousarray(dy[lo:hi].transpose(1, 0, 2, 3)).reshape(o, -1)
-            d_wmat += dy_chunk @ cols.T
+            dy_rows = dymat[:, lo * w * n : hi * w * n]
+            d_wmat += dy_rows @ cols.T
             if dxpad is not None:
                 # col2im, with dcols written over the spent columns: add each
                 # offset's rows back onto the padded input.
-                dcols = np.matmul(wmat.T, dy_chunk, out=cols)
-                dcols = dcols.reshape(self.in_channels, k, k, hi - lo, h, w)
+                dcols = np.matmul(wmat.T, dy_rows, out=cols)
+                dcols = dcols.reshape(self.in_channels, k, k, hi - lo, w, n)
                 for di in range(k):
                     for dj in range(k):
-                        dxpad[:, lo:hi, di : di + h, dj : dj + w] += dcols[:, di, dj]
+                        dxpad[:, lo + di : hi + di, dj : dj + w] += dcols[:, di, dj]
         if dxpad is None:
             return None
-        return np.ascontiguousarray(dxpad[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3))
+        return np.ascontiguousarray(dxpad[:, p : p + h, p : p + w]).transpose(3, 0, 1, 2)
 
 
 class MaxPool2d(Layer):
@@ -166,7 +186,9 @@ class MaxPool2d(Layer):
 
     Window offset ``k = 2*i + j`` is the strided view ``x[:, :, i::2, j::2]``;
     forward takes the maximum of the four views and caches, per window, the
-    first ``k`` that attains it as a ``uint8`` index.
+    first ``k`` that attains it as a ``uint8`` index. Forward's ufuncs
+    allocate in the input's memory order; backward works and allocates
+    ``dx`` batch-innermost.
     """
 
     OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -198,8 +220,11 @@ class MaxPool2d(Layer):
         self._require_cache()
         idx, shape = self._cache
         self._cache = None
-        dx = np.empty(shape, dtype=dy.dtype)
-        hit = np.empty(idx.shape, dtype=bool)
+        # A C-ordered dy (from Flatten) is copied batch-innermost once: four
+        # products over mismatched layouts cost several times that copy.
+        dy = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        dx = _empty_batch_inner(shape, dy.dtype)
+        hit = np.empty_like(idx, dtype=bool)
         for k, (i, j) in enumerate(self.OFFSETS):
             np.equal(idx, k, out=hit)
             np.multiply(dy, hit, out=dx[:, :, i::2, j::2])
@@ -210,8 +235,9 @@ class _BatchNormBase(Layer):
     """Batch normalization over every axis but the channel axis 1.
 
     ``(N, C)`` and ``(N, C, H, W)`` inputs share one path: both are viewed
-    as ``(N, C, L)``. Train mode centres the input into a new buffer, takes
-    the variance from it and scales it in place into ``xhat``, which is the
+    channel-first as ``(C, L)``, which is a view for a 2-D or batch-innermost
+    input. Train mode centres the input into a new buffer, takes the
+    variance from it and scales it in place into ``xhat``, which is the
     backward cache; backward builds the input gradient over that cache.
     """
 
@@ -236,20 +262,29 @@ class _BatchNormBase(Layer):
     def state(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
+    @staticmethod
+    def _channel_first(x):
+        """``x`` as a ``(C, L)`` array over the batch-last axes ``(C, ..., N)``."""
+        return np.moveaxis(x, 0, -1).reshape(x.shape[1], -1)
+
+    @staticmethod
+    def _batch_first(a, shape):
+        """Inverse of ``_channel_first``: ``(C, L)`` back to ``shape``."""
+        return np.moveaxis(a.reshape(*shape[1:], shape[0]), -1, 0)
+
     def forward(self, x, train: bool):
-        n, c = x.shape[:2]
-        x3 = x.reshape(n, c, -1)
+        xc = self._channel_first(x)
         self._cache = None
         if not train:
             scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
             shift = self.beta - self.running_mean * scale
-            y = np.multiply(x3, scale[:, None], dtype=x.dtype)
+            y = np.multiply(xc, scale[:, None], dtype=x.dtype)
             y += shift[:, None]
-            return y.reshape(x.shape)
-        m = n * x3.shape[2]
-        mu = x3.sum(axis=2).sum(axis=0) / m
-        xhat = np.subtract(x3, mu[:, None], dtype=x.dtype)
-        var = np.einsum("nci,nci->c", xhat, xhat) / m
+            return self._batch_first(y, x.shape)
+        m = xc.shape[1]
+        mu = xc.sum(axis=1) / m
+        xhat = np.subtract(xc, mu[:, None], dtype=x.dtype)
+        var = np.einsum("cl,cl->c", xhat, xhat) / m
         # Running stats follow the usual convention: unbiased variance
         # for the running estimate, biased for the normalization itself.
         unbiased = var * (m / max(m - 1, 1))
@@ -261,17 +296,16 @@ class _BatchNormBase(Layer):
         y = np.multiply(xhat, self.gamma[:, None], dtype=x.dtype)
         y += self.beta[:, None]
         self._cache = (xhat, inv_std)
-        return y.reshape(x.shape)
+        return self._batch_first(y, x.shape)
 
     def backward(self, dy):
         self._require_cache()
         xhat, inv_std = self._cache
         self._cache = None
-        n, c = dy.shape[:2]
-        dy3 = dy.reshape(n, c, -1)
-        m = n * dy3.shape[2]
-        sum_dy = dy3.sum(axis=2).sum(axis=0)
-        sum_dy_xhat = np.einsum("nci,nci->c", dy3, xhat)
+        dyc = self._channel_first(dy)
+        m = dyc.shape[1]
+        sum_dy = dyc.sum(axis=1)
+        sum_dy_xhat = np.einsum("cl,cl->c", dyc, xhat)
         self.d_beta += sum_dy
         self.d_gamma += sum_dy_xhat
         # dx = gamma * inv_std * (dy - mean(dy) - xhat * mean(dy * xhat)),
@@ -279,9 +313,9 @@ class _BatchNormBase(Layer):
         dx = xhat
         dx *= (sum_dy_xhat / m)[:, None]
         dx += (sum_dy / m)[:, None]
-        np.subtract(dy3, dx, out=dx)
+        np.subtract(dyc, dx, out=dx)
         dx *= (self.gamma * inv_std)[:, None]
-        return dx.reshape(dy.shape)
+        return self._batch_first(dx, dy.shape)
 
 
 class BatchNorm2d(_BatchNormBase):

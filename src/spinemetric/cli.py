@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phantom
+from .atomic import atomic_open
 from .backbone import HEAD_CLASSIFIER, HEAD_EMBEDDING, NetworkConfig, load_model, save_model
 from .data import patch_set
 from .evaluation import embed_samples, evaluate_folds, projection_csv, projection_svg, project_2d
@@ -54,11 +55,15 @@ NETWORK_PRESETS = {
 }
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` atomically with ``text``."""
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def _write_run_json(out_dir: Path, resolved: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run.json").write_text(
-        json.dumps(resolved, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    _write_text(out_dir / "run.json", json.dumps(resolved, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _load_config_file(path, keys) -> dict:
@@ -187,8 +192,8 @@ def cmd_reformat(args) -> int:
         "centroids_rc": [[r, c] for r, c in reformation.centroids_rc],
         "out_of_bounds_fraction": float(reformation.out_of_bounds.mean()),
     }
-    (out_dir / "centroids.json").write_text(
-        json.dumps(centroid_doc, sort_keys=True, separators=(",", ":")) + "\n"
+    _write_text(
+        out_dir / "centroids.json", json.dumps(centroid_doc, sort_keys=True, separators=(",", ":")) + "\n"
     )
     _write_run_json(
         out_dir,
@@ -264,9 +269,9 @@ def _train_one_fold(data, config, fold, out_dir):
         "fold_id": fold.fold_id,
         "stages": [r.to_dict() for r in records],
     }
-    (fold_dir / "records.json").write_text(json.dumps(record_doc, sort_keys=True) + "\n")
-    (fold_dir / "metrics.json").write_text(
-        json.dumps(metrics.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    _write_text(fold_dir / "records.json", json.dumps(record_doc, sort_keys=True) + "\n")
+    _write_text(
+        fold_dir / "metrics.json", json.dumps(metrics.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     )
     return fold.fold_id, metrics.to_dict()
 
@@ -291,7 +296,7 @@ def cmd_train(args) -> int:
     )
     folds = make_folds(data.grades, n_folds=n_folds, test_fraction=test_fraction, seed=config.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "folds.json").write_text(folds_to_json(folds) + "\n")
+    _write_text(out_dir / "folds.json", folds_to_json(folds) + "\n")
 
     _write_run_json(
         out_dir,
@@ -398,7 +403,7 @@ def cmd_eval(args) -> int:
     summary = evaluate_folds([models[p] for p in paths], data, folds, n_steps=args.probe_steps)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.json").write_text(summary.to_json() + "\n")
+    _write_text(out_dir / "metrics.json", summary.to_json() + "\n")
     _write_run_json(
         out_dir,
         {
@@ -432,8 +437,8 @@ def cmd_project(args) -> int:
     coords = project_2d(embed_samples(model, data))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "projection.csv").write_text(projection_csv(ids, data.grades, coords))
-    (out_dir / "projection.svg").write_text(projection_svg(data.grades, coords))
+    _write_text(out_dir / "projection.csv", projection_csv(ids, data.grades, coords))
+    _write_text(out_dir / "projection.svg", projection_svg(data.grades, coords))
     _write_run_json(
         out_dir,
         {

@@ -102,24 +102,25 @@ def _column_heights(width_px: int, height: float, mode: str, loss: float) -> np.
 
 
 def _render_body(image, cy, cx, width, height, mode, loss, intensity):
-    """Anti-aliased silhouette paint: pixel value = covered row fraction."""
+    """Anti-aliased silhouette paint: pixel value = covered row fraction.
+
+    One ``(rows, columns)`` coverage array covers the body's columns that
+    fall on the patch."""
     w_px = int(round(width))
     heights = _column_heights(w_px, height, mode, loss)
     col0 = int(round(cx - w_px / 2.0))
-    rows = np.arange(image.shape[0], dtype=np.float64)
-    bottom = cy + height / 2.0
-    for i, h_col in enumerate(heights):
-        c = col0 + i
-        if c < 0 or c >= image.shape[1]:
-            continue
-        if mode == "wedge":
-            top = bottom - h_col  # superior endplate collapses
-            bot = bottom
-        else:
-            top = cy - h_col / 2.0
-            bot = cy + h_col / 2.0
-        cover = np.clip(np.minimum(bot, rows + 1.0) - np.maximum(top, rows), 0.0, 1.0)
-        image[:, c] = np.maximum(image[:, c], intensity * cover)
+    cols = np.arange(col0, col0 + len(heights))
+    on_patch = (cols >= 0) & (cols < image.shape[1])
+    cols, heights = cols[on_patch], heights[on_patch]
+    if mode == "wedge":
+        bot = cy + height / 2.0
+        top = bot - heights  # superior endplate collapses
+    else:
+        top = cy - heights / 2.0
+        bot = cy + heights / 2.0
+    rows = np.arange(image.shape[0], dtype=np.float64)[:, None]
+    cover = np.clip(np.minimum(bot, rows + 1.0) - np.maximum(top, rows), 0.0, 1.0)
+    image[:, cols] = np.maximum(image[:, cols], intensity * cover)
 
 
 def _height_loss(config, grade, u: float) -> float:

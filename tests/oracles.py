@@ -3,13 +3,14 @@
 These deliberately avoid the library's own code paths: distances are scalar
 loops, gradients come from central differences, convolutions from direct
 loops over every output and kernel tap, batch norm, rectifiers and max
-pooling from their textbook formulas in float64, silhouette heights from
-threshold crossings with subpixel interpolation, arc lengths from
-quadrature over an independently constructed spline, the metric and
-classification losses one tuple of 1-D vectors at a time, quadruplet,
-triplet and pair mining as lists of Python tuples, with the class pools
-rebuilt by a scan over all labels, and the linear probe by Pegasos
-subgradient descent, with its objective summed one row at a time.
+pooling from their textbook formulas in float64, body silhouettes painted
+one pixel column at a time, silhouette heights from threshold crossings
+with subpixel interpolation, arc lengths from quadrature over an
+independently constructed spline, the metric and classification losses one
+tuple of 1-D vectors at a time, quadruplet, triplet and pair mining as lists
+of Python tuples, with the class pools rebuilt by a scan over all labels,
+and the linear probe by Pegasos subgradient descent, with its objective
+summed one row at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from scipy.interpolate import CubicSpline
 
 from spinemetric.losses import ANCHOR_CLASSES, GradingMargins, LossValue
 from spinemetric.mining import GradeLabel
+from spinemetric.phantom.patches import _column_heights
 
 
 def sq_dist_loop(a, b) -> float:
@@ -165,6 +167,32 @@ def maxpool_reference(x, dy):
     np.put_along_axis(dwin, idx[..., None], np.asarray(dy, np.float64)[..., None], axis=-1)
     dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
     return y, dx
+
+
+# --- silhouette rendering ---------------------------------------------------
+
+
+def render_body_reference(image, cy, cx, width, height, mode, loss, intensity):
+    """Paint one vertebral body into ``image`` one pixel column at a time,
+    skipping columns off the patch; the library's per-column heights are
+    taken as given."""
+    w_px = int(round(width))
+    heights = _column_heights(w_px, height, mode, loss)
+    col0 = int(round(cx - w_px / 2.0))
+    rows = np.arange(image.shape[0], dtype=np.float64)
+    bottom = cy + height / 2.0
+    for i, h_col in enumerate(heights):
+        c = col0 + i
+        if c < 0 or c >= image.shape[1]:
+            continue
+        if mode == "wedge":
+            top = bottom - h_col  # superior endplate collapses
+            bot = bottom
+        else:
+            top = cy - h_col / 2.0
+            bot = cy + h_col / 2.0
+        cover = np.clip(np.minimum(bot, rows + 1.0) - np.maximum(top, rows), 0.0, 1.0)
+        image[:, c] = np.maximum(image[:, c], intensity * cover)
 
 
 # --- silhouette measurement -------------------------------------------------

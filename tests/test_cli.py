@@ -218,6 +218,34 @@ class TestTrain:
             ).read_bytes()
         assert (outs[0] / "folds.json").read_bytes() == (outs[1] / "folds.json").read_bytes()
 
+    def test_rerun_into_same_out_replaces_outputs_byte_identically(self, dataset_dir, tmp_path):
+        out = tmp_path / "run"
+        argv = (
+            "train", "--dataset", str(dataset_dir), "--stages", "label,fracture",
+            "--epochs", "1,1", "--network", "tiny", "--folds", "1",
+            "--test-fraction", "0.3", "--seed", "5", "--out", str(out),
+        )
+
+        def outputs():
+            # records.json holds wall-clock seconds; every other file is
+            # byte-reproducible.
+            return {
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "records.json"
+            }
+
+        assert run_cli(*argv) == 0
+        first = outputs()
+        assert run_cli(*argv) == 0
+        assert outputs() == first
+        assert sorted(first) == [
+            "fold_00/final.gmck", "fold_00/metrics.json",
+            "fold_00/stage1_LabelPretrain.gmck", "fold_00/stage2_FractureTrain.gmck",
+            "folds.json", "run.json",
+        ]
+        assert not [p for p in out.rglob(".*")]
+
     def test_three_stage_run(self, dataset_dir, tmp_path):
         out = tmp_path / "full"
         code = run_cli(

@@ -104,12 +104,14 @@ class TestConvOracle:
         conv.bias[...] = rng.normal(size=o)
         x = rng.normal(size=(n, c, size, size))
         dy = rng.normal(size=(n, o, size, size))
-        # Two images per column buffer: chunks of 2, 2 and 1.
-        image_bytes = c * kernel * kernel * size * size * 8
-        monkeypatch.setattr(layers, "COLS_BYTES", 2 * image_bytes + 1)
+        # Two output rows per column buffer: chunks of 2, ..., 2 and a last
+        # row when the size is odd.
+        row_bytes = c * kernel * kernel * size * n * 8
+        monkeypatch.setattr(layers, "COLS_BYTES", 2 * row_bytes + 1)
 
         y = conv.forward(x, train=True)
-        assert [hi - lo for lo, hi, _ in conv._chunks(conv._cache)] == [2, 2, 1]
+        expected_chunks = [2] * (size // 2) + [1] * (size % 2)
+        assert [hi - lo for lo, hi, _ in conv._chunks(conv._cache)] == expected_chunks
         dx = conv.backward(dy)
 
         y_ref, dw_ref, db_ref, dx_ref = conv2d_direct(x, conv.weight, conv.bias, dy)
@@ -117,6 +119,51 @@ class TestConvOracle:
         np.testing.assert_allclose(conv.d_weight, dw_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(conv.d_bias, db_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
+
+
+def _batch_inner(a):
+    """``a`` laid out batch-innermost: the (N, C, H, W) view of a
+    C-contiguous (C, H, W, N) copy."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def _is_batch_inner(a):
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+CONV_BLOCK_LAYERS = {
+    "conv": lambda: Conv2d(3, 4, 3, np.random.default_rng(14), np.float64),
+    "batchnorm": lambda: BatchNorm2d(3, 1e-5, 0.1, np.float64),
+    "relu": lambda: LeakyReLU(0.0),
+    "maxpool": lambda: MaxPool2d(),
+}
+
+
+class TestBatchInnerLayout:
+    def _run(self, layer, x, layout):
+        y = layer.forward(layout(x), train=True)
+        dy = np.random.default_rng(16).normal(size=y.shape)
+        dx = layer.backward(layout(dy))
+        y_eval = layer.forward(layout(x), train=False)
+        grads = {k: v.copy() for k, v in layer.grads().items()}
+        return y, dx, y_eval, grads
+
+    @pytest.mark.parametrize("name", sorted(CONV_BLOCK_LAYERS))
+    def test_batch_inner_in_batch_inner_out(self, name):
+        x = np.random.default_rng(15).normal(size=(5, 3, 6, 6))
+        y, dx, y_eval, _ = self._run(CONV_BLOCK_LAYERS[name](), x, _batch_inner)
+        for a in (y, dx, y_eval):
+            assert _is_batch_inner(a), name
+
+    @pytest.mark.parametrize("name", sorted(CONV_BLOCK_LAYERS))
+    def test_c_contiguous_input_gives_same_values(self, name):
+        x = np.random.default_rng(15).normal(size=(5, 3, 6, 6))
+        inner = self._run(CONV_BLOCK_LAYERS[name](), x, _batch_inner)
+        plain = self._run(CONV_BLOCK_LAYERS[name](), x, np.ascontiguousarray)
+        for a, b in zip(inner[:3], plain[:3]):
+            assert_matches(b, a, 1e-12)
+        for key in inner[3]:
+            assert_matches(plain[3][key], inner[3][key], 1e-12)
 
 
 # float64 layers match the float64 oracles to 1e-12; float32 ones to 1e-5

@@ -21,7 +21,14 @@ from spinemetric.phantom import (
     write_volume,
 )
 
-from .oracles import anterior_height_ratio, mid_height_ratio, min_height_ratio
+from spinemetric.phantom.patches import PATCH_SIZE, _render_body
+
+from .oracles import (
+    anterior_height_ratio,
+    mid_height_ratio,
+    min_height_ratio,
+    render_body_reference,
+)
 
 G0, G2, G3 = GradeLabel.G0, GradeLabel.G2, GradeLabel.G3
 CFG = PhantomConfig(seed=0)
@@ -116,6 +123,28 @@ class TestGeneratePatch:
         t = s.to_tensor()
         assert t.shape == (2, 112, 112)
         assert t.dtype == np.float32
+
+
+class TestRenderBody:
+    @pytest.mark.parametrize("mode,loss", [("wedge", 0.0), ("wedge", 0.55), ("biconcave", 0.35)])
+    @pytest.mark.parametrize(
+        "cx,width",
+        [
+            (56.3, 31.7),  # inside the patch
+            (4.0, 30.2),  # anterior columns fall off the left edge
+            (108.6, 36.0),  # posterior columns fall off the right edge
+            (-40.0, 20.0),  # every column off the patch
+            (17.2, 1.2),  # one pixel wide
+        ],
+    )
+    def test_matches_column_loop_bit_for_bit(self, mode, loss, cx, width):
+        rng = np.random.default_rng(21)
+        background = rng.uniform(0.0, 0.5, size=(PATCH_SIZE, PATCH_SIZE))
+        args = (50.4, cx, width, 27.3, mode, loss, 0.71)
+        image, expected = background.copy(), background.copy()
+        _render_body(image, *args)
+        render_body_reference(expected, *args)
+        assert image.tobytes() == expected.tobytes()
 
 
 class TestGenerateDataset:
