@@ -4,17 +4,27 @@ Sample tensors: magic ``VPAT`` | u32 channels | u32 height | u32 width |
 float32 LE row-major payload. Volumes: magic ``VVOL`` | u32 z | u32 y |
 u32 x | float32 LE payload | JSON centroid trailer. Manifests are canonical
 JSON (sorted keys, compact separators) so their SHA-256 digest is stable.
+
+Single files are written through ``atomic_open``. ``save_dataset`` guards
+a dataset's sample files with its manifest instead: it removes an earlier
+manifest before it writes any sample file and writes the new one last, so
+a dataset directory holds either no manifest or one whose files are all
+written. ``load_dataset`` reads each sample file's payload straight into
+its row of one ``(N, 2, 112, 112)`` stack, once its header has been
+checked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_open
 from ..mining import GradeLabel, RegionLabel
 from .patches import PATCH_SIZE, PatchSample
 from .volume import SpineVolume
@@ -23,34 +33,53 @@ VPAT_MAGIC = b"VPAT"
 VVOL_MAGIC = b"VVOL"
 
 
-def write_sample_tensor(path, channels: np.ndarray) -> None:
+def _write_vpat(fh, channels: np.ndarray) -> None:
     channels = np.asarray(channels, dtype="<f4")
     if channels.ndim != 3:
         raise ValueError(f"expected (channels, H, W), got shape {channels.shape}")
-    with open(path, "wb") as fh:
-        fh.write(VPAT_MAGIC)
-        fh.write(struct.pack("<III", *channels.shape))
-        fh.write(np.ascontiguousarray(channels).tobytes())
+    fh.write(VPAT_MAGIC + struct.pack("<III", *channels.shape))
+    fh.write(np.ascontiguousarray(channels))
 
 
-def _read_header(path, magic: bytes, kind: str):
-    """File bytes and the three u32 dimensions after the magic."""
-    data = Path(path).read_bytes()
-    if data[:4] != magic:
+def write_sample_tensor(path, channels: np.ndarray) -> None:
+    with atomic_open(path) as fh:
+        _write_vpat(fh, channels)
+
+
+def _read_header(fh, path, magic: bytes, kind: str):
+    """The three u32 dimensions after the magic; ``fh`` is left at the payload."""
+    head = fh.read(16)
+    if head[:4] != magic:
         raise ValueError(f"{path}: not a {kind} file")
-    if len(data) < 16:
-        raise ValueError(f"{path}: truncated header ({len(data)} of 16 bytes)")
-    return data, struct.unpack("<III", data[4:16])
+    if len(head) < 16:
+        raise ValueError(f"{path}: truncated header ({len(head)} of 16 bytes)")
+    return struct.unpack("<III", head[4:])
+
+
+def _read_vpat(path, out=None) -> np.ndarray:
+    """Read the sample tensor at ``path`` into ``out``, or into a new array.
+
+    The header is checked before the payload is read: the payload must hold
+    exactly ``c·h·w`` floats, and ``(c, h, w)`` must be ``out``'s shape.
+    """
+    with open(path, "rb") as fh:
+        shape = _read_header(fh, path, VPAT_MAGIC, "sample tensor")
+        nbytes = 4 * shape[0] * shape[1] * shape[2]
+        size = os.fstat(fh.fileno()).st_size - 16
+        if size != nbytes:
+            raise ValueError(f"{path}: payload size mismatch ({size} of {nbytes} bytes)")
+        if out is None:
+            out = np.empty(shape, dtype="<f4")
+        elif shape != out.shape:
+            raise ValueError(f"{path}: sample tensor shape {shape} is not {out.shape}")
+        got = fh.readinto(out.data.cast("B"))
+        if got != nbytes:
+            raise ValueError(f"{path}: payload size mismatch ({got} of {nbytes} bytes)")
+    return out
 
 
 def read_sample_tensor(path) -> np.ndarray:
-    data, (c, h, w) = _read_header(path, VPAT_MAGIC, "sample tensor")
-    nbytes = c * h * w * 4
-    if len(data) - 16 != nbytes:
-        raise ValueError(
-            f"{path}: payload size mismatch ({len(data) - 16} of {nbytes} bytes)"
-        )
-    return np.frombuffer(data[16:], dtype="<f4").reshape(c, h, w).copy()
+    return _read_vpat(path)
 
 
 def write_volume(path, volume: SpineVolume) -> None:
@@ -66,23 +95,22 @@ def write_volume(path, volume: SpineVolume) -> None:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(VVOL_MAGIC)
-        fh.write(struct.pack("<III", *vox.shape))
-        fh.write(np.ascontiguousarray(vox).tobytes())
+    with atomic_open(path) as fh:
+        fh.write(VVOL_MAGIC + struct.pack("<III", *vox.shape))
+        fh.write(np.ascontiguousarray(vox))
         fh.write(trailer)
 
 
 def read_volume(path) -> SpineVolume:
-    data, (z, y, x) = _read_header(path, VVOL_MAGIC, "volume")
+    with open(path, "rb") as fh:
+        z, y, x = _read_header(fh, path, VVOL_MAGIC, "volume")
+        data = fh.read()
     nbytes = z * y * x * 4
-    if len(data) - 16 < nbytes:
-        raise ValueError(
-            f"{path}: truncated voxel payload ({len(data) - 16} of {nbytes} bytes)"
-        )
-    vox = np.frombuffer(data[16 : 16 + nbytes], dtype="<f4").reshape(z, y, x).copy()
+    if len(data) < nbytes:
+        raise ValueError(f"{path}: truncated voxel payload ({len(data)} of {nbytes} bytes)")
+    vox = np.frombuffer(data, dtype="<f4", count=z * y * x).reshape(z, y, x).copy()
     try:
-        trailer = json.loads(data[16 + nbytes :].decode("utf-8"))
+        trailer = json.loads(data[nbytes:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: centroid trailer is not UTF-8 JSON ({exc})") from exc
     try:
@@ -103,21 +131,32 @@ def manifest_digest(manifest: dict) -> str:
 
 def save_dataset(samples, manifest: dict, out_dir) -> dict:
     """Write each sample as a VPAT file plus the manifest; returns the
-    manifest with file paths filled in."""
+    manifest with file paths filled in.
+
+    An earlier manifest in ``out_dir`` is removed before the first sample
+    file is written, and the new one is written last: a run killed midway
+    leaves no manifest, not an old one naming a mix of old and new files.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     manifest = json.loads(json.dumps(manifest))  # deep copy
     for sample, entry in zip(samples, manifest["samples"]):
         fname = f"sample_{sample.id:06d}.vpat"
-        write_sample_tensor(out_dir / fname, sample.to_tensor())
+        with open(out_dir / fname, "wb") as fh:
+            _write_vpat(fh, sample.to_tensor())
         entry["file"] = fname
-    (out_dir / "manifest.json").write_text(manifest_json(manifest))
+    with atomic_open(out_dir / "manifest.json") as fh:
+        fh.write(manifest_json(manifest).encode("utf-8"))
     return manifest
 
 
 def load_dataset(manifest_path):
     """Load samples listed in a manifest back into PatchSample objects.
-    Each sample file must hold a (2, PATCH_SIZE, PATCH_SIZE) tensor."""
+
+    Each sample file must hold a (2, PATCH_SIZE, PATCH_SIZE) tensor. Its
+    payload is read straight into its row of one float32 stack, and the
+    sample's ``image`` and ``heatmap`` are views of that row."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
@@ -126,8 +165,10 @@ def load_dataset(manifest_path):
     if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
         raise ValueError(f"{manifest_path}: manifest has no samples list")
     base = manifest_path.parent
+    entries = manifest["samples"]
+    stack = np.empty((len(entries), 2, PATCH_SIZE, PATCH_SIZE), dtype="<f4")
     samples = []
-    for k, entry in enumerate(manifest["samples"]):
+    for k, (entry, tensor) in enumerate(zip(entries, stack)):
         try:
             if not isinstance(entry["file"], str):
                 raise TypeError(f"file {entry['file']!r} is not a string")
@@ -139,9 +180,6 @@ def load_dataset(manifest_path):
             )
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"{manifest_path}: malformed sample entry {k} ({exc!r})") from exc
-        path = base / entry["file"]
-        tensor = read_sample_tensor(path)
-        if tensor.shape != (2, PATCH_SIZE, PATCH_SIZE):
-            raise ValueError(f"{path}: sample tensor shape {tensor.shape} is not (2, {PATCH_SIZE}, {PATCH_SIZE})")
+        _read_vpat(base / entry["file"], out=tensor)
         samples.append(PatchSample(image=tensor[0], heatmap=tensor[1], **fields))
     return samples, manifest

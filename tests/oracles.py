@@ -9,11 +9,16 @@ with subpixel interpolation, arc lengths from quadrature over an
 independently constructed spline, the metric and classification losses one
 tuple of 1-D vectors at a time, quadruplet, triplet and pair mining as lists
 of Python tuples, with the class pools rebuilt by a scan over all labels,
-and the linear probe by Pegasos subgradient descent, with its objective
-summed one row at a time.
+the linear probe by Pegasos subgradient descent, with its objective
+summed one row at a time, the block-mean downsample one window value at a
+time, and the dataset loader one whole file read at a time.
 """
 
 from __future__ import annotations
+
+import json
+import struct
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -593,3 +598,42 @@ def probe_objective(embeddings, labels, regularization, weights, bias) -> float:
         margin = (1.0 if label == 1 else -1.0) * (float(row @ weights) + bias)
         total += max(0.0, 1.0 - margin)
     return regularization / 2 * (float(weights @ weights) + bias * bias) + total / len(labels)
+
+
+# --- dataset ingest ----------------------------------------------------------
+
+
+def block_mean_reference(x, factor: int) -> np.ndarray:
+    """Area-average (N, C, H, W) by ``factor`` with float32 scalar adds: each
+    window row left to right from +0.0, the row sums top to bottom from
+    +0.0, then one float32 division by factor²."""
+    x = np.asarray(x, dtype=np.float32)
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h // factor, w // factor), dtype=np.float32)
+    area = np.float32(factor * factor)
+    for index in np.ndindex(out.shape):
+        b, ch, i, j = index
+        window = x[b, ch, i * factor : (i + 1) * factor, j * factor : (j + 1) * factor].tolist()
+        total = np.float32(0.0)
+        for row in window:
+            row_sum = np.float32(0.0)
+            for value in row:
+                row_sum = np.float32(row_sum + np.float32(value))
+            total = np.float32(total + row_sum)
+        out[index] = total / area
+    return out
+
+
+def load_dataset_reference(manifest_path) -> list[np.ndarray]:
+    """The (2, H, W) float32 tensor of every manifest entry, each file read
+    whole and its payload copied out of the bytes."""
+    manifest_path = Path(manifest_path)
+    manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
+    tensors = []
+    for entry in manifest["samples"]:
+        data = (manifest_path.parent / entry["file"]).read_bytes()
+        assert data[:4] == b"VPAT"
+        c, h, w = struct.unpack("<III", data[4:16])
+        assert len(data) == 16 + 4 * c * h * w
+        tensors.append(np.frombuffer(data[16:], dtype="<f4").reshape(c, h, w).copy())
+    return tensors

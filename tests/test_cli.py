@@ -1,10 +1,11 @@
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinemetric import data, phantom
+from spinemetric import atomic, data, phantom
 from spinemetric.cli import _build_pipeline_config, build_parser, main
 from spinemetric.phantom import read_sample_tensor
 
@@ -69,6 +70,27 @@ class TestGen:
         first = manifest["samples"][0]
         tensor = read_sample_tensor(dataset_dir / first["file"])
         assert tensor.shape == (2, 112, 112)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_regen_failing_after_k_samples_leaves_no_manifest(self, tmp_path, capsys, monkeypatch, k):
+        out = tmp_path / "ds"
+        assert run_cli("gen", "--counts", "g0=4,g2=2,g3=2", "--seed", "1", "--out", str(out)) == 0
+        real_write, written = phantom.formats._write_vpat, []
+
+        def fail_after_k(fh, channels):
+            assert not (out / "manifest.json").exists()
+            if len(written) == k:
+                raise OSError("killed")
+            written.append(fh.name)
+            real_write(fh, channels)
+
+        monkeypatch.setattr(phantom.formats, "_write_vpat", fail_after_k)
+        assert run_cli("gen", "--counts", "g0=4,g2=2,g3=2", "--seed", "2", "--out", str(out)) == 1
+        assert len(written) == k and not (out / "manifest.json").exists()
+        capsys.readouterr()
+        code = run_cli("train", "--dataset", str(out), "--stages", "fracture", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: dataset manifest not found at {out / 'manifest.json'}")
 
 
 class TestConfigFile:
@@ -135,6 +157,30 @@ class TestReformat:
         assert reformation.ndim == 3 and reformation.shape[0] == 1
         doc = json.loads((out / "centroids.json").read_text())
         assert len(doc["centroids_rc"]) == 5
+
+    @pytest.mark.parametrize("failing", ["volume.vvol", "reformation.vpat"])
+    def test_write_failing_midway_keeps_earlier_files(self, tmp_path, monkeypatch, failing):
+        out = tmp_path / "cpr"
+        assert run_cli("reformat", "--vertebrae", "3", "--seed", "1", "--out", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        class HeaderThenFail(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[:4])
+                raise OSError("disk full")
+
+        def open_failing(path, mode):
+            return (HeaderThenFail if failing in Path(path).name else open)(path, mode)
+
+        monkeypatch.setattr(atomic, "open", open_failing, raising=False)
+        assert run_cli("reformat", "--vertebrae", "3", "--seed", "2", "--out", str(out)) == 1
+        # The failed file and those after it are the earlier run's; a file
+        # written before the failure is the new run's, whole.
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert (out / failing).read_bytes() == before[failing]
+        assert (out / "run.json").read_bytes() == before["run.json"]
+        phantom.read_volume(out / "volume.vvol")
+        read_sample_tensor(out / "reformation.vpat")
 
     def test_grades_length_mismatch_errors(self, tmp_path, capsys):
         code = run_cli("reformat", "--vertebrae", "4", "--grades", "g0,g0",

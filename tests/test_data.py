@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from spinemetric.data import patch_set, stack_samples
+from spinemetric.data import block_mean, patch_set, stack_samples
 from spinemetric.mining import GRADES, RegionLabel
 from spinemetric.phantom import PhantomConfig, generate_patch
+from spinemetric.phantom.patches import PatchSample
+
+from .oracles import block_mean_reference
+
+FACTORS = [1, 2, 4, 7, 8, 14, 16, 28, 56, 112]
 
 
 @pytest.fixture(scope="module")
@@ -18,10 +23,42 @@ class TestStackSamples:
         full = stack_samples(samples, size)
         assert full.shape == (70, 2, size, size) and full.dtype == np.float32
         rng = np.random.default_rng(size)
-        # Rows on both sides of the 64-sample chunk boundary, in any order.
+        # Rows on both sides of a chunk boundary (every 16 samples), in any order.
         for idx in ([63, 64], [69, 0, 64, 63, 5], list(rng.permutation(70)[:40]), [7]):
             sub = stack_samples([samples[i] for i in idx], size)
             assert np.array_equal(full[idx].view(np.uint32), sub.view(np.uint32))
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    def test_bits_equal_reference_order(self, samples, factor):
+        x = np.stack([s.to_tensor() for s in samples[:2]])
+        got = stack_samples(samples[:2], 112 // factor)
+        assert np.array_equal(got.view(np.uint32), block_mean_reference(x, factor).view(np.uint32))
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    def test_against_numpy_mean(self, samples, factor):
+        """Bit-equal below factor 8; from 8 numpy sums each window row
+        pairwise, and the two stay within 8 ulp."""
+        x = np.stack([s.to_tensor() for s in samples[:8]])
+        want = x.reshape(8, 2, 112 // factor, factor, 112 // factor, factor).mean(axis=(3, 5))
+        got = stack_samples(samples[:8], 112 // factor)
+        if factor < 8:
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        else:
+            ulps = np.abs(got.astype(np.float64) - want) / np.spacing(np.abs(want))
+            assert ulps.max() <= 8
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_negative_zero_becomes_positive_as_in_numpy(self, factor):
+        channel = np.full((112, 112), -0.0, np.float32)
+        sample = PatchSample(channel, channel, GRADES[0], RegionLabel(0), 0)
+        got = stack_samples([sample], 112 // factor)
+        assert not np.signbit(got).any()
+        assert not np.signbit(block_mean(channel[None, None], 2)).any()
+
+    def test_channels_of_other_shapes_refused(self, samples):
+        odd = PatchSample(samples[0].image[:, :56], samples[0].heatmap[:, :56], GRADES[0], RegionLabel(0), 99)
+        with pytest.raises(ValueError, match="same shape"):
+            stack_samples([samples[0], odd], 28)
 
     def test_non_integer_factor_refused(self, samples):
         with pytest.raises(ValueError):
@@ -30,6 +67,19 @@ class TestStackSamples:
     def test_empty_refused(self):
         with pytest.raises(ValueError):
             stack_samples([], 16)
+
+
+class TestBlockMean:
+    @pytest.mark.parametrize("factor", [2, 7, 8, 16])
+    def test_bits_equal_reference_on_signed_values(self, factor):
+        rng = np.random.default_rng(factor)
+        x = (rng.standard_normal((2, 3, 112, 112)) * 10.0 ** rng.integers(-3, 4, (2, 3, 112, 112))).astype(np.float32)
+        got = block_mean(x, factor)
+        assert np.array_equal(got.view(np.uint32), block_mean_reference(x, factor).view(np.uint32))
+
+    def test_indivisible_size_refused(self):
+        with pytest.raises(ValueError, match="not divisible by 3"):
+            block_mean(np.zeros((1, 1, 8, 8), np.float32), 3)
 
 
 class TestPatchSet:

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from spinemetric.phantom.patches import PATCH_SIZE, _render_body
 
 from .oracles import (
     anterior_height_ratio,
+    load_dataset_reference,
     mid_height_ratio,
     min_height_ratio,
     render_body_reference,
@@ -186,6 +188,36 @@ class TestGenerateDataset:
             assert a.grade == b.grade and a.region == b.region and a.id == b.id
         assert manifest_digest(saved) == manifest_digest(manifest2)
 
+    def test_loaded_tensors_bit_equal_reference_loader(self, tmp_path):
+        counts = {(G0, RegionLabel.T1_T5): 3, (G2, RegionLabel.L5): 2, (G3, RegionLabel.T6_T9): 2}
+        samples, manifest = generate_dataset(CFG, counts, seed=4)
+        save_dataset(samples, manifest, tmp_path)
+        loaded, _ = load_dataset(tmp_path / "manifest.json")
+        want = load_dataset_reference(tmp_path / "manifest.json")
+        assert len(loaded) == len(want) == 7
+        for sample, tensor in zip(loaded, want):
+            assert np.array_equal(sample.to_tensor().view(np.uint32), tensor.view(np.uint32))
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_channels_are_rows_of_one_stack(self, tmp_path, source):
+        counts = {(G0, RegionLabel.T1_T5): 2, (G3, RegionLabel.L5): 2}
+        samples, manifest = generate_dataset(CFG, counts, seed=1)
+        if source == "loaded":
+            save_dataset(samples, manifest, tmp_path)
+            samples, _ = load_dataset(tmp_path / "manifest.json")
+        stack = samples[0].image.base
+        assert stack.shape == (4, 2, 112, 112) and stack.dtype == np.float32
+        for k, s in enumerate(samples):
+            assert s.image.base is stack and s.heatmap.base is stack
+            assert np.array_equal(stack[k, 0], s.image) and np.array_equal(stack[k, 1], s.heatmap)
+
+    def test_stacked_samples_equal_separately_generated(self):
+        counts = {(G0, RegionLabel.T1_T5): 2, (G2, RegionLabel.L5): 1}
+        samples, _ = generate_dataset(CFG, counts, seed=6)
+        for s in samples:
+            alone = generate_patch(replace(CFG, seed=6), s.grade, s.region, s.id)
+            assert np.array_equal(s.to_tensor().view(np.uint32), alone.to_tensor().view(np.uint32))
+            assert s.params == alone.params
 
     def test_manifest_not_json_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"samples": [')
