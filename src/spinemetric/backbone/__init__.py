@@ -7,7 +7,6 @@ from .model import (
     NetworkConfig,
     PatchEncoder,
     init_model,
-    parameter_count,
 )
 from .optim import AdamState, adam_init, adam_step
 
@@ -21,6 +20,5 @@ __all__ = [
     "adam_step",
     "init_model",
     "load_model",
-    "parameter_count",
     "save_model",
 ]

@@ -76,14 +76,14 @@ def load_model(path) -> PatchEncoder:
         model = PatchEncoder(config, seed=0)
         if manifest["head"] != model.head:
             model.swap_head(manifest["head"], seed=0)
-        entries = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
-        if not all(isinstance(name, str) for name, _ in entries):
+        entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in manifest["tensors"]]
+        if not all(isinstance(name, str) for name, *_ in entries):
             raise TypeError("tensor names must be strings")
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest ({exc!r})") from exc
 
     tensors = _all_tensors(model)
-    listed = [name for name, _ in entries]
+    listed = [name for name, *_ in entries]
     if sorted(listed) != sorted(tensors):
         missing = sorted(set(tensors) - set(listed))
         unknown = sorted(set(listed) - set(tensors))
@@ -92,7 +92,9 @@ def load_model(path) -> PatchEncoder:
             f"(missing {missing}, unknown {unknown}, {len(listed)} listed)"
         )
     offset = 12 + mlen
-    for name, shape in entries:
+    for name, shape, dtype in entries:
+        if dtype != "float32":
+            raise ValueError(f"{path}: tensor {name!r} dtype {dtype!r} is not 'float32'")
         if tensors[name].shape != shape:
             raise ValueError(
                 f"{path}: tensor {name!r} shape {shape} does not match "

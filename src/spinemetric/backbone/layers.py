@@ -1,5 +1,11 @@
 """Network layers with explicit forward/backward passes.
 
+Naming rule: each layer names its tensors once, in two class tuples.
+``PARAMS`` lists the trainable tensors, each an attribute of that name whose
+gradient buffer is the attribute ``d_<name>``; ``STATE`` lists the
+non-trainable ones (batch-norm running statistics). ``params()``,
+``grads()`` and ``state()`` are built from those tuples, in their order.
+
 Each layer owns its parameters and gradient buffers. A train-mode forward
 caches whatever backward needs; eval-mode forwards cache nothing and are
 side-effect free. Upstream gradients use the sum-reduction convention:
@@ -40,21 +46,21 @@ def kaiming_uniform(rng, shape, fan_in, dtype):
 
 
 class Layer:
-    """Base layer: parameter/grad maps plus forward/backward."""
+    """Base layer: tensor maps built from ``PARAMS``/``STATE``, plus forward/backward."""
+
+    PARAMS: tuple = ()
+    STATE: tuple = ()
+    _cache = None
 
     def params(self) -> dict:
-        return {}
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     def grads(self) -> dict:
-        return {}
+        return {name: getattr(self, f"d_{name}") for name in self.PARAMS}
 
     def state(self) -> dict:
         """Non-trainable tensors (running statistics)."""
-        return {}
-
-    def zero_grad(self):
-        for g in self.grads().values():
-            g.fill(0.0)
+        return {name: getattr(self, name) for name in self.STATE}
 
     def forward(self, x, train: bool):
         raise NotImplementedError
@@ -62,12 +68,15 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
-    def _require_cache(self):
-        if getattr(self, "_cache", None) is None:
+    def _take_cache(self):
+        """The last train-mode forward's cache, which one backward uses up."""
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise RuntimeError(
                 f"{type(self).__name__}.backward called without a cached "
                 f"train-mode forward pass"
             )
+        return cache
 
 
 # Size of one im2col column buffer. The output rows are split into chunks
@@ -93,6 +102,8 @@ class Conv2d(Layer):
     nothing uses.
     """
 
+    PARAMS = ("weight", "bias")
+
     def __init__(self, in_channels, out_channels, kernel, rng, dtype=np.float32):
         if kernel % 2 != 1:
             raise ValueError("kernel size must be odd for same-size output")
@@ -108,13 +119,6 @@ class Conv2d(Layer):
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
         self.input_grad = True
-        self._cache = None
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.d_weight, "bias": self.d_bias}
 
     def _chunks(self, xpad):
         """Yield ``(lo, hi, cols)`` per chunk of output rows: ``cols`` is the
@@ -155,9 +159,7 @@ class Conv2d(Layer):
         return y.transpose(3, 0, 1, 2)
 
     def backward(self, dy):
-        self._require_cache()
-        xpad = self._cache
-        self._cache = None
+        xpad = self._take_cache()
         n, o, h, w = dy.shape
         p, k = self.pad, self.kernel
         dymat = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).reshape(o, -1)
@@ -193,9 +195,6 @@ class MaxPool2d(Layer):
 
     OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train: bool):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
@@ -217,9 +216,7 @@ class MaxPool2d(Layer):
         return y
 
     def backward(self, dy):
-        self._require_cache()
-        idx, shape = self._cache
-        self._cache = None
+        idx, shape = self._take_cache()
         # A C-ordered dy (from Flatten) is copied batch-innermost once: four
         # products over mismatched layouts cost several times that copy.
         dy = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
@@ -241,8 +238,10 @@ class _BatchNormBase(Layer):
     backward cache; backward builds the input gradient over that cache.
     """
 
+    PARAMS = ("gamma", "beta")
+    STATE = ("running_mean", "running_var")
+
     def __init__(self, num_features, epsilon, momentum, dtype=np.float32):
-        self.num_features = num_features
         self.epsilon = epsilon
         self.momentum = momentum
         self.gamma = np.ones(num_features, dtype=dtype)
@@ -251,16 +250,6 @@ class _BatchNormBase(Layer):
         self.running_var = np.ones(num_features, dtype=dtype)
         self.d_gamma = np.zeros_like(self.gamma)
         self.d_beta = np.zeros_like(self.beta)
-        self._cache = None
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.d_gamma, "beta": self.d_beta}
-
-    def state(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     @staticmethod
     def _channel_first(x):
@@ -299,9 +288,7 @@ class _BatchNormBase(Layer):
         return self._batch_first(y, x.shape)
 
     def backward(self, dy):
-        self._require_cache()
-        xhat, inv_std = self._cache
-        self._cache = None
+        xhat, inv_std = self._take_cache()
         dyc = self._channel_first(dy)
         m = dyc.shape[1]
         sum_dy = dyc.sum(axis=1)
@@ -335,7 +322,6 @@ class LeakyReLU(Layer):
 
     def __init__(self, slope=0.01):
         self.slope = slope
-        self._cache = None
 
     def forward(self, x, train: bool):
         self._cache = None
@@ -348,28 +334,23 @@ class LeakyReLU(Layer):
         return x * gain
 
     def backward(self, dy):
-        self._require_cache()
-        mask = self._cache
-        self._cache = None
+        mask = self._take_cache()
         return np.multiply(dy, mask, dtype=dy.dtype)
 
 
 class Flatten(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train: bool):
         self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy):
-        self._require_cache()
-        shape = self._cache
-        self._cache = None
+        shape = self._take_cache()
         return dy.reshape(shape)
 
 
 class Linear(Layer):
+    PARAMS = ("weight", "bias")
+
     def __init__(self, in_features, out_features, rng, dtype=np.float32):
         self.in_features = in_features
         self.out_features = out_features
@@ -379,13 +360,6 @@ class Linear(Layer):
         self.bias = np.zeros(out_features, dtype=dtype)
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
-        self._cache = None
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.d_weight, "bias": self.d_bias}
 
     def forward(self, x, train: bool):
         if x.shape[1] != self.in_features:
@@ -394,9 +368,7 @@ class Linear(Layer):
         return x @ self.weight.T + self.bias
 
     def backward(self, dy):
-        self._require_cache()
-        x = self._cache
+        x = self._take_cache()
         self.d_weight += dy.T @ x
         self.d_bias += dy.sum(axis=0)
-        self._cache = None
         return dy @ self.weight

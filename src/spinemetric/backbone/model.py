@@ -45,6 +45,12 @@ class NetworkConfig:
     def __post_init__(self):
         object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
         object.__setattr__(self, "linear_dims", tuple(self.linear_dims))
+        if not self.conv_channels or not self.linear_dims:
+            raise ValueError("conv_channels and linear_dims must be non-empty")
+        sizes = ("input_channels", "input_size", "kernel", "classifier_classes")
+        for name in (*sizes, "conv_channels", "linear_dims"):
+            if np.min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         divisor = 2 ** len(self.conv_channels)
         if self.input_size % divisor != 0:
             raise ValueError(
@@ -53,8 +59,12 @@ class NetworkConfig:
             )
         if self.kernel % 2 != 1:
             raise ValueError("kernel must be odd")
-        if not self.conv_channels or not self.linear_dims:
-            raise ValueError("conv_channels and linear_dims must be non-empty")
+        if not self.bn_epsilon > 0:
+            raise ValueError(f"bn_epsilon must be positive, got {self.bn_epsilon}")
+        if not 0 <= self.bn_momentum <= 1:
+            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
+        if not np.issubdtype(self.np_dtype, np.floating):
+            raise ValueError(f"dtype must be a floating-point type, got {self.dtype!r}")
 
     @property
     def final_spatial(self) -> int:
@@ -99,7 +109,6 @@ class PatchEncoder:
     def __init__(self, config: NetworkConfig, seed: int):
         self.config = config
         self.head = HEAD_EMBEDDING
-        self._forward_live = False
         rng = np.random.default_rng([seed])
         dtype = config.np_dtype
 
@@ -127,35 +136,29 @@ class PatchEncoder:
         self._names.append(name)
         self._layers.append(layer)
 
-    def _named_layers(self):
-        return zip(self._names, self._layers)
-
     # --- parameter access -------------------------------------------------
 
+    def _tensors(self, kind: str) -> dict:
+        """``{"<layer>.<tensor>": array}`` over every layer's ``kind`` map
+        (``"params"``, ``"grads"`` or ``"state"``), in layer order."""
+        return {
+            f"{name}.{key}": arr
+            for name, layer in zip(self._names, self._layers)
+            for key, arr in getattr(layer, kind)().items()
+        }
+
     def parameters(self) -> dict:
-        out = {}
-        for name, layer in self._named_layers():
-            for pname, arr in layer.params().items():
-                out[f"{name}.{pname}"] = arr
-        return out
+        return self._tensors("params")
 
     def gradients(self) -> dict:
-        out = {}
-        for name, layer in self._named_layers():
-            for pname, arr in layer.grads().items():
-                out[f"{name}.{pname}"] = arr
-        return out
+        return self._tensors("grads")
 
     def bn_stats(self) -> dict:
-        out = {}
-        for name, layer in self._named_layers():
-            for sname, arr in layer.state().items():
-                out[f"{name}.{sname}"] = arr
-        return out
+        return self._tensors("state")
 
     def zero_grad(self):
-        for layer in self._layers:
-            layer.zero_grad()
+        for g in self.gradients().values():
+            g.fill(0.0)
 
     @property
     def output_dim(self) -> int:
@@ -182,17 +185,17 @@ class PatchEncoder:
             raise ValueError("input batch contains non-finite values")
         for layer in self._layers:
             x = layer.forward(x, train)
-        self._forward_live = train
         return x
 
     def backward(self, d_out) -> dict:
-        """Backpropagate d(loss)/d(output); returns the parameter gradient map."""
-        if not self._forward_live:
-            raise RuntimeError("backward requires a preceding train-mode forward")
+        """Backpropagate d(loss)/d(output); returns the parameter gradient map.
+
+        With no train forward since the last backward, eval forward or
+        ``swap_head``, the head has no cache and raises ``RuntimeError``
+        before any gradient changes."""
         dx = np.asarray(d_out, dtype=self.config.np_dtype)
         for layer in reversed(self._layers):
             dx = layer.backward(dx)
-        self._forward_live = False
         return self.gradients()
 
     # --- head management ----------------------------------------------------
@@ -207,7 +210,6 @@ class PatchEncoder:
         rng = np.random.default_rng([seed])
         self._layers[-1] = _init_head(self.config, new_head, rng)
         self.head = new_head
-        self._forward_live = False
         return self
 
 
@@ -215,19 +217,3 @@ def init_model(config: NetworkConfig, seed: int) -> PatchEncoder:
     """Build a seeded network: He-uniform weights, zero biases, unit BN scale."""
     return PatchEncoder(config, seed)
 
-
-def parameter_count(config: NetworkConfig) -> int:
-    """Total trainable parameter count implied by a configuration."""
-    total = 0
-    c_in = config.input_channels
-    for c_out in config.conv_channels:
-        total += c_out * c_in * config.kernel**2 + c_out  # conv weight + bias
-        total += 2 * c_out  # bn gamma + beta
-        c_in = c_out
-    d_in = config.flat_features
-    for d_out in config.linear_dims[:-1]:
-        total += d_out * d_in + d_out
-        total += 2 * d_out
-        d_in = d_out
-    total += config.embedding_dim * d_in + config.embedding_dim
-    return total

@@ -6,20 +6,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def adam_init(model, learning_rate: float = 1e-4, **kwargs) -> AdamState:
-    state = AdamState(learning_rate=learning_rate, **kwargs)
+def adam_init(model, learning_rate: float = 1e-4) -> AdamState:
+    state = AdamState(learning_rate=learning_rate)
     for name, p in model.parameters().items():
         state.m[name] = np.zeros_like(p)
         state.v[name] = np.zeros_like(p)
@@ -29,7 +30,7 @@ def adam_init(model, learning_rate: float = 1e-4, **kwargs) -> AdamState:
 def adam_step(model, opt: AdamState, gradients: dict) -> None:
     """One bias-corrected Adam update, in place.
 
-    update = lr * m_hat / (sqrt(v_hat) + eps). Non-finite gradients abort
+    update = lr * m_hat / (sqrt(v_hat) + EPSILON). Non-finite gradients abort
     the whole step before any parameter is touched.
     """
     params = model.parameters()
@@ -46,15 +47,15 @@ def adam_step(model, opt: AdamState, gradients: dict) -> None:
 
     opt.step_count += 1
     t = opt.step_count
-    bc1 = 1.0 - opt.beta1**t
-    bc2 = 1.0 - opt.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, g in gradients.items():
         m = opt.m[name]
         v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * np.square(g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
         m_hat = m / bc1
         v_hat = v / bc2
-        params[name] -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+        params[name] -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)

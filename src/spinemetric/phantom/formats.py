@@ -136,6 +136,8 @@ def save_dataset(samples, manifest: dict, out_dir) -> dict:
     An earlier manifest in ``out_dir`` is removed before the first sample
     file is written, and the new one is written last: a run killed midway
     leaves no manifest, not an old one naming a mix of old and new files.
+    Sample files of an earlier dataset that the new manifest does not name
+    are deleted before it is written; no other file is touched.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,6 +148,10 @@ def save_dataset(samples, manifest: dict, out_dir) -> dict:
         with open(out_dir / fname, "wb") as fh:
             _write_vpat(fh, sample.to_tensor())
         entry["file"] = fname
+    named = {entry["file"] for entry in manifest["samples"]}
+    for stale in out_dir.glob("sample_*.vpat"):
+        if stale.name not in named:
+            stale.unlink()
     with atomic_open(out_dir / "manifest.json") as fh:
         fh.write(manifest_json(manifest).encode("utf-8"))
     return manifest

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from spinemetric.backbone import (
     adam_step,
     init_model,
     load_model,
-    parameter_count,
     save_model,
 )
 from spinemetric.backbone.model import _init_head
@@ -64,6 +64,30 @@ class TestConfig:
         cfg = NetworkConfig(input_size=8, conv_channels=(3, 4), linear_dims=(6, 5))
         assert cfg.final_spatial == 2
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("input_channels", 0, "input_channels must be at least 1"),
+            ("input_size", 0, "input_size must be at least 1"),
+            ("kernel", 0, "kernel must be at least 1"),
+            ("classifier_classes", 0, "classifier_classes must be at least 1"),
+            ("conv_channels", (3, 0), "conv_channels must be at least 1"),
+            ("linear_dims", (0, 5), "linear_dims must be at least 1"),
+            ("bn_epsilon", 0.0, "bn_epsilon must be positive"),
+            ("bn_epsilon", float("nan"), "bn_epsilon must be positive"),
+            ("bn_momentum", 1.1, r"bn_momentum must be in \[0, 1\]"),
+            ("bn_momentum", -0.1, r"bn_momentum must be in \[0, 1\]"),
+            ("dtype", "int32", "dtype must be a floating-point type"),
+        ],
+        ids=[
+            "zero-input-channels", "zero-input-size", "zero-kernel", "zero-classes", "zero-conv-channels",
+            "zero-linear-dim", "zero-epsilon", "nan-epsilon", "momentum-above-1", "negative-momentum", "int-dtype",
+        ],
+    )
+    def test_bad_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            replace(REDUCED, **{field: value})
+
     def test_round_trip_dict(self):
         cfg = NetworkConfig(input_size=16, conv_channels=(6, 12), linear_dims=(24, 8))
         assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
@@ -71,11 +95,8 @@ class TestConfig:
 
 class TestInit:
     def test_parameter_count_matches_independent_arithmetic(self):
-        cfg = NetworkConfig()
-        expected = default_param_count()
-        assert parameter_count(cfg) == expected
-        model = init_model(cfg, seed=0)
-        assert sum(p.size for p in model.parameters().values()) == expected
+        model = init_model(NetworkConfig(), seed=0)
+        assert sum(p.size for p in model.parameters().values()) == default_param_count()
 
     def test_same_seed_identical(self):
         a = init_model(REDUCED, seed=3)
@@ -215,10 +236,20 @@ class TestBackward:
         for name in grads[0]:
             assert np.array_equal(grads[0][name], grads[1][name]), name
 
-    def test_backward_without_forward_raises(self):
+    @pytest.mark.parametrize("history", ["no-forward", "swap-head", "second-backward"])
+    def test_backward_without_forward_raises(self, history):
         m = init_model(REDUCED, seed=0)
+        x = np.random.default_rng(1).normal(size=(2, 2, 8, 8))
+        if history == "swap-head":
+            m.forward(x, train=True)
+            m.swap_head(HEAD_EMBEDDING, seed=1)
+        elif history == "second-backward":
+            m.backward(np.ones_like(m.forward(x, train=True)))
+        before = {k: v.copy() for k, v in m.gradients().items()}
         with pytest.raises(RuntimeError):
-            m.backward(np.zeros((1, 5)))
+            m.backward(np.ones((2, 5)))
+        for name, g in m.gradients().items():
+            assert np.array_equal(g, before[name]), name
 
     def test_backward_after_eval_forward_raises(self):
         m = init_model(REDUCED, seed=0)
@@ -408,6 +439,27 @@ class TestCheckpoint:
         path.write_bytes(b"GMCK" + struct.pack("<II", 1, len(blob)) + blob)
         with pytest.raises(ValueError, match=r"j\.gmck: manifest is not UTF-8 JSON"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["config"].update(input_channels=0), "input_channels must be at least 1"),
+            (lambda m: m["tensors"][0].update(dtype="float16"), "dtype 'float16' is not 'float32'"),
+        ],
+        ids=["zero-input-channels", "float16-tensor"],
+    )
+    def test_manifest_bad_value_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "v.gmck"
+        save_model(init_model(REDUCED, seed=0), path)
+        data = path.read_bytes()
+        (mlen,) = struct.unpack("<I", data[8:12])
+        manifest = json.loads(data[12 : 12 + mlen])
+        edit(manifest)
+        blob = json.dumps(manifest).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + mlen :])
+        with pytest.raises(ValueError, match=message) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_manifest_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "w.gmck"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinemetric import atomic, data, phantom
-from spinemetric.cli import _build_pipeline_config, build_parser, main
+from spinemetric.cli import NETWORK_PRESETS, _build_pipeline_config, build_parser, main
 from spinemetric.phantom import read_sample_tensor
 
 
@@ -92,6 +92,18 @@ class TestGen:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: dataset manifest not found at {out / 'manifest.json'}")
 
+    def test_smaller_regen_removes_stale_sample_files(self, tmp_path):
+        out = tmp_path / "ds"
+        assert run_cli("gen", "--counts", "g0=6,g2=2,g3=2", "--seed", "1", "--out", str(out)) == 0
+        for name in ("notes.txt", "reformation.vpat"):
+            (out / name).write_text(name)
+        assert run_cli("gen", "--counts", "g0=3,g2=1,g3=1", "--seed", "1", "--out", str(out)) == 0
+        named = {e["file"] for e in json.loads((out / "manifest.json").read_text())["samples"]}
+        assert len(named) == 5
+        kept = {"manifest.json", "run.json", "notes.txt", "reformation.vpat"}
+        assert {p.name for p in out.iterdir()} == named | kept
+        assert (out / "reformation.vpat").read_text() == "reformation.vpat"
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("command", ["gen", "train"])
@@ -124,6 +136,16 @@ class TestConfigFile:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: {path}: bad pipeline section (TypeError(") and "'bogus'" in err
+
+    def test_zero_network_size_named(self, dataset_dir, tmp_path, capsys):
+        network = dict(NETWORK_PRESETS["tiny"].to_dict(), input_size=0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pipeline": {"network": network}}))
+        code = run_cli("train", "--dataset", str(dataset_dir), "--config", str(path),
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {path}: bad pipeline section (") and "input_size must be at least 1" in err
 
     def test_unknown_gen_key_named(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

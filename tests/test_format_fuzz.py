@@ -1,15 +1,21 @@
-"""Fuzzed sample-tensor, manifest and volume files.
+"""Fuzzed sample-tensor, manifest, volume and checkpoint files.
 
 Every damaged file must either fail to load with a ``ValueError`` whose
 message starts with the damaged file's path, or, where the damage leaves it
-valid, load bit-equal to the original.
+valid, load bit-equal to the original. A checkpoint whose manifest is
+overwritten may also load as another valid model, but never raise anything
+else.
 """
+
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinemetric.backbone import PatchEncoder, init_model, load_model, save_model
+from spinemetric.cli import NETWORK_PRESETS
 from spinemetric.mining import GradeLabel, RegionLabel
 from spinemetric.phantom import (
     PhantomConfig,
@@ -113,3 +119,63 @@ def test_truncated_volume_rejected(volume_file, data):
     with pytest.raises(ValueError) as info:
         read_volume(damaged)
     assert str(info.value).startswith(f"{damaged}: ")
+
+
+@FUZZ
+@given(position=st.integers(0, 15), value=st.integers(0, 255))
+@example(position=4, value=0)  # zero slices: the trailer then starts at the voxels
+def test_volume_header_byte_overwritten(volume_file, position, value):
+    path, good = volume_file
+    damaged = path.with_name("damaged.vvol")
+    data = bytearray(good)
+    data[position] = value
+    damaged.write_bytes(bytes(data))
+    if value == good[position]:
+        assert np.array_equal(read_volume(damaged).voxels, read_volume(path).voxels)
+        return
+    with pytest.raises(ValueError) as info:
+        read_volume(damaged)
+    assert str(info.value).startswith(f"{damaged}: ")
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A ``tiny`` checkpoint: its path, its bytes, and the header plus
+    manifest length (the bytes before the tensor payload)."""
+    path = tmp_path_factory.mktemp("fuzz_checkpoint") / "m.gmck"
+    save_model(init_model(NETWORK_PRESETS["tiny"], seed=0), path)
+    good = path.read_bytes()
+    (mlen,) = struct.unpack("<I", good[8:12])
+    return path, good, 12 + mlen
+
+
+@FUZZ
+@given(data=st.data())
+def test_truncated_checkpoint_rejected(checkpoint, data):
+    path, good, _ = checkpoint
+    damaged = path.with_name("damaged.gmck")
+    damaged.write_bytes(good[: data.draw(st.integers(0, len(good) - 1))])
+    with pytest.raises(ValueError) as info:
+        load_model(damaged)
+    assert str(info.value).startswith(f"{damaged}: ")
+
+
+@FUZZ
+@given(data=st.data(), value=st.integers(0, 255))
+def test_checkpoint_manifest_byte_overwritten(checkpoint, data, value):
+    path, good, manifest_end = checkpoint
+    position = data.draw(st.integers(0, manifest_end - 1))
+    damaged = path.with_name("damaged.gmck")
+    flipped = bytearray(good)
+    flipped[position] = value
+    damaged.write_bytes(bytes(flipped))
+    try:
+        model = load_model(damaged)
+    except ValueError as exc:
+        assert value != good[position]
+        assert str(exc).startswith(f"{damaged}: ")
+        return
+    assert isinstance(model, PatchEncoder)
+    if value == good[position]:
+        save_model(model, damaged)
+        assert damaged.read_bytes() == good
