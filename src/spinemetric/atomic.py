@@ -1,14 +1,21 @@
-"""Atomic replacement of run artifacts.
+"""Canonical JSON and atomic replacement of run artifacts.
 
-Checkpoints and the JSON files of a run are written through ``atomic_open``,
-so a run killed mid-write leaves each file either as it was or whole.
+Every JSON artifact, ``records.json`` included, is ``canonical_json``, and
+every digest is a SHA-256 over that encoding. ``atomic_open`` writes each
+checkpoint and run file, so a killed run leaves it as it was or whole.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from pathlib import Path
+
+
+def canonical_json(doc) -> str:
+    """``doc`` as JSON with sorted keys and no optional whitespace."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @contextlib.contextmanager

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..atomic import atomic_open
+from ..atomic import atomic_open, canonical_json
 from .model import NetworkConfig, PatchEncoder
 
 MAGIC = b"GMCK"
@@ -42,7 +42,7 @@ def save_model(model: PatchEncoder, path) -> None:
             for n in names
         ],
     }
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = canonical_json(manifest).encode("utf-8")
     with atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))

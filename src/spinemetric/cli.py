@@ -23,14 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import phantom
-from .atomic import atomic_open
+from .atomic import atomic_open, canonical_json
 from .backbone import HEAD_CLASSIFIER, HEAD_EMBEDDING, NetworkConfig, load_model, save_model
 from .data import patch_set
-from .evaluation import embed_samples, evaluate_folds, projection_csv, projection_svg, project_2d
+from .evaluation import PROBE_STEPS, embed_samples, evaluate_folds, projection_csv, projection_svg, project_2d
 from .mining import GRADES, GradeLabel, folds_from_json, folds_to_json, make_folds
 from .pipeline import (
     STAGE_FRACTURE,
     STAGE_LABEL,
+    STAGE_LOSSES,
     STAGE_REPRESENTATION,
     PipelineConfig,
     StagePlan,
@@ -40,11 +41,13 @@ from .pipeline import (
 # --stages tokens, in stage order: the stage each one adds and its loss.
 _STAGE_TOKENS = {
     "label": (STAGE_LABEL, "contrastive"),
-    "contrastive": (STAGE_REPRESENTATION, "contrastive"),
-    "triplet": (STAGE_REPRESENTATION, "triplet"),
-    "grading": (STAGE_REPRESENTATION, "grading"),
+    **{loss: (STAGE_REPRESENTATION, loss) for loss in STAGE_LOSSES[STAGE_REPRESENTATION]},
     "fracture": (STAGE_FRACTURE, "cross_entropy"),
 }
+
+# Fold defaults of `train` and of the probe protocol of `eval`.
+_DEFAULT_FOLDS = 15
+_DEFAULT_TEST_FRACTION = 0.25
 
 log = logging.getLogger("spinemetric")
 
@@ -56,19 +59,24 @@ NETWORK_PRESETS = {
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Replace ``path`` atomically with ``text``."""
+    """Replace ``path`` atomically with ``text``, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         fh.write(text.encode("utf-8"))
 
 
-def _write_run_json(out_dir: Path, resolved: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "run.json", json.dumps(resolved, sort_keys=True, separators=(",", ":")) + "\n")
+def _write_json(path: Path, doc) -> None:
+    _write_text(path, canonical_json(doc) + "\n")
+
+
+# Config-file value types, named as in error messages, and the Python types
+# JSON parses them to. JSON true and false parse to bool, which none lists.
+_CONFIG_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,), "an object": (dict,)}
 
 
 def _load_config_file(path, keys) -> dict:
-    """The JSON object in config file ``path`` ({} for None); its top-level
-    keys must be among ``keys``."""
+    """The JSON object in config file ``path`` ({} for None). ``keys`` maps
+    each allowed top-level key to its type's name in ``_CONFIG_TYPES``."""
     if path is None:
         return {}
     try:
@@ -80,10 +88,14 @@ def _load_config_file(path, keys) -> dict:
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown} (known keys: {sorted(keys)})")
+    for key, value in doc.items():
+        if type(value) not in _CONFIG_TYPES[keys[key]]:
+            raise ValueError(f"{path}: config key {key!r} must be {keys[key]}, got {json.dumps(value)}")
     return doc
 
 
-def _dataset_manifest_path(dataset) -> Path:
+def _load_dataset(dataset):
+    """(samples, manifest, manifest path) of a dataset directory or manifest file."""
     p = Path(dataset)
     if p.is_dir():
         p = p / "manifest.json"
@@ -92,7 +104,7 @@ def _dataset_manifest_path(dataset) -> Path:
             f"dataset manifest not found at {p}; run `spinemetric gen` first "
             f"or pass the manifest path explicitly"
         )
-    return p
+    return (*phantom.load_dataset(p), p)
 
 
 # --- gen ---------------------------------------------------------------
@@ -124,7 +136,7 @@ def _parse_counts(text: str) -> dict:
 
 def cmd_gen(args) -> int:
     out_dir = Path(args.out)
-    cfg_file = _load_config_file(args.config, ("seed", "jitter_px"))
+    cfg_file = _load_config_file(args.config, {"seed": "an integer", "jitter_px": "an integer"})
     seed = args.seed if args.seed is not None else cfg_file.get("seed", 0)
     config = phantom.PhantomConfig(seed=seed, jitter_px=cfg_file.get("jitter_px", 0))
 
@@ -146,8 +158,8 @@ def cmd_gen(args) -> int:
     samples, manifest = phantom.generate_dataset(config, counts, seed=seed)
     manifest = phantom.save_dataset(samples, manifest, out_dir)
     digest = phantom.manifest_digest(manifest)
-    _write_run_json(
-        out_dir,
+    _write_json(
+        out_dir / "run.json",
         {
             "command": "gen",
             "seed": seed,
@@ -192,11 +204,9 @@ def cmd_reformat(args) -> int:
         "centroids_rc": [[r, c] for r, c in reformation.centroids_rc],
         "out_of_bounds_fraction": float(reformation.out_of_bounds.mean()),
     }
-    _write_text(
-        out_dir / "centroids.json", json.dumps(centroid_doc, sort_keys=True, separators=(",", ":")) + "\n"
-    )
-    _write_run_json(
-        out_dir,
+    _write_json(out_dir / "centroids.json", centroid_doc)
+    _write_json(
+        out_dir / "run.json",
         {
             "command": "reformat",
             "seed": seed,
@@ -223,7 +233,7 @@ def _build_pipeline_config(args, cfg_file) -> PipelineConfig:
         base = replace(base, network=NETWORK_PRESETS[args.network])
     if args.stages:
         tokens = [t.strip() for t in args.stages.split(",") if t.strip()]
-        rep_losses = [t for t in tokens if t in ("contrastive", "triplet", "grading")]
+        rep_losses = [t for t in tokens if t in STAGE_LOSSES[STAGE_REPRESENTATION]]
         if len(rep_losses) > 1:
             raise ValueError("at most one representation loss may be listed")
         # Epochs and batch size come from the configured plan of the same
@@ -269,37 +279,34 @@ def _train_one_fold(data, config, fold, out_dir):
         "fold_id": fold.fold_id,
         "stages": [r.to_dict() for r in records],
     }
-    _write_text(fold_dir / "records.json", json.dumps(record_doc, sort_keys=True) + "\n")
-    _write_text(
-        fold_dir / "metrics.json", json.dumps(metrics.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    _write_json(fold_dir / "records.json", record_doc)
+    _write_json(fold_dir / "metrics.json", metrics.to_dict())
     return fold.fold_id, metrics.to_dict()
 
 
 def cmd_train(args) -> int:
-    cfg_file = _load_config_file(args.config, ("dataset", "folds", "test_fraction", "pipeline"))
+    cfg_file = _load_config_file(
+        args.config,
+        {"dataset": "a string", "folds": "an integer", "test_fraction": "a number", "pipeline": "an object"},
+    )
     dataset = args.dataset or cfg_file.get("dataset")
     if not dataset:
         raise ValueError("no dataset given (use --dataset or a config file entry)")
-    manifest_path = _dataset_manifest_path(dataset)
-    samples, manifest = phantom.load_dataset(manifest_path)
+    samples, manifest, manifest_path = _load_dataset(dataset)
     config = _build_pipeline_config(args, cfg_file)
     data = patch_set(samples, config.network.input_size)
     del samples  # frees the full-resolution patches
     out_dir = Path(args.out)
 
-    n_folds = args.folds if args.folds is not None else int(cfg_file.get("folds", 15))
-    test_fraction = (
-        args.test_fraction
-        if args.test_fraction is not None
-        else float(cfg_file.get("test_fraction", 0.25))
-    )
+    n_folds = args.folds if args.folds is not None else cfg_file.get("folds", _DEFAULT_FOLDS)
+    test_fraction = args.test_fraction
+    if test_fraction is None:
+        test_fraction = cfg_file.get("test_fraction", _DEFAULT_TEST_FRACTION)
     folds = make_folds(data.grades, n_folds=n_folds, test_fraction=test_fraction, seed=config.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "folds.json", folds_to_json(folds) + "\n")
 
-    _write_run_json(
-        out_dir,
+    _write_json(
+        out_dir / "run.json",
         {
             "command": "train",
             "dataset": str(manifest_path),
@@ -323,22 +330,22 @@ def cmd_train(args) -> int:
 # --- eval ----------------------------------------------------------------
 
 
-def _print_summary_table(title: str, rows) -> None:
+def _print_summary_table(title: str, name: str, summary) -> None:
+    m, s = summary.mean, summary.std
     print(title)
     print(f"{'Setup':<16} {'SN':>12} {'SP':>12} {'F1':>12}")
-    for name, summary in rows:
-        m, s = summary.mean, summary.std
-        print(
-            f"{name:<16} "
-            f"{100 * m['sensitivity']:5.1f} ± {100 * s['sensitivity']:4.1f} "
-            f"{100 * m['specificity']:5.1f} ± {100 * s['specificity']:4.1f} "
-            f"{100 * m['f1']:5.1f} ± {100 * s['f1']:4.1f}"
-        )
+    print(
+        f"{name:<16} "
+        f"{100 * m['sensitivity']:5.1f} ± {100 * s['sensitivity']:4.1f} "
+        f"{100 * m['specificity']:5.1f} ± {100 * s['specificity']:4.1f} "
+        f"{100 * m['f1']:5.1f} ± {100 * s['f1']:4.1f}"
+    )
 
 
 # The probe protocol's fold and probe options, with their defaults. The
 # classify protocol reads its folds from the run and fits no probe.
-_PROBE_OPTIONS = {"folds": 15, "test_fraction": 0.25, "probe_steps": 100_000, "seed": 0}
+_PROBE_OPTIONS = {"folds": _DEFAULT_FOLDS, "test_fraction": _DEFAULT_TEST_FRACTION,
+                  "probe_steps": PROBE_STEPS, "seed": 0}
 
 
 def _protocol_folds(args, grades):
@@ -385,8 +392,7 @@ def _check_run_dataset(run_dir: Path, manifest_path: Path, manifest: dict) -> No
 
 
 def cmd_eval(args) -> int:
-    manifest_path = _dataset_manifest_path(args.dataset)
-    samples, manifest = phantom.load_dataset(manifest_path)
+    samples, manifest, manifest_path = _load_dataset(args.dataset)
     out_dir = Path(args.out)
 
     folds, paths, head, name = _protocol_folds(args, [s.grade for s in samples])
@@ -402,10 +408,9 @@ def cmd_eval(args) -> int:
     del samples  # frees the full-resolution patches
     summary = evaluate_folds([models[p] for p in paths], data, folds, n_steps=args.probe_steps)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "metrics.json", summary.to_json() + "\n")
-    _write_run_json(
-        out_dir,
+    _write_json(out_dir / "metrics.json", summary.to_dict())
+    _write_json(
+        out_dir / "run.json",
         {
             "command": "eval",
             "protocol": args.protocol,
@@ -418,7 +423,7 @@ def cmd_eval(args) -> int:
             "seed": args.seed,
         },
     )
-    _print_summary_table(f"protocol={args.protocol}", [(name, summary)])
+    _print_summary_table(f"protocol={args.protocol}", name, summary)
     return 0
 
 
@@ -426,8 +431,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_project(args) -> int:
-    manifest_path = _dataset_manifest_path(args.dataset)
-    samples, _ = phantom.load_dataset(manifest_path)
+    samples, _, manifest_path = _load_dataset(args.dataset)
     model = load_model(args.checkpoint)
     out_dir = Path(args.out)
 
@@ -436,11 +440,10 @@ def cmd_project(args) -> int:
     del samples  # frees the full-resolution patches
     coords = project_2d(embed_samples(model, data))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "projection.csv", projection_csv(ids, data.grades, coords))
     _write_text(out_dir / "projection.svg", projection_svg(data.grades, coords))
-    _write_run_json(
-        out_dir,
+    _write_json(
+        out_dir / "run.json",
         {
             "command": "project",
             "dataset": str(manifest_path),
@@ -486,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", help="comma list: label, one of contrastive/triplet/grading, fracture")
     p.add_argument("--epochs", help="comma list of per-stage epoch counts")
     p.add_argument("--network", choices=sorted(NETWORK_PRESETS), help="network preset")
-    p.add_argument("--folds", type=int, help="number of folds (default 15)")
-    p.add_argument("--test-fraction", type=float, help="test split share (default 0.25)")
+    p.add_argument("--folds", type=int, help=f"number of folds (default {_DEFAULT_FOLDS})")
+    p.add_argument("--test-fraction", type=float, help=f"test split share (default {_DEFAULT_TEST_FRACTION})")
     p.add_argument("--config", help="JSON config file with a 'pipeline' section")
     p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
@@ -499,10 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", help="embedding checkpoint (probe protocol)")
     p.add_argument("--run", help="train output directory (classify protocol)")
-    p.add_argument("--folds", type=int, help="number of folds (probe protocol; default 15)")
-    p.add_argument("--test-fraction", type=float, help="test split share (probe protocol; default 0.25)")
+    p.add_argument("--folds", type=int, help=f"number of folds (probe protocol; default {_DEFAULT_FOLDS})")
+    p.add_argument("--test-fraction", type=float,
+                   help=f"test split share (probe protocol; default {_DEFAULT_TEST_FRACTION})")
     p.add_argument("--probe-steps", type=int,
-                   help="probe solver iteration cap (probe protocol; default 100000)")
+                   help=f"probe solver iteration cap (probe protocol; default {PROBE_STEPS})")
     p.add_argument("--seed", type=int, help="fold RNG seed (probe protocol; default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

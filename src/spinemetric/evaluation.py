@@ -9,18 +9,20 @@ Fractured is the positive class everywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
+from .atomic import canonical_json
 from .backbone.model import HEAD_CLASSIFIER
-from .data import PatchSet, patch_set
+from .data import patch_set
 from .mining import GradeLabel
 
 METRIC_NAMES = ("sensitivity", "specificity", "f1")
 PROBE_GAP_TOL = 1e-8  # the probe solver stops at this duality gap
+PROBE_REGULARIZATION = 1e-3  # the probe's lambda
+PROBE_STEPS = 100_000  # the probe solver's default iteration cap
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class FoldSummary:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
 
 def confusion_metrics(predictions, truths) -> Metrics:
@@ -107,8 +109,8 @@ class LinearProbe:
 def linear_probe_train(
     embeddings,
     labels,
-    regularization: float = 1e-3,
-    n_steps: int = 100_000,
+    regularization: float = PROBE_REGULARIZATION,
+    n_steps: int = PROBE_STEPS,
 ) -> LinearProbe:
     """Fit the maximum-margin linear probe on frozen embeddings: minimize
     lambda/2 |w|^2 + mean hinge over the rows [x, 1] through the dual
@@ -151,9 +153,8 @@ def linear_probe_train(
         a = res.x
 
 
-def binary_fracture_labels(samples) -> np.ndarray:
-    """Fractured = {G2, G3}, healthy = {G0}, of a PatchSet or a PatchSample list."""
-    grades = samples.grades if isinstance(samples, PatchSet) else [s.grade for s in samples]
+def binary_fracture_labels(grades) -> np.ndarray:
+    """Fractured = {G2, G3} is 1, healthy = {G0} is 0, per grade."""
     return (np.asarray(grades, dtype=int) != GradeLabel.G0).astype(int)
 
 
@@ -181,8 +182,8 @@ def evaluate_folds(
     models,
     samples,
     folds,
-    regularization: float = 1e-3,
-    n_steps: int = 100_000,
+    regularization: float = PROBE_REGULARIZATION,
+    n_steps: int = PROBE_STEPS,
 ) -> FoldSummary:
     """Per-fold metrics of one model per fold, scored on the fold's test split.
 
@@ -194,9 +195,11 @@ def evaluate_folds(
     """
     if len(models) != len(folds):
         raise ValueError(f"need one model per fold ({len(models)} models, {len(folds)} folds)")
-    y = binary_fracture_labels(samples)
-    data, embedded, emb = samples, None, None
-    summary = FoldSummary()
+    summary, embedded, emb = FoldSummary(), None, None
+    if not models:
+        return summary
+    data = patch_set(samples, models[0].config.input_size)
+    y = binary_fracture_labels(data.grades)
     for model, fold in zip(models, folds):
         data = patch_set(data, model.config.input_size)
         te = list(fold.test_ids)

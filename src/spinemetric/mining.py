@@ -14,6 +14,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .atomic import canonical_json
+
 
 class GradeLabel(IntEnum):
     """Fracture severity class: healthy, moderate, severe."""
@@ -65,11 +67,11 @@ def make_folds(labels, n_folds: int, test_fraction: float, seed: int) -> list[Fo
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must lie in (0, 1)")
     by_grade = _grade_indices(labels)
+    n_test = {g: int(np.floor(len(idxs) * test_fraction + 0.5)) for g, idxs in by_grade.items()}
     for g, idxs in by_grade.items():
         if not idxs:
             raise ValueError(f"grade {g.name} has no samples")
-        n_test = int(np.floor(len(idxs) * test_fraction + 0.5))
-        if n_test == 0 or n_test == len(idxs):
+        if n_test[g] == 0 or n_test[g] == len(idxs):
             raise ValueError(
                 f"test_fraction {test_fraction} leaves grade {g.name} empty "
                 f"in test or train"
@@ -81,10 +83,9 @@ def make_folds(labels, n_folds: int, test_fraction: float, seed: int) -> list[Fo
         train, test = [], []
         for g in GRADES:
             idxs = np.array(by_grade[g])
-            n_test = int(np.floor(len(idxs) * test_fraction + 0.5))
             perm = rng.permutation(len(idxs))
-            test.extend(idxs[perm[:n_test]].tolist())
-            train.extend(idxs[perm[n_test:]].tolist())
+            test.extend(idxs[perm[: n_test[g]]].tolist())
+            train.extend(idxs[perm[n_test[g] :]].tolist())
         folds.append(
             FoldSplit(
                 fold_id=fold_id,
@@ -108,13 +109,14 @@ def folds_to_json(folds) -> str:
             for f in folds
         ],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical_json(doc)
 
 
 def folds_from_json(text: str, n_samples: int | None = None) -> list[FoldSplit]:
     """Parse a folds_to_json document. Raises ValueError if it is not one,
-    or if a fold's sample ids are not ints in [0, n_samples) (n_samples
-    unbounded if not given), repeat, or appear in both train and test."""
+    if a fold id repeats, or if a fold's sample ids are not ints in
+    [0, n_samples) (n_samples unbounded if not given), repeat, or appear in
+    both train and test."""
     try:
         doc = json.loads(text)
         folds = [
@@ -134,6 +136,8 @@ def folds_from_json(text: str, n_samples: int | None = None) -> list[FoldSplit]:
         ids = f.train_ids + f.test_ids
         if not all(type(i) is int and i >= 0 for i in (f.fold_id,) + ids):
             raise ValueError(f"fold {f.fold_id!r}: fold and sample ids must be nonnegative ints")
+        if sum(g.fold_id == f.fold_id for g in folds) > 1:
+            raise ValueError(f"fold {f.fold_id}: the fold id is repeated")
         if n_samples is not None and ids and max(ids) >= n_samples:
             raise ValueError(f"fold {f.fold_id}: sample id {max(ids)} is out of range for {n_samples} samples")
         if len(set(f.train_ids)) < len(f.train_ids) or len(set(f.test_ids)) < len(f.test_ids):

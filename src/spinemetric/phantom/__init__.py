@@ -3,7 +3,6 @@
 from .formats import (
     load_dataset,
     manifest_digest,
-    manifest_json,
     read_sample_tensor,
     read_volume,
     save_dataset,
@@ -37,7 +36,6 @@ __all__ = [
     "generate_spine_volume",
     "load_dataset",
     "manifest_digest",
-    "manifest_json",
     "read_sample_tensor",
     "read_volume",
     "reformat_curved",

@@ -2,8 +2,8 @@
 
 Sample tensors: magic ``VPAT`` | u32 channels | u32 height | u32 width |
 float32 LE row-major payload. Volumes: magic ``VVOL`` | u32 z | u32 y |
-u32 x | float32 LE payload | JSON centroid trailer. Manifests are canonical
-JSON (sorted keys, compact separators) so their SHA-256 digest is stable.
+u32 x | float32 LE payload | JSON centroid trailer. Manifests and trailers
+are ``canonical_json``, so a manifest's SHA-256 digest is stable.
 
 Single files are written through ``atomic_open``. ``save_dataset`` guards
 a dataset's sample files with its manifest instead: it removes an earlier
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..atomic import atomic_open
+from ..atomic import atomic_open, canonical_json
 from ..mining import GradeLabel, RegionLabel
 from .patches import PATCH_SIZE, PatchSample
 from .volume import SpineVolume
@@ -56,7 +56,7 @@ def _read_header(fh, path, magic: bytes, kind: str):
     return struct.unpack("<III", head[4:])
 
 
-def _read_vpat(path, out=None) -> np.ndarray:
+def read_sample_tensor(path, out=None) -> np.ndarray:
     """Read the sample tensor at ``path`` into ``out``, or into a new array.
 
     The header is checked before the payload is read: the payload must hold
@@ -78,23 +78,11 @@ def _read_vpat(path, out=None) -> np.ndarray:
     return out
 
 
-def read_sample_tensor(path) -> np.ndarray:
-    return _read_vpat(path)
-
-
 def write_volume(path, volume: SpineVolume) -> None:
     vox = np.asarray(volume.voxels, dtype="<f4")
-    trailer = json.dumps(
-        {
-            "centroids": [
-                {"label": name, "position": [float(v) for v in pos]}
-                for name, pos in volume.centroids
-            ],
-            "grades": [int(g) for g in volume.grades],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    centroids = [{"label": name, "position": [float(v) for v in pos]} for name, pos in volume.centroids]
+    grades = [int(g) for g in volume.grades]
+    trailer = canonical_json({"centroids": centroids, "grades": grades}).encode("utf-8")
     with atomic_open(path) as fh:
         fh.write(VVOL_MAGIC + struct.pack("<III", *vox.shape))
         fh.write(np.ascontiguousarray(vox))
@@ -121,12 +109,8 @@ def read_volume(path) -> SpineVolume:
     return SpineVolume(voxels=vox, centroids=centroids, grades=grades)
 
 
-def manifest_json(manifest: dict) -> str:
-    return json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-
-
 def manifest_digest(manifest: dict) -> str:
-    return hashlib.sha256(manifest_json(manifest).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(manifest).encode("utf-8")).hexdigest()
 
 
 def save_dataset(samples, manifest: dict, out_dir) -> dict:
@@ -153,7 +137,7 @@ def save_dataset(samples, manifest: dict, out_dir) -> dict:
         if stale.name not in named:
             stale.unlink()
     with atomic_open(out_dir / "manifest.json") as fh:
-        fh.write(manifest_json(manifest).encode("utf-8"))
+        fh.write(canonical_json(manifest).encode("utf-8"))
     return manifest
 
 
@@ -186,6 +170,6 @@ def load_dataset(manifest_path):
             )
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"{manifest_path}: malformed sample entry {k} ({exc!r})") from exc
-        _read_vpat(base / entry["file"], out=tensor)
+        read_sample_tensor(base / entry["file"], out=tensor)
         samples.append(PatchSample(image=tensor[0], heatmap=tensor[1], **fields))
     return samples, manifest

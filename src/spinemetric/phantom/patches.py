@@ -15,12 +15,12 @@ pixel before noise.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from ..atomic import canonical_json
 from ..mining import GRADES, REGIONS, GradeLabel, RegionLabel
 
 PATCH_SIZE = 112
@@ -66,8 +66,7 @@ class PhantomConfig:
             raise ValueError("jitter_px must be nonnegative")
 
     def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return hashlib.sha256(canonical_json(asdict(self)).encode()).hexdigest()
 
 
 @dataclass

@@ -19,21 +19,15 @@ from .patches import PhantomConfig, _column_heights, _height_loss
 # T1..L5, cranio-caudal. Requests for n vertebrae take the last n names.
 SPINE_NAMES = tuple(f"T{i}" for i in range(1, 13)) + tuple(f"L{i}" for i in range(1, 6))
 
-_REGION_OF = {}
-for _n in SPINE_NAMES:
-    _level = int(_n[1:])
-    if _n[0] == "T":
-        _REGION_OF[_n] = (
-            RegionLabel.T1_T5 if _level <= 5 else
-            RegionLabel.T6_T9 if _level <= 9 else
-            RegionLabel.T10_T12
-        )
-    else:
-        _REGION_OF[_n] = RegionLabel.L1_L4 if _level <= 4 else RegionLabel.L5
-
 
 def region_of_vertebra(name: str) -> RegionLabel:
-    return _REGION_OF[name]
+    """The region group of a vertebra named in ``SPINE_NAMES``."""
+    if name not in SPINE_NAMES:
+        raise KeyError(name)
+    level = int(name[1:])
+    if name[0] == "L":
+        return RegionLabel.L1_L4 if level <= 4 else RegionLabel.L5
+    return RegionLabel.T1_T5 if level <= 5 else RegionLabel.T6_T9 if level <= 9 else RegionLabel.T10_T12
 
 
 @dataclass

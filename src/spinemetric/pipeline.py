@@ -11,12 +11,12 @@ statistics carry across stages.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .atomic import canonical_json
 from .backbone.model import (
     HEAD_CLASSIFIER,
     HEAD_EMBEDDING,
@@ -26,7 +26,7 @@ from .backbone.model import (
 )
 from .backbone.optim import adam_init, adam_step
 from .data import patch_set
-from .evaluation import Metrics, binary_fracture_labels, evaluate_folds
+from .evaluation import PROBE_REGULARIZATION, PROBE_STEPS, Metrics, binary_fracture_labels, evaluate_folds
 from .losses import GradingMargins, contrastive_loss, cross_entropy, grading_loss, triplet_loss
 from .mining import FoldSplit, mine_pairs, mine_quadruplets, mine_triplets
 
@@ -35,7 +35,7 @@ STAGE_REPRESENTATION = "RepresentationLearn"
 STAGE_FRACTURE = "FractureTrain"
 STAGE_ORDER = (STAGE_LABEL, STAGE_REPRESENTATION, STAGE_FRACTURE)
 
-_STAGE_LOSSES = {
+STAGE_LOSSES = {
     STAGE_LABEL: ("contrastive", "triplet"),
     STAGE_REPRESENTATION: ("contrastive", "triplet", "grading"),
     STAGE_FRACTURE: ("cross_entropy",),
@@ -57,10 +57,10 @@ class StagePlan:
     def __post_init__(self):
         if self.stage not in STAGE_ORDER:
             raise ValueError(f"unknown stage {self.stage!r}")
-        if self.loss_kind not in _STAGE_LOSSES[self.stage]:
+        if self.loss_kind not in STAGE_LOSSES[self.stage]:
             raise ValueError(
                 f"stage {self.stage} cannot use loss {self.loss_kind!r}; "
-                f"allowed: {_STAGE_LOSSES[self.stage]}"
+                f"allowed: {STAGE_LOSSES[self.stage]}"
             )
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
@@ -98,8 +98,8 @@ class PipelineConfig:
     triplet_margin: float = 1.0
     contrastive_margin: float = 1.0
     clustering_mode: str = "textual"
-    probe_regularization: float = 1e-3
-    probe_steps: int = 100_000
+    probe_regularization: float = PROBE_REGULARIZATION
+    probe_steps: int = PROBE_STEPS
     seed: int = 0
 
     def __post_init__(self):
@@ -115,7 +115,7 @@ class PipelineConfig:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, d) -> "PipelineConfig":
@@ -174,7 +174,7 @@ def _metric_batch_loss(emb, per_tuple, loss_kind, config):
 def _stage_targets(plan, data):
     """Per-row targets: region classes T1_T5=0 ... L5=4, grades, or fractured."""
     if plan.stage == STAGE_FRACTURE:
-        return binary_fracture_labels(data)
+        return binary_fracture_labels(data.grades)
     return data.regions if plan.stage == STAGE_LABEL else data.grades
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from dataclasses import replace
@@ -16,6 +17,7 @@ from spinemetric.backbone import (
     save_model,
 )
 from spinemetric.backbone.model import _init_head
+from spinemetric.cli import NETWORK_PRESETS
 from spinemetric.mining import GradeLabel, RegionLabel
 from spinemetric.phantom import PhantomConfig, generate_patch
 
@@ -362,6 +364,12 @@ class TestSwapHead:
 
 
 class TestCheckpoint:
+    def test_tiny_checkpoint_bytes_pinned(self, tmp_path):
+        # The manifest is canonical JSON: a change of encoding moves these bytes.
+        save_model(init_model(NETWORK_PRESETS["tiny"], seed=0), tmp_path / "m.gmck")
+        digest = hashlib.sha256((tmp_path / "m.gmck").read_bytes()).hexdigest()
+        assert digest == "a859e55a21328e8f80cb41cb019e2007adbfbc5d73c234c63068d67f0951f2d8"
+
     def test_byte_exact_round_trip(self, tmp_path):
         cfg = NetworkConfig(input_size=16, conv_channels=(4, 6), linear_dims=(12, 8))
         m = init_model(cfg, seed=7)

@@ -62,6 +62,11 @@ class TestGen:
         assert d1 == d2
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
+    def test_digest_pinned(self, tmp_path, capsys):
+        # The manifest is canonical JSON: a change of encoding moves its digest.
+        assert run_cli("gen", "--counts", "g0=6,g2=3,g3=3", "--seed", "3", "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out.strip() == "1f63a78d4019c299c7cef89ca06f289b056eb7269f0c3cf16a8dd0224ab3d9b6"
+
     def test_writes_run_json_and_samples(self, dataset_dir):
         run = json.loads((dataset_dir / "run.json").read_text())
         assert run["command"] == "gen"
@@ -154,6 +159,46 @@ class TestConfigFile:
         assert run_cli("gen", "--counts", "g0=3,g2=2,g3=2", "--config", str(path), "--out", str(out)) == 1
         err = capsys.readouterr().err.strip()
         assert err == f"error: {path}: unknown config keys ['jiter_px', 'sed'] (known keys: ['jitter_px', 'seed'])"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"seed": "7"}, "config key 'seed' must be an integer, got \"7\""),
+            ({"seed": True}, "config key 'seed' must be an integer, got true"),
+            ({"jitter_px": 1.5}, "config key 'jitter_px' must be an integer, got 1.5"),
+        ],
+        ids=["seed-string", "seed-bool", "jitter-float"],
+    )
+    def test_gen_value_type_named(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("gen", "--counts", "g0=3,g2=2,g3=2", "--config", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err.strip() == f"error: {path}: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"folds": 1.7}, "config key 'folds' must be an integer, got 1.7"),
+            ({"folds": True}, "config key 'folds' must be an integer, got true"),
+            ({"folds": "x"}, "config key 'folds' must be an integer, got \"x\""),
+            ({"test_fraction": "0.3"}, "config key 'test_fraction' must be a number, got \"0.3\""),
+            ({"test_fraction": True}, "config key 'test_fraction' must be a number, got true"),
+            ({"dataset": 5}, "config key 'dataset' must be a string, got 5"),
+            ({"pipeline": []}, "config key 'pipeline' must be an object, got []"),
+        ],
+        ids=["folds-float", "folds-bool", "folds-string", "fraction-string", "fraction-bool",
+             "dataset-int", "pipeline-list"],
+    )
+    def test_train_value_type_named(self, dataset_dir, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("train", "--dataset", str(dataset_dir), "--network", "tiny", "--epochs", "1,1,1",
+                       "--config", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err.strip() == f"error: {path}: {message}"
         assert not out.exists()
 
     def test_unknown_train_key_named(self, dataset_dir, tmp_path, capsys):
@@ -476,6 +521,8 @@ class TestEvalAndProject:
              "fold 0: a sample id is repeated"),
             ('{"seed":0,"folds":[{"fold_id":0,"train_ids":[0,1,2],"test_ids":[2,3]}]}',
              "fold 0: a sample id is in both train and test"),
+            ('{"seed":0,"folds":' + json.dumps([{"fold_id": 0, "train_ids": [0, 1], "test_ids": [2]}] * 3) + "}",
+             "fold 0: the fold id is repeated"),
         ],
     )
     def test_classify_malformed_folds_named(self, dataset_dir, tmp_path, capsys, text, message):

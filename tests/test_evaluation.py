@@ -76,7 +76,7 @@ def probe_sets():
         "xor": (np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), np.array([0, 1, 1, 0])),
         "random": random,
         "shifted_blobs": blobs,
-        "tiny_dataset": (embed_samples(init_model(TINY_NET, seed=0), samples), binary_fracture_labels(samples)),
+        "tiny_dataset": (embed_samples(init_model(TINY_NET, seed=0), samples), binary_fracture_labels([s.grade for s in samples])),
     }
     return {name: (x, y, pegasos_probe_reference(x, y, n_steps=PEGASOS_STEPS)) for name, (x, y) in sets.items()}
 
@@ -311,7 +311,7 @@ class TestProtocols:
         model = init_model(TINY_NET, seed=0)
         folds = make_folds([s.grade for s in samples], 2, 0.3, seed=1)
         emb = embed_samples(model, samples)
-        y = binary_fracture_labels(samples)
+        y = binary_fracture_labels([s.grade for s in samples])
         fits = []
 
         def recording(x, labels, **kwargs):
@@ -375,7 +375,7 @@ class TestProtocols:
         a, b = embed_samples(embedder, samples, batch_size=7), embed_samples(embedder, data, batch_size=7)
         assert a.shape == (len(samples), 8)
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
-        assert np.array_equal(binary_fracture_labels(samples), binary_fracture_labels(data))
+        assert np.array_equal(binary_fracture_labels([s.grade for s in samples]), binary_fracture_labels(data.grades))
 
     def test_classifier_needs_model_per_fold(self):
         samples = tiny_dataset()

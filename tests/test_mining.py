@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -73,6 +74,18 @@ class TestMakeFolds:
         doc = json.loads(text)
         assert doc["seed"] == 3
         assert len(doc["folds"]) == 3
+
+    def test_json_bytes_pinned(self):
+        # folds.json is canonical JSON: a change of encoding moves these bytes.
+        folds = make_folds([G0] * 10 + [G2] * 4 + [G3] * 4, 3, 0.25, seed=3)
+        digest = hashlib.sha256(folds_to_json(folds).encode()).hexdigest()
+        assert digest == "eb1a366ff95eedeb0735808c2eecb5cf2486a6bbfb4867459b2bcc7bab80cfde"
+
+    def test_json_repeated_fold_id_refused(self):
+        doc = json.loads(folds_to_json(make_folds([G0] * 10 + [G2] * 4 + [G3] * 4, 2, 0.25, seed=3)))
+        doc["folds"][1]["fold_id"] = 0
+        with pytest.raises(ValueError, match="^fold 0: the fold id is repeated$"):
+            folds_from_json(json.dumps(doc))
 
 
 class TestMineQuadruplets:

@@ -49,6 +49,10 @@ class TestConfig:
     def test_digest_changes_with_seed(self):
         assert PhantomConfig(seed=1).digest() != PhantomConfig(seed=2).digest()
 
+    def test_default_digest_pinned(self):
+        # Every dataset manifest records this digest: its encoding must not move.
+        assert PhantomConfig().digest() == "1a310341472d9745b3a024f57446f9644fad2301a3875b2744d0ec189e0ac7ee"
+
 
 class TestGeneratePatch:
     def test_healthy_mid_height_ratio_near_one(self):
