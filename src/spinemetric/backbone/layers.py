@@ -20,6 +20,15 @@ page-faulted in fresh. No pass writes into its arguments (``x`` or
 ``dy``): callers may reuse them. A layer may overwrite its own cache,
 which it drops after backward.
 
+Row-count rule: batch norm weights train-mode row ``i`` by
+``row_counts[i]``, set before the forward that uses them up; every other
+layer is row-wise. Its mean, biased variance and running statistics are
+then those of the batch with row ``i`` repeated ``row_counts[i]`` times, and
+backward, given each row's summed upstream gradient D, returns that batch's
+input gradient summed per row: gamma/sigma * (D - m*sum(D)/N -
+m*xhat*sum(D*xhat)/N), with m the row counts and N = sum(m) (times H*W
+for ``BatchNorm2d``).
+
 Layout rule: every array inside a conv block (conv, batch norm, ReLU,
 max-pool) keeps the ``(N, C, H, W)`` shape but is laid out batch-innermost:
 it is the ``.transpose(3, 0, 1, 2)`` view of a C-contiguous ``(C, H, W, N)``
@@ -233,13 +242,15 @@ class _BatchNormBase(Layer):
 
     ``(N, C)`` and ``(N, C, H, W)`` inputs share one path: both are viewed
     channel-first as ``(C, L)``, which is a view for a 2-D or batch-innermost
-    input. Train mode centres the input into a new buffer, takes the
-    variance from it and scales it in place into ``xhat``, which is the
-    backward cache; backward builds the input gradient over that cache.
+    input. Train mode centres the input into a new buffer, weights its
+    per-row sums of squares by the row counts for the variance, and scales
+    it in place into ``xhat``, which is the backward cache with the row
+    weights tiled to ``(L,)``; backward builds the input gradient over it.
     """
 
     PARAMS = ("gamma", "beta")
     STATE = ("running_mean", "running_var")
+    row_counts = None
 
     def __init__(self, num_features, epsilon, momentum, dtype=np.float32):
         self.epsilon = epsilon
@@ -270,10 +281,16 @@ class _BatchNormBase(Layer):
             y = np.multiply(xc, scale[:, None], dtype=x.dtype)
             y += shift[:, None]
             return self._batch_first(y, x.shape)
-        m = xc.shape[1]
-        mu = xc.sum(axis=1) / m
+        counts, self.row_counts = self.row_counts, None
+        counts = np.ones(len(x), x.dtype) if counts is None else np.asarray(counts, x.dtype)
+        if len(counts) != len(x):
+            raise ValueError(f"{len(counts)} row counts for a batch of {len(x)} rows")
+        weights = np.tile(counts, xc.shape[1] // len(x))
+        m = xc.shape[1] // len(x) * int(counts.sum())
+        mu = (xc @ weights) / m
         xhat = np.subtract(xc, mu[:, None], dtype=x.dtype)
-        var = np.einsum("cl,cl->c", xhat, xhat) / m
+        rows = xhat.reshape(len(xhat), -1, len(x))  # (C, L / N, N)
+        var = np.einsum("chn,chn->cn", rows, rows) @ counts / m
         # Running stats follow the usual convention: unbiased variance
         # for the running estimate, biased for the normalization itself.
         unbiased = var * (m / max(m - 1, 1))
@@ -284,22 +301,22 @@ class _BatchNormBase(Layer):
         xhat *= inv_std[:, None]
         y = np.multiply(xhat, self.gamma[:, None], dtype=x.dtype)
         y += self.beta[:, None]
-        self._cache = (xhat, inv_std)
+        self._cache = (xhat, inv_std, weights, m)
         return self._batch_first(y, x.shape)
 
     def backward(self, dy):
-        xhat, inv_std = self._take_cache()
+        xhat, inv_std, weights, m = self._take_cache()
         dyc = self._channel_first(dy)
-        m = dyc.shape[1]
         sum_dy = dyc.sum(axis=1)
         sum_dy_xhat = np.einsum("cl,cl->c", dyc, xhat)
         self.d_beta += sum_dy
         self.d_gamma += sum_dy_xhat
-        # dx = gamma * inv_std * (dy - mean(dy) - xhat * mean(dy * xhat)),
+        # dx = gamma * inv_std * (dy - w * (sum(dy) + xhat * sum(dy * xhat)) / m),
         # built in the spent xhat buffer.
         dx = xhat
         dx *= (sum_dy_xhat / m)[:, None]
         dx += (sum_dy / m)[:, None]
+        dx *= weights
         np.subtract(dyc, dx, out=dx)
         dx *= (self.gamma * inv_std)[:, None]
         return self._batch_first(dx, dy.shape)

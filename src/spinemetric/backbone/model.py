@@ -22,6 +22,7 @@ from .layers import (
     LeakyReLU,
     Linear,
     MaxPool2d,
+    _BatchNormBase,
 )
 
 HEAD_EMBEDDING = "embedding8"
@@ -186,6 +187,13 @@ class PatchEncoder:
         for layer in self._layers:
             x = layer.forward(x, train)
         return x
+
+    def set_row_counts(self, counts) -> None:
+        """Weight row ``i`` of the next train forward by ``counts[i]`` in
+        every batch norm (see the row-count rule in ``layers``)."""
+        for layer in self._layers:
+            if isinstance(layer, _BatchNormBase):
+                layer.row_counts = counts
 
     def backward(self, d_out) -> dict:
         """Backpropagate d(loss)/d(output); returns the parameter gradient map.

@@ -80,6 +80,7 @@ class RunRecord:
     epoch_losses: list = field(default_factory=list)
     seconds: float = 0.0
     checkpoint: str | None = None
+    rows_forwarded: int = 0  # distinct rows, summed over the training steps
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -186,6 +187,10 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
     metric stages, a shuffled order for fracture training) as row indices
     into the split's images and minimizes the stage's loss with Adam, one
     batch of tuples per step.
+
+    A step forwards each distinct row of its batch once, with batch norm
+    weighting it by its number of tuple slots, and sums the slots' upstream
+    gradients onto it: the duplicated batch's result up to summation order.
     """
     if len(samples) == 0:
         raise ValueError("empty training split")
@@ -210,9 +215,11 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
         for lo in range(0, len(rows), plan.batch_size):
             step = slice(lo, lo + plan.batch_size)
             batch = rows[step]
-            out = model.forward(data.images[batch.ravel()], train=True)
+            distinct, slot_row, counts = np.unique(batch.ravel(), return_inverse=True, return_counts=True)
+            model.set_row_counts(counts)
+            out = model.forward(data.images[distinct], train=True)
             mean_loss, upstream = _metric_batch_loss(
-                out.reshape(batch.shape + (-1,)),
+                out[slot_row].reshape(batch.shape + (-1,)),
                 None if per_tuple is None else per_tuple[step],
                 plan.loss_kind,
                 config,
@@ -221,10 +228,13 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
                 raise FloatingPointError(
                     f"{plan.stage} diverged at epoch {epoch} (loss={mean_loss})"
                 )
+            d_out = np.zeros_like(out)
+            np.add.at(d_out, slot_row, upstream.reshape(len(slot_row), -1))
             model.zero_grad()
-            grads = model.backward(upstream.reshape(out.shape))
+            grads = model.backward(d_out)
             adam_step(model, opt, grads)
             losses.append((mean_loss, len(batch)))
+            record.rows_forwarded += len(distinct)
         record.epoch_losses.append(
             float(sum(l * n for l, n in losses) / sum(n for _, n in losses))
         )

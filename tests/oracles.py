@@ -11,7 +11,8 @@ tuple of 1-D vectors at a time, quadruplet, triplet and pair mining as lists
 of Python tuples, with the class pools rebuilt by a scan over all labels,
 the linear probe by Pegasos subgradient descent, with its objective
 summed one row at a time, the block-mean downsample one window value at a
-time, and the dataset loader one whole file read at a time.
+time, the dataset loader one whole file read at a time, and a training
+stage by forwarding every tuple slot as its own network row.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from spinemetric import pipeline
+from spinemetric.backbone.optim import adam_init, adam_step
+from spinemetric.data import patch_set
 from spinemetric.losses import ANCHOR_CLASSES, GradingMargins, LossValue
 from spinemetric.mining import GradeLabel
 from spinemetric.phantom.patches import _column_heights
@@ -637,3 +641,34 @@ def load_dataset_reference(manifest_path) -> list[np.ndarray]:
         assert len(data) == 16 + 4 * c * h * w
         tensors.append(np.frombuffer(data[16:], dtype="<f4").reshape(c, h, w).copy())
     return tensors
+
+
+def run_stage_reference(model, plan, samples, seed: int, config) -> list[float]:
+    """``pipeline.run_stage`` with every tuple slot forwarded as its own
+    network row, repeats included, so that train-mode batch norm sees the
+    duplicated batch. Trains ``model`` in place; returns the epoch losses."""
+    data = patch_set(samples, model.config.input_size)
+    if plan.stage == pipeline.STAGE_FRACTURE and model.head != pipeline.HEAD_CLASSIFIER:
+        model.swap_head(pipeline.HEAD_CLASSIFIER, seed=seed + pipeline._HEAD_SEED_OFFSET)
+    targets = pipeline._stage_targets(plan, data)
+    base_seed = seed + pipeline._STAGE_SEED_OFFSET[plan.stage]
+    opt = adam_init(model, learning_rate=config.learning_rate)
+    epoch_losses = []
+    for epoch in range(plan.epochs):
+        rows, per_tuple = pipeline._epoch_tuples(plan, targets, len(data), base_seed + epoch)
+        total = 0.0
+        for lo in range(0, len(rows), plan.batch_size):
+            step = slice(lo, lo + plan.batch_size)
+            batch = rows[step]
+            out = model.forward(data.images[batch.ravel()], train=True)
+            mean_loss, upstream = pipeline._metric_batch_loss(
+                out.reshape(batch.shape + (-1,)),
+                None if per_tuple is None else per_tuple[step],
+                plan.loss_kind,
+                config,
+            )
+            model.zero_grad()
+            adam_step(model, opt, model.backward(upstream.reshape(out.shape)))
+            total += mean_loss * len(batch)
+        epoch_losses.append(total / len(rows))
+    return epoch_losses

@@ -215,6 +215,45 @@ class TestBackward:
         for name in single:
             assert np.allclose(double[name], 2.0 * single[name], rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "counts", [[1, 1, 1, 1], [5], [3, 1, 2, 4]], ids=["ones", "repeated", "mixed"]
+    )
+    def test_distinct_rows_with_counts_match_duplicated_batch(self, counts):
+        # Slot s of the duplicated batch holds distinct row slots[s].
+        rng = np.random.default_rng(10)
+        slots = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        x = rng.normal(size=(len(counts), 2, 8, 8))
+        up = rng.normal(size=(len(slots), 5))
+        d_rows = np.zeros((len(counts), 5))
+        np.add.at(d_rows, slots, up)
+
+        distinct, duplicated = init_model(REDUCED, seed=11), init_model(REDUCED, seed=11)
+        # With one repeated row, BatchNorm1d outputs its beta plus rounding
+        # noise; betas away from 0 keep the LeakyReLU after it off its kink.
+        for name, p in distinct.parameters().items():
+            if name.endswith(".beta"):
+                p[...] = rng.uniform(0.2, 1.0, p.shape) * rng.choice([-1.0, 1.0], p.shape)
+                duplicated.parameters()[name][...] = p
+        distinct.set_row_counts(counts)
+        out = distinct.forward(x, train=True)
+        distinct.zero_grad()
+        distinct.backward(d_rows)
+        out_dup = duplicated.forward(x[slots], train=True)
+        duplicated.zero_grad()
+        duplicated.backward(up)
+
+        # Entries whose true value is 0 are rounding noise on both sides: the
+        # conv biases feeding batch norm, and, with one repeated row, every
+        # gradient below BatchNorm1d. So each group is also compared with an
+        # absolute tolerance of 1e-12 times its largest magnitude.
+        groups = [({"out": out[slots]}, {"out": out_dup})] + [
+            (getattr(distinct, kind)(), getattr(duplicated, kind)()) for kind in ("gradients", "bn_stats")
+        ]
+        for got, want in groups:
+            scale = max(np.max(np.abs(v)) for v in want.values())
+            for name, value in got.items():
+                np.testing.assert_allclose(value, want[name], rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
     def test_first_conv_skips_input_gradient(self):
         x = np.random.default_rng(7).normal(size=(3, 2, 8, 8))
         up = np.random.default_rng(8).normal(size=(3, 5))

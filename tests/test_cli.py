@@ -393,6 +393,33 @@ class TestTrain:
                 parallel / fold / "metrics.json"
             ).read_bytes()
 
+    def test_deduplicating_stages_reproduce_across_jobs_and_reruns(self, dataset_dir, tmp_path):
+        # Every stage forwards distinct rows; a rerun and a two-worker run
+        # write the same checkpoints, metrics and row counts.
+        def run(name, jobs):
+            out = tmp_path / name
+            assert run_cli(
+                "train", "--dataset", str(dataset_dir), "--stages", "label,grading,fracture",
+                "--epochs", "1,1,1", "--network", "tiny", "--folds", "2",
+                "--test-fraction", "0.3", "--seed", "5", "--jobs", jobs, "--out", str(out),
+            ) == 0
+            files = {
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.suffix == ".gmck" or p.name == "metrics.json"
+            }
+            rows = [
+                [stage["rows_forwarded"] for stage in json.loads(p.read_text())["stages"]]
+                for p in sorted(out.rglob("records.json"))
+            ]
+            return files, rows
+
+        first = run("serial", "1")
+        assert len(first[0]) == 2 * 5 and len(first[1]) == 2
+        assert all(n > 0 for fold in first[1] for n in fold)
+        assert run("rerun", "1") == first
+        assert run("parallel", "2") == first
+
     def test_dataset_loaded_and_stacked_once(self, dataset_dir, tmp_path, monkeypatch):
         calls = {"load": 0, "stack": 0}
 

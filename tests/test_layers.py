@@ -1,6 +1,8 @@
 """Finite-difference checks for every layer type in isolation, plus the
 behavioral contracts (tie-breaking, eval purity, cache errors)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -27,16 +29,22 @@ from .oracles import (
 RNG = np.random.default_rng(1234)
 
 
-def fd_layer_check(layer, x, h=1e-5, tol=1e-3, stride=7):
+def fd_layer_check(layer, x, h=1e-5, tol=1e-3, stride=7, row_counts=None):
     """Compare analytic input/parameter gradients against central differences
-    for a random linear functional of the output."""
-    y0 = layer.forward(x, train=True)
-    R = np.random.default_rng(99).normal(size=y0.shape)
+    for a random linear functional of the output. ``row_counts``, when
+    given, weights the rows of every train forward of a batch norm."""
+
+    def forward():
+        if row_counts is not None:
+            layer.row_counts = row_counts
+        return layer.forward(x, train=True)
+
+    R = np.random.default_rng(99).normal(size=forward().shape)
 
     def loss():
-        return float(np.sum(layer.forward(x, train=True) * R))
+        return float(np.sum(forward() * R))
 
-    layer.forward(x, train=True)
+    forward()
     for g in layer.grads().values():
         g.fill(0.0)
     dx = layer.backward(R)
@@ -59,6 +67,12 @@ def fd_layer_check(layer, x, h=1e-5, tol=1e-3, stride=7):
             assert rel_err(aflat[idx], fd) < tol, (name, idx)
 
 
+# Row counts of a distinct-row batch: every row once, one row standing for
+# a batch of six identical rows (zero batch variance in BatchNorm1d), and a
+# mix of repeats.
+ROW_COUNTS = {"ones": [1, 1, 1, 1], "repeated": [6], "mixed": [3, 1, 2, 5]}
+
+
 class TestGradientChecks:
     def test_conv(self):
         x = RNG.normal(size=(2, 3, 8, 8))
@@ -75,6 +89,13 @@ class TestGradientChecks:
     def test_batchnorm1d(self):
         x = RNG.normal(size=(8, 5))
         fd_layer_check(BatchNorm1d(5, 1e-5, 0.1, np.float64), x)
+
+    @pytest.mark.parametrize("pattern", ROW_COUNTS)
+    @pytest.mark.parametrize("cls,shape", [(BatchNorm2d, (3, 6, 6)), (BatchNorm1d, (5,))])
+    def test_batchnorm_with_row_counts(self, cls, shape, pattern):
+        counts = ROW_COUNTS[pattern]
+        x = RNG.normal(size=(len(counts),) + shape)
+        fd_layer_check(cls(shape[0], 1e-5, 0.1, np.float64), x, stride=3, row_counts=counts)
 
     def test_leaky_relu(self):
         x = RNG.normal(size=(4, 3, 4, 4))
@@ -263,6 +284,54 @@ class TestPointwiseOracles:
         for y in (y_train, pool.forward(x, train=False)):
             np.testing.assert_array_equal(y, y_ref)
         np.testing.assert_array_equal(dx, dx_ref)
+
+
+class TestBatchNormRowCounts:
+    """A distinct-row batch with row counts behaves as the duplicated batch."""
+
+    @pytest.mark.parametrize("pattern", ROW_COUNTS)
+    @pytest.mark.parametrize("cls,shape", [(BatchNorm2d, (3, 5, 6)), (BatchNorm1d, (5,))])
+    def test_matches_duplicated_batch(self, cls, shape, pattern):
+        rng = np.random.default_rng(12)
+        counts = ROW_COUNTS[pattern]
+        # Slot s of the duplicated batch holds distinct row slots[s].
+        slots = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        x = rng.normal(size=(len(counts),) + shape) * 3.0 + 1.5
+        dy = rng.normal(size=(len(slots),) + shape)
+        d_rows = np.zeros_like(x)
+        np.add.at(d_rows, slots, dy)
+
+        distinct = _seeded_batchnorm(cls, shape[0], np.float64, np.random.default_rng(3))
+        duplicated = _seeded_batchnorm(cls, shape[0], np.float64, np.random.default_rng(3))
+        distinct.row_counts = counts
+        y = distinct.forward(x, train=True)
+        dx = distinct.backward(d_rows)
+        y_dup = duplicated.forward(x[slots], train=True)
+        dx_dup = np.zeros_like(x)
+        np.add.at(dx_dup, slots, duplicated.backward(dy))
+
+        # Absolute tolerance too: with one repeated row, BatchNorm1d's input
+        # gradient is 0 in real arithmetic, so only rounding noise is left.
+        close = functools.partial(np.testing.assert_allclose, rtol=1e-12, atol=1e-12)
+        close(y[slots], y_dup)
+        close(dx, dx_dup)
+        for name in ("d_gamma", "d_beta", "running_mean", "running_var"):
+            close(getattr(distinct, name), getattr(duplicated, name), err_msg=name)
+
+    def test_counts_are_used_by_one_train_forward(self):
+        bn = BatchNorm1d(2, 1e-5, 0.1, np.float64)
+        x = RNG.normal(size=(3, 2))
+        bn.row_counts = [1, 2, 3]
+        bn.forward(x, train=False)
+        assert bn.row_counts == [1, 2, 3]
+        bn.forward(x, train=True)
+        assert bn.row_counts is None
+
+    def test_count_length_must_match_batch(self):
+        bn = BatchNorm2d(2, 1e-5, 0.1, np.float64)
+        bn.row_counts = [1, 2]
+        with pytest.raises(ValueError, match="2 row counts for a batch of 3 rows"):
+            bn.forward(RNG.normal(size=(3, 2, 2, 2)), train=True)
 
 
 class TestMaxPoolTies:

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from spinemetric.backbone import (
 )
 from spinemetric.data import patch_set
 from spinemetric.losses import GradingMargins
-from spinemetric.mining import GradeLabel, RegionLabel, make_folds, mine_pairs
+from spinemetric.mining import GradeLabel, RegionLabel, make_folds, mine_pairs, mine_quadruplets
 from spinemetric.phantom import PhantomConfig, generate_dataset
 from spinemetric.pipeline import (
     STAGE_FRACTURE,
@@ -33,6 +35,7 @@ from .oracles import (
     contrastive_loss_reference,
     cross_entropy_reference,
     grading_loss_reference,
+    run_stage_reference,
     triplet_loss_reference,
 )
 
@@ -101,13 +104,14 @@ class TestStagePlans:
         assert digest == "d0952812e00741537f3bc2dbc4641c1d4f52be0005fd9ead09bc24a7db909b05"
 
     def test_run_record_to_dict(self):
-        record = RunRecord("FractureTrain", "cross_entropy", [0.5, 0.25], 1.5, "stage1.gmck")
+        record = RunRecord("FractureTrain", "cross_entropy", [0.5, 0.25], 1.5, "stage1.gmck", 96)
         assert record.to_dict() == {
             "stage": "FractureTrain",
             "loss_kind": "cross_entropy",
             "epoch_losses": [0.5, 0.25],
             "seconds": 1.5,
             "checkpoint": "stage1.gmck",
+            "rows_forwarded": 96,
         }
 
     def test_margin_hierarchy_refused_at_config_parse(self):
@@ -229,6 +233,82 @@ class TestRunStage:
         record = run_stage(model, config.stages[0], samples, seed=1, config=config)
         assert len(record.epoch_losses) == 2
         assert all(np.isfinite(v) for v in record.epoch_losses)
+
+
+class TestDistinctRows:
+    """A step forwards each distinct row once; the stage trains as if every
+    tuple slot were its own row."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            StagePlan(STAGE_LABEL, "contrastive", epochs=1, batch_size=8),
+            StagePlan(STAGE_LABEL, "triplet", epochs=1, batch_size=8),
+            StagePlan(STAGE_REPRESENTATION, "grading", epochs=1, batch_size=8),
+            StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=1, batch_size=8),
+        ],
+        ids=lambda p: p.loss_kind,
+    )
+    def test_matches_duplicated_batch_oracle(self, plan):
+        # A parameter whose true gradient is 0 (a bias in front of a batch
+        # norm, among others) receives rounding noise of about 1e-14, which
+        # Adam turns into a step of lr * noise / EPSILON: 1e-10 per step at
+        # the default lr of 1e-4, 1e-12 at 1e-6. Every other parameter
+        # moves by about lr per step, so 1e-10 still resolves it.
+        net = replace(TINY_NET, dtype="float64")
+        config = PipelineConfig(network=net, stages=(plan,), seed=4, learning_rate=1e-6)
+        samples = balanced_samples(per_grade=2)
+        model, reference = init_model(net, seed=4), init_model(net, seed=4)
+        record = run_stage(model, plan, samples, seed=4, config=config)
+        want_losses = run_stage_reference(reference, plan, samples, seed=4, config=config)
+
+        close = functools.partial(np.testing.assert_allclose, rtol=1e-10, atol=1e-10)
+        close(record.epoch_losses, want_losses)
+        for kind in ("parameters", "bn_stats"):
+            want = getattr(reference, kind)()
+            for name, got in getattr(model, kind)().items():
+                close(got, want[name], err_msg=name)
+
+    def _recorded_batches(self, monkeypatch, plan, samples):
+        """Run ``plan`` on ``samples``; return its record and every step's
+        tuple rows, as mined."""
+        mined = []
+
+        def recording(*args, **kwargs):
+            mined.append(mine_quadruplets(*args, **kwargs))
+            return mined[-1]
+
+        monkeypatch.setattr(pipeline, "mine_quadruplets", recording)
+        model = init_model(TINY_NET, seed=0)
+        record = run_stage(model, plan, samples, seed=0, config=tiny_config(plan))
+        batches = [
+            epoch[lo : lo + plan.batch_size, :-1]
+            for epoch in mined
+            for lo in range(0, len(epoch), plan.batch_size)
+        ]
+        return record, batches
+
+    def test_rows_forwarded_counts_distinct_rows(self, monkeypatch):
+        # Two samples per grade: a quadruplet's four members always differ
+        # (its anchor is the other sample of its grade), so a one-tuple step
+        # forwards 4 rows, and a six-tuple step at most the 6 samples.
+        samples = balanced_samples(per_grade=2)[:: len(RegionLabel)]
+        assert sorted(s.grade for s in samples) == [G0, G0, G2, G2, G3, G3]
+        one = StagePlan(STAGE_REPRESENTATION, "grading", epochs=2, batch_size=1)
+        record, batches = self._recorded_batches(monkeypatch, one, samples)
+        assert len(batches) == 12 and record.rows_forwarded == 12 * 4
+
+        whole = StagePlan(STAGE_REPRESENTATION, "grading", epochs=2, batch_size=6)
+        record, batches = self._recorded_batches(monkeypatch, whole, samples)
+        assert len(batches) == 2
+        by_hand = sum(len(set(batch.ravel().tolist())) for batch in batches)
+        assert record.rows_forwarded == by_hand <= 2 * 6
+
+    def test_fracture_stage_forwards_each_sample_once_per_epoch(self):
+        samples = balanced_samples(per_grade=1)
+        plan = StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=3, batch_size=4)
+        record = run_stage(init_model(TINY_NET, seed=0), plan, samples, seed=0, config=tiny_config(plan))
+        assert record.rows_forwarded == 3 * len(samples)
 
 
 class TestMetricBatchLoss:
