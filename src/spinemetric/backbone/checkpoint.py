@@ -20,7 +20,7 @@ from ..atomic import atomic_open, canonical_json
 from .model import NetworkConfig, PatchEncoder
 
 MAGIC = b"GMCK"
-VERSION = 1
+VERSION = 2
 
 
 def _all_tensors(model: PatchEncoder) -> dict:

@@ -106,12 +106,16 @@ class Conv2d(Layer):
     per chunk from the cache, so memory stays at O(input) plus one chunk's
     columns, bounded by ``COLS_BYTES``, in both passes.
 
+    It has no bias: in the network a batch norm follows every conv, and its
+    mean subtraction cancels any per-channel constant, so a bias would only
+    gather rounding noise as its gradient.
+
     ``input_grad = False`` makes backward skip the input gradient and return
     ``None``; the network sets it on a first layer, whose input gradient
     nothing uses.
     """
 
-    PARAMS = ("weight", "bias")
+    PARAMS = ("weight",)
 
     def __init__(self, in_channels, out_channels, kernel, rng, dtype=np.float32):
         if kernel % 2 != 1:
@@ -124,9 +128,7 @@ class Conv2d(Layer):
         self.weight = kaiming_uniform(
             rng, (out_channels, in_channels, kernel, kernel), fan_in, dtype
         )
-        self.bias = np.zeros(out_channels, dtype=dtype)
         self.d_weight = np.zeros_like(self.weight)
-        self.d_bias = np.zeros_like(self.bias)
         self.input_grad = True
 
     def _chunks(self, xpad):
@@ -161,9 +163,7 @@ class Conv2d(Layer):
         y = np.empty((o, h, w, n), dtype=x.dtype)
         ymat = y.reshape(o, -1)
         for lo, hi, cols in self._chunks(xpad):
-            rows = ymat[:, lo * w * n : hi * w * n]
-            np.matmul(wmat, cols, out=rows)
-            rows += self.bias[:, None]
+            np.matmul(wmat, cols, out=ymat[:, lo * w * n : hi * w * n])
         self._cache = xpad if train else None
         return y.transpose(3, 0, 1, 2)
 
@@ -172,7 +172,6 @@ class Conv2d(Layer):
         n, o, h, w = dy.shape
         p, k = self.pad, self.kernel
         dymat = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).reshape(o, -1)
-        self.d_bias += dymat.sum(axis=1)
         wmat = self.weight.reshape(o, -1)
         d_wmat = self.d_weight.reshape(o, -1)
         dxpad = np.zeros_like(xpad) if self.input_grad else None

@@ -30,17 +30,21 @@ HEAD_CLASSIFIER = "classifier2"
 HEADS = (HEAD_EMBEDDING, HEAD_CLASSIFIER)
 
 
+# The paper's fixed encoder: image + heatmap input, 5x5 convs, a two-logit
+# fracture head, leaky ReLU after each hidden linear layer, and batch norm.
+INPUT_CHANNELS = 2
+KERNEL = 5
+CLASSIFIER_CLASSES = 2
+LEAKY_SLOPE = 0.01
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.1
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
-    input_channels: int = 2
     input_size: int = 112
     conv_channels: tuple = (32, 64, 128, 256)
-    kernel: int = 5
     linear_dims: tuple = (256, 128, 64, 8)
-    classifier_classes: int = 2
-    leaky_slope: float = 0.01
-    bn_epsilon: float = 1e-5
-    bn_momentum: float = 0.1
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -48,8 +52,7 @@ class NetworkConfig:
         object.__setattr__(self, "linear_dims", tuple(self.linear_dims))
         if not self.conv_channels or not self.linear_dims:
             raise ValueError("conv_channels and linear_dims must be non-empty")
-        sizes = ("input_channels", "input_size", "kernel", "classifier_classes")
-        for name in (*sizes, "conv_channels", "linear_dims"):
+        for name in ("input_size", "conv_channels", "linear_dims"):
             if np.min(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         divisor = 2 ** len(self.conv_channels)
@@ -58,12 +61,6 @@ class NetworkConfig:
                 f"input_size {self.input_size} not divisible by {divisor} "
                 f"(one 2x2 pool per conv block)"
             )
-        if self.kernel % 2 != 1:
-            raise ValueError("kernel must be odd")
-        if not self.bn_epsilon > 0:
-            raise ValueError(f"bn_epsilon must be positive, got {self.bn_epsilon}")
-        if not 0 <= self.bn_momentum <= 1:
-            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
         if not np.issubdtype(self.np_dtype, np.floating):
             raise ValueError(f"dtype must be a floating-point type, got {self.dtype!r}")
 
@@ -98,9 +95,7 @@ def _init_head(config: NetworkConfig, head: str, rng) -> Linear:
     in_features = (
         config.linear_dims[-2] if len(config.linear_dims) > 1 else config.flat_features
     )
-    out = (
-        config.embedding_dim if head == HEAD_EMBEDDING else config.classifier_classes
-    )
+    out = config.embedding_dim if head == HEAD_EMBEDDING else CLASSIFIER_CLASSES
     return Linear(in_features, out, rng, dtype=config.np_dtype)
 
 
@@ -115,10 +110,10 @@ class PatchEncoder:
 
         self._names: list[str] = []
         self._layers: list = []
-        c_in = config.input_channels
+        c_in = INPUT_CHANNELS
         for i, c_out in enumerate(config.conv_channels, start=1):
-            self._add(f"conv{i}", Conv2d(c_in, c_out, config.kernel, rng, dtype))
-            self._add(f"bn{i}", BatchNorm2d(c_out, config.bn_epsilon, config.bn_momentum, dtype))
+            self._add(f"conv{i}", Conv2d(c_in, c_out, KERNEL, rng, dtype))
+            self._add(f"bn{i}", BatchNorm2d(c_out, BN_EPSILON, BN_MOMENTUM, dtype))
             self._add(f"relu{i}", LeakyReLU(0.0))
             self._add(f"pool{i}", MaxPool2d())
             c_in = c_out
@@ -128,8 +123,8 @@ class PatchEncoder:
         d_in = config.flat_features
         for j, d_out in enumerate(config.linear_dims[:-1], start=1):
             self._add(f"fc{j}", Linear(d_in, d_out, rng, dtype))
-            self._add(f"fbn{j}", BatchNorm1d(d_out, config.bn_epsilon, config.bn_momentum, dtype))
-            self._add(f"lrelu{j}", LeakyReLU(config.leaky_slope))
+            self._add(f"fbn{j}", BatchNorm1d(d_out, BN_EPSILON, BN_MOMENTUM, dtype))
+            self._add(f"lrelu{j}", LeakyReLU(LEAKY_SLOPE))
             d_in = d_out
         self._add("head", _init_head(config, self.head, rng))
 
@@ -175,11 +170,7 @@ class PatchEncoder:
         the running stats are used and the model is left untouched.
         """
         x = np.asarray(x, dtype=self.config.np_dtype)
-        expected = (
-            self.config.input_channels,
-            self.config.input_size,
-            self.config.input_size,
-        )
+        expected = (INPUT_CHANNELS, self.config.input_size, self.config.input_size)
         if x.ndim != 4 or x.shape[1:] != expected:
             raise ValueError(f"expected batch of shape (N,{expected[0]},{expected[1]},{expected[2]}), got {x.shape}")
         if not np.all(np.isfinite(x)):
@@ -222,6 +213,7 @@ class PatchEncoder:
 
 
 def init_model(config: NetworkConfig, seed: int) -> PatchEncoder:
-    """Build a seeded network: He-uniform weights, zero biases, unit BN scale."""
+    """Build a seeded network: He-uniform weights, zero linear biases (convs
+    have none), unit BN scale."""
     return PatchEncoder(config, seed)
 

@@ -2,11 +2,11 @@
 learning, and binary fracture fine-tuning.
 
 Stages run strictly in the order label-pretrain -> representation-learn ->
-fracture-train; any stage may be disabled. Metric stages mine one tuple per
-training sample per epoch (re-mined each epoch from a shifted seed) and
-minimize the configured loss with Adam. Entering the fracture stage swaps
-the embedding head for the two-logit classifier head; batch-norm running
-statistics carry across stages.
+fracture-train; a stage of 0 epochs is skipped. Metric stages mine one
+tuple per training sample per epoch (re-mined each epoch from a shifted
+seed) and minimize the configured loss with Adam. Entering the fracture
+stage swaps the embedding head for the two-logit classifier head;
+batch-norm running statistics carry across stages.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class StagePlan:
     loss_kind: str
     epochs: int
     batch_size: int = 32
-    enabled: bool = True
 
     def __post_init__(self):
         if self.stage not in STAGE_ORDER:
@@ -248,9 +247,9 @@ def model_seed_for_fold(config: PipelineConfig, fold_id: int) -> int:
 
 
 def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_dir=None):
-    """Run the enabled stages on the fold's training split, then score the
-    test split. ``samples`` is a PatchSet or a PatchSample list, which is
-    stacked once at the network's input size.
+    """Run the stages on the fold's training split, skipping any of 0
+    epochs, then score the test split. ``samples`` is a PatchSet or a
+    PatchSample list, which is stacked once at the network's input size.
 
     Classifier-headed models are scored by argmax over the two logits;
     embedding-headed runs fall back to the linear-probe protocol on this
@@ -270,7 +269,7 @@ def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_di
     train = data.take(fold.train_ids)
     records = []
     for k, plan in enumerate(config.stages, start=1):
-        if not plan.enabled or plan.epochs == 0:
+        if plan.epochs == 0:
             continue
         record = run_stage(model, plan, train, seed=config.seed, config=config)
         if checkpoint_dir is not None:

@@ -117,10 +117,7 @@ class TestCriterion2GradientFidelity:
         _report(2, f"grading-loss gradients match finite differences (max rel err {worst:.2e})")
 
     def test_backbone_gradients_reduced_config(self):
-        cfg = NetworkConfig(
-            input_channels=2, input_size=8, conv_channels=(3, 4),
-            linear_dims=(6, 5), dtype="float64",
-        )
+        cfg = NetworkConfig(input_size=8, conv_channels=(3, 4), linear_dims=(6, 5), dtype="float64")
         model = init_model(cfg, seed=1)
         rng = np.random.default_rng(101)
         x = rng.normal(size=(3, 2, 8, 8))

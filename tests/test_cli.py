@@ -8,6 +8,7 @@ import pytest
 from spinemetric import atomic, data, phantom
 from spinemetric.cli import NETWORK_PRESETS, _build_pipeline_config, build_parser, main
 from spinemetric.phantom import read_sample_tensor
+from spinemetric.pipeline import PipelineConfig
 
 
 def run_cli(*argv):
@@ -151,6 +152,25 @@ class TestConfigFile:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: {path}: bad pipeline section (") and "input_size must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "key", ["input_channels", "kernel", "classifier_classes", "leaky_slope", "bn_epsilon", "bn_momentum", "enabled"]
+    )
+    def test_fixed_architecture_key_named(self, key):
+        # The encoder's fixed choices are constants, and a stage runs unless
+        # it has 0 epochs: a pipeline section that sets any of them is refused.
+        pipeline = PipelineConfig().to_dict()
+        (pipeline["stages"][0] if key == "enabled" else pipeline["network"])[key] = 1
+        args = build_parser().parse_args(["train", "--config", "cfg.json", "--out", "o"])
+        with pytest.raises(ValueError, match=rf"^cfg\.json: bad pipeline section \(TypeError\(.*'{key}'"):
+            _build_pipeline_config(args, {"pipeline": pipeline})
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("A JSON config file can replace flags:", 1)[1]
+        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        config = PipelineConfig.from_dict(example["pipeline"])
+        assert config.network == NETWORK_PRESETS["reduced"]
 
     def test_unknown_gen_key_named(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

