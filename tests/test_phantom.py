@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -214,6 +215,26 @@ class TestGenerateDataset:
         for k, s in enumerate(samples):
             assert s.image.base is stack and s.heatmap.base is stack
             assert np.array_equal(stack[k, 0], s.image) and np.array_equal(stack[k, 1], s.heatmap)
+
+    @pytest.mark.parametrize(
+        "overrides,digest",
+        [
+            ({}, "4ca21e257e769ed52fc12799e1757ed09dac6d3b71ebbf38ea3de40dd7a173d2"),
+            (
+                {"jitter_px": 3, "blur_sigma": 1.5, "noise_amplitude": 0.1},
+                "c07c2cf8aa6e5acc33d5d39da0906afb4de8ace2c98d403c0efa4edb103c9c3c",
+            ),
+        ],
+        ids=["default", "jitter-blur-noise"],
+    )
+    def test_rendered_stack_pinned(self, overrides, digest):
+        # Every rendered bit of a 64-sample paper-ratio set: a faster
+        # renderer must reproduce these exactly.
+        counts = counts_at_ratio(PAPER_GRADE_TOTALS, scale=0.05)
+        samples, _ = generate_dataset(PhantomConfig(**overrides), counts, seed=7)
+        stack = np.stack([s.to_tensor() for s in samples])
+        assert stack.shape == (64, 2, PATCH_SIZE, PATCH_SIZE)
+        assert hashlib.sha256(stack.tobytes()).hexdigest() == digest
 
     def test_stacked_samples_equal_separately_generated(self):
         counts = {(G0, RegionLabel.T1_T5): 2, (G2, RegionLabel.L5): 1}
