@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: distances are scalar
 loops, gradients come from central differences, convolutions from direct
 loops over every output and kernel tap, batch norm, rectifiers and max
 pooling from their textbook formulas in float64, body silhouettes painted
-one pixel column at a time, silhouette heights from threshold crossings
+one pixel column at a time, a patch rendered on its own into a full image,
+silhouette heights from threshold crossings
 with subpixel interpolation, arc lengths from quadrature over an
 independently constructed spline, the metric and classification losses one
 tuple of 1-D vectors at a time, quadruplet, triplet and pair mining as lists
@@ -29,8 +30,17 @@ from spinemetric import pipeline
 from spinemetric.backbone.optim import adam_init, adam_step
 from spinemetric.data import patch_set
 from spinemetric.losses import ANCHOR_CLASSES, GradingMargins, LossValue
-from spinemetric.mining import GradeLabel
-from spinemetric.phantom.patches import _column_heights
+from scipy.ndimage import gaussian_filter
+
+from spinemetric.mining import GradeLabel, RegionLabel
+from spinemetric.phantom.patches import (
+    PATCH_CENTER,
+    PATCH_SIZE,
+    PatchSample,
+    _column_heights,
+    _draw_body_params,
+    centroid_heatmap,
+)
 
 
 def sq_dist_loop(a, b) -> float:
@@ -202,6 +212,57 @@ def render_body_reference(image, cy, cx, width, height, mode, loss, intensity):
             bot = cy + h_col / 2.0
         cover = np.clip(np.minimum(bot, rows + 1.0) - np.maximum(top, rows), 0.0, 1.0)
         image[:, c] = np.maximum(image[:, c], intensity * cover)
+
+
+def generate_patch_reference(config, grade, region, id) -> PatchSample:
+    """Render one patch on its own: each body painted column by column into
+    a full float64 image, a blur over the whole image, then noise from
+    ``rng.normal``. The library's parameter draws and heatmap are taken as
+    given."""
+    grade = GradeLabel(grade)
+    region = RegionLabel(region)
+    rng = np.random.default_rng([config.seed, id])
+
+    width, height, intensity, mode, loss = _draw_body_params(rng, config, region, grade)
+    jr = jc = 0
+    if config.jitter_px > 0:
+        jr = int(rng.integers(-config.jitter_px, config.jitter_px + 1))
+        jc = int(rng.integers(-config.jitter_px, config.jitter_px + 1))
+    cy, cx = PATCH_CENTER + jr, PATCH_CENTER + jc
+
+    image = np.zeros((PATCH_SIZE, PATCH_SIZE), dtype=np.float64)
+    render_body_reference(image, cy, cx, width, height, mode, loss, intensity)
+
+    if config.neighbor_context:
+        # Healthy neighbors stacked outward until they leave the patch.
+        for direction in (-1, +1):
+            edge = height / 2.0
+            while True:
+                n_w, n_h, n_int, _, _ = _draw_body_params(rng, config, region, GradeLabel.G0)
+                gap = rng.uniform(*config.neighbor_gap)
+                n_cy = cy + direction * (edge + gap + n_h / 2.0)
+                if n_cy + n_h / 2.0 < 0 or n_cy - n_h / 2.0 > PATCH_SIZE:
+                    break
+                render_body_reference(image, n_cy, cx, n_w, n_h, "wedge", 0.0, n_int)
+                edge += gap + n_h
+
+    if config.blur_sigma > 0:
+        image = gaussian_filter(image, sigma=config.blur_sigma)
+    if config.noise_amplitude > 0:
+        image = image + rng.normal(0.0, config.noise_amplitude, size=image.shape)
+    image = np.clip(image, 0.0, 1.0).astype(np.float32)
+
+    heatmap = centroid_heatmap(cy, cx, config.heatmap_sigma)
+
+    params = {
+        "width": round(width, 6),
+        "height": round(height, 6),
+        "intensity": round(intensity, 6),
+        "mode": mode,
+        "height_loss": round(loss, 6),
+        "jitter": [jr, jc],
+    }
+    return PatchSample(image=image, heatmap=heatmap, grade=grade, region=region, id=id, params=params)
 
 
 # --- silhouette measurement -------------------------------------------------

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinemetric.mining import GradeLabel, RegionLabel
 from spinemetric.phantom import (
@@ -23,10 +25,11 @@ from spinemetric.phantom import (
     write_volume,
 )
 
-from spinemetric.phantom.patches import PATCH_SIZE, _render_body
+from spinemetric.phantom.patches import CHUNK, PATCH_SIZE, _paint
 
 from .oracles import (
     anterior_height_ratio,
+    generate_patch_reference,
     load_dataset_reference,
     mid_height_ratio,
     min_height_ratio,
@@ -132,6 +135,14 @@ class TestGeneratePatch:
         assert t.dtype == np.float32
 
 
+def painted(bodies, n, radius=0):
+    """``_paint``'s band placed back into full ``(n, rows, columns)`` images."""
+    first, band = _paint(np.array(bodies, dtype=np.float64), n, radius)
+    images = np.zeros((n, PATCH_SIZE, PATCH_SIZE))
+    images[:, :, first : first + band.shape[1]] = band.transpose(0, 2, 1)
+    return images
+
+
 class TestRenderBody:
     @pytest.mark.parametrize("mode,loss", [("wedge", 0.0), ("wedge", 0.55), ("biconcave", 0.35)])
     @pytest.mark.parametrize(
@@ -145,13 +156,95 @@ class TestRenderBody:
         ],
     )
     def test_matches_column_loop_bit_for_bit(self, mode, loss, cx, width):
-        rng = np.random.default_rng(21)
-        background = rng.uniform(0.0, 0.5, size=(PATCH_SIZE, PATCH_SIZE))
-        args = (50.4, cx, width, 27.3, mode, loss, 0.71)
-        image, expected = background.copy(), background.copy()
-        _render_body(image, *args)
-        render_body_reference(expected, *args)
-        assert image.tobytes() == expected.tobytes()
+        cy, height, intensity = 50.4, 27.3, 0.71
+        got = painted([(0, 0, cy, cx, width, height, mode == "wedge", loss, intensity)], 1)
+        expected = np.zeros((PATCH_SIZE, PATCH_SIZE))
+        render_body_reference(expected, cy, cx, width, height, mode, loss, intensity)
+        assert got[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("radius", [0, 6])
+    def test_overlapping_bodies_of_several_samples(self, radius):
+        # Bodies share columns and, where they touch, rows; each sample is
+        # the column loop applied to its bodies in turn.
+        rng = np.random.default_rng(5)
+        bodies, expected = [], np.zeros((3, PATCH_SIZE, PATCH_SIZE))
+        for k, cx in enumerate((56.0, 20.5, 100.0)):
+            for slot in range(rng.integers(1, 5)):
+                body = (
+                    rng.uniform(10.0, 100.0), cx, rng.uniform(1.0, 45.0), rng.uniform(2.0, 40.0),
+                    str(rng.choice(["wedge", "biconcave"])), rng.uniform(0.0, 0.7), rng.uniform(0.5, 1.0),
+                )
+                bodies.append((k, slot, body[0], cx, *body[2:4], body[4] == "wedge", *body[5:]))
+                render_body_reference(expected[k], *body)
+        assert painted(bodies, 3, radius).tobytes() == expected.tobytes()
+
+
+def assert_matches_reference(config, counts, seed):
+    samples, _ = generate_dataset(config, counts, seed=seed)
+    for s in samples:
+        want = generate_patch_reference(replace(config, seed=seed), s.grade, s.region, s.id)
+        assert s.to_tensor().tobytes() == want.to_tensor().tobytes()
+        assert s.params == want.params
+
+
+class TestChunkedRenderer:
+    """Rendering in chunks reproduces a patch rendered on its own, bit for bit."""
+
+    COUNTS = {(G0, RegionLabel.T1_T5): 2, (G2, RegionLabel.L5): 2, (G3, RegionLabel.T10_T12): 2}
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"jitter_px": 3},
+            {"jitter_px": 6},
+            {"blur_sigma": 0.0},
+            {"blur_sigma": 1.5},
+            {"noise_amplitude": 0.0},
+            {"noise_amplitude": 0.1},
+            {"neighbor_context": False},
+            {"wedge_probability": 0.0},
+            {"wedge_probability": 1.0},
+            {"jitter_px": 6, "blur_sigma": 0.0, "noise_amplitude": 0.0},
+        ],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default",
+    )
+    def test_config_variants(self, overrides):
+        assert_matches_reference(PhantomConfig(**overrides), self.COUNTS, seed=3)
+
+    @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_dataset_sizes_around_chunk(self, size):
+        counts = {(G0, RegionLabel.L1_L4): size - size // 2, (G3, RegionLabel.T6_T9): size // 2}
+        assert_matches_reference(PhantomConfig(jitter_px=3), counts, seed=11)
+
+    def test_bodies_off_the_patch(self):
+        assert_matches_reference(PhantomConfig(jitter_px=150), self.COUNTS, seed=1)
+
+    def test_generate_patch_is_a_batch_of_one(self):
+        config = PhantomConfig(seed=4, jitter_px=2)
+        got = generate_patch(config, G2, RegionLabel.L5, id=77)
+        want = generate_patch_reference(config, G2, RegionLabel.L5, 77)
+        assert got.to_tensor().tobytes() == want.to_tensor().tobytes()
+        assert got.params == want.params
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        id=st.integers(0, 10**6),
+        grade=st.sampled_from([G0, G2, G3]),
+        region=st.sampled_from(list(RegionLabel)),
+        jitter_px=st.integers(0, 8),
+        blur_sigma=st.sampled_from([0.0, 0.3, 0.7, 1.5, 2.2]),
+        noise_amplitude=st.sampled_from([0.0, 0.02, 0.1]),
+        neighbor_context=st.booleans(),
+        wedge_probability=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_matches_reference_patch(self, seed, id, grade, region, **fields):
+        config = PhantomConfig(seed=seed, **fields)
+        got = generate_patch(config, grade, region, id)
+        want = generate_patch_reference(config, grade, region, id)
+        assert got.to_tensor().tobytes() == want.to_tensor().tobytes()
+        assert got.params == want.params
 
 
 class TestGenerateDataset:
