@@ -85,9 +85,6 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d) -> "NetworkConfig":
-        d = dict(d)
-        d["conv_channels"] = tuple(d["conv_channels"])
-        d["linear_dims"] = tuple(d["linear_dims"])
         return cls(**d)
 
 

@@ -52,10 +52,19 @@ def adam_step(model, opt: AdamState, gradients: dict) -> None:
     for name, g in gradients.items():
         m = opt.m[name]
         v = opt.v[name]
+        # In place through one scratch array, with the operands and order of
+        # every rounding step of m_hat and v_hat above.
+        scratch = np.multiply(g, 1.0 - BETA1)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += scratch
+        np.square(g, out=scratch)
+        scratch *= 1.0 - BETA2
         v *= BETA2
-        v += (1.0 - BETA2) * np.square(g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        params[name] -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+        v += scratch
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += EPSILON
+        update = np.divide(m, bc1)
+        update *= opt.learning_rate
+        update /= scratch
+        params[name] -= update

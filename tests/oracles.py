@@ -13,7 +13,8 @@ of Python tuples, with the class pools rebuilt by a scan over all labels,
 the linear probe by Pegasos subgradient descent, with its objective
 summed one row at a time, the block-mean downsample one window value at a
 time, the dataset loader one whole file read at a time, and a training
-stage by forwarding every tuple slot as its own network row.
+stage by forwarding every tuple slot as its own network row, and an Adam
+update through fresh expression temporaries.
 """
 
 from __future__ import annotations
@@ -69,6 +70,21 @@ def rel_err(analytic, numeric, guard=1.0) -> float:
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), guard)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def adam_step_reference(params, m, v, gradients, step, learning_rate):
+    """One bias-corrected Adam update in place, each tensor through freshly
+    allocated expression temporaries."""
+    bc1 = 1.0 - 0.9**step
+    bc2 = 1.0 - 0.999**step
+    for name, g in gradients.items():
+        m[name] *= 0.9
+        m[name] += (1.0 - 0.9) * g
+        v[name] *= 0.999
+        v[name] += (1.0 - 0.999) * np.square(g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        params[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 # --- direct convolution ------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from spinemetric.cli import NETWORK_PRESETS
 from spinemetric.mining import GradeLabel, RegionLabel
 from spinemetric.phantom import PhantomConfig, generate_patch
 
-from .oracles import rel_err
+from .oracles import adam_step_reference, rel_err
 
 REDUCED = NetworkConfig(input_size=8, conv_channels=(3, 4), linear_dims=(6, 5), dtype="float64")
 
@@ -327,6 +328,39 @@ class TestAdam:
             runs.append({k: v.copy() for k, v in model.parameters().items()})
         for name in runs[0]:
             assert np.array_equal(runs[0][name], runs[1][name])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_expression_reference_bit_for_bit(self, dtype):
+        model = init_model(replace(REDUCED, dtype=dtype), seed=3)
+        opt = adam_init(model, learning_rate=1e-3)
+        params = {k: p.copy() for k, p in model.parameters().items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        rng = np.random.default_rng(8)
+        for step in range(1, 6):
+            # Gradients spanning ten decades, and one all-zero step.
+            grads = {
+                k: (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3) * (step != 3)).astype(dtype)
+                for k, p in params.items()
+            }
+            adam_step(model, opt, grads)
+            adam_step_reference(params, m, v, grads, step, 1e-3)
+            for k, p in model.parameters().items():
+                assert p.tobytes() == params[k].tobytes(), k
+                assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes(), k
+
+    def test_non_finite_gradient_in_any_tensor_refused_before_any_write(self):
+        model = init_model(REDUCED, seed=3)
+        opt = adam_init(model)
+        before = {k: p.copy() for k, p in model.parameters().items()}
+        grads = {k: np.ones_like(p) for k, p in before.items()}
+        last = list(grads)[-1]
+        grads[last].flat[-1] = np.inf
+        with pytest.raises(FloatingPointError, match=re.escape(repr(last))):
+            adam_step(model, opt, grads)
+        assert opt.step_count == 0
+        for k, p in model.parameters().items():
+            assert np.array_equal(p, before[k]) and not opt.m[k].any() and not opt.v[k].any()
 
     def test_non_finite_gradient_refused(self):
         m = _ScalarModel(0.5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinemetric import atomic, data, phantom
+from spinemetric.backbone import NetworkConfig
 from spinemetric.cli import NETWORK_PRESETS, _build_pipeline_config, build_parser, main
 from spinemetric.phantom import read_sample_tensor
 from spinemetric.pipeline import PipelineConfig
@@ -164,6 +165,21 @@ class TestConfigFile:
         args = build_parser().parse_args(["train", "--config", "cfg.json", "--out", "o"])
         with pytest.raises(ValueError, match=rf"^cfg\.json: bad pipeline section \(TypeError\(.*'{key}'"):
             _build_pipeline_config(args, {"pipeline": pipeline})
+
+    @pytest.mark.parametrize(
+        "network, expected",
+        [
+            ({"input_size": 16, "conv_channels": [6, 12]}, {"input_size": 16, "conv_channels": (6, 12)}),
+            ({"linear_dims": [32, 8]}, {"linear_dims": (32, 8)}),
+            ({}, {}),
+        ],
+        ids=["no-linear-dims", "no-conv-channels", "empty"],
+    )
+    def test_partial_network_section_loads(self, network, expected):
+        # Like a partial margins section, the fields left out keep their defaults.
+        args = build_parser().parse_args(["train", "--config", "cfg.json", "--out", "o"])
+        loaded = _build_pipeline_config(args, {"pipeline": {"network": network}}).network.to_dict()
+        assert loaded == {**NetworkConfig().to_dict(), **expected}
 
     def test_readme_example_loads(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
