@@ -162,6 +162,23 @@ class TestRenderBody:
         render_body_reference(expected, cy, cx, width, height, mode, loss, intensity)
         assert got[0].tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "cy,width,height,mode",
+        [
+            # 50 columns: 49 * (1 / 49) is not 1, so the last column needs
+            # linspace's exact end point.
+            (50.4, 49.6, 30.0, "biconcave"),
+            # cy - height / 2 is 36.0, but the wedge's top edge, computed
+            # from its bottom, is 35.99999999999999: a sliver of row 35.
+            (43.8, 30.0, 15.6, "wedge"),
+        ],
+    )
+    def test_rounding_edges(self, cy, width, height, mode):
+        got = painted([(0, 0, cy, 56.0, width, height, mode == "wedge", 0.3 * (mode != "wedge"), 0.8)], 1)
+        expected = np.zeros((PATCH_SIZE, PATCH_SIZE))
+        render_body_reference(expected, cy, 56.0, width, height, mode, 0.3 * (mode != "wedge"), 0.8)
+        assert got[0].tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("radius", [0, 6])
     def test_overlapping_bodies_of_several_samples(self, radius):
         # Bodies share columns and, where they touch, rows; each sample is
