@@ -38,7 +38,6 @@ PATCH_SIZE = 112
 PATCH_CENTER = PATCH_SIZE // 2
 # Samples rendered together; a chunk's float64 buffers stay near 3 MB.
 CHUNK = 32
-_ROWS = np.arange(PATCH_SIZE, dtype=np.float64)
 
 # (width range, height range) of the vertebral body in mm, per region.
 DEFAULT_REGION_DIMS = {
@@ -145,7 +144,7 @@ def _draw_body_params(rng, config, region, grade):
 def _draw_sample(rng, config, grade, region):
     """Draw one sample's parameters from its stream, in stream order.
 
-    Returns ``(params, (cy, cx), bodies)``: one ``(cy, width, height,
+    Returns ``(params, (cy, cx), bodies)``: one ``(cy, cx, width, height,
     wedge, loss, intensity)`` tuple per body, the graded body first, then
     its healthy neighbours."""
     width, height, intensity, mode, loss = _draw_body_params(rng, config, region, grade)
@@ -154,7 +153,7 @@ def _draw_sample(rng, config, grade, region):
         jr = int(rng.integers(-config.jitter_px, config.jitter_px + 1))
         jc = int(rng.integers(-config.jitter_px, config.jitter_px + 1))
     cy, cx = PATCH_CENTER + jr, PATCH_CENTER + jc
-    bodies = [(cy, width, height, mode == "wedge", loss, intensity)]
+    bodies = [(cy, cx, width, height, mode == "wedge", loss, intensity)]
 
     if config.neighbor_context:
         # Healthy neighbors stacked outward until they leave the patch.
@@ -166,7 +165,7 @@ def _draw_sample(rng, config, grade, region):
                 n_cy = cy + direction * (edge + gap + n_h / 2.0)
                 if n_cy + n_h / 2.0 < 0 or n_cy - n_h / 2.0 > PATCH_SIZE:
                     break
-                bodies.append((n_cy, n_w, n_h, True, 0.0, n_int))
+                bodies.append((n_cy, cx, n_w, n_h, True, 0.0, n_int))
                 edge += gap + n_h
 
     params = {
@@ -239,37 +238,31 @@ def _paint(bodies: np.ndarray, n: int, radius: int) -> tuple[int, np.ndarray]:
     return lo, band.reshape(n, hi - lo, PATCH_SIZE)
 
 
-def _render(config: PhantomConfig, labels) -> tuple[np.ndarray, list]:
-    """Render ``(grade, region, id)`` labels into a float32 ``(N, 2,
-    PATCH_SIZE, PATCH_SIZE)`` stack of (image, heatmap), with each
-    sample's params.
-
-    Each sample draws from its own ``default_rng([seed, id])``: body
-    parameters, jitter and neighbours, then its noise. Samples are then
-    rendered ``CHUNK`` at a time: one paint of every body, one blur of the
-    chunk's column band widened by the kernel radius (the columns outside
-    it stay exactly 0), one noise add, a clip and a cast into the stack."""
+def _render(config: PhantomConfig, labels) -> list[PatchSample]:
+    """Render ``(grade, region, id)`` labels as the module docstring says; each
+    sample's image and heatmap are views of its row of one float32 stack."""
     stack = np.empty((len(labels), 2, PATCH_SIZE, PATCH_SIZE), dtype=np.float32)
     noise = np.empty((min(CHUNK, len(labels)), PATCH_SIZE, PATCH_SIZE))
     sigma, amplitude = config.blur_sigma, config.noise_amplitude
     # gaussian_filter's kernel radius at its default truncate of 4 sigma.
     radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
     heatmaps = {}
-    params = []
+    samples = []
     for start in range(0, len(labels), CHUNK):
         chunk = labels[start : start + CHUNK]
         image = noise[: len(chunk)]
         bodies = []
         for k, (grade, region, id) in enumerate(chunk):
+            grade, region, row = GradeLabel(grade), RegionLabel(region), stack[start + k]
             rng = np.random.default_rng([config.seed, id])
-            p, centre, drawn = _draw_sample(rng, config, GradeLabel(grade), RegionLabel(region))
-            params.append(p)
-            bodies += [(k, slot, body[0], centre[1], *body[1:]) for slot, body in enumerate(drawn)]
+            params, centre, drawn = _draw_sample(rng, config, grade, region)
+            bodies += [(k, slot, *body) for slot, body in enumerate(drawn)]
             if amplitude > 0:
                 rng.standard_normal(out=image[k])
             if centre not in heatmaps:
                 heatmaps[centre] = centroid_heatmap(*centre, config.heatmap_sigma)
-            stack[start + k, 1] = heatmaps[centre]
+            row[1] = heatmaps[centre]
+            samples.append(PatchSample(row[0], row[1], grade, region, id, params))
 
         first, band = _paint(np.array(bodies, dtype=np.float64), len(chunk), radius)
         band = band.transpose(0, 2, 1)
@@ -282,22 +275,14 @@ def _render(config: PhantomConfig, labels) -> tuple[np.ndarray, list]:
         image[:, :, first : first + band.shape[2]] += band
         np.clip(image, 0.0, 1.0, out=image)
         stack[start : start + len(chunk), 0] = image
-    return stack, params
+    return samples
 
 
 def generate_patch(
     config: PhantomConfig, grade: GradeLabel, region: RegionLabel, id: int
 ) -> PatchSample:
     """Render one deterministic patch for (config.seed, id): a batch of one."""
-    stack, (params,) = _render(config, [(grade, region, id)])
-    return PatchSample(
-        image=stack[0, 0],
-        heatmap=stack[0, 1],
-        grade=GradeLabel(grade),
-        region=RegionLabel(region),
-        id=id,
-        params=params,
-    )
+    return _render(config, [(grade, region, id)])[0]
 
 
 def generate_dataset(config: PhantomConfig, counts: dict, seed: int):
@@ -315,11 +300,7 @@ def generate_dataset(config: PhantomConfig, counts: dict, seed: int):
     cfg = replace(config, seed=seed)
 
     labels = [(g, r) for g in GRADES for r in REGIONS for _ in range(int(counts.get((g, r), 0)))]
-    stack, params = _render(cfg, [(g, r, i) for i, (g, r) in enumerate(labels)])
-    samples = [
-        PatchSample(image=row[0], heatmap=row[1], grade=g, region=r, id=i, params=p)
-        for i, ((g, r), row, p) in enumerate(zip(labels, stack, params))
-    ]
+    samples = _render(cfg, [(g, r, i) for i, (g, r) in enumerate(labels)])
 
     manifest = {
         "seed": seed,
