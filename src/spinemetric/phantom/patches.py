@@ -98,19 +98,19 @@ class PatchSample:
         return np.stack([self.image, self.heatmap]).astype(np.float32, copy=False)
 
 
-def _column_heights(width_px: int, height: float, mode: str, loss: float) -> np.ndarray:
-    """Per-column body height; column 0 is the anterior edge."""
-    if width_px <= 1:
-        return np.full(max(width_px, 1), height * (1.0 - loss))
-    t = np.linspace(0.0, 1.0, width_px)
-    if mode == "wedge":
-        factor = 1.0 - loss * (1.0 - t)
-    elif mode == "biconcave":
-        # quartic waist: full loss at the center, wide collapse region
-        factor = 1.0 - loss * (1.0 - (2.0 * t - 1.0) ** 4)
-    else:
-        raise ValueError(f"unknown deformation mode {mode!r}")
-    return height * factor
+def _column_heights(i, w, height, loss, wedge):
+    """Height of column ``i`` of a body ``w`` columns wide, column 0 being
+    the anterior edge; every argument may be an array.
+
+    At ``t = np.linspace(0, 1, w)[i]`` a wedge keeps ``1 - loss * (1 - t)``
+    of ``height`` and a biconcave body the quartic waist ``1 - loss * (1 -
+    (2t - 1)^4)``: full loss at the centre, a wide collapse region. A body
+    one column wide keeps ``height * (1 - loss)``."""
+    # np.linspace's i * (1 / (w - 1)), ending at exactly 1.
+    t = i * (1.0 / np.maximum(w - 1.0, 1.0))
+    t[(i == w - 1.0) & (w > 1.0)] = 1.0
+    shape = np.where(wedge | (w <= 1.0), 1.0 - t, 1.0 - (2.0 * t - 1.0) ** 4)
+    return height * (1.0 - loss * shape)
 
 
 def _height_loss(config, grade, u: float) -> float:
@@ -204,15 +204,7 @@ def _paint(bodies: np.ndarray, n: int, radius: int) -> tuple[int, np.ndarray]:
     # One entry per (body, column on the patch), grouped by slot.
     b = np.repeat(np.arange(len(sample)), counts)
     col = np.arange(len(b)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    i = col - col0[b]
-    w = w_px[b]
-    # np.linspace(0, 1, w) per body: i * (1 / (w - 1)), ending at exactly 1.
-    t = i * (1.0 / np.maximum(w - 1.0, 1.0))
-    t[(i == w - 1.0) & (w > 1.0)] = 1.0
-    # A body one column wide keeps height * (1 - loss) in either mode.
-    linear = wedge[b] | (w <= 1.0)
-    shape = np.where(linear, 1.0 - t, 1.0 - (2.0 * t - 1.0) ** 4)
-    heights = height[b] * (1.0 - loss[b] * shape)
+    heights = _column_heights(col - col0[b], w_px[b], height[b], loss[b], wedge[b])
     bottom = (cy + height / 2.0)[b]  # a wedge's superior endplate collapses
     top = np.where(wedge[b], bottom - heights, cy[b] - heights / 2.0)
     bot = np.where(wedge[b], bottom, cy[b] + heights / 2.0)

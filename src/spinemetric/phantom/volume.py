@@ -105,7 +105,7 @@ def generate_spine_volume(
     for k, (name, grade, width, depth, height, loss, intensity) in enumerate(bodies):
         zc = z_positions[k]
         yc = y_mid + bow(zc)
-        heights = _column_heights(depth, float(height), "wedge", loss)
+        heights = _column_heights(np.arange(depth), depth, float(height), loss, True)
         y_start = int(round(yc - depth / 2.0))
         z_bottom = zc + height / 2.0
         for j in range(depth):

@@ -4,17 +4,17 @@ These deliberately avoid the library's own code paths: distances are scalar
 loops, gradients come from central differences, convolutions from direct
 loops over every output and kernel tap, batch norm, rectifiers and max
 pooling from their textbook formulas in float64, body silhouettes painted
-one pixel column at a time, a patch rendered on its own into a full image,
-silhouette heights from threshold crossings
-with subpixel interpolation, arc lengths from quadrature over an
+one pixel column at a time from per-body ``np.linspace`` heights, a patch
+rendered on its own into a full image, silhouette heights from threshold
+crossings with subpixel interpolation, arc lengths from quadrature over an
 independently constructed spline, the metric and classification losses one
 tuple of 1-D vectors at a time, quadruplet, triplet and pair mining as lists
 of Python tuples, with the class pools rebuilt by a scan over all labels,
 the linear probe by Pegasos subgradient descent, with its objective
 summed one row at a time, the block-mean downsample one window value at a
-time, the dataset loader one whole file read at a time, and a training
-stage by forwarding every tuple slot as its own network row, and an Adam
-update through fresh expression temporaries.
+time, the dataset loader one whole file read at a time, a training stage
+by forwarding every tuple slot as its own network row, and an Adam update
+through fresh expression temporaries.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from spinemetric.phantom.patches import (
     PATCH_CENTER,
     PATCH_SIZE,
     PatchSample,
-    _column_heights,
     _draw_body_params,
     centroid_heatmap,
 )
@@ -207,12 +206,24 @@ def maxpool_reference(x, dy):
 # --- silhouette rendering ---------------------------------------------------
 
 
+def column_heights_reference(width_px: int, height: float, mode: str, loss: float) -> np.ndarray:
+    """Per-column body height of one body from ``np.linspace``; column 0 is
+    the anterior edge."""
+    if width_px <= 1:
+        return np.full(max(width_px, 1), height * (1.0 - loss))
+    t = np.linspace(0.0, 1.0, width_px)
+    if mode == "wedge":
+        factor = 1.0 - loss * (1.0 - t)
+    else:
+        factor = 1.0 - loss * (1.0 - (2.0 * t - 1.0) ** 4)
+    return height * factor
+
+
 def render_body_reference(image, cy, cx, width, height, mode, loss, intensity):
     """Paint one vertebral body into ``image`` one pixel column at a time,
-    skipping columns off the patch; the library's per-column heights are
-    taken as given."""
+    skipping columns off the patch."""
     w_px = int(round(width))
-    heights = _column_heights(w_px, height, mode, loss)
+    heights = column_heights_reference(w_px, height, mode, loss)
     col0 = int(round(cx - w_px / 2.0))
     rows = np.arange(image.shape[0], dtype=np.float64)
     bottom = cy + height / 2.0
