@@ -52,8 +52,9 @@ def adam_step(model, opt: AdamState, gradients: dict) -> None:
     for name, g in gradients.items():
         m = opt.m[name]
         v = opt.v[name]
-        # In place through one scratch array, with the operands and order of
-        # every rounding step of m_hat and v_hat above.
+        # In place through one scratch and one update array. Each rounding
+        # step keeps the operands and order of the expression above, so the
+        # update is bit-identical to it.
         scratch = np.multiply(g, 1.0 - BETA1)
         m *= BETA1
         m += scratch

@@ -237,13 +237,6 @@ class TestChunkedRenderer:
     def test_bodies_off_the_patch(self):
         assert_matches_reference(PhantomConfig(jitter_px=150), self.COUNTS, seed=1)
 
-    def test_generate_patch_is_a_batch_of_one(self):
-        config = PhantomConfig(seed=4, jitter_px=2)
-        got = generate_patch(config, G2, RegionLabel.L5, id=77)
-        want = generate_patch_reference(config, G2, RegionLabel.L5, 77)
-        assert got.to_tensor().tobytes() == want.to_tensor().tobytes()
-        assert got.params == want.params
-
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
