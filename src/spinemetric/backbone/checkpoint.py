@@ -1,15 +1,19 @@
 """Model checkpoint file format.
 
 Layout: magic ``GMCK`` | version u32 LE | manifest length u32 LE |
-manifest JSON (utf-8) | raw float32 little-endian tensor payloads in
-manifest order. The manifest records the network configuration, the
-mounted head, and every tensor's name/shape/dtype (trainable parameters
-plus batch-norm running statistics). save -> load -> save reproduces the
-file byte for byte, and a save replaces the file atomically.
+SHA-256 of everything after it (32 bytes) | manifest JSON (utf-8) | raw
+float32 little-endian tensor payloads in manifest order. The manifest
+records the network configuration, the mounted head, and every tensor's
+name/shape/dtype (trainable parameters plus batch-norm running
+statistics). A load checks the digest before it parses the manifest, so a
+damaged byte anywhere, payload included, is refused rather than loaded.
+save -> load -> save reproduces the file byte for byte, and a save
+replaces the file atomically.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -20,7 +24,8 @@ from ..atomic import atomic_open, canonical_json
 from .model import NetworkConfig, PatchEncoder
 
 MAGIC = b"GMCK"
-VERSION = 2
+VERSION = 3
+HEADER = 12 + hashlib.sha256().digest_size
 
 
 def _all_tensors(model: PatchEncoder) -> dict:
@@ -43,13 +48,12 @@ def save_model(model: PatchEncoder, path) -> None:
         ],
     }
     blob = canonical_json(manifest).encode("utf-8")
+    body = blob + b"".join(np.ascontiguousarray(tensors[n], dtype="<f4").tobytes() for n in names)
     with atomic_open(path) as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(tensors[n], dtype="<f4").tobytes())
+        fh.write(struct.pack("<II", VERSION, len(blob)))
+        fh.write(hashlib.sha256(body).digest())
+        fh.write(body)
 
 
 def load_model(path) -> PatchEncoder:
@@ -57,17 +61,19 @@ def load_model(path) -> PatchEncoder:
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic {data[:4]!r})")
-    if len(data) < 12:
-        raise ValueError(f"{path}: truncated header ({len(data)} of 12 bytes)")
+    if len(data) < HEADER:
+        raise ValueError(f"{path}: truncated header ({len(data)} of {HEADER} bytes)")
     version, mlen = struct.unpack("<II", data[4:12])
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if 12 + mlen > len(data):
+    if HEADER + mlen > len(data):
         raise ValueError(
-            f"{path}: truncated manifest ({len(data) - 12} of {mlen} bytes)"
+            f"{path}: truncated manifest ({len(data) - HEADER} of {mlen} bytes)"
         )
+    if hashlib.sha256(memoryview(data)[HEADER:]).digest() != data[12:HEADER]:
+        raise ValueError(f"{path}: checksum mismatch (damaged or truncated checkpoint)")
     try:
-        manifest = json.loads(data[12 : 12 + mlen].decode("utf-8"))
+        manifest = json.loads(data[HEADER : HEADER + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: manifest is not UTF-8 JSON ({exc})") from exc
 
@@ -91,7 +97,7 @@ def load_model(path) -> PatchEncoder:
             f"{path}: manifest tensors do not match the model "
             f"(missing {missing}, unknown {unknown}, {len(listed)} listed)"
         )
-    offset = 12 + mlen
+    offset = HEADER + mlen
     for name, shape, dtype in entries:
         if dtype != "float32":
             raise ValueError(f"{path}: tensor {name!r} dtype {dtype!r} is not 'float32'")

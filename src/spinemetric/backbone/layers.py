@@ -1,6 +1,6 @@
 """Network layers with explicit forward/backward passes.
 
-Naming rule: each layer names its tensors once, in two class tuples.
+Naming rule: each layer names its tensors once, in two tuples.
 ``PARAMS`` lists the trainable tensors, each an attribute of that name whose
 gradient buffer is the attribute ``d_<name>``; ``STATE`` lists the
 non-trainable ones (batch-norm running statistics). ``params()``,
@@ -365,26 +365,34 @@ class Flatten(Layer):
 
 
 class Linear(Layer):
-    PARAMS = ("weight", "bias")
+    """Fully connected layer; ``bias=True`` adds a bias that starts at zero,
+    draws nothing from ``rng`` and is listed in the layer's own ``PARAMS``."""
 
-    def __init__(self, in_features, out_features, rng, dtype=np.float32):
+    PARAMS = ("weight",)
+    bias = None
+
+    def __init__(self, in_features, out_features, rng, dtype=np.float32, bias=False):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = kaiming_uniform(
             rng, (out_features, in_features), in_features, dtype
         )
-        self.bias = np.zeros(out_features, dtype=dtype)
         self.d_weight = np.zeros_like(self.weight)
-        self.d_bias = np.zeros_like(self.bias)
+        if bias:
+            self.PARAMS = ("weight", "bias")
+            self.bias = np.zeros(out_features, dtype=dtype)
+            self.d_bias = np.zeros_like(self.bias)
 
     def forward(self, x, train: bool):
         if x.shape[1] != self.in_features:
             raise ValueError(f"expected {self.in_features} features, got {x.shape[1]}")
         self._cache = x if train else None
-        return x @ self.weight.T + self.bias
+        y = x @ self.weight.T
+        return y if self.bias is None else y + self.bias
 
     def backward(self, dy):
         x = self._take_cache()
         self.d_weight += dy.T @ x
-        self.d_bias += dy.sum(axis=0)
+        if self.bias is not None:
+            self.d_bias += dy.sum(axis=0)
         return dy @ self.weight

@@ -89,11 +89,13 @@ class NetworkConfig:
 
 
 def _init_head(config: NetworkConfig, head: str, rng) -> Linear:
+    # Only the classifier head has a bias: a batch norm cancels a hidden
+    # layer's, and the metric losses read only differences of embeddings.
     in_features = (
         config.linear_dims[-2] if len(config.linear_dims) > 1 else config.flat_features
     )
     out = config.embedding_dim if head == HEAD_EMBEDDING else CLASSIFIER_CLASSES
-    return Linear(in_features, out, rng, dtype=config.np_dtype)
+    return Linear(in_features, out, rng, config.np_dtype, bias=head == HEAD_CLASSIFIER)
 
 
 class PatchEncoder:
@@ -210,7 +212,7 @@ class PatchEncoder:
 
 
 def init_model(config: NetworkConfig, seed: int) -> PatchEncoder:
-    """Build a seeded network: He-uniform weights, zero linear biases (convs
-    have none), unit BN scale."""
+    """Build a seeded network: He-uniform weights, unit BN scale, and no bias
+    but a classifier head's (see ``_init_head``)."""
     return PatchEncoder(config, seed)
 

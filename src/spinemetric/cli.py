@@ -138,7 +138,10 @@ def cmd_gen(args) -> int:
     out_dir = Path(args.out)
     cfg_file = _load_config_file(args.config, {"seed": "an integer", "jitter_px": "an integer"})
     seed = args.seed if args.seed is not None else cfg_file.get("seed", 0)
-    config = phantom.PhantomConfig(seed=seed, jitter_px=cfg_file.get("jitter_px", 0))
+    try:
+        config = phantom.PhantomConfig(seed=seed, jitter_px=cfg_file.get("jitter_px", 0))
+    except ValueError as exc:  # only the file's values can be refused
+        raise ValueError(f"{args.config}: {exc}") from None
 
     if args.counts:
         totals = _parse_counts(args.counts)

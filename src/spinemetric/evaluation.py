@@ -178,13 +178,7 @@ def embed_logits(model, samples, batch_size: int = 64) -> np.ndarray:
     return _eval_outputs(model, samples, batch_size)
 
 
-def evaluate_folds(
-    models,
-    samples,
-    folds,
-    regularization: float = PROBE_REGULARIZATION,
-    n_steps: int = PROBE_STEPS,
-) -> FoldSummary:
+def evaluate_folds(models, samples, folds, n_steps: int = PROBE_STEPS) -> FoldSummary:
     """Per-fold metrics of one model per fold, scored on the fold's test split.
 
     ``samples`` is a PatchSet or a PatchSample list; a list is stacked once,
@@ -209,7 +203,7 @@ def evaluate_folds(
             if model is not embedded:
                 embedded, emb = model, embed_samples(model, data)
             tr = list(fold.train_ids)
-            probe = linear_probe_train(emb[tr], y[tr], regularization=regularization, n_steps=n_steps)
+            probe = linear_probe_train(emb[tr], y[tr], n_steps=n_steps)
             preds = probe.predict(emb[te])
         summary.folds.append(confusion_metrics(preds, y[te]))
     return summary

@@ -77,6 +77,13 @@ class PhantomConfig:
             raise ValueError("wedge_probability must lie in [0, 1]")
         if self.jitter_px < 0:
             raise ValueError("jitter_px must be nonnegative")
+        # The graded body, up to its largest extent across, stays on the patch.
+        limit = PATCH_CENTER - max(np.max(dims) for dims in self.region_dims.values()) / 2.0
+        if self.jitter_px > limit:
+            raise ValueError(
+                f"jitter_px {self.jitter_px} can move the graded body off the patch "
+                f"(at most {limit:g} px with these region_dims)"
+            )
 
     def digest(self) -> str:
         return hashlib.sha256(canonical_json(asdict(self)).encode()).hexdigest()

@@ -26,7 +26,7 @@ from .backbone.model import (
 )
 from .backbone.optim import adam_init, adam_step
 from .data import patch_set
-from .evaluation import PROBE_REGULARIZATION, PROBE_STEPS, Metrics, binary_fracture_labels, evaluate_folds
+from .evaluation import Metrics, binary_fracture_labels, evaluate_folds
 from .losses import GradingMargins, contrastive_loss, cross_entropy, grading_loss, triplet_loss
 from .mining import FoldSplit, mine_pairs, mine_quadruplets, mine_triplets
 
@@ -98,18 +98,11 @@ class PipelineConfig:
     triplet_margin: float = 1.0
     contrastive_margin: float = 1.0
     clustering_mode: str = "textual"
-    probe_regularization: float = PROBE_REGULARIZATION
-    probe_steps: int = PROBE_STEPS
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
         validate_stage_plans(self.stages)
-        if self.probe_steps < 1:
-            raise ValueError(f"probe_steps must be at least 1, got {self.probe_steps}")
-        lam = self.probe_regularization
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValueError(f"probe_regularization must be finite and positive, got {lam}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -278,13 +271,11 @@ def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_di
             record.checkpoint = path.name
         records.append(record)
 
-    metrics = score_fold(model, data, fold, config)
+    metrics = score_fold(model, data, fold)
     return model, metrics, records
 
 
-def score_fold(model, samples, fold, config: PipelineConfig) -> Metrics:
+def score_fold(model, samples, fold) -> Metrics:
     """Metrics of a trained model on the fold's test split of a PatchSet or
     a PatchSample list (see evaluate_folds)."""
-    return evaluate_folds(
-        [model], samples, [fold], config.probe_regularization, config.probe_steps
-    ).folds[0]
+    return evaluate_folds([model], samples, [fold]).folds[0]

@@ -17,7 +17,7 @@ from spinemetric.backbone import (
     load_model,
     save_model,
 )
-from spinemetric.backbone.checkpoint import VERSION
+from spinemetric.backbone.checkpoint import HEADER, VERSION
 from spinemetric.backbone.model import _init_head
 from spinemetric.cli import NETWORK_PRESETS
 from spinemetric.mining import GradeLabel, RegionLabel
@@ -45,10 +45,10 @@ def default_param_count():
     total += 64 * 32 * 25 + 2 * 64              # conv2 + bn2
     total += 128 * 64 * 25 + 2 * 128            # conv3 + bn3
     total += 256 * 128 * 25 + 2 * 256           # conv4 + bn4
-    total += 256 * (256 * 7 * 7) + 256 + 2 * 256  # fc1 (12544 -> 256) + bn
-    total += 128 * 256 + 128 + 2 * 128          # fc2 + bn
-    total += 64 * 128 + 64 + 2 * 64             # fc3 + bn
-    total += 8 * 64 + 8                         # embedding head
+    total += 256 * (256 * 7 * 7) + 2 * 256      # fc1 (12544 -> 256, no bias) + bn
+    total += 128 * 256 + 2 * 128                # fc2 + bn
+    total += 64 * 128 + 2 * 64                  # fc3 + bn
+    total += 8 * 64                             # embedding head (no bias)
     return total
 
 
@@ -103,9 +103,10 @@ class TestInit:
 
     def test_biases_zero_bn_identity(self):
         m = init_model(REDUCED, seed=0)
-        assert np.all(m.parameters()["fc1.bias"] == 0.0)
         assert np.all(m.parameters()["bn1.gamma"] == 1.0)
         assert np.all(m.parameters()["bn1.beta"] == 0.0)
+        m.swap_head(HEAD_CLASSIFIER, seed=1)
+        assert np.all(m.parameters()["head.bias"] == 0.0)
 
 
 class TestForward:
@@ -232,10 +233,10 @@ class TestBackward:
         duplicated.zero_grad()
         duplicated.backward(up)
 
-        # Entries whose true value is 0 are rounding noise on both sides: the
-        # linear biases feeding batch norm, and, with one repeated row, every
-        # gradient below BatchNorm1d. So each group is also compared with an
-        # absolute tolerance of 1e-12 times its largest magnitude.
+        # With one repeated row, every gradient below BatchNorm1d is 0 in real
+        # arithmetic, so only rounding noise is left on both sides. So each
+        # group is also compared with an absolute tolerance of 1e-12 times
+        # its largest magnitude.
         groups = [({"out": out[slots]}, {"out": out_dup})] + [
             (getattr(distinct, kind)(), getattr(duplicated, kind)()) for kind in ("gradients", "bn_stats")
         ]
@@ -425,12 +426,26 @@ class TestSwapHead:
             m.swap_head("classifier5", seed=0)
 
 
+def write_checkpoint(path, blob, payload=b""):
+    """A GMCK file of manifest bytes ``blob`` and ``payload``, with the digest
+    that matches them, so that a load gets past the checksum."""
+    body = blob + payload
+    path.write_bytes(b"GMCK" + struct.pack("<II", VERSION, len(blob)) + hashlib.sha256(body).digest() + body)
+
+
+def split_checkpoint(path):
+    """The manifest document and the payload bytes of a checkpoint file."""
+    data = path.read_bytes()
+    (mlen,) = struct.unpack("<I", data[8:12])
+    return json.loads(data[HEADER : HEADER + mlen]), data[HEADER + mlen :]
+
+
 class TestCheckpoint:
     def test_tiny_checkpoint_bytes_pinned(self, tmp_path):
         # The manifest is canonical JSON: a change of encoding moves these bytes.
         save_model(init_model(NETWORK_PRESETS["tiny"], seed=0), tmp_path / "m.gmck")
         digest = hashlib.sha256((tmp_path / "m.gmck").read_bytes()).hexdigest()
-        assert digest == "5f49d6823e066ef3e3889f8e0b18a8d9926d47ebafe9e0bbfaf048bb8d8d016b"
+        assert digest == "792df48d43e81eee360ac55eaf36dbffda146dedae66638a4251cb9a83679593"
 
     def test_byte_exact_round_trip(self, tmp_path):
         cfg = NetworkConfig(input_size=16, conv_channels=(4, 6), linear_dims=(12, 8))
@@ -466,28 +481,42 @@ class TestCheckpoint:
     def test_manifest_missing_tensor_rejected(self, tmp_path):
         path = tmp_path / "m.gmck"
         save_model(init_model(REDUCED, seed=0), path)
-        data = path.read_bytes()
-        (mlen,) = struct.unpack("<I", data[8:12])
-        manifest = json.loads(data[12 : 12 + mlen])
+        manifest, data = split_checkpoint(path)
         # Drop head.weight from the manifest and its bytes from the payload.
-        offset, payload = 12 + mlen, b""
+        offset, payload = 0, b""
         for entry in manifest["tensors"]:
             nbytes = 4 * int(np.prod(entry["shape"]))
             if entry["name"] != "head.weight":
                 payload += data[offset : offset + nbytes]
             offset += nbytes
         manifest["tensors"] = [e for e in manifest["tensors"] if e["name"] != "head.weight"]
-        blob = json.dumps(manifest).encode()
-        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + payload)
+        write_checkpoint(path, json.dumps(manifest).encode(), payload)
         with pytest.raises(ValueError, match=r"m\.gmck.*missing \['head\.weight'\]"):
             load_model(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "t.gmck"
         save_model(init_model(REDUCED, seed=0), path)
-        path.write_bytes(path.read_bytes()[:-6])
+        good = path.read_bytes()
+        path.write_bytes(good[:-6])
+        with pytest.raises(ValueError, match=r"t\.gmck: checksum mismatch"):
+            load_model(path)
+        # With a digest that matches the short file, the payload check names it.
+        manifest, payload = split_checkpoint(path)
+        write_checkpoint(path, good[HEADER : len(good) - len(payload) - 6], payload)
         with pytest.raises(ValueError, match=r"t\.gmck: truncated payload"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, 0.0], ids=["nan", "zero"])
+    def test_damaged_payload_rejected(self, tmp_path, value):
+        path = tmp_path / "p.gmck"
+        save_model(init_model(REDUCED, seed=0), path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.float32(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="checksum mismatch") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_header_cut_short_rejected(self, tmp_path):
         path = tmp_path / "h.gmck"
@@ -506,7 +535,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json"])
     def test_manifest_not_utf8_json_rejected(self, tmp_path, blob):
         path = tmp_path / "j.gmck"
-        path.write_bytes(b"GMCK" + struct.pack("<II", VERSION, len(blob)) + blob)
+        write_checkpoint(path, blob)
         with pytest.raises(ValueError, match=r"j\.gmck: manifest is not UTF-8 JSON"):
             load_model(path)
 
@@ -520,28 +549,28 @@ class TestCheckpoint:
     def test_manifest_bad_value_rejected(self, tmp_path, edit, message):
         path = tmp_path / "v.gmck"
         save_model(init_model(REDUCED, seed=0), path)
-        data = path.read_bytes()
-        (mlen,) = struct.unpack("<I", data[8:12])
-        manifest = json.loads(data[12 : 12 + mlen])
+        manifest, payload = split_checkpoint(path)
         edit(manifest)
-        blob = json.dumps(manifest).encode()
-        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + mlen :])
+        write_checkpoint(path, json.dumps(manifest).encode(), payload)
         with pytest.raises(ValueError, match=message) as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
 
     def test_version_1_checkpoint_named(self, tmp_path):
+        # Version 1 listed ten config fields; version 2 had linear biases
+        # and no digest.
         path = tmp_path / "old.gmck"
         save_model(init_model(NETWORK_PRESETS["tiny"], seed=0), path)
         data = path.read_bytes()
-        path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
-        with pytest.raises(ValueError, match="unsupported checkpoint version 1$") as info:
-            load_model(path)
-        assert str(info.value).startswith(f"{path}: ")
+        for version in (1, 2):
+            path.write_bytes(data[:4] + struct.pack("<I", version) + data[8:])
+            with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}$") as info:
+                load_model(path)
+            assert str(info.value).startswith(f"{path}: ")
 
     def test_manifest_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "w.gmck"
-        path.write_bytes(b"GMCK" + struct.pack("<II", VERSION, 2) + b"[]")
+        write_checkpoint(path, b"[]")
         with pytest.raises(ValueError, match=r"w\.gmck: malformed manifest"):
             load_model(path)
 

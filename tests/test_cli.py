@@ -166,6 +166,14 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=rf"^cfg\.json: bad pipeline section \(TypeError\(.*'{key}'"):
             _build_pipeline_config(args, {"pipeline": pipeline})
 
+    @pytest.mark.parametrize("key", ["probe_steps", "probe_regularization"])
+    def test_probe_key_named(self, key):
+        # The probe's settings belong to eval (--probe-steps) and evaluation.
+        pipeline = {**PipelineConfig().to_dict(), key: 1}
+        args = build_parser().parse_args(["train", "--config", "cfg.json", "--out", "o"])
+        with pytest.raises(ValueError, match=rf"^cfg\.json: bad pipeline section \(TypeError\(.*'{key}'"):
+            _build_pipeline_config(args, {"pipeline": pipeline})
+
     @pytest.mark.parametrize(
         "network, expected",
         [
@@ -211,6 +219,22 @@ class TestConfigFile:
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
         assert run_cli("gen", "--counts", "g0=3,g2=2,g3=2", "--config", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err.strip() == f"error: {path}: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "jitter, message",
+        [
+            (-1, "jitter_px must be nonnegative"),
+            (150, "jitter_px 150 can move the graded body off the patch (at most 35 px with these region_dims)"),
+        ],
+        ids=["negative", "off-the-patch"],
+    )
+    def test_gen_bad_jitter_named(self, tmp_path, capsys, jitter, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"jitter_px": jitter}))
+        out = tmp_path / "o"
+        assert run_cli("gen", "--counts", "g0=3,g2=1,g3=1", "--seed", "1", "--config", str(path), "--out", str(out)) == 1
         assert capsys.readouterr().err.strip() == f"error: {path}: {message}"
         assert not out.exists()
 

@@ -319,14 +319,14 @@ class TestProtocols:
             return linear_probe_train(x, labels, **kwargs)
 
         monkeypatch.setattr(evaluation, "linear_probe_train", recording)
-        got = evaluate_folds([model] * 2, samples, folds, regularization=0.01, n_steps=300)
+        got = evaluate_folds([model] * 2, samples, folds, n_steps=300)
         assert len(fits) == 2
         for fold, (x, labels, kwargs), metrics in zip(folds, fits, got.folds):
             tr, te = list(fold.train_ids), list(fold.test_ids)
             np.testing.assert_array_equal(x, emb[tr])
             np.testing.assert_array_equal(labels, y[tr])
-            assert kwargs == {"regularization": 0.01, "n_steps": 300}
-            probe = linear_probe_train(emb[tr], y[tr], regularization=0.01, n_steps=300)
+            assert kwargs == {"n_steps": 300}
+            probe = linear_probe_train(emb[tr], y[tr], n_steps=300)
             assert metrics == confusion_metrics(probe.predict(emb[te]), y[te])
 
     def test_one_model_over_folds_is_embedded_once(self, monkeypatch):

@@ -2,9 +2,8 @@
 
 Every damaged file must either fail to load with a ``ValueError`` whose
 message starts with the damaged file's path, or, where the damage leaves it
-valid, load bit-equal to the original. A checkpoint whose manifest is
-overwritten may also load as another valid model, but never raise anything
-else.
+valid, load bit-equal to the original. A checkpoint carries a digest of its
+manifest and payload, so any changed byte of it is refused.
 """
 
 import struct
@@ -14,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinemetric.backbone import PatchEncoder, init_model, load_model, save_model
+from spinemetric.backbone import init_model, load_model, save_model
+from spinemetric.backbone.checkpoint import HEADER
 from spinemetric.cli import NETWORK_PRESETS
 from spinemetric.mining import GradeLabel, RegionLabel
 from spinemetric.phantom import (
@@ -146,7 +146,7 @@ def checkpoint(tmp_path_factory):
     save_model(init_model(NETWORK_PRESETS["tiny"], seed=0), path)
     good = path.read_bytes()
     (mlen,) = struct.unpack("<I", good[8:12])
-    return path, good, 12 + mlen
+    return path, good, HEADER + mlen
 
 
 @FUZZ
@@ -160,22 +160,33 @@ def test_truncated_checkpoint_rejected(checkpoint, data):
     assert str(info.value).startswith(f"{damaged}: ")
 
 
-@FUZZ
-@given(data=st.data(), value=st.integers(0, 255))
-def test_checkpoint_manifest_byte_overwritten(checkpoint, data, value):
-    path, good, manifest_end = checkpoint
-    position = data.draw(st.integers(0, manifest_end - 1))
+def _assert_overwrite_refused(checkpoint, position, value):
+    """Byte ``position`` of the checkpoint set to ``value`` must fail to load
+    naming the file, unless it is unchanged; then the file loads and saves
+    back to the same bytes."""
+    path, good, _ = checkpoint
     damaged = path.with_name("damaged.gmck")
     flipped = bytearray(good)
     flipped[position] = value
     damaged.write_bytes(bytes(flipped))
-    try:
-        model = load_model(damaged)
-    except ValueError as exc:
-        assert value != good[position]
-        assert str(exc).startswith(f"{damaged}: ")
-        return
-    assert isinstance(model, PatchEncoder)
     if value == good[position]:
-        save_model(model, damaged)
+        save_model(load_model(damaged), damaged)
         assert damaged.read_bytes() == good
+        return
+    with pytest.raises(ValueError) as info:
+        load_model(damaged)
+    assert str(info.value).startswith(f"{damaged}: ")
+
+
+@FUZZ
+@given(data=st.data(), value=st.integers(0, 255))
+def test_checkpoint_manifest_byte_overwritten(checkpoint, data, value):
+    _, _, manifest_end = checkpoint
+    _assert_overwrite_refused(checkpoint, data.draw(st.integers(0, manifest_end - 1)), value)
+
+
+@FUZZ
+@given(data=st.data(), value=st.integers(0, 255))
+def test_checkpoint_payload_byte_overwritten(checkpoint, data, value):
+    _, good, manifest_end = checkpoint
+    _assert_overwrite_refused(checkpoint, data.draw(st.integers(manifest_end, len(good) - 1)), value)

@@ -113,7 +113,7 @@ class TestGradientChecks:
 
     def test_linear(self):
         x = RNG.normal(size=(6, 10))
-        fd_layer_check(Linear(10, 4, RNG, np.float64), x, stride=3)
+        fd_layer_check(Linear(10, 4, RNG, np.float64, bias=True), x, stride=3)
 
 
 class TestConvOracle:

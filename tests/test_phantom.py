@@ -235,7 +235,16 @@ class TestChunkedRenderer:
         assert_matches_reference(PhantomConfig(jitter_px=3), counts, seed=11)
 
     def test_bodies_off_the_patch(self):
-        assert_matches_reference(PhantomConfig(jitter_px=150), self.COUNTS, seed=1)
+        # The largest default body is 42 px across: a jitter above 56 - 21
+        # px could move it off the patch, and is refused.
+        assert_matches_reference(PhantomConfig(jitter_px=35), self.COUNTS, seed=1)
+        for jitter in (36, 150):
+            with pytest.raises(ValueError, match=f"jitter_px {jitter} can move the graded body off the patch"):
+                PhantomConfig(jitter_px=jitter)
+        small = {r: ((10.0, 12.0), (10.0, 12.0)) for r in RegionLabel}
+        PhantomConfig(region_dims=small, jitter_px=50)
+        with pytest.raises(ValueError, match="at most 50 px"):
+            PhantomConfig(region_dims=small, jitter_px=51)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -10,6 +10,7 @@ from spinemetric.backbone import (
     HEAD_CLASSIFIER,
     HEAD_EMBEDDING,
     NetworkConfig,
+    adam_step,
     init_model,
     load_model,
     save_model,
@@ -101,7 +102,7 @@ class TestStagePlans:
     def test_default_config_digest_pinned(self):
         # records.json carries this digest: to_dict must not move its bytes.
         digest = hashlib.sha256(PipelineConfig().to_json().encode()).hexdigest()
-        assert digest == "075c11e59e151464d0c22e923044f8fb22ebb323257c504cb32712ff8457d3c0"
+        assert digest == "25238977ec973898bf57023314b73a999049d1b47ea0371b6edb2687b388f329"
 
     def test_run_record_to_dict(self):
         record = RunRecord("FractureTrain", "cross_entropy", [0.5, 0.25], 1.5, "stage1.gmck", 96)
@@ -119,23 +120,6 @@ class TestStagePlans:
         doc["margins"] = {"alpha": 0.5, "beta": 1.0, "gamma": 0.2}
         with pytest.raises(ValueError):
             PipelineConfig.from_dict(doc)
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("probe_steps", 0, "probe_steps must be at least 1, got 0"),
-            ("probe_steps", -1, "probe_steps must be at least 1, got -1"),
-            ("probe_regularization", 0.0, "probe_regularization must be finite and positive, got 0.0"),
-            ("probe_regularization", -1e-3, "probe_regularization must be finite and positive, got -0.001"),
-            ("probe_regularization", float("nan"), "probe_regularization must be finite and positive, got nan"),
-            ("probe_regularization", float("inf"), "probe_regularization must be finite and positive, got inf"),
-        ],
-    )
-    def test_bad_probe_options_refused(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
-            PipelineConfig(**{field: value})
-        with pytest.raises(ValueError, match=message):
-            PipelineConfig.from_dict({**PipelineConfig().to_dict(), field: value})
 
 
 class TestRunStage:
@@ -235,6 +219,35 @@ class TestRunStage:
         assert all(np.isfinite(v) for v in record.epoch_losses)
 
 
+class TestEveryParameterTrains:
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            StagePlan(STAGE_LABEL, "contrastive", epochs=1, batch_size=8),
+            StagePlan(STAGE_LABEL, "triplet", epochs=1, batch_size=8),
+            StagePlan(STAGE_REPRESENTATION, "grading", epochs=1, batch_size=8),
+            StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=1, batch_size=8),
+        ],
+        ids=lambda p: p.loss_kind,
+    )
+    def test_first_step_gives_every_tensor_a_gradient(self, monkeypatch, plan):
+        # A tensor whose true gradient is 0 whatever the data (a bias in front
+        # of a batch norm, or one on the embedding head, which the metric
+        # losses read only through differences) gets rounding noise of about
+        # 1e-14 at most, which Adam would turn into steps of its own.
+        steps = []
+
+        def recording(model, opt, grads):
+            steps.append({name: float(np.max(np.abs(g))) for name, g in grads.items()})
+            adam_step(model, opt, grads)
+
+        monkeypatch.setattr(pipeline, "adam_step", recording)
+        net = replace(TINY_NET, dtype="float64")
+        config = PipelineConfig(network=net, stages=(plan,), seed=4)
+        run_stage(init_model(net, seed=4), plan, balanced_samples(per_grade=2), seed=4, config=config)
+        assert {name: g for name, g in steps[0].items() if not g > 1e-8} == {}
+
+
 class TestDistinctRows:
     """A step forwards each distinct row once; the stage trains as if every
     tuple slot were its own row."""
@@ -250,11 +263,14 @@ class TestDistinctRows:
         ids=lambda p: p.loss_kind,
     )
     def test_matches_duplicated_batch_oracle(self, plan):
-        # A parameter whose true gradient is 0 (a bias in front of a batch
-        # norm, among others) receives rounding noise of about 1e-14, which
-        # Adam turns into a step of lr * noise / EPSILON: 1e-10 per step at
-        # the default lr of 1e-4, 1e-12 at 1e-6. Every other parameter
-        # moves by about lr per step, so 1e-10 still resolves it.
+        # On some steps a bn2.beta channel's true gradient is 0: each of its
+        # pooled features is positive in every row of the batch or in none,
+        # so its shift moves fc1's output by the same amount in every row,
+        # and fbn1 subtracts it. Its rounding noise of about 1e-15 becomes
+        # an Adam step of about lr * noise / EPSILON, different on the two
+        # sides: bn2.beta ends up to 4e-10 apart at the default lr of 1e-4,
+        # and 4e-12 apart at 1e-6. Every other parameter moves by about lr
+        # per step, so 1e-10 still resolves it.
         net = replace(TINY_NET, dtype="float64")
         config = PipelineConfig(network=net, stages=(plan,), seed=4, learning_rate=1e-6)
         samples = balanced_samples(per_grade=2)
@@ -403,7 +419,6 @@ class TestRunPipeline:
     def test_probe_scoring_when_no_fracture_stage(self):
         samples = balanced_samples()
         config = tiny_config(StagePlan(STAGE_REPRESENTATION, "grading", epochs=1))
-        config = PipelineConfig.from_dict({**config.to_dict(), "probe_steps": 500})
         folds = make_folds([s.grade for s in samples], 1, 0.3, seed=4)
         model, metrics, _ = run_pipeline(config, samples, folds[0])
         assert model.head == HEAD_EMBEDDING
