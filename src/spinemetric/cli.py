@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -135,6 +136,8 @@ def _parse_counts(text: str) -> dict:
 
 
 def cmd_gen(args) -> int:
+    if not math.isfinite(args.scale):
+        raise ValueError(f"--scale must be a finite number, got {args.scale}")
     out_dir = Path(args.out)
     cfg_file = _load_config_file(args.config, {"seed": "an integer", "jitter_px": "an integer"})
     seed = args.seed if args.seed is not None else cfg_file.get("seed", 0)
@@ -158,8 +161,7 @@ def cmd_gen(args) -> int:
         raise ValueError("requested dataset is empty (count 0)")
     log.info("generating %d samples into %s", total, out_dir)
 
-    samples, manifest = phantom.generate_dataset(config, counts, seed=seed)
-    manifest = phantom.save_dataset(samples, manifest, out_dir)
+    manifest = phantom.stream_dataset(config, counts, seed, out_dir)
     digest = phantom.manifest_digest(manifest)
     _write_json(
         out_dir / "run.json",

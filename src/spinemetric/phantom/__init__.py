@@ -6,6 +6,7 @@ from .formats import (
     read_sample_tensor,
     read_volume,
     save_dataset,
+    stream_dataset,
     write_sample_tensor,
     write_volume,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "reformat_curved",
     "region_of_vertebra",
     "save_dataset",
+    "stream_dataset",
     "write_sample_tensor",
     "write_volume",
 ]

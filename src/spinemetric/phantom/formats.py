@@ -5,13 +5,16 @@ float32 LE row-major payload. Volumes: magic ``VVOL`` | u32 z | u32 y |
 u32 x | float32 LE payload | JSON centroid trailer. Manifests and trailers
 are ``canonical_json``, so a manifest's SHA-256 digest is stable.
 
-Single files are written through ``atomic_open``. ``save_dataset`` guards
-a dataset's sample files with its manifest instead: it removes an earlier
-manifest before it writes any sample file and writes the new one last, so
-a dataset directory holds either no manifest or one whose files are all
-written. ``load_dataset`` reads each sample file's payload straight into
-its row of one ``(N, 2, 112, 112)`` stack, once its header has been
-checked.
+Single files are written through ``atomic_open``. A dataset's sample files
+are guarded by its manifest instead: ``save_dataset`` and ``stream_dataset``
+(``gen``) share one writer, which removes an earlier manifest before it
+writes any sample file and writes the new one last, so a dataset directory
+holds either no manifest or one whose files are all written. The writer
+writes each sample's image and heatmap straight from their arrays, on one
+background thread, one chunk of samples at a time; ``stream_dataset``
+renders the next chunk meanwhile. ``load_dataset`` reads each sample file's
+payload straight into its row of one ``(N, 2, 112, 112)`` stack, once its
+header has been checked.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ import hashlib
 import json
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from ..atomic import atomic_open, canonical_json
 from ..mining import GradeLabel, RegionLabel
-from .patches import PATCH_SIZE, PatchSample
+from .patches import PATCH_SIZE, PatchSample, PhantomConfig, _generate
 from .volume import SpineVolume
 
 VPAT_MAGIC = b"VPAT"
@@ -113,25 +117,46 @@ def manifest_digest(manifest: dict) -> str:
     return hashlib.sha256(canonical_json(manifest).encode("utf-8")).hexdigest()
 
 
-def save_dataset(samples, manifest: dict, out_dir) -> dict:
-    """Write each sample as a VPAT file plus the manifest; returns the
-    manifest with file paths filled in.
+def _write_samples(out_dir: Path, samples) -> None:
+    for sample in samples:
+        with open(out_dir / f"sample_{sample.id:06d}.vpat", "wb") as fh:
+            _write_vpat(fh, (sample.image, sample.heatmap))
 
-    An earlier manifest in ``out_dir`` is removed before the first sample
-    file is written, and the new one is written last: a run killed midway
-    leaves no manifest, not an old one naming a mix of old and new files.
-    Sample files of an earlier dataset that the new manifest does not name
-    are deleted before it is written; no other file is touched.
+
+def _write_dataset(out_dir, chunks, manifest_of) -> dict:
+    """Write a dataset directory: the one writer behind ``save_dataset`` and
+    ``stream_dataset``. Returns the manifest with file paths filled in.
+
+    ``chunks`` yields lists of samples. One writer thread writes each list's
+    sample files while the next list is produced (``stream_dataset``
+    renders it then); the caller waits for a list's files before it hands
+    over the next, so a failed write is raised by the next chunk boundary
+    and the thread is joined before any exception leaves. The earlier
+    manifest is removed before the first sample file is written, sample
+    files that the new manifest, ``manifest_of(samples)``, does not name are
+    deleted after the last, and that manifest is written last. A run killed
+    midway therefore leaves no manifest, not an old one naming a mix of old
+    and new files; no other file is touched.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
-    manifest = json.loads(json.dumps(manifest))  # deep copy
+    samples = []
+    writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="vpat-writer")
+    try:
+        pending = None
+        for chunk in chunks:
+            if pending is not None:
+                pending.result()
+            pending = writer.submit(_write_samples, out_dir, chunk)
+            samples += chunk
+        if pending is not None:
+            pending.result()
+    finally:
+        writer.shutdown(cancel_futures=True)
+    manifest = manifest_of(samples)
     for sample, entry in zip(samples, manifest["samples"]):
-        fname = f"sample_{sample.id:06d}.vpat"
-        with open(out_dir / fname, "wb") as fh:
-            _write_vpat(fh, sample.to_tensor())
-        entry["file"] = fname
+        entry["file"] = f"sample_{sample.id:06d}.vpat"
     named = {entry["file"] for entry in manifest["samples"]}
     for stale in out_dir.glob("sample_*.vpat"):
         if stale.name not in named:
@@ -139,6 +164,25 @@ def save_dataset(samples, manifest: dict, out_dir) -> dict:
     with atomic_open(out_dir / "manifest.json") as fh:
         fh.write(canonical_json(manifest).encode("utf-8"))
     return manifest
+
+
+def save_dataset(samples, manifest: dict, out_dir) -> dict:
+    """Write each sample as a VPAT file plus the manifest; returns the
+    manifest with file paths filled in.
+
+    The earlier manifest is removed before the first sample file is written
+    and the new one is written last; sample files it does not name are
+    deleted (see ``_write_dataset``)."""
+    manifest = json.loads(json.dumps(manifest))  # deep copy
+    return _write_dataset(out_dir, [list(samples)], lambda _: manifest)
+
+
+def stream_dataset(config: PhantomConfig, counts: dict, seed: int, out_dir) -> dict:
+    """``save_dataset(*generate_dataset(config, counts, seed), out_dir)``,
+    with the same bytes, but each chunk's sample files are written while
+    the next chunk renders. Returns the saved manifest."""
+    chunks, manifest_of = _generate(config, counts, seed)
+    return _write_dataset(out_dir, chunks, manifest_of)
 
 
 def load_dataset(manifest_path):

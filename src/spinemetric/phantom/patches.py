@@ -20,7 +20,10 @@ the chunk, with column heights vectorised across bodies and each pixel the
 maximum over its sample's bodies; one ``gaussian_filter`` blurs the band of
 columns the bodies cover, widened by the kernel radius, outside which the
 blurred image is exactly 0; then one noise add, clip and float32 cast. The
-heatmap is computed once per distinct centre.
+heatmap is computed once per distinct centre. The renderer yields each
+chunk as it finishes: ``generate_dataset`` collects them all, and ``gen``
+(``formats.stream_dataset``) writes each chunk's files while the next one
+renders.
 """
 
 from __future__ import annotations
@@ -237,20 +240,20 @@ def _paint(bodies: np.ndarray, n: int, radius: int) -> tuple[int, np.ndarray]:
     return lo, band.reshape(n, hi - lo, PATCH_SIZE)
 
 
-def _render(config: PhantomConfig, labels) -> list[PatchSample]:
-    """Render ``(grade, region, id)`` labels as the module docstring says; each
-    sample's image and heatmap are views of its row of one float32 stack."""
+def _render(config: PhantomConfig, labels):
+    """Render ``(grade, region, id)`` labels as the module docstring says,
+    yielding each finished chunk as a list of samples; each sample's image
+    and heatmap are views of its row of one float32 stack."""
     stack = np.empty((len(labels), 2, PATCH_SIZE, PATCH_SIZE), dtype=np.float32)
     noise = np.empty((min(CHUNK, len(labels)), PATCH_SIZE, PATCH_SIZE))
     sigma, amplitude = config.blur_sigma, config.noise_amplitude
     # gaussian_filter's kernel radius at its default truncate of 4 sigma.
     radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
     heatmaps = {}
-    samples = []
     for start in range(0, len(labels), CHUNK):
         chunk = labels[start : start + CHUNK]
         image = noise[: len(chunk)]
-        bodies = []
+        bodies, samples = [], []
         for k, (grade, region, id) in enumerate(chunk):
             grade, region, row = GradeLabel(grade), RegionLabel(region), stack[start + k]
             rng = np.random.default_rng([config.seed, id])
@@ -274,14 +277,45 @@ def _render(config: PhantomConfig, labels) -> list[PatchSample]:
         image[:, :, first : first + band.shape[2]] += band
         np.clip(image, 0.0, 1.0, out=image)
         stack[start : start + len(chunk), 0] = image
-    return samples
+        yield samples
 
 
 def generate_patch(
     config: PhantomConfig, grade: GradeLabel, region: RegionLabel, id: int
 ) -> PatchSample:
     """Render one deterministic patch for (config.seed, id): a batch of one."""
-    return _render(config, [(grade, region, id)])[0]
+    return next(_render(config, [(grade, region, id)]))[0]
+
+
+def _generate(config: PhantomConfig, counts: dict, seed: int):
+    """``generate_dataset`` as a stream: returns ``(chunks, manifest)``.
+
+    Iterating ``chunks`` renders the dataset one chunk at a time, and
+    ``manifest(samples)`` builds the manifest of all its samples. The counts
+    are checked at once, before anything renders."""
+    total = sum(counts.values())
+    if total <= 0:
+        raise ValueError("total sample count must be positive")
+    cfg = replace(config, seed=seed)
+    labels = [(g, r) for g in GRADES for r in REGIONS for _ in range(int(counts.get((g, r), 0)))]
+
+    def manifest(samples):
+        return {
+            "seed": seed,
+            "config_digest": cfg.digest(),
+            "samples": [
+                {
+                    "id": s.id,
+                    "grade": int(s.grade),
+                    "region": int(s.region),
+                    "file": None,
+                    "params": s.params,
+                }
+                for s in samples
+            ],
+        }
+
+    return _render(cfg, [(g, r, i) for i, (g, r) in enumerate(labels)]), manifest
 
 
 def generate_dataset(config: PhantomConfig, counts: dict, seed: int):
@@ -293,29 +327,9 @@ def generate_dataset(config: PhantomConfig, counts: dict, seed: int):
     Each sample's ``image`` and ``heatmap`` are views of its row of one
     float32 stack, as in a loaded dataset.
     """
-    total = sum(counts.values())
-    if total <= 0:
-        raise ValueError("total sample count must be positive")
-    cfg = replace(config, seed=seed)
-
-    labels = [(g, r) for g in GRADES for r in REGIONS for _ in range(int(counts.get((g, r), 0)))]
-    samples = _render(cfg, [(g, r, i) for i, (g, r) in enumerate(labels)])
-
-    manifest = {
-        "seed": seed,
-        "config_digest": cfg.digest(),
-        "samples": [
-            {
-                "id": s.id,
-                "grade": int(s.grade),
-                "region": int(s.region),
-                "file": None,
-                "params": s.params,
-            }
-            for s in samples
-        ],
-    }
-    return samples, manifest
+    chunks, manifest = _generate(config, counts, seed)
+    samples = [s for chunk in chunks for s in chunk]
+    return samples, manifest(samples)
 
 
 def counts_at_ratio(grade_totals: dict, scale: float = 1.0) -> dict:

@@ -1,5 +1,6 @@
 import io
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from spinemetric import atomic, data, phantom
 from spinemetric.backbone import NetworkConfig
 from spinemetric.cli import NETWORK_PRESETS, _build_pipeline_config, build_parser, main
+from spinemetric.mining import GradeLabel
 from spinemetric.phantom import read_sample_tensor
 from spinemetric.pipeline import PipelineConfig
 
@@ -55,14 +57,26 @@ class TestGen:
         assert run_cli("gen", "--counts", counts, "--out", str(tmp_path / "c")) == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
-    def test_repeat_run_identical_digest(self, tmp_path, capsys):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_cli("gen", "--counts", "g0=6,g2=3,g3=3", "--seed", "3", "--out", str(out1))
-        d1 = capsys.readouterr().out.strip()
-        run_cli("gen", "--counts", "g0=6,g2=3,g3=3", "--seed", "3", "--out", str(out2))
-        d2 = capsys.readouterr().out.strip()
-        assert d1 == d2
-        assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+    # 1 sample, one full chunk, one past it, and three chunks; ids are sample counts.
+    @pytest.mark.parametrize("totals", [(1, 0, 0), (20, 8, 4), (21, 8, 4), (50, 12, 8)], ids=lambda t: str(sum(t)))
+    def test_repeat_run_identical_digest(self, tmp_path, capsys, totals):
+        # gen streams its writes; the library's generate + save writes after
+        # rendering. Every file must be the same, and a rerun changes none.
+        counts = ",".join(f"{g}={n}" for g, n in zip(("g0", "g2", "g3"), totals))
+        out, lib = tmp_path / "gen", tmp_path / "lib"
+        assert run_cli("gen", "--counts", counts, "--seed", "3", "--out", str(out)) == 0
+        digest = capsys.readouterr().out.strip()
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run_cli("gen", "--counts", counts, "--seed", "3", "--out", str(out)) == 0
+        assert capsys.readouterr().out.strip() == digest
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+        per_grade = phantom.counts_at_ratio(dict(zip((GradeLabel.G0, GradeLabel.G2, GradeLabel.G3), totals)))
+        manifest = phantom.save_dataset(*phantom.generate_dataset(phantom.PhantomConfig(), per_grade, seed=3), lib)
+        assert phantom.manifest_digest(manifest) == digest
+        del files["run.json"]
+        assert len(files) == sum(totals) + 1
+        assert {p.name: p.read_bytes() for p in lib.iterdir()} == files
 
     def test_digest_pinned(self, tmp_path, capsys):
         # The manifest is canonical JSON: a change of encoding moves its digest.
@@ -98,6 +112,36 @@ class TestGen:
         code = run_cli("train", "--dataset", str(out), "--stages", "fracture", "--out", str(tmp_path / "o"))
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: dataset manifest not found at {out / 'manifest.json'}")
+
+    def test_write_failing_mid_stream(self, tmp_path, capsys, monkeypatch):
+        # The 41st file, in the second chunk, cannot be opened: a directory
+        # holds its name. The writer fails while the third chunk renders.
+        out = tmp_path / "ds"
+        blocked = out / "sample_000040.vpat"
+        blocked.mkdir(parents=True)
+        real_paint, chunks = phantom.patches._paint, []
+
+        def counting_paint(bodies, n, radius):
+            chunks.append(n)
+            return real_paint(bodies, n, radius)
+
+        monkeypatch.setattr(phantom.patches, "_paint", counting_paint)
+        threads = threading.active_count()
+        assert run_cli("gen", "--counts", "g0=150,g2=30,g3=20", "--seed", "1", "--out", str(out)) == 1
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(blocked) in err[0]
+        assert len(chunks) <= 3  # of 7
+        written = {f"sample_{i:06d}.vpat" for i in range(41)}
+        assert {p.name for p in out.iterdir()} == written  # no manifest, no temp file
+        assert blocked.is_dir()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_refused(self, tmp_path, capsys, scale):
+        out = tmp_path / "ds"
+        assert run_cli("gen", "--scale", scale, "--out", str(out)) == 1
+        assert capsys.readouterr().err.strip() == f"error: --scale must be a finite number, got {scale}"
+        assert not out.exists()
 
     def test_smaller_regen_removes_stale_sample_files(self, tmp_path):
         out = tmp_path / "ds"
