@@ -177,7 +177,7 @@ class Conv2d(Layer):
         dxpad = np.zeros_like(xpad) if self.input_grad else None
         for lo, hi, cols in self._chunks(xpad):
             dy_rows = dymat[:, lo * w * n : hi * w * n]
-            d_wmat += dy_rows @ cols.T
+            d_wmat += (cols @ dy_rows.T).T  # OpenBLAS runs this orientation faster
             if dxpad is not None:
                 # col2im, with dcols written over the spent columns: add each
                 # offset's rows back onto the padded input.

@@ -511,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float,
                    help=f"test split share (probe protocol; default {_DEFAULT_TEST_FRACTION})")
     p.add_argument("--probe-steps", type=int,
-                   help=f"probe solver iteration cap (probe protocol; default {PROBE_STEPS})")
+                   help="cap on the probe's interior-point iterations; each fit stops earlier once "
+                        f"its duality gap is at most 1e-8 or it stalls (probe protocol; default {PROBE_STEPS})")
     p.add_argument("--seed", type=int, help="fold RNG seed (probe protocol; default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

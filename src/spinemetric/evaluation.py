@@ -2,8 +2,10 @@
 
 The linear probe is the maximum-margin classifier that minimizes the
 L2-regularized mean hinge loss, bias included in the regularized weights.
-It is solved exactly through its box-constrained dual with L-BFGS-B, and
-stops on the duality gap, so probe results are deterministic.
+It is solved exactly through its box-constrained dual by a primal-dual
+interior-point method with O(n D^2) low-rank Newton steps (Ferris and
+Munson, SIAM J. Optim. 13, 2002), stopping on the duality gap, the
+iteration cap or a stall, so probe results are deterministic.
 Fractured is the positive class everywhere.
 """
 
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .atomic import canonical_json
 from .backbone.model import HEAD_CLASSIFIER
@@ -98,6 +99,8 @@ def confusion_metrics(predictions, truths) -> Metrics:
 class LinearProbe:
     weights: np.ndarray
     bias: float
+    iterations: int = 0  # solver iterations spent on the fit
+    gap: float = float("nan")  # duality gap at the returned weights; nan if not fit
 
     def decision(self, embeddings) -> np.ndarray:
         return np.asarray(embeddings) @ self.weights + self.bias
@@ -106,18 +109,8 @@ class LinearProbe:
         return (self.decision(embeddings) > 0).astype(int)
 
 
-def linear_probe_train(
-    embeddings,
-    labels,
-    regularization: float = PROBE_REGULARIZATION,
-    n_steps: int = PROBE_STEPS,
-) -> LinearProbe:
-    """Fit the maximum-margin linear probe on frozen embeddings: minimize
-    lambda/2 |w|^2 + mean hinge over the rows [x, 1] through the dual
-    min 1/2 |z^T a|^2 - sum(a), 0 <= a <= 1/(lambda n), z = y [x, 1], w = z^T a.
-    L-BFGS-B restarts from its last point until the duality gap is at most
-    ``PROBE_GAP_TOL``, until ``n_steps`` iterations are spent in total, or
-    until a call no longer lowers the dual."""
+def _probe_dual(embeddings, labels, regularization: float, n_steps: int):
+    """The probe's checked inputs and solved dual: (a, w = z^T a, iterations, gap)."""
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -134,23 +127,51 @@ def linear_probe_train(
         raise ValueError(f"probe regularization must be finite and positive, got {regularization}")
 
     z = np.where(y == 1, 1.0, -1.0)[:, None] * np.concatenate([x, np.ones((len(x), 1))], axis=1)
-
-    def dual(a, a0, w0):
-        # The dual's change from the restart point a0 (w0 = z^T a0), so that
-        # a restart resolves decreases far below the dual's own rounding.
-        d = a - a0
-        dw = d @ z
-        return dw @ (w0 + 0.5 * dw) - d.sum(), z @ (w0 + dw) - 1.0
-
-    a, used, bounds = np.zeros(len(z)), 0, Bounds(0.0, 1.0 / (regularization * len(z)))
+    n, u = len(z), 1.0 / (regularization * len(z))
+    # a mid-box, v = u - a kept apart so neither rounds to 0, and g = z z^T a - 1 = s - t.
+    a, v = np.full(n, u / 2), np.full(n, u / 2)
+    g = z @ (a @ z) - 1.0
+    s, t, iterations, step = np.maximum(g, 0.0) + 1.0, np.maximum(-g, 0.0) + 1.0, 0, 1.0
     while True:
-        res = minimize(dual, a, args=(a, a @ z), jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": n_steps - used, "ftol": 0.0, "gtol": 0.0, "maxcor": 20})
-        w, used = res.x @ z, used + res.nit
-        gap = regularization * (w @ w - res.x.sum()) + np.maximum(0.0, 1.0 - z @ w).mean()
-        if gap <= PROBE_GAP_TOL or used >= n_steps or res.fun >= 0.0:
-            return LinearProbe(weights=w[:-1], bias=float(w[-1]))
-        a = res.x
+        w = a @ z
+        g = z @ w - 1.0
+        gap = regularization * (w @ w - a.sum()) + np.maximum(0.0, -g).mean()
+        # While g = s - t the gap is at most lambda (a s + v t); above that, it is rounding.
+        if gap <= PROBE_GAP_TOL or iterations >= n_steps or step == 0.0 or gap > regularization * (a @ s + v @ t):
+            return a, w, iterations, float(gap)
+        # (diag(d) + z z^T)^-1 = d^-1/2 (I - q q^T) d^-1/2, q the top rows of the Q of
+        # [z / sqrt(d); I], whose R is the Cholesky factor of I + z^T diag(1/d) z.
+        root = np.sqrt(s / a + t / v)
+        q = np.linalg.qr(np.concatenate([z / root[:, None], np.eye(z.shape[1])]))[0][:n]
+        rd, mu = g - s + t, (a @ s + v @ t) / (2 * n)
+
+        def newton(rs, rt):
+            c = (rs / a - rt / v - rd) / root
+            da = (c - q @ (q.T @ c)) / root
+            ds, dt = (rs - s * da) / a, (rt + t * da) / v
+            now, dx = np.concatenate([a, v, s, t]), np.concatenate([da, -da, ds, dt])
+            return da, ds, dt, min(1.0, np.min(-now[dx < 0] / dx[dx < 0], initial=np.inf))
+
+        da, ds, dt, step = newton(-a * s, -v * t)  # Mehrotra's affine predictor
+        sigma_mu = (((a + step * da) @ (s + step * ds) + (v - step * da) @ (t + step * dt)) / (2 * n * mu)) ** 3 * mu
+        da, ds, dt, step = newton(sigma_mu - a * s - da * ds, sigma_mu - v * t + da * dt)
+        step, iterations = 0.99 * step, iterations + 1
+        a, v, s, t = np.minimum(a + step * da, u), v - step * da, s + step * ds, t + step * dt
+
+
+def linear_probe_train(
+    embeddings,
+    labels,
+    regularization: float = PROBE_REGULARIZATION,
+    n_steps: int = PROBE_STEPS,
+) -> LinearProbe:
+    """Fit the maximum-margin linear probe on frozen embeddings: minimize
+    lambda/2 |w|^2 + mean hinge over the rows [x, 1] through the dual
+    min 1/2 |z^T a|^2 - sum(a), 0 <= a <= 1/(lambda n), z = y [x, 1], w = z^T a.
+    A primal-dual interior-point method stops at a duality gap of ``PROBE_GAP_TOL``,
+    after ``n_steps`` iterations, or on a stall: a zero step, or a gap that is rounding."""
+    _, w, iterations, gap = _probe_dual(embeddings, labels, regularization, n_steps)
+    return LinearProbe(weights=w[:-1], bias=float(w[-1]), iterations=iterations, gap=gap)
 
 
 def binary_fracture_labels(grades) -> np.ndarray:

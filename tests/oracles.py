@@ -10,11 +10,11 @@ crossings with subpixel interpolation, arc lengths from quadrature over an
 independently constructed spline, the metric and classification losses one
 tuple of 1-D vectors at a time, quadruplet, triplet and pair mining as lists
 of Python tuples, with the class pools rebuilt by a scan over all labels,
-the linear probe by Pegasos subgradient descent, with its objective
-summed one row at a time, the block-mean downsample one window value at a
-time, the dataset loader one whole file read at a time, a training stage
-by forwarding every tuple slot as its own network row, and an Adam update
-through fresh expression temporaries.
+the linear probe by Pegasos subgradient descent and by scipy's L-BFGS-B
+on its dual, with its objective summed one row at a time, the block-mean
+downsample one window value at a time, the dataset loader one whole file
+read at a time, a training stage by forwarding every tuple slot as its own
+network row, and an Adam update through fresh expression temporaries.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.optimize import Bounds, minimize
 
 from spinemetric import pipeline
 from spinemetric.backbone.optim import adam_init, adam_step
@@ -680,6 +681,34 @@ def pegasos_probe_reference(embeddings, labels, regularization: float = 1e-3, n_
         if norm > radius:
             w *= radius / norm
     return w[:-1], float(w[-1])
+
+
+def lbfgsb_probe_reference(embeddings, labels, regularization: float = 1e-3, n_steps: int = 100_000,
+                           gap_tol: float = 1e-8):
+    """The linear probe's box-constrained dual solved by scipy's L-BFGS-B,
+    restarted from its last point until the duality gap is at most
+    ``gap_tol``, until ``n_steps`` iterations are spent in total, or until a
+    call no longer lowers the dual; returns (weights, bias, dual point a)."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels)
+    z = np.where(y == 1, 1.0, -1.0)[:, None] * np.concatenate([x, np.ones((len(x), 1))], axis=1)
+
+    def dual(a, a0, w0):
+        # The dual's change from the restart point a0 (w0 = z^T a0), so that
+        # a restart resolves decreases far below the dual's own rounding.
+        d = a - a0
+        dw = d @ z
+        return dw @ (w0 + 0.5 * dw) - d.sum(), z @ (w0 + dw) - 1.0
+
+    a, used, bounds = np.zeros(len(z)), 0, Bounds(0.0, 1.0 / (regularization * len(z)))
+    while True:
+        res = minimize(dual, a, args=(a, a @ z), jac=True, method="L-BFGS-B", bounds=bounds,
+                       options={"maxiter": n_steps - used, "ftol": 0.0, "gtol": 0.0, "maxcor": 20})
+        w, used = res.x @ z, used + res.nit
+        gap = regularization * (w @ w - res.x.sum()) + np.maximum(0.0, 1.0 - z @ w).mean()
+        if gap <= gap_tol or used >= n_steps or res.fun >= 0.0:
+            return w[:-1], float(w[-1]), res.x
+        a = res.x
 
 
 def probe_objective(embeddings, labels, regularization, weights, bias) -> float:

@@ -598,6 +598,16 @@ class TestEvalAndProject:
         doc = json.loads((out / "metrics.json").read_text())
         assert set(doc["mean"]) == {"sensitivity", "specificity", "f1"}
 
+    def test_probe_confusion_pinned(self, dataset_dir, embedding_ckpt, tmp_path):
+        # Per-fold (tp, fp, tn, fn) that the probe solved by L-BFGS-B gave.
+        out = tmp_path / "probe"
+        assert run_cli("eval", "--protocol", "probe", "--dataset", str(dataset_dir),
+                       "--checkpoint", str(embedding_ckpt), "--folds", "5", "--out", str(out)) == 0
+        doc = json.loads((out / "metrics.json").read_text())
+        assert [(f["tp"], f["fp"], f["tn"], f["fn"]) for f in doc["folds"]] == [
+            (1, 0, 3, 1), (1, 0, 3, 1), (1, 0, 3, 1), (0, 0, 3, 2), (1, 1, 2, 1)
+        ]
+
     def test_probe_run_json_records_probe_options(self, dataset_dir, embedding_ckpt, tmp_path):
         out = tmp_path / "probe"
         code = run_cli(

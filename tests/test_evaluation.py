@@ -1,16 +1,18 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, minimize
 
 from spinemetric import evaluation
 from spinemetric.backbone import HEAD_CLASSIFIER, NetworkConfig, init_model
 from spinemetric.data import patch_set
 from spinemetric.evaluation import (
     PROBE_GAP_TOL,
+    PROBE_REGULARIZATION,
+    PROBE_STEPS,
     FoldSummary,
     Metrics,
     binary_fracture_labels,
@@ -25,7 +27,7 @@ from spinemetric.evaluation import (
 from spinemetric.mining import GradeLabel, RegionLabel, make_folds
 from spinemetric.phantom import PhantomConfig, generate_dataset
 
-from .oracles import pegasos_probe_reference, probe_objective
+from .oracles import lbfgsb_probe_reference, pegasos_probe_reference, probe_objective
 
 G0, G2, G3 = GradeLabel.G0, GradeLabel.G2, GradeLabel.G3
 
@@ -81,20 +83,15 @@ def probe_sets():
     return {name: (x, y, pegasos_probe_reference(x, y, n_steps=PEGASOS_STEPS)) for name, (x, y) in sets.items()}
 
 
-def record_solver(monkeypatch, per_call=None):
-    """Record every L-BFGS-B result of linear_probe_train, with each call's
-    iteration budget cut to ``per_call`` when given."""
-    results = []
-
-    def recording(fun, x0, **kwargs):
-        if per_call is not None:
-            options = kwargs["options"]
-            kwargs["options"] = {**options, "maxiter": min(per_call, options["maxiter"])}
-        results.append(minimize(fun, x0, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(evaluation, "minimize", recording)
-    return results
+def probe_rows(probe_sets, name):
+    """A probe set's embeddings and labels, or for ``paper_ratio`` 962 rows,
+    the training split of a paper-ratio dataset (1283 samples, 150
+    fractured): 8-D embeddings, the fractured rows shifted by 1 on every
+    axis, so the classes overlap."""
+    if name != "paper_ratio":
+        return probe_sets[name][:2]
+    y = np.array([1] * 112 + [0] * 850)
+    return np.random.default_rng(962).normal(size=(962, 8)) + y[:, None], y
 
 
 def duality_gap(x, y, regularization, a):
@@ -211,52 +208,54 @@ class TestProbeSolver:
         x, y, (w, b) = probe_sets[name]
         np.testing.assert_array_equal(linear_probe_train(x, y).predict(x), (x @ w + b > 0).astype(int))
 
-    # A restart measures the dual's change from its start point, so it can
-    # close the gap below what rounding of the dual's own value allows.
+    @pytest.mark.parametrize("name", PROBE_SETS + ("paper_ratio",))
+    def test_matches_lbfgsb_oracle(self, probe_sets, name):
+        x, y = probe_rows(probe_sets, name)
+        probe = linear_probe_train(x, y)
+        assert probe.iterations <= 30
+        w_ref, b_ref, a_ref = lbfgsb_probe_reference(x, y, PROBE_REGULARIZATION, PROBE_STEPS, PROBE_GAP_TOL)
+        np.testing.assert_array_equal(probe.predict(x), (x @ w_ref + b_ref > 0).astype(int))
+        a = evaluation._probe_dual(x, y, PROBE_REGULARIZATION, PROBE_STEPS)[0]
+        gaps = [duality_gap(x, y, PROBE_REGULARIZATION, dual)[0] for dual in (a, a_ref)]
+        assert max(gaps) <= PROBE_GAP_TOL
+        # The primal is lambda-strongly convex, so each solution lies within
+        # sqrt(2 gap / lambda) of the optimum.
+        radius = sum(np.sqrt(2 * max(g, 0.0) / PROBE_REGULARIZATION) for g in gaps)
+        assert np.linalg.norm(np.append(probe.weights - w_ref, probe.bias - b_ref)) <= radius
+
     @pytest.mark.parametrize("regularization, tol", [(1e-3, PROBE_GAP_TOL), (0.1, PROBE_GAP_TOL), (1e-3, 1e-12)])
     @pytest.mark.parametrize("name", PROBE_SETS)
     def test_duality_gap_at_return(self, probe_sets, monkeypatch, name, regularization, tol):
         x, y, _ = probe_sets[name]
         monkeypatch.setattr(evaluation, "PROBE_GAP_TOL", tol)
-        results = record_solver(monkeypatch)
-        probe = linear_probe_train(x, y, regularization=regularization, n_steps=5_000)
-        a = results[-1].x
+        probe = linear_probe_train(x, y, regularization=regularization)
+        a = evaluation._probe_dual(x, y, regularization, PROBE_STEPS)[0]
         assert np.all((a >= 0) & (a <= 1 / (regularization * len(x))))
         gap, w = duality_gap(x, y, regularization, a)
         assert gap <= tol
         np.testing.assert_allclose(np.append(probe.weights, probe.bias), w, rtol=0, atol=1e-12)
+        assert probe.gap == pytest.approx(gap, rel=0, abs=1e-14)
 
-    @pytest.mark.parametrize("name", ["random", "shifted_blobs", "tiny_dataset"])
-    def test_restarts_until_the_gap_holds(self, probe_sets, monkeypatch, name):
-        x, y, (w, b) = probe_sets[name]
-        results = record_solver(monkeypatch, per_call=3)
-        probe = linear_probe_train(x, y)
-        assert len(results) > 1 and all(r.nit <= 3 for r in results)
-        assert duality_gap(x, y, 1e-3, results[-1].x)[0] <= PROBE_GAP_TOL
-        np.testing.assert_array_equal(probe.predict(x), (x @ w + b > 0).astype(int))
-
-    def test_restart_without_progress_stops(self, probe_sets, monkeypatch):
-        x, y, _ = probe_sets["random"]
-        calls = []
-
-        def stalling(fun, x0, **kwargs):
-            calls.append(x0.copy())
-            if len(calls) == 1:  # stop short of the gap
-                return minimize(fun, x0, **{**kwargs, "options": {**kwargs["options"], "maxiter": 10}})
-            return OptimizeResult(x=x0.copy(), fun=fun(x0, *kwargs["args"])[0], nit=1)
-
-        monkeypatch.setattr(evaluation, "minimize", stalling)
-        probe = linear_probe_train(x, y)
-        assert len(calls) == 2
-        assert np.all(np.isfinite(probe.weights)) and np.isfinite(probe.bias)
-
-    @pytest.mark.parametrize("n_steps, per_call", [(1, None), (5, None), (5, 2), (7, 3)])
-    def test_iteration_cap(self, probe_sets, monkeypatch, n_steps, per_call):
+    @pytest.mark.parametrize("n_steps", [1, 5])
+    def test_iteration_cap(self, probe_sets, n_steps):
         x, y, _ = probe_sets["tiny_dataset"]
-        results = record_solver(monkeypatch, per_call)
         probe = linear_probe_train(x, y, n_steps=n_steps)
-        assert sum(r.nit for r in results) == n_steps
+        assert probe.iterations == n_steps and probe.gap > PROBE_GAP_TOL
         assert np.all(np.isfinite(probe.weights)) and np.isfinite(probe.bias)
+        assert linear_probe_train(x, y).iterations > 5
+
+    @pytest.mark.parametrize("name", PROBE_SETS + ("paper_ratio",))
+    def test_zero_tolerance_stops_on_a_stall(self, probe_sets, monkeypatch, name):
+        x, y = probe_rows(probe_sets, name)
+        monkeypatch.setattr(evaluation, "PROBE_GAP_TOL", 0.0)
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            probe = linear_probe_train(x, y, n_steps=100_000)
+            a = evaluation._probe_dual(x, y, PROBE_REGULARIZATION, 100_000)[0]
+        assert probe.iterations < 100
+        assert np.all(np.isfinite(probe.weights)) and np.isfinite(probe.bias)
+        assert np.all((a >= 0) & (a <= 1 / (PROBE_REGULARIZATION * len(x))))
+        assert duality_gap(x, y, PROBE_REGULARIZATION, a)[0] <= 1e-12
 
     @pytest.mark.parametrize(
         "labels, kwargs, message",

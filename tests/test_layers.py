@@ -139,6 +139,29 @@ class TestConvOracle:
         np.testing.assert_allclose(conv.d_weight, dw_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_gradient_matches_dy_cols_product(self, monkeypatch, dtype):
+        """The weight gradient, accumulated chunk by chunk as
+        (cols dy^T)^T, against the dy cols^T product of the same chunks."""
+        n, c, o, kernel, size = 7, 4, 8, 5, 12
+        rng = np.random.default_rng(21)
+        conv = Conv2d(c, o, kernel, rng, dtype)
+        monkeypatch.setattr(layers, "COLS_BYTES", 5 * c * kernel * kernel * size * n * np.dtype(dtype).itemsize)
+        x = rng.normal(size=(n, c, size, size)).astype(dtype)
+        dy = rng.normal(size=(n, o, size, size)).astype(dtype)
+
+        conv.forward(x, train=True)
+        dymat = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).reshape(o, -1)
+        expected, chunks = np.zeros((o, c * kernel * kernel), dtype), 0
+        for lo, hi, cols in conv._chunks(conv._cache):  # one column buffer, refilled per chunk
+            expected += dymat[:, lo * size * n : hi * size * n] @ cols.T
+            chunks += 1
+        conv.backward(dy)
+
+        assert chunks == 3
+        np.testing.assert_allclose(conv.d_weight.reshape(o, -1), expected, rtol=1e-6,
+                                   atol=1e-6 * np.abs(expected).max())
+
 
 def _batch_inner(a):
     """``a`` laid out batch-innermost: the (N, C, H, W) view of a
