@@ -26,7 +26,7 @@ import numpy as np
 from . import phantom
 from .atomic import atomic_open, canonical_json
 from .backbone import HEAD_CLASSIFIER, HEAD_EMBEDDING, NetworkConfig, load_model, save_model
-from .data import patch_set
+from .data import load_patch_set
 from .evaluation import PROBE_STEPS, embed_samples, evaluate_folds, projection_csv, projection_svg, project_2d
 from .mining import GRADES, GradeLabel, folds_from_json, folds_to_json, make_folds
 from .pipeline import (
@@ -96,7 +96,7 @@ def _load_config_file(path, keys) -> dict:
 
 
 def _load_dataset(dataset):
-    """(samples, manifest, manifest path) of a dataset directory or manifest file."""
+    """(manifest, entries, manifest path) of a dataset directory or manifest file; see read_manifest."""
     p = Path(dataset)
     if p.is_dir():
         p = p / "manifest.json"
@@ -105,7 +105,7 @@ def _load_dataset(dataset):
             f"dataset manifest not found at {p}; run `spinemetric gen` first "
             f"or pass the manifest path explicitly"
         )
-    return (*phantom.load_dataset(p), p)
+    return (*phantom.formats.read_manifest(p), p)
 
 
 # --- gen ---------------------------------------------------------------
@@ -297,10 +297,9 @@ def cmd_train(args) -> int:
     dataset = args.dataset or cfg_file.get("dataset")
     if not dataset:
         raise ValueError("no dataset given (use --dataset or a config file entry)")
-    samples, manifest, manifest_path = _load_dataset(dataset)
+    manifest, entries, manifest_path = _load_dataset(dataset)
     config = _build_pipeline_config(args, cfg_file)
-    data = patch_set(samples, config.network.input_size)
-    del samples  # frees the full-resolution patches
+    data = load_patch_set(entries, config.network.input_size)
     out_dir = Path(args.out)
 
     n_folds = args.folds if args.folds is not None else cfg_file.get("folds", _DEFAULT_FOLDS)
@@ -397,10 +396,10 @@ def _check_run_dataset(run_dir: Path, manifest_path: Path, manifest: dict) -> No
 
 
 def cmd_eval(args) -> int:
-    samples, manifest, manifest_path = _load_dataset(args.dataset)
+    manifest, entries, manifest_path = _load_dataset(args.dataset)
     out_dir = Path(args.out)
 
-    folds, paths, head, name = _protocol_folds(args, [s.grade for s in samples])
+    folds, paths, head, name = _protocol_folds(args, [f["grade"] for _, f in entries])
     if args.protocol == "classify":
         _check_run_dataset(Path(args.run), manifest_path, manifest)
     models = {path: load_model(path) for path in dict.fromkeys(paths)}
@@ -409,8 +408,7 @@ def cmd_eval(args) -> int:
             raise ValueError(
                 f"{path}: --protocol {args.protocol} needs the {head} head, not {model.head}"
             )
-    data = patch_set(samples, next(iter(models.values())).config.input_size)
-    del samples  # frees the full-resolution patches
+    data = load_patch_set(entries, next(iter(models.values())).config.input_size)
     summary = evaluate_folds([models[p] for p in paths], data, folds, n_steps=args.probe_steps)
 
     _write_json(out_dir / "metrics.json", summary.to_dict())
@@ -436,13 +434,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_project(args) -> int:
-    samples, _, manifest_path = _load_dataset(args.dataset)
+    _, entries, manifest_path = _load_dataset(args.dataset)
     model = load_model(args.checkpoint)
     out_dir = Path(args.out)
 
-    ids = [s.id for s in samples]
-    data = patch_set(samples, model.config.input_size)
-    del samples  # frees the full-resolution patches
+    ids = [f["id"] for _, f in entries]
+    data = load_patch_set(entries, model.config.input_size)
     coords = project_2d(embed_samples(model, data))
 
     _write_text(out_dir / "projection.csv", projection_csv(ids, data.grades, coords))

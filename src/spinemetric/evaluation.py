@@ -11,7 +11,7 @@ Fractured is the positive class everywhere.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class Metrics:
     fp: int
     tn: int
     fn: int
+    probe_iterations: int | None = None  # set on probe-scored folds: the fit's solver iterations
+    probe_gap: float | None = None  # and its duality gap at return
 
     @property
     def sensitivity(self) -> float:
@@ -47,7 +49,8 @@ class Metrics:
         return 2 * self.tp / denom if denom else 0.0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), **{name: getattr(self, name) for name in METRIC_NAMES}}
+        counts = {k: v for k, v in asdict(self).items() if v is not None}
+        return {**counts, **{name: getattr(self, name) for name in METRIC_NAMES}}
 
 
 @dataclass
@@ -206,7 +209,8 @@ def evaluate_folds(models, samples, folds, n_steps: int = PROBE_STEPS) -> FoldSu
     at the first model's input size. A classifier-headed model predicts by
     argmax over its two logits. An embedding-headed model is embedded over
     all samples, once for a run of consecutive folds that share it, and a
-    linear probe fit on the fold's training rows predicts its test rows.
+    linear probe fit on the fold's training rows predicts its test rows, and
+    that fold's metrics carry the fit's iterations and duality gap.
     """
     if len(models) != len(folds):
         raise ValueError(f"need one model per fold ({len(models)} models, {len(folds)} folds)")
@@ -219,14 +223,15 @@ def evaluate_folds(models, samples, folds, n_steps: int = PROBE_STEPS) -> FoldSu
         data = patch_set(data, model.config.input_size)
         te = list(fold.test_ids)
         if model.head == HEAD_CLASSIFIER:
-            preds = np.argmax(embed_logits(model, data.take(te)), axis=1)
+            metrics = confusion_metrics(np.argmax(embed_logits(model, data.take(te)), axis=1), y[te])
         else:
             if model is not embedded:
                 embedded, emb = model, embed_samples(model, data)
             tr = list(fold.train_ids)
             probe = linear_probe_train(emb[tr], y[tr], n_steps=n_steps)
-            preds = probe.predict(emb[te])
-        summary.folds.append(confusion_metrics(preds, y[te]))
+            metrics = replace(confusion_metrics(probe.predict(emb[te]), y[te]),
+                              probe_iterations=probe.iterations, probe_gap=probe.gap)
+        summary.folds.append(metrics)
     return summary
 
 

@@ -12,9 +12,12 @@ writes any sample file and writes the new one last, so a dataset directory
 holds either no manifest or one whose files are all written. The writer
 writes each sample's image and heatmap straight from their arrays, on one
 background thread, one chunk of samples at a time; ``stream_dataset``
-renders the next chunk meanwhile. ``load_dataset`` reads each sample file's
-payload straight into its row of one ``(N, 2, 112, 112)`` stack, once its
-header has been checked.
+renders the next chunk meanwhile. ``read_manifest`` parses and checks a
+manifest without opening any sample file. ``load_dataset`` builds on it and
+reads each sample file's payload straight into its row of one
+``(N, 2, 112, 112)`` stack, once its header has been checked;
+``data.load_patch_set`` reads them into a reused buffer instead, straight
+to a network's input size.
 """
 
 from __future__ import annotations
@@ -185,12 +188,9 @@ def stream_dataset(config: PhantomConfig, counts: dict, seed: int, out_dir) -> d
     return _write_dataset(out_dir, chunks, manifest_of)
 
 
-def load_dataset(manifest_path):
-    """Load samples listed in a manifest back into PatchSample objects.
-
-    Each sample file must hold a (2, PATCH_SIZE, PATCH_SIZE) tensor. Its
-    payload is read straight into its row of one float32 stack, and the
-    sample's ``image`` and ``heatmap`` are views of that row."""
+def read_manifest(manifest_path):
+    """The checked manifest at ``manifest_path`` and, per sample entry, its
+    sample file's path and PatchSample fields; no sample file is opened."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
@@ -198,11 +198,10 @@ def load_dataset(manifest_path):
         raise ValueError(f"{manifest_path}: manifest is not UTF-8 JSON ({exc})") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
         raise ValueError(f"{manifest_path}: manifest has no samples list")
-    base = manifest_path.parent
-    entries = manifest["samples"]
-    stack = np.empty((len(entries), 2, PATCH_SIZE, PATCH_SIZE), dtype="<f4")
-    samples = []
-    for k, (entry, tensor) in enumerate(zip(entries, stack)):
+    if not manifest["samples"]:
+        raise ValueError(f"{manifest_path}: manifest lists no samples")
+    entries = []
+    for k, entry in enumerate(manifest["samples"]):
         try:
             if not isinstance(entry["file"], str):
                 raise TypeError(f"file {entry['file']!r} is not a string")
@@ -214,6 +213,20 @@ def load_dataset(manifest_path):
             )
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"{manifest_path}: malformed sample entry {k} ({exc!r})") from exc
-        read_sample_tensor(base / entry["file"], out=tensor)
+        entries.append((manifest_path.parent / entry["file"], fields))
+    return manifest, entries
+
+
+def load_dataset(manifest_path):
+    """Load samples listed in a manifest back into PatchSample objects.
+
+    Each sample file must hold a (2, PATCH_SIZE, PATCH_SIZE) tensor. Its
+    payload is read straight into its row of one float32 stack, and the
+    sample's ``image`` and ``heatmap`` are views of that row."""
+    manifest, entries = read_manifest(manifest_path)
+    stack = np.empty((len(entries), 2, PATCH_SIZE, PATCH_SIZE), dtype="<f4")
+    samples = []
+    for (path, fields), tensor in zip(entries, stack):
+        read_sample_tensor(path, out=tensor)
         samples.append(PatchSample(image=tensor[0], heatmap=tensor[1], **fields))
     return samples, manifest

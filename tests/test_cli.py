@@ -1,6 +1,7 @@
 import io
 import json
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from spinemetric import atomic, data, phantom
 from spinemetric.backbone import NetworkConfig
 from spinemetric.cli import NETWORK_PRESETS, _build_pipeline_config, build_parser, main
+from spinemetric.evaluation import PROBE_GAP_TOL, PROBE_STEPS
 from spinemetric.mining import GradeLabel
-from spinemetric.phantom import read_sample_tensor
+from spinemetric.phantom import formats, read_sample_tensor
 from spinemetric.pipeline import PipelineConfig
 
 
@@ -524,25 +526,6 @@ class TestTrain:
         assert run("rerun", "1") == first
         assert run("parallel", "2") == first
 
-    def test_dataset_loaded_and_stacked_once(self, dataset_dir, tmp_path, monkeypatch):
-        calls = {"load": 0, "stack": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(phantom, "load_dataset", counted("load", phantom.load_dataset))
-        monkeypatch.setattr(data, "stack_samples", counted("stack", data.stack_samples))
-        code = run_cli(
-            "train", "--dataset", str(dataset_dir), "--stages", "label,grading,fracture",
-            "--epochs", "1,1,1", "--network", "tiny", "--folds", "2",
-            "--test-fraction", "0.3", "--seed", "5", "--jobs", "1", "--out", str(tmp_path / "o"),
-        )
-        assert code == 0
-        assert calls == {"load": 1, "stack": 1}
-
     def test_missing_dataset_errors(self, tmp_path, capsys):
         code = run_cli("train", "--dataset", str(tmp_path / "nope"),
                        "--stages", "fracture", "--out", str(tmp_path / "o"))
@@ -618,6 +601,28 @@ class TestEvalAndProject:
         assert code == 0
         run = json.loads((out / "run.json").read_text())
         assert (run["folds"], run["test_fraction"], run["probe_steps"], run["seed"]) == (2, 0.25, 300, 0)
+
+    @pytest.mark.parametrize("steps", ["1", None], ids=["one-step", "default"])
+    def test_probe_fit_reported_per_fold(self, dataset_dir, embedding_ckpt, tmp_path, steps):
+        out = tmp_path / "probe"
+        cap = [] if steps is None else ["--probe-steps", steps]
+        assert run_cli("eval", "--protocol", "probe", "--dataset", str(dataset_dir),
+                       "--checkpoint", str(embedding_ckpt), "--folds", "2", *cap, "--out", str(out)) == 0
+        doc = json.loads((out / "metrics.json").read_text())
+        for fold in doc["folds"]:
+            if steps is None:
+                assert 1 <= fold["probe_iterations"] < PROBE_STEPS and fold["probe_gap"] <= PROBE_GAP_TOL
+            else:
+                assert fold["probe_iterations"] == 1 and fold["probe_gap"] > PROBE_GAP_TOL
+        assert set(doc["mean"]) == set(doc["std"]) == {"sensitivity", "specificity", "f1"}
+
+    def test_classify_folds_carry_no_probe_keys(self, dataset_dir, trained, tmp_path):
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--protocol", "classify", "--dataset", str(dataset_dir),
+                       "--run", str(trained), "--out", str(out)) == 0
+        doc = json.loads((out / "metrics.json").read_text())
+        keys = {"tp", "fp", "tn", "fn", "sensitivity", "specificity", "f1"}
+        assert all(set(fold) == keys for fold in doc["folds"])
 
     def test_classify_run_json_has_no_probe_options(self, dataset_dir, trained, tmp_path):
         out = tmp_path / "ev"
@@ -790,6 +795,86 @@ class TestEvalAndProject:
                        "--checkpoint", str(embedding_ckpt), "--out", str(tmp_path / "o"))
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def dataset70(tmp_path_factory):
+    """The 70-sample set that CI pins: five 16-file read chunks, the last one partial."""
+    out = tmp_path_factory.mktemp("data") / "ds70"
+    assert run_cli("gen", "--counts", "g0=50,g2=12,g3=8", "--seed", "3", "--out", str(out)) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def run70(dataset70, tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs") / "run70"
+    code = run_cli(
+        "train", "--dataset", str(dataset70), "--stages", "label,grading,fracture",
+        "--epochs", "1,1,1", "--network", "tiny", "--folds", "2",
+        "--test-fraction", "0.3", "--seed", "5", "--out", str(out),
+    )
+    assert code == 0
+    return out
+
+
+class TestReadStraightToInputSize:
+    """``train``, ``eval`` and ``project`` read each sample file once, straight
+    to the network's input size, and refuse a manifest that lists no samples."""
+
+    @pytest.mark.parametrize("command", ["train", "eval-probe", "eval-classify", "project"])
+    def test_each_file_read_once_without_a_112px_stack(self, dataset70, run70, tmp_path, monkeypatch, command):
+        checkpoint = str(run70 / "fold_00" / "stage2_RepresentationLearn.gmck")
+        argv = {
+            "train": ["train", "--stages", "label,grading,fracture", "--epochs", "1,1,1", "--network", "tiny",
+                      "--folds", "2", "--test-fraction", "0.3", "--seed", "5"],
+            "eval-probe": ["eval", "--protocol", "probe", "--checkpoint", checkpoint, "--folds", "2"],
+            "eval-classify": ["eval", "--protocol", "classify", "--run", str(run70)],
+            "project": ["project", "--checkpoint", checkpoint],
+        }[command]
+        opened, stacked = [], []
+        read, stack = formats.read_sample_tensor, data.stack_samples
+        monkeypatch.setattr(formats, "read_sample_tensor", lambda path, out=None: opened.append(path) or read(path, out))
+        monkeypatch.setattr(data, "stack_samples", lambda *args: stacked.append(args) or stack(*args))
+        files = [e["file"] for e in json.loads((dataset70 / "manifest.json").read_text())["samples"]]
+        stack_bytes = len(files) * 2 * 112 * 112 * 4  # one float32 (N, 2, 112, 112) stack: 7.0 MB
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv, "--dataset", str(dataset70), "--out", str(tmp_path / "o"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sorted(Path(p).name for p in opened) == sorted(files)
+        assert stacked == []
+        assert peak < stack_bytes
+
+    @pytest.mark.parametrize("case", ["other-dataset", "wrong-head"])
+    def test_eval_refuses_before_any_file_is_read(self, dataset70, trained, run70, tmp_path, capsys, monkeypatch, case):
+        opened = []
+        read = formats.read_sample_tensor
+        monkeypatch.setattr(formats, "read_sample_tensor", lambda path, out=None: opened.append(path) or read(path, out))
+        argv, message = {
+            "other-dataset": (["--protocol", "classify", "--dataset", str(dataset70), "--run", str(trained)],
+                              "is not the dataset that"),
+            "wrong-head": (["--protocol", "probe", "--dataset", str(dataset70),
+                            "--checkpoint", str(run70 / "fold_00" / "final.gmck")], "--protocol probe needs the"),
+        }[case]
+        assert run_cli("eval", *argv, "--out", str(tmp_path / "o")) == 1
+        assert message in capsys.readouterr().err
+        assert opened == []
+
+    @pytest.mark.parametrize("command", ["train", "eval", "project"])
+    def test_empty_manifest_named(self, embedding_ckpt, tmp_path, capsys, command):
+        manifest = tmp_path / "empty" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text('{"samples": []}')
+        argv = {
+            "train": ["train", "--stages", "fracture", "--network", "tiny"],
+            "eval": ["eval", "--protocol", "probe", "--checkpoint", str(embedding_ckpt)],
+            "project": ["project", "--checkpoint", str(embedding_ckpt)],
+        }[command]
+        assert run_cli(*argv, "--dataset", str(manifest.parent), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.strip() == f"error: {manifest}: manifest lists no samples"
 
 
 class TestParser:

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from spinemetric.data import block_mean, patch_set, stack_samples
-from spinemetric.mining import GRADES, RegionLabel
-from spinemetric.phantom import PhantomConfig, generate_patch
+from spinemetric.data import block_mean, load_patch_set, patch_set, stack_samples
+from spinemetric.mining import GRADES, GradeLabel, RegionLabel
+from spinemetric.phantom import PhantomConfig, counts_at_ratio, generate_patch, load_dataset, stream_dataset
+from spinemetric.phantom.formats import read_manifest
 from spinemetric.phantom.patches import PatchSample
 
 from .oracles import block_mean_reference
@@ -112,3 +115,45 @@ class TestPatchSet:
     def test_empty_list_refused(self):
         with pytest.raises(ValueError):
             patch_set([], 16)
+
+
+@pytest.fixture(scope="module")
+def gen70(tmp_path_factory):
+    """The manifest of ``gen --counts g0=50,g2=12,g3=8 --seed 3``, the set CI pins."""
+    out = tmp_path_factory.mktemp("gen70")
+    counts = counts_at_ratio({GradeLabel.G0: 50, GradeLabel.G2: 12, GradeLabel.G3: 8})
+    stream_dataset(PhantomConfig(seed=3), counts, 3, out)
+    return out / "manifest.json"
+
+
+class TestLoadPatchSet:
+    # sha256 of the 70-sample set's tiny (16 px) and reduced (28 px) stacks,
+    # computed from stack_samples(load_dataset(...), s) before load_patch_set existed.
+    PINS = {
+        16: "20a2e59d6aaac5c44ac98a27db98af40ef30298bb3313ed99ea097e7e42f88e9",
+        28: "049b23b0d493b39ee6c4b9ea458cb7ff1316bfabfa6ae41b5b73080658e5b0cb",
+    }
+
+    @pytest.mark.parametrize("size", sorted(PINS))
+    def test_pinned_network_size_stacks(self, gen70, size):
+        samples, _ = load_dataset(gen70)
+        _, entries = read_manifest(gen70)
+        assert hashlib.sha256(stack_samples(samples, size).tobytes()).hexdigest() == self.PINS[size]
+        assert hashlib.sha256(load_patch_set(entries, size).images.tobytes()).hexdigest() == self.PINS[size]
+
+    # One sample, one full 16-file chunk, one past it, two past it, and all 70.
+    @pytest.mark.parametrize("n", [1, 16, 17, 33, 70])
+    @pytest.mark.parametrize("size", [16, 28, 112])
+    def test_bits_equal_stacked_samples(self, gen70, size, n):
+        samples, _ = load_dataset(gen70)
+        _, entries = read_manifest(gen70)
+        got = load_patch_set(entries[:n], size)
+        want = patch_set(samples[:n], size)
+        assert got.images.shape == (n, 2, size, size) and got.images.dtype == np.float32
+        assert np.array_equal(got.images.view(np.uint32), stack_samples(samples[:n], size).view(np.uint32))
+        assert got.grades.tolist() == want.grades.tolist()
+        assert got.regions.tolist() == want.regions.tolist()
+
+    def test_non_integer_factor_refused(self, gen70):
+        with pytest.raises(ValueError, match="cannot resize 112 px patches to 30 px"):
+            load_patch_set(read_manifest(gen70)[1], 30)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,7 +327,8 @@ class TestProtocols:
             np.testing.assert_array_equal(labels, y[tr])
             assert kwargs == {"n_steps": 300}
             probe = linear_probe_train(emb[tr], y[tr], n_steps=300)
-            assert metrics == confusion_metrics(probe.predict(emb[te]), y[te])
+            assert metrics == replace(confusion_metrics(probe.predict(emb[te]), y[te]),
+                                      probe_iterations=probe.iterations, probe_gap=probe.gap)
 
     def test_one_model_over_folds_is_embedded_once(self, monkeypatch):
         samples = tiny_dataset()

@@ -2,7 +2,9 @@
 
 Every damaged file must either fail to load with a ``ValueError`` whose
 message starts with the damaged file's path, or, where the damage leaves it
-valid, load bit-equal to the original. A checkpoint carries a digest of its
+valid, load bit-equal to the original. A damaged dataset is loaded both
+ways, through ``load_dataset`` and through ``load_patch_set`` at 112 px,
+and both must give the same result. A checkpoint carries a digest of its
 manifest and payload, so any changed byte of it is refused.
 """
 
@@ -16,16 +18,19 @@ from hypothesis import strategies as st
 from spinemetric.backbone import init_model, load_model, save_model
 from spinemetric.backbone.checkpoint import HEADER
 from spinemetric.cli import NETWORK_PRESETS
+from spinemetric.data import load_patch_set
 from spinemetric.mining import GradeLabel, RegionLabel
 from spinemetric.phantom import (
     PhantomConfig,
     generate_dataset,
+    PATCH_SIZE,
     generate_spine_volume,
     load_dataset,
     read_volume,
     save_dataset,
     write_volume,
 )
+from spinemetric.phantom.formats import read_manifest
 
 FUZZ = settings(max_examples=100, deadline=None)
 
@@ -44,15 +49,26 @@ def dataset(tmp_path_factory):
 
 def _load_damaged(dataset, vpat=None, manifest=None):
     """Write the dataset with the given bytes in place of the originals and
-    load it; returns the loaded tensor or the path named by the error."""
+    load it both ways; returns the loaded tensor or the error message, which
+    must be the same both ways."""
     root, good_vpat, good_manifest, _ = dataset
     (root / "sample_000000.vpat").write_bytes(good_vpat if vpat is None else vpat)
     (root / "manifest.json").write_bytes(good_manifest if manifest is None else manifest)
-    try:
-        samples, _ = load_dataset(root / "manifest.json")
-    except ValueError as exc:
-        return str(exc)
-    return samples[0].to_tensor()
+    results = []
+    for load in (
+        lambda path: load_dataset(path)[0][0].to_tensor(),
+        lambda path: load_patch_set(read_manifest(path)[1], PATCH_SIZE).images[0],
+    ):
+        try:
+            results.append(load(root / "manifest.json"))
+        except ValueError as exc:
+            results.append(str(exc))
+    samples, patch_set = results
+    if isinstance(samples, str):
+        assert patch_set == samples
+    else:
+        assert np.array_equal(patch_set.view(np.uint32), samples.view(np.uint32))
+    return samples
 
 
 def _assert_rejected_naming(result, path):
