@@ -183,17 +183,18 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reformat(args) -> int:
+    if not math.isfinite(args.curvature):
+        raise ValueError(f"--curvature must be a finite number, got {args.curvature}")
     out_dir = Path(args.out)
     seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng([seed, 555])
-    if args.grades:
-        grades = [_parse_grade(g, "--grades") for g in args.grades.split(",")]
-        if len(grades) != args.vertebrae:
-            raise ValueError("--grades length must equal --vertebrae")
-    else:
-        grades = [
-            GradeLabel(int(rng.choice([0, 0, 0, 2, 3]))) for _ in range(args.vertebrae)
-        ]
+    grades = [_parse_grade(g, "--grades") for g in args.grades.split(",")] if args.grades else None
+    if not 3 <= args.vertebrae <= len(phantom.SPINE_NAMES):  # a curved reformation needs 3 centroids
+        raise ValueError(f"--vertebrae must lie in [3, {len(phantom.SPINE_NAMES)}], got {args.vertebrae}")
+    if grades is None:
+        rng = np.random.default_rng([seed, 555])
+        grades = [GradeLabel(int(rng.choice([0, 0, 0, 2, 3]))) for _ in range(args.vertebrae)]
+    elif len(grades) != args.vertebrae:
+        raise ValueError("--grades length must equal --vertebrae")
 
     config = phantom.PhantomConfig(seed=seed)
     volume = phantom.generate_spine_volume(
@@ -395,6 +396,14 @@ def _check_run_dataset(run_dir: Path, manifest_path: Path, manifest: dict) -> No
         raise ValueError(f"{manifest_path} is not the dataset that {run_json} was trained on")
 
 
+def _load_checkpoint(path, head, use):
+    """The model at ``path``, refused unless it carries the ``head`` that ``use`` needs."""
+    model = load_model(path)
+    if model.head != head:
+        raise ValueError(f"{path}: {use} needs the {head} head, not {model.head}")
+    return model
+
+
 def cmd_eval(args) -> int:
     manifest, entries, manifest_path = _load_dataset(args.dataset)
     out_dir = Path(args.out)
@@ -402,12 +411,8 @@ def cmd_eval(args) -> int:
     folds, paths, head, name = _protocol_folds(args, [f["grade"] for _, f in entries])
     if args.protocol == "classify":
         _check_run_dataset(Path(args.run), manifest_path, manifest)
-    models = {path: load_model(path) for path in dict.fromkeys(paths)}
-    for path, model in models.items():
-        if model.head != head:
-            raise ValueError(
-                f"{path}: --protocol {args.protocol} needs the {head} head, not {model.head}"
-            )
+    use = f"--protocol {args.protocol}"
+    models = {path: _load_checkpoint(path, head, use) for path in dict.fromkeys(paths)}
     data = load_patch_set(entries, next(iter(models.values())).config.input_size)
     summary = evaluate_folds([models[p] for p in paths], data, folds, n_steps=args.probe_steps)
 
@@ -435,7 +440,7 @@ def cmd_eval(args) -> int:
 
 def cmd_project(args) -> int:
     _, entries, manifest_path = _load_dataset(args.dataset)
-    model = load_model(args.checkpoint)
+    model = _load_checkpoint(args.checkpoint, HEAD_EMBEDDING, "project")
     out_dir = Path(args.out)
 
     ids = [f["id"] for _, f in entries]

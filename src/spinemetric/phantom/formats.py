@@ -2,7 +2,8 @@
 
 Sample tensors: magic ``VPAT`` | u32 channels | u32 height | u32 width |
 float32 LE row-major payload. Volumes: magic ``VVOL`` | u32 z | u32 y |
-u32 x | float32 LE payload | JSON centroid trailer. Manifests and trailers
+u32 x | float32 LE payload | JSON centroid trailer; readers check the size
+against the header, then read the payload in place. Manifests and trailers
 are ``canonical_json``, so a manifest's SHA-256 digest is stable.
 
 Single files are written through ``atomic_open``. A dataset's sample files
@@ -54,13 +55,13 @@ def write_sample_tensor(path, channels: np.ndarray) -> None:
 
 
 def _read_header(fh, path, magic: bytes, kind: str):
-    """The three u32 dimensions after the magic; ``fh`` is left at the payload."""
+    """The three u32 dimensions after the magic and the bytes after them; ``fh`` is left at the payload."""
     head = fh.read(16)
     if head[:4] != magic:
         raise ValueError(f"{path}: not a {kind} file")
     if len(head) < 16:
         raise ValueError(f"{path}: truncated header ({len(head)} of 16 bytes)")
-    return struct.unpack("<III", head[4:])
+    return struct.unpack("<III", head[4:]), os.fstat(fh.fileno()).st_size - 16
 
 
 def read_sample_tensor(path, out=None) -> np.ndarray:
@@ -70,16 +71,15 @@ def read_sample_tensor(path, out=None) -> np.ndarray:
     exactly ``c·h·w`` floats, and ``(c, h, w)`` must be ``out``'s shape.
     """
     with open(path, "rb") as fh:
-        shape = _read_header(fh, path, VPAT_MAGIC, "sample tensor")
+        shape, size = _read_header(fh, path, VPAT_MAGIC, "sample tensor")
         nbytes = 4 * shape[0] * shape[1] * shape[2]
-        size = os.fstat(fh.fileno()).st_size - 16
         if size != nbytes:
             raise ValueError(f"{path}: payload size mismatch ({size} of {nbytes} bytes)")
         if out is None:
             out = np.empty(shape, dtype="<f4")
         elif shape != out.shape:
             raise ValueError(f"{path}: sample tensor shape {shape} is not {out.shape}")
-        got = fh.readinto(out.data.cast("B"))
+        got = fh.readinto(out)
         if got != nbytes:
             raise ValueError(f"{path}: payload size mismatch ({got} of {nbytes} bytes)")
     return out
@@ -98,14 +98,15 @@ def write_volume(path, volume: SpineVolume) -> None:
 
 def read_volume(path) -> SpineVolume:
     with open(path, "rb") as fh:
-        z, y, x = _read_header(fh, path, VVOL_MAGIC, "volume")
-        data = fh.read()
-    nbytes = z * y * x * 4
-    if len(data) < nbytes:
-        raise ValueError(f"{path}: truncated voxel payload ({len(data)} of {nbytes} bytes)")
-    vox = np.frombuffer(data, dtype="<f4", count=z * y * x).reshape(z, y, x).copy()
+        shape, size = _read_header(fh, path, VVOL_MAGIC, "volume")
+        nbytes = 4 * shape[0] * shape[1] * shape[2]
+        if size < nbytes:
+            raise ValueError(f"{path}: truncated voxel payload ({size} of {nbytes} bytes)")
+        vox = np.empty(shape, dtype="<f4")
+        fh.readinto(vox)
+        trailer = fh.read()
     try:
-        trailer = json.loads(data[nbytes:].decode("utf-8"))
+        trailer = json.loads(trailer.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: centroid trailer is not UTF-8 JSON ({exc})") from exc
     try:

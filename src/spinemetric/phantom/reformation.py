@@ -6,7 +6,8 @@ the surface swept by the spline and the anterior-posterior axis at 1x1 mm:
 row r lies at arc-length position r (the spline is extended straight along
 its end tangents so the grid covers the full cranio-caudal extent of the
 volume), and column offsets run along y. On a straight spine this reduces
-exactly to the mid-sagittal slice.
+exactly to the mid-sagittal slice. Voxels and patch grids are sampled as
+given, straight into float32 (``map_coordinates`` interpolates in double).
 """
 
 from __future__ import annotations
@@ -33,14 +34,6 @@ class Reformation:
     labels: list  # vertebra names, aligned with centroids_rc
 
 
-def _arc_length_table(spline, t_max: float, n_dense: int):
-    t = np.linspace(0.0, t_max, n_dense)
-    pts = spline(t)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    return t, s
-
-
 def reformat_curved(volume: SpineVolume) -> Reformation:
     """Resample the volume along the centroid spline at 1x1 mm."""
     if len(volume.centroids) < 3:
@@ -55,8 +48,9 @@ def reformat_curved(volume: SpineVolume) -> Reformation:
     t_knots = np.concatenate([[0.0], np.cumsum(chord)])
     spline = CubicSpline(t_knots, pts, axis=0, bc_type="natural")
 
-    n_dense = _DENSE_PER_SEGMENT * (len(pts) - 1) + 1
-    t_dense, s_dense = _arc_length_table(spline, t_knots[-1], n_dense)
+    t_dense = np.linspace(0.0, t_knots[-1], _DENSE_PER_SEGMENT * (len(pts) - 1) + 1)
+    seg = np.linalg.norm(np.diff(spline(t_dense), axis=0), axis=1)
+    s_dense = np.concatenate([[0.0], np.cumsum(seg)])
     total_arc = s_dense[-1]
     centroid_arcs = np.interp(t_knots, t_dense, s_dense)
 
@@ -92,10 +86,9 @@ def reformat_curved(volume: SpineVolume) -> Reformation:
     xx = np.repeat(centers[:, 2], y_dim)
 
     coords = np.stack([zz, yy, xx])
-    sampled = map_coordinates(
-        volume.voxels.astype(np.float64), coords, order=1, mode="constant", cval=0.0
-    )
-    image = sampled.reshape(n_rows, y_dim).astype(np.float32)
+    image = map_coordinates(
+        volume.voxels, coords, output=np.float32, order=1, mode="constant", cval=0.0
+    ).reshape(n_rows, y_dim)
     oob = (
         (zz < 0) | (zz > z_dim - 1) | (yy < 0) | (yy > y_dim - 1) | (xx < 0) | (xx > x_dim - 1)
     ).reshape(n_rows, y_dim)
@@ -118,7 +111,6 @@ def extract_patch(
     sampling and zero padding outside the grid. The heatmap peaks (value 1)
     at the centroid's in-patch position.
     """
-    grid = np.asarray(reformation, dtype=np.float64)
     r0, c0 = float(centroid_rc[0]), float(centroid_rc[1])
     jr = jc = 0
     if jitter_px > 0:
@@ -130,9 +122,8 @@ def extract_patch(
     rows = r0 + jr - half + np.arange(patch_size, dtype=np.float64)
     cols = c0 + jc - half + np.arange(patch_size, dtype=np.float64)
     rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    image = map_coordinates(
-        grid, np.stack([rr.ravel(), cc.ravel()]), order=1, mode="constant", cval=0.0
-    ).reshape(patch_size, patch_size)
+    coords = np.stack([rr.ravel(), cc.ravel()])
+    image = map_coordinates(reformation, coords, output=np.float32, order=1, mode="constant", cval=0.0)
 
     # The heatmap peaks at the centroid's position inside the patch.
-    return image.astype(np.float32), centroid_heatmap(half - jr, half - jc, sigma, patch_size)
+    return image.reshape(rr.shape), centroid_heatmap(half - jr, half - jc, sigma, patch_size)

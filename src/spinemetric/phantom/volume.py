@@ -1,10 +1,10 @@
 """Synthetic labeled spine volumes.
 
-Volumes are 1 mm isotropic grids with axes (z, y, x) = (cranio-caudal,
+Volumes are float32 1 mm isotropic grids, axes (z, y, x) = (cranio-caudal,
 anterior-posterior, left-right). Vertebral bodies are stacked boxes along a
-parameterized bowed centerline; each body may carry a grade deformation
-(anterior wedge in the y direction). Centroids are recorded per vertebra in
-voxel coordinates, strictly increasing in z.
+bowed centerline, each painted with one mask over its own z-window; a body
+may carry a grade deformation (anterior wedge in y). Centroids are recorded
+per vertebra in voxel coordinates, strictly increasing in z.
 """
 
 from __future__ import annotations
@@ -38,6 +38,19 @@ class SpineVolume:
 
     def mid_sagittal(self) -> np.ndarray:
         return self.voxels[:, :, self.voxels.shape[2] // 2]
+
+
+def _paint_body(voxels, zc, yc, x_mid, width, depth, height, loss, intensity) -> None:
+    """Paint one wedge body with one mask over its z-window: column j of
+    ``depth`` covers the voxel rows from ``z_bottom - heights[j]`` down to the
+    endplate ``z_bottom = zc + height / 2``. The columns must lie in the volume."""
+    heights = _column_heights(np.arange(depth), depth, float(height), loss, True)
+    z_bottom = zc + height / 2.0
+    z0 = max(int(np.ceil(z_bottom - height)), 0)  # no column reaches above; never wrap below 0
+    rows = np.arange(z0, int(np.floor(z_bottom)) + 1)
+    y0, x0 = int(round(yc - depth / 2.0)), x_mid - width // 2
+    body = voxels[z0 : z0 + rows.size, y0 : y0 + depth, x0 : x0 + width]
+    body[rows[:, None] >= z_bottom - heights] = intensity
 
 
 def generate_spine_volume(
@@ -78,12 +91,9 @@ def generate_spine_volume(
     gaps = [int(layout_rng.integers(4, 9)) for _ in range(n_vertebrae - 1)]
 
     margin = 24
-    z_positions = []
-    z = margin + bodies[0][4] // 2
-    for k in range(n_vertebrae):
-        z_positions.append(z)
-        if k + 1 < n_vertebrae:
-            z += bodies[k][4] // 2 + gaps[k] + bodies[k + 1][4] // 2
+    z_positions = [margin + bodies[0][4] // 2]
+    for k, gap in enumerate(gaps):
+        z_positions.append(z_positions[-1] + bodies[k][4] // 2 + gap + bodies[k + 1][4] // 2)
 
     max_w = max(b[2] for b in bodies)
     max_d = max(b[3] for b in bodies)
@@ -105,25 +115,7 @@ def generate_spine_volume(
     for k, (name, grade, width, depth, height, loss, intensity) in enumerate(bodies):
         zc = z_positions[k]
         yc = y_mid + bow(zc)
-        heights = _column_heights(np.arange(depth), depth, float(height), loss, True)
-        y_start = int(round(yc - depth / 2.0))
-        z_bottom = zc + height / 2.0
-        for j in range(depth):
-            y = y_start + j
-            if y < 0 or y >= y_dim:
-                continue
-            z_top = z_bottom - heights[j]
-            lo = int(np.ceil(z_top))
-            hi = int(np.floor(z_bottom))
-            lo = max(lo, 0)
-            hi = min(hi, z_dim - 1)
-            if lo > hi:
-                continue
-            voxels[
-                lo : hi + 1,
-                y,
-                x_mid - width // 2 : x_mid - width // 2 + width,
-            ] = intensity
+        _paint_body(voxels, zc, yc, x_mid, width, depth, height, loss, intensity)
         centroids.append((name, (float(zc), float(yc), float(x_mid))))
 
     return SpineVolume(voxels=voxels, centroids=centroids, grades=grades)

@@ -5,8 +5,9 @@ loops, gradients come from central differences, convolutions from direct
 loops over every output and kernel tap, batch norm, rectifiers and max
 pooling from their textbook formulas in float64, body silhouettes painted
 one pixel column at a time from per-body ``np.linspace`` heights, a patch
-rendered on its own into a full image, silhouette heights from threshold
-crossings with subpixel interpolation, arc lengths from quadrature over an
+rendered on its own into a full image, a spine-volume body painted one y
+column at a time, silhouette heights from threshold crossings with subpixel
+interpolation, arc lengths from quadrature over an
 independently constructed spline, the metric and classification losses one
 tuple of 1-D vectors at a time, quadruplet, triplet and pair mining as lists
 of Python tuples, with the class pools rebuilt by a scan over all labels,
@@ -39,6 +40,7 @@ from spinemetric.phantom.patches import (
     PATCH_CENTER,
     PATCH_SIZE,
     PatchSample,
+    _column_heights,
     _draw_body_params,
     centroid_heatmap,
 )
@@ -291,6 +293,32 @@ def generate_patch_reference(config, grade, region, id) -> PatchSample:
         "jitter": [jr, jc],
     }
     return PatchSample(image=image, heatmap=heatmap, grade=grade, region=region, id=id, params=params)
+
+
+def paint_body_reference(voxels, zc, yc, x_mid, width, depth, height, loss, intensity):
+    """Paint one spine-volume body one y column at a time: each column's
+    voxel rows clamped to the volume, and columns off the volume or under
+    one voxel skipped."""
+    z_dim, y_dim = voxels.shape[:2]
+    heights = _column_heights(np.arange(depth), depth, float(height), loss, True)
+    y_start = int(round(yc - depth / 2.0))
+    z_bottom = zc + height / 2.0
+    for j in range(depth):
+        y = y_start + j
+        if y < 0 or y >= y_dim:
+            continue
+        z_top = z_bottom - heights[j]
+        lo = int(np.ceil(z_top))
+        hi = int(np.floor(z_bottom))
+        lo = max(lo, 0)
+        hi = min(hi, z_dim - 1)
+        if lo > hi:
+            continue
+        voxels[
+            lo : hi + 1,
+            y,
+            x_mid - width // 2 : x_mid - width // 2 + width,
+        ] = intensity
 
 
 # --- silhouette measurement -------------------------------------------------

@@ -507,6 +507,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"t\.gmck: truncated payload"):
             load_model(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "x.gmck"
+        save_model(init_model(REDUCED, seed=0), path)
+        good = path.read_bytes()
+        _, payload = split_checkpoint(path)
+        write_checkpoint(path, good[HEADER : len(good) - len(payload)], payload + b"\0" * 6)
+        with pytest.raises(ValueError, match=r"x\.gmck: 6 trailing bytes$") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     @pytest.mark.parametrize("value", [np.nan, 0.0], ids=["nan", "zero"])
     def test_damaged_payload_rejected(self, tmp_path, value):
         path = tmp_path / "p.gmck"
@@ -543,8 +553,12 @@ class TestCheckpoint:
         "edit, message",
         [
             (lambda m: m["tensors"][0].update(dtype="float16"), "dtype 'float16' is not 'float32'"),
+            (lambda m: m["tensors"][0].update(shape=[1, 2, 3]),
+             r"shape \(1, 2, 3\) does not match model shape \("),
+            (lambda m: m["tensors"][0].update(name=7),
+             r"malformed manifest \(TypeError\('tensor names must be strings'\)\)"),
         ],
-        ids=["float16-tensor"],
+        ids=["float16-tensor", "shape-disagrees", "name-not-string"],
     )
     def test_manifest_bad_value_rejected(self, tmp_path, edit, message):
         path = tmp_path / "v.gmck"

@@ -361,6 +361,23 @@ class TestReformat:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--curvature", "nan", "--curvature must be a finite number, got nan"),
+            ("--curvature", "inf", "--curvature must be a finite number, got inf"),
+            ("--vertebrae", "2", "--vertebrae must lie in [3, 17], got 2"),
+            ("--vertebrae", "18", "--vertebrae must lie in [3, 17], got 18"),
+        ],
+        ids=["curvature-nan", "curvature-inf", "vertebrae-2", "vertebrae-18"],
+    )
+    def test_bad_flag_named_before_any_work(self, tmp_path, capsys, monkeypatch, flag, value, message):
+        monkeypatch.setattr(phantom, "generate_spine_volume", lambda *a, **k: pytest.fail("volume built"))
+        out = tmp_path / "x"
+        assert run_cli("reformat", flag, value, "--out", str(out)) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
     def test_unknown_grade_named(self, tmp_path, capsys):
         code = run_cli("reformat", "--vertebrae", "2", "--grades", "g0,g4",
                        "--out", str(tmp_path / "x"))
@@ -757,6 +774,19 @@ class TestEvalAndProject:
         err = capsys.readouterr().err
         want = "--protocol probe needs the embedding8 head, not classifier2"
         assert f"error: {ckpt}: {want}" in err
+
+    def test_project_wrong_head_refused_before_any_file_is_read(
+        self, dataset_dir, trained, tmp_path, capsys, monkeypatch
+    ):
+        ckpt = trained / "fold_00" / "final.gmck"
+        opened = []
+        read = formats.read_sample_tensor
+        monkeypatch.setattr(formats, "read_sample_tensor", lambda path, out=None: opened.append(path) or read(path, out))
+        code = run_cli("project", "--dataset", str(dataset_dir), "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.strip() == f"error: {ckpt}: project needs the embedding8 head, not classifier2"
+        assert opened == [] and not (tmp_path / "o").exists()
 
     def test_classify_wrong_head_names_checkpoint(
         self, dataset_dir, embedding_ckpt, tmp_path, capsys

@@ -25,6 +25,7 @@ from spinemetric.phantom import (
     write_volume,
 )
 
+from spinemetric.phantom import volume as volume_module
 from spinemetric.phantom.patches import CHUNK, PATCH_SIZE, _paint
 
 from .oracles import (
@@ -33,6 +34,7 @@ from .oracles import (
     load_dataset_reference,
     mid_height_ratio,
     min_height_ratio,
+    paint_body_reference,
     render_body_reference,
 )
 
@@ -500,3 +502,71 @@ class TestSpineVolume:
         assert np.array_equal(vol.voxels, back.voxels)
         assert back.centroids == [(n, tuple(p)) for n, p in vol.centroids]
         assert back.grades == vol.grades
+
+
+class TestVolumePainter:
+    """``_paint_body`` paints a body with one mask, bit for bit as the per-column
+    ``paint_body_reference`` does; painting over random voxels also checks
+    that nothing outside the body is written."""
+
+    @staticmethod
+    def _check(seed, zc, y0, x0, width, depth, height, loss):
+        rng = np.random.default_rng(seed)
+        voxels = rng.random((24, 20, 12)).astype(np.float32)
+        expected = voxels.copy()
+        yc = y0 + depth / 2.0 + rng.uniform(-0.49, 0.49)  # round(yc - depth / 2) == y0
+        args = (zc, yc, x0 + width // 2, width, depth, height, loss, rng.uniform(0.65, 0.85))
+        volume_module._paint_body(voxels, *args)
+        paint_body_reference(expected, *args)
+        assert np.array_equal(voxels.view(np.uint32), expected.view(np.uint32))
+
+    @pytest.mark.parametrize(
+        "zc, y0, x0, width, depth, height, loss",
+        [
+            (12, 4, 2, 6, 8, 10, 0.0),
+            (12, 4, 2, 6, 8, 11, 0.7),
+            (12, 4, 2, 0, 8, 10, 0.5),  # no width
+            (12, 4, 2, 6, 0, 10, 0.5),  # no depth
+            (12, 4, 2, 6, 1, 10, 0.5),  # one column
+            (12, 4, 2, 6, 8, 0, 0.0),  # no height: one row at zc
+            (12, 4, 2, 6, 8, 1, 0.99),  # columns 0.01 to 1 voxel high: the anterior ones paint nothing
+            (12, 4, 2, 6, 1, 1, 0.99),  # one column 0.01 voxel high: the body paints nothing
+            (2, 4, 2, 6, 8, 11, 0.3),  # the body reaches above z = 0
+            (0, 0, 0, 12, 20, 1, 0.0),  # the whole first row
+            (18, 12, 6, 6, 8, 11, 0.6),  # down to the last row
+        ],
+    )
+    def test_edge_cases(self, zc, y0, x0, width, depth, height, loss):
+        self._check(0, zc, y0, x0, width, depth, height, loss)
+
+    def test_random_bodies(self):
+        rng = np.random.default_rng(1)
+        for seed in range(300):
+            width, depth = (int(v) for v in rng.integers(0, 10, size=2))
+            height = int(rng.integers(0, 14))
+            loss = float(rng.choice([0.0, rng.uniform(0.0, 0.99), 0.99]))
+            zc = int(rng.integers(0, 24 - height // 2))  # z_bottom in the volume
+            y0 = int(rng.integers(0, 20 - depth + 1))
+            x0 = int(rng.integers(0, 12 - width + 1))
+            self._check(seed, zc, y0, x0, width, depth, height, loss)
+
+    @pytest.mark.parametrize(
+        "dims, g3_loss",
+        [
+            (None, (0.41, 0.70)),
+            (((0.0, 2.0), (0.0, 3.0)), (0.9, 0.99)),  # empty bodies, columns under one voxel
+            (((1.0, 9.0), (1.0, 6.0)), (0.9, 0.99)),
+        ],
+        ids=["default", "tiny", "small"],
+    )
+    def test_volume_matches_per_column_painter(self, monkeypatch, dims, g3_loss):
+        region_dims = {r: dims for r in RegionLabel} if dims else dict(CFG.region_dims)
+        config = PhantomConfig(region_dims=region_dims, g3_height_loss=g3_loss)
+        cases = [(seed, n, curvature) for seed, (n, curvature) in enumerate(
+            [(17, 0.3), (17, -0.8), (9, 0.0), (3, 0.55), (1, -0.2), (5, 1.0)])]
+        grades = [G3, G0, G2, G3] * 5
+        painted = [generate_spine_volume(config, n, c, grades[:n], s).voxels for s, n, c in cases]
+        monkeypatch.setattr(volume_module, "_paint_body", paint_body_reference)
+        for (seed, n, curvature), voxels in zip(cases, painted):
+            expected = generate_spine_volume(config, n, curvature, grades[:n], seed).voxels
+            assert np.array_equal(voxels.view(np.uint32), expected.view(np.uint32))

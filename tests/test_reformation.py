@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,39 @@ from .oracles import arc_length_to_knot
 
 CFG = PhantomConfig(seed=0)
 G0 = GradeLabel.G0
+
+# sha256 of the voxels, the reformation image and the centre vertebra's patch
+# (jitter 4, jitter seed = seed + 1), grades drawn as ``reformat`` draws them.
+PINNED_SPINES = [
+    (0, 17, 0.0, "bd4542efc6d858172c173b5667116c57be0d82c5ff01593292a5bbfb85147bdd",
+     "89c21c07becdedaed288e9173fcbefed31bfc5e0d9e05a47568cdc8905050bf1",
+     "09a020434199717a3543a2ca25e665ded2a70ab3836ff14b53b2498683b2a4b8"),
+    (3, 17, 0.3, "6e70d510b8c62370a60ba62a2ae01d7ecd665ead426912227b153c6277a3f061",
+     "a62788c51fe7a23f314d28e754ae807b2afb8faafe603212ac6006c545e522b5",
+     "d946cc265e762c4ec71b3805b91c09d63c4331a513e51d58712d725f5632259e"),
+    (7, 9, -0.8, "e36cea0362956cc3fafab4456228bccc3a39a793aac47e77aec8dfc3dfc41ec7",
+     "fce52d911f9fa7254b839455ca140e0f269ec8f36074064fef1636a6d8fc379c",
+     "afd64554c79114d921ae8b79d681310a88c0bdf425cb2424d247b0b563218c7d"),
+    (11, 5, 0.55, "38e7d0898b7c60bd83d0c820df162a15457d49a8572696258163acbccd35c4e8",
+     "42696e196949398a588897aea7d8d760f3467e530f345b43865047d0678a62cc",
+     "8c8abf8e1328505ffa6fcc2bcb51245f31630ea590a5d04d9dc940a1446109d6"),
+]
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, n, curvature, voxels, image, patch", PINNED_SPINES,
+                         ids=[f"s{p[0]}-n{p[1]}-c{p[2]}" for p in PINNED_SPINES])
+def test_pinned_volume_reformation_and_patch(seed, n, curvature, voxels, image, patch):
+    rng = np.random.default_rng([seed, 555])
+    grades = [GradeLabel(int(rng.choice([0, 0, 0, 2, 3]))) for _ in range(n)]
+    vol = generate_spine_volume(PhantomConfig(seed=seed), n, curvature, grades, seed)
+    ref = reformat_curved(vol)
+    crop, _ = extract_patch(ref.image, ref.centroids_rc[n // 2], jitter_px=4, jitter_seed=seed + 1)
+    assert vol.voxels.dtype == ref.image.dtype == crop.dtype == np.float32
+    assert (_sha256(vol.voxels), _sha256(ref.image), _sha256(crop)) == (voxels, image, patch)
 
 
 class TestReformatCurved:
