@@ -20,9 +20,10 @@ from .patches import (
     generate_patch,
 )
 from .reformation import Reformation, extract_patch, reformat_curved
-from .volume import SPINE_NAMES, SpineVolume, generate_spine_volume, region_of_vertebra
+from .volume import MAX_CURVATURE, SPINE_NAMES, SpineVolume, generate_spine_volume, region_of_vertebra
 
 __all__ = [
+    "MAX_CURVATURE",
     "PATCH_SIZE",
     "PAPER_GRADE_TOTALS",
     "PatchSample",

@@ -11,19 +11,20 @@ are guarded by its manifest instead: ``save_dataset`` and ``stream_dataset``
 (``gen``) share one writer, which removes an earlier manifest before it
 writes any sample file and writes the new one last, so a dataset directory
 holds either no manifest or one whose files are all written. The writer
-writes each sample's image and heatmap straight from their arrays, on one
-background thread, one chunk of samples at a time; ``stream_dataset``
-renders the next chunk meanwhile. ``read_manifest`` parses and checks a
-manifest without opening any sample file. ``load_dataset`` builds on it and
-reads each sample file's payload straight into its row of one
-``(N, 2, 112, 112)`` stack, once its header has been checked;
-``data.load_patch_set`` reads them into a reused buffer instead, straight
-to a network's input size.
+writes one chunk at a time on one background thread; ``stream_dataset``
+renders the next chunk into its other buffer meanwhile, hands over each
+``(2, 112, 112)`` row as it lies in the buffer, and keeps only the manifest
+entries. ``read_manifest`` parses and checks a manifest without opening any
+sample file. ``load_dataset`` builds on it and reads each sample file's
+payload straight into its row of one ``(N, 2, 112, 112)`` stack, once its
+header has been checked; ``data.load_patch_set`` reads them into a reused
+buffer instead, straight to a network's input size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -34,7 +35,7 @@ import numpy as np
 
 from ..atomic import atomic_open, canonical_json
 from ..mining import GradeLabel, RegionLabel
-from .patches import PATCH_SIZE, PatchSample, PhantomConfig, _generate
+from .patches import CHUNK, PATCH_SIZE, PatchSample, PhantomConfig, _dataset_plan, _render
 from .volume import SpineVolume
 
 VPAT_MAGIC = b"VPAT"
@@ -121,46 +122,47 @@ def manifest_digest(manifest: dict) -> str:
     return hashlib.sha256(canonical_json(manifest).encode("utf-8")).hexdigest()
 
 
-def _write_samples(out_dir: Path, samples) -> None:
-    for sample in samples:
-        with open(out_dir / f"sample_{sample.id:06d}.vpat", "wb") as fh:
-            _write_vpat(fh, (sample.image, sample.heatmap))
+def _write_samples(out_dir: Path, rows, names) -> None:
+    for row, name in zip(rows, names):
+        with open(out_dir / name, "wb") as fh:
+            _write_vpat(fh, row)
 
 
-def _write_dataset(out_dir, chunks, manifest_of) -> dict:
+def _write_dataset(out_dir, chunks, manifest: dict) -> dict:
     """Write a dataset directory: the one writer behind ``save_dataset`` and
-    ``stream_dataset``. Returns the manifest with file paths filled in.
+    ``stream_dataset``. Returns ``manifest`` with file paths filled in.
 
-    ``chunks`` yields lists of samples. One writer thread writes each list's
-    sample files while the next list is produced (``stream_dataset``
-    renders it then); the caller waits for a list's files before it hands
-    over the next, so a failed write is raised by the next chunk boundary
-    and the thread is joined before any exception leaves. The earlier
-    manifest is removed before the first sample file is written, sample
-    files that the new manifest, ``manifest_of(samples)``, does not name are
-    deleted after the last, and that manifest is written last. A run killed
-    midway therefore leaves no manifest, not an old one naming a mix of old
-    and new files; no other file is touched.
+    ``chunks`` yields ``(rows, ids)``, each sample's ``(2, H, W)`` channels
+    and id; ``manifest``'s entries are read after the last chunk, so they
+    may be appended as chunks are produced. One writer thread writes a
+    chunk's files while the next chunk is produced; the caller waits for
+    them before it hands over the next, so a failed write is raised by the
+    next chunk boundary and the thread is joined before any exception
+    leaves. The earlier manifest is removed before the first sample file is
+    written, sample files that ``manifest`` does not name are deleted after
+    the last, and it is written last. A run killed midway therefore leaves
+    no manifest, not an old one naming a mix of old and new files; no other
+    file is touched.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
-    samples = []
+    files = []
     writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="vpat-writer")
     try:
         pending = None
-        for chunk in chunks:
+        for rows, ids in chunks:
             if pending is not None:
                 pending.result()
-            pending = writer.submit(_write_samples, out_dir, chunk)
-            samples += chunk
+            names = [f"sample_{id:06d}.vpat" for id in ids]
+            pending = writer.submit(_write_samples, out_dir, rows, names)
+            files += names
         if pending is not None:
             pending.result()
     finally:
         writer.shutdown(cancel_futures=True)
-    manifest = manifest_of(samples)
-    for sample, entry in zip(samples, manifest["samples"]):
-        entry["file"] = f"sample_{sample.id:06d}.vpat"
+    for name, entry in zip(files, manifest["samples"]):
+        entry["file"] = name
     named = {entry["file"] for entry in manifest["samples"]}
     for stale in out_dir.glob("sample_*.vpat"):
         if stale.name not in named:
@@ -178,15 +180,20 @@ def save_dataset(samples, manifest: dict, out_dir) -> dict:
     and the new one is written last; sample files it does not name are
     deleted (see ``_write_dataset``)."""
     manifest = json.loads(json.dumps(manifest))  # deep copy
-    return _write_dataset(out_dir, [list(samples)], lambda _: manifest)
+    chunk = ([(s.image, s.heatmap) for s in samples], [s.id for s in samples])
+    return _write_dataset(out_dir, [chunk], manifest)
 
 
 def stream_dataset(config: PhantomConfig, counts: dict, seed: int, out_dir) -> dict:
     """``save_dataset(*generate_dataset(config, counts, seed), out_dir)``,
     with the same bytes, but each chunk's sample files are written while
     the next chunk renders. Returns the saved manifest."""
-    chunks, manifest_of = _generate(config, counts, seed)
-    return _write_dataset(out_dir, chunks, manifest_of)
+    cfg, labels, manifest = _dataset_plan(config, counts, seed)
+    # Chunk k + 2 renders into chunk k's buffer, whose files are written by
+    # then: memory is flat in the sample count.
+    buffers = np.empty((2, min(CHUNK, len(labels)), 2, PATCH_SIZE, PATCH_SIZE), dtype=np.float32)
+    chunks = _render(cfg, labels, itertools.cycle(buffers), manifest["samples"])
+    return _write_dataset(out_dir, chunks, manifest)
 
 
 def read_manifest(manifest_path):

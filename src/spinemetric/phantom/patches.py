@@ -20,10 +20,9 @@ the chunk, with column heights vectorised across bodies and each pixel the
 maximum over its sample's bodies; one ``gaussian_filter`` blurs the band of
 columns the bodies cover, widened by the kernel radius, outside which the
 blurred image is exactly 0; then one noise add, clip and float32 cast. The
-heatmap is computed once per distinct centre. The renderer yields each
-chunk as it finishes: ``generate_dataset`` collects them all, and ``gen``
-(``formats.stream_dataset``) writes each chunk's files while the next one
-renders.
+heatmap is computed once per distinct centre. Each chunk renders into a
+float32 block its caller gives: ``generate_dataset`` gives row slices of one
+stack, and ``gen`` (``formats.stream_dataset``) two chunk buffers in turn.
 """
 
 from __future__ import annotations
@@ -240,31 +239,29 @@ def _paint(bodies: np.ndarray, n: int, radius: int) -> tuple[int, np.ndarray]:
     return lo, band.reshape(n, hi - lo, PATCH_SIZE)
 
 
-def _render(config: PhantomConfig, labels):
-    """Render ``(grade, region, id)`` labels as the module docstring says,
-    yielding each finished chunk as a list of samples; each sample's image
-    and heatmap are views of its row of one float32 stack."""
-    stack = np.empty((len(labels), 2, PATCH_SIZE, PATCH_SIZE), dtype=np.float32)
+def _render(config: PhantomConfig, labels, blocks, entries: list):
+    """Render ``(grade, region, id)`` labels as the module docstring says:
+    chunk k into the first rows of the k-th float32 ``(rows, 2, PATCH_SIZE,
+    PATCH_SIZE)`` block of ``blocks``. Appends each chunk's manifest entries
+    to ``entries``, then yields its rows and ids."""
     noise = np.empty((min(CHUNK, len(labels)), PATCH_SIZE, PATCH_SIZE))
     sigma, amplitude = config.blur_sigma, config.noise_amplitude
     # gaussian_filter's kernel radius at its default truncate of 4 sigma.
     radius = int(4.0 * sigma + 0.5) if sigma > 0 else 0
     heatmaps = {}
-    for start in range(0, len(labels), CHUNK):
+    for start, block in zip(range(0, len(labels), CHUNK), blocks):
         chunk = labels[start : start + CHUNK]
-        image = noise[: len(chunk)]
-        bodies, samples = [], []
+        rows, image, bodies = block[: len(chunk)], noise[: len(chunk)], []
         for k, (grade, region, id) in enumerate(chunk):
-            grade, region, row = GradeLabel(grade), RegionLabel(region), stack[start + k]
             rng = np.random.default_rng([config.seed, id])
-            params, centre, drawn = _draw_sample(rng, config, grade, region)
+            params, centre, drawn = _draw_sample(rng, config, GradeLabel(grade), RegionLabel(region))
             bodies += [(k, slot, *body) for slot, body in enumerate(drawn)]
             if amplitude > 0:
                 rng.standard_normal(out=image[k])
             if centre not in heatmaps:
                 heatmaps[centre] = centroid_heatmap(*centre, config.heatmap_sigma)
-            row[1] = heatmaps[centre]
-            samples.append(PatchSample(row[0], row[1], grade, region, id, params))
+            rows[k, 1] = heatmaps[centre]
+            entries.append({"id": id, "grade": int(grade), "region": int(region), "file": None, "params": params})
 
         first, band = _paint(np.array(bodies, dtype=np.float64), len(chunk), radius)
         band = band.transpose(0, 2, 1)
@@ -276,46 +273,29 @@ def _render(config: PhantomConfig, labels):
             image[...] = 0.0
         image[:, :, first : first + band.shape[2]] += band
         np.clip(image, 0.0, 1.0, out=image)
-        stack[start : start + len(chunk), 0] = image
-        yield samples
+        rows[:, 0] = image
+        yield rows, [id for _, _, id in chunk]
 
 
 def generate_patch(
     config: PhantomConfig, grade: GradeLabel, region: RegionLabel, id: int
 ) -> PatchSample:
     """Render one deterministic patch for (config.seed, id): a batch of one."""
-    return next(_render(config, [(grade, region, id)]))[0]
+    block, entries = np.empty((1, 2, PATCH_SIZE, PATCH_SIZE), dtype=np.float32), []
+    next(_render(config, [(grade, region, id)], [block], entries))
+    return PatchSample(block[0, 0], block[0, 1], GradeLabel(grade), RegionLabel(region), id, entries[0]["params"])
 
 
-def _generate(config: PhantomConfig, counts: dict, seed: int):
-    """``generate_dataset`` as a stream: returns ``(chunks, manifest)``.
-
-    Iterating ``chunks`` renders the dataset one chunk at a time, and
-    ``manifest(samples)`` builds the manifest of all its samples. The counts
-    are checked at once, before anything renders."""
-    total = sum(counts.values())
-    if total <= 0:
+def _dataset_plan(config: PhantomConfig, counts: dict, seed: int):
+    """``(config with seed, labels, manifest)`` of a dataset: its ``(grade,
+    region, id)`` labels in id order and a manifest that lists no samples
+    yet. The counts are checked before anything renders."""
+    if sum(counts.values()) <= 0:
         raise ValueError("total sample count must be positive")
     cfg = replace(config, seed=seed)
     labels = [(g, r) for g in GRADES for r in REGIONS for _ in range(int(counts.get((g, r), 0)))]
-
-    def manifest(samples):
-        return {
-            "seed": seed,
-            "config_digest": cfg.digest(),
-            "samples": [
-                {
-                    "id": s.id,
-                    "grade": int(s.grade),
-                    "region": int(s.region),
-                    "file": None,
-                    "params": s.params,
-                }
-                for s in samples
-            ],
-        }
-
-    return _render(cfg, [(g, r, i) for i, (g, r) in enumerate(labels)]), manifest
+    manifest = {"seed": seed, "config_digest": cfg.digest(), "samples": []}
+    return cfg, [(g, r, i) for i, (g, r) in enumerate(labels)], manifest
 
 
 def generate_dataset(config: PhantomConfig, counts: dict, seed: int):
@@ -327,9 +307,15 @@ def generate_dataset(config: PhantomConfig, counts: dict, seed: int):
     Each sample's ``image`` and ``heatmap`` are views of its row of one
     float32 stack, as in a loaded dataset.
     """
-    chunks, manifest = _generate(config, counts, seed)
-    samples = [s for chunk in chunks for s in chunk]
-    return samples, manifest(samples)
+    cfg, labels, manifest = _dataset_plan(config, counts, seed)
+    stack = np.empty((len(labels), 2, PATCH_SIZE, PATCH_SIZE), dtype=np.float32)
+    for _ in _render(cfg, labels, (stack[i:] for i in range(0, len(labels), CHUNK)), manifest["samples"]):
+        pass
+    samples = [
+        PatchSample(row[0], row[1], GradeLabel(g), RegionLabel(r), id, entry["params"])
+        for row, (g, r, id), entry in zip(stack, labels, manifest["samples"])
+    ]
+    return samples, manifest
 
 
 def counts_at_ratio(grade_totals: dict, scale: float = 1.0) -> dict:

@@ -18,6 +18,9 @@ from .patches import PhantomConfig, _column_heights, _height_loss
 
 # T1..L5, cranio-caudal. Requests for n vertebrae take the last n names.
 SPINE_NAMES = tuple(f"T{i}" for i in range(1, 13)) + tuple(f"L{i}" for i in range(1, 6))
+# Largest |curvature|: a bow of 40 mm off the axis. The volume widens by 40
+# voxels in y per unit, so a 17-vertebra volume stays under 43 MB.
+MAX_CURVATURE = 2.0
 
 
 def region_of_vertebra(name: str) -> RegionLabel:
@@ -63,12 +66,15 @@ def generate_spine_volume(
     """Stack ``n_vertebrae`` bodies along a z-axis centerline bowed in y.
 
     ``curvature`` scales a sinusoidal anterior-posterior bow (0 = straight
-    spine on integer-aligned voxel centers). Per-vertebra shape draws come
-    from independent (seed, index) streams, so changing one vertebra's grade
-    perturbs only that vertebra's voxels.
+    spine on integer-aligned voxel centers); ``|curvature|`` may be at most
+    ``MAX_CURVATURE``. Per-vertebra shape draws come from independent (seed,
+    index) streams, so changing one vertebra's grade perturbs only that
+    vertebra's voxels.
     """
     if not (1 <= n_vertebrae <= len(SPINE_NAMES)):
         raise ValueError(f"n_vertebrae must lie in [1, {len(SPINE_NAMES)}]")
+    if not abs(curvature) <= MAX_CURVATURE:
+        raise ValueError(f"|curvature| must be at most MAX_CURVATURE = {MAX_CURVATURE:g}, got {curvature!r}")
     grades = [GradeLabel(g) for g in grades]
     if len(grades) != n_vertebrae:
         raise ValueError("grades length must equal n_vertebrae")

@@ -1,6 +1,7 @@
 import io
 import json
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -59,8 +60,11 @@ class TestGen:
         assert run_cli("gen", "--counts", counts, "--out", str(tmp_path / "c")) == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
-    # 1 sample, one full chunk, one past it, and three chunks; ids are sample counts.
-    @pytest.mark.parametrize("totals", [(1, 0, 0), (20, 8, 4), (21, 8, 4), (50, 12, 8)], ids=lambda t: str(sum(t)))
+    # 1 sample, one full chunk, one past it, three chunks, and five, so gen
+    # renders into each of its two chunk buffers more than once; ids are sample counts.
+    @pytest.mark.parametrize(
+        "totals", [(1, 0, 0), (20, 8, 4), (21, 8, 4), (50, 12, 8), (100, 20, 10)], ids=lambda t: str(sum(t))
+    )
     def test_repeat_run_identical_digest(self, tmp_path, capsys, totals):
         # gen streams its writes; the library's generate + save writes after
         # rendering. Every file must be the same, and a rerun changes none.
@@ -137,6 +141,32 @@ class TestGen:
         written = {f"sample_{i:06d}.vpat" for i in range(41)}
         assert {p.name for p in out.iterdir()} == written  # no manifest, no temp file
         assert blocked.is_dir()
+
+    def test_stream_memory_flat_in_sample_count(self, tmp_path):
+        # gen renders into two chunk buffers in turn and keeps no sample past
+        # its chunk, so its peak stays under half of one stack of every sample.
+        counts = phantom.counts_at_ratio(phantom.PAPER_GRADE_TOTALS, scale=400 / 1283)
+        stack_bytes = 400 * 2 * 112 * 112 * 4  # one float32 (N, 2, 112, 112) stack: 40 MB
+        tracemalloc.start()
+        try:
+            manifest = phantom.stream_dataset(phantom.PhantomConfig(seed=3), counts, 3, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(manifest["samples"]) == 400 and len(list(tmp_path.glob("sample_*.vpat"))) == 400
+        assert peak < stack_bytes / 2
+
+    def test_lagging_writer_keeps_every_byte(self, tmp_path, monkeypatch):
+        # With the writer slower than the renderer, each chunk buffer is
+        # rendered into again as soon as the hand-off lets it; every file must
+        # still hold its own sample.
+        counts = phantom.counts_at_ratio(dict(zip((GradeLabel.G0, GradeLabel.G2, GradeLabel.G3), (100, 20, 10))))
+        samples, _ = phantom.generate_dataset(phantom.PhantomConfig(), counts, seed=3)
+        real_write = formats._write_vpat
+        monkeypatch.setattr(formats, "_write_vpat", lambda fh, rows: time.sleep(0.002) or real_write(fh, rows))
+        phantom.stream_dataset(phantom.PhantomConfig(), counts, 3, tmp_path)
+        for s in samples:
+            assert read_sample_tensor(tmp_path / f"sample_{s.id:06d}.vpat").tobytes() == s.to_tensor().tobytes()
 
     @pytest.mark.parametrize("scale", ["nan", "inf"])
     def test_non_finite_scale_refused(self, tmp_path, capsys, scale):
@@ -376,6 +406,14 @@ class TestReformat:
         out = tmp_path / "x"
         assert run_cli("reformat", flag, value, "--out", str(out)) == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["2.0000000000000004", "-2.5"])
+    def test_curvature_beyond_bound_named_before_any_work(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setattr(phantom.volume, "_paint_body", lambda *a: pytest.fail("volume painted"))
+        out = tmp_path / "x"
+        assert run_cli("reformat", "--curvature", value, "--out", str(out)) == 1
+        assert capsys.readouterr().err.strip() == f"error: |curvature| must be at most MAX_CURVATURE = 2, got {value}"
         assert not out.exists()
 
     def test_unknown_grade_named(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from spinemetric.mining import GradeLabel
 from spinemetric.phantom import (
+    MAX_CURVATURE,
     PhantomConfig,
     extract_patch,
     generate_spine_volume,
@@ -48,6 +49,21 @@ def test_pinned_volume_reformation_and_patch(seed, n, curvature, voxels, image, 
     crop, _ = extract_patch(ref.image, ref.centroids_rc[n // 2], jitter_px=4, jitter_seed=seed + 1)
     assert vol.voxels.dtype == ref.image.dtype == crop.dtype == np.float32
     assert (_sha256(vol.voxels), _sha256(ref.image), _sha256(crop)) == (voxels, image, patch)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_curvature_bound(sign):
+    # The bound itself builds a 17-vertebra volume of under 43 MB, bowed
+    # 40 mm off the axis; one float step beyond it is refused by name.
+    volume = generate_spine_volume(CFG, 17, sign * MAX_CURVATURE, [G0] * 17, seed=3)
+    assert volume.voxels.nbytes < 43e6
+    bow = [pos[1] - volume.voxels.shape[1] // 2 for _, pos in volume.centroids]
+    assert 39.0 < max(bow, key=abs) * sign <= 40.0
+    beyond = sign * float(np.nextafter(MAX_CURVATURE, np.inf))
+    message = f"|curvature| must be at most MAX_CURVATURE = 2, got {beyond!r}"
+    with pytest.raises(ValueError) as exc:
+        generate_spine_volume(CFG, 17, beyond, [G0] * 17, seed=3)
+    assert str(exc.value) == message
 
 
 class TestReformatCurved:
