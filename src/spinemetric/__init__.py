@@ -9,7 +9,6 @@ pre-train -> fine-tune pipeline, and a linear-probe evaluation harness.
 """
 
 from .losses import (
-    GradingMargins,
     LossValue,
     contrastive_loss,
     cross_entropy,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FoldSplit",
     "GradeLabel",
-    "GradingMargins",
     "LossValue",
     "RegionLabel",
     "contrastive_loss",

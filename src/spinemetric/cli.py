@@ -119,20 +119,26 @@ def _parse_grade(name: str, where: str) -> GradeLabel:
         raise ValueError(f"{where}: unknown grade {name.strip()!r} (valid grades: {valid})") from None
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not an integer") from None
+
+
 def _parse_counts(text: str) -> dict:
     """Per-grade totals from ``g0=100,g2=30,g3=10``; unnamed grades get 0."""
-    totals = {g: 0 for g in GRADES}
+    totals = {}
     for token in text.split(","):
         name, sep, value = token.partition("=")
         where = f"--counts token {token!r}"
         if not sep:
             raise ValueError(f"{where} is not of the form grade=count")
         grade = _parse_grade(name, where)
-        try:
-            totals[grade] = int(value)
-        except ValueError:
-            raise ValueError(f"{where}: count {value!r} is not an integer") from None
-    return totals
+        if grade in totals:
+            raise ValueError(f"{where}: grade {name.strip()!r} is given more than once")
+        totals[grade] = _parse_int(value, f"{where}: count")
+    return {g: totals.get(g, 0) for g in GRADES}
 
 
 def cmd_gen(args) -> int:
@@ -257,7 +263,7 @@ def _build_pipeline_config(args, cfg_file) -> PipelineConfig:
             raise ValueError("--stages selected no stages")
         base = replace(base, stages=tuple(plans))
     if args.epochs:
-        counts = [int(v) for v in args.epochs.split(",")]
+        counts = [_parse_int(v, "--epochs token") for v in args.epochs.split(",")]
         if len(counts) != len(base.stages):
             raise ValueError(
                 f"--epochs needs {len(base.stages)} comma-separated values"
@@ -291,6 +297,8 @@ def _train_one_fold(data, config, fold, out_dir):
 
 
 def cmd_train(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     cfg_file = _load_config_file(
         args.config,
         {"dataset": "a string", "folds": "an integer", "test_fraction": "a number", "pipeline": "an object"},
@@ -323,7 +331,9 @@ def cmd_train(args) -> int:
         },
     )
 
-    parallel = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    # A process pool starts all of its workers at the first submit.
+    workers = min(args.jobs, len(folds))
+    parallel = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with parallel or contextlib.nullcontext():
         run = parallel.map if parallel else map
         for fold_id, metrics in run(_train_one_fold, repeat(data), repeat(config), folds, repeat(out_dir)):
@@ -500,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float, help=f"test split share (default {_DEFAULT_TEST_FRACTION})")
     p.add_argument("--config", help="JSON config file with a 'pipeline' section")
     p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers (at most one per fold)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

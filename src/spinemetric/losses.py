@@ -9,7 +9,9 @@ over the batch, and exact (sub)gradients with respect to every input, in
 the input's shape, keyed by input name in argument order (the training loop
 stacks them in that order). Distances are squared Euclidean throughout. At
 hinge kinks the zero-side subgradient is chosen, so configurations with
-zero loss are exact fixed points of gradient descent.
+zero loss are exact fixed points of gradient descent. The margins are
+module constants: the grading loss's ALPHA > BETA > GAMMA, and MARGIN for
+the triplet and contrastive hinges.
 """
 
 from __future__ import annotations
@@ -20,25 +22,11 @@ import numpy as np
 
 ANCHOR_CLASSES = (0, 2, 3)
 
-
-@dataclass(frozen=True)
-class GradingMargins:
-    """Distance thresholds (alpha, beta, gamma) of the grade-ranking loss.
-
-    The ordering alpha > beta > gamma > 0 is enforced: the healthy-vs-g2
-    separation must be the widest, and the clustering radius the tightest.
-    """
-
-    alpha: float = 1.5
-    beta: float = 1.0
-    gamma: float = 0.5
-
-    def __post_init__(self):
-        if not (self.alpha > self.beta > self.gamma > 0.0):
-            raise ValueError(
-                f"margins must satisfy alpha > beta > gamma > 0, got "
-                f"({self.alpha}, {self.beta}, {self.gamma})"
-            )
+# Grading-loss margins: the healthy-vs-g2 separation is the widest (ALPHA),
+# the clustering radius the tightest (GAMMA).
+ALPHA, BETA, GAMMA = 1.5, 1.0, 0.5
+# Margin of the triplet and contrastive hinges.
+MARGIN = 1.0
 
 
 @dataclass
@@ -102,15 +90,7 @@ def sq_dist(a, b):
     return float(d[0]) if single else d
 
 
-def grading_loss(
-    e_g0,
-    e_g2,
-    e_g3,
-    e_anchor,
-    anchor_class,
-    margins: GradingMargins = GradingMargins(),
-    clustering_mode: str = "textual",
-) -> LossValue:
+def grading_loss(e_g0, e_g2, e_g3, e_anchor, anchor_class) -> LossValue:
     """Ranked quadruplet loss over the three fracture grades.
 
     Two separating hinges order the grades in embedding space
@@ -118,14 +98,9 @@ def grading_loss(
     clustering term ties the floating anchor to the static-triplet member
     of its own class:
 
-        L1 = max(0, d(g2, g3) - d(g2, g0) + alpha)
-        L2 = max(0, d(g0, g2) - d(g0, g3) + beta)
-        L3 = max(0, d(match, anchor) - gamma)   ["textual" mode]
-             max(0, gamma - d(match, anchor))   ["literal" mode]
-
-    ``textual`` (default) attracts the anchor to its match, the intended
-    clustering behaviour; ``literal`` keeps the opposite-signed variant
-    for comparison runs.
+        L1 = max(0, d(g2, g3) - d(g2, g0) + ALPHA)
+        L2 = max(0, d(g0, g2) - d(g0, g3) + BETA)
+        L3 = max(0, d(match, anchor) - GAMMA)
 
     Returns a LossValue with terms L1/L2/L3 and gradients keyed by
     "g0", "g2", "g3", "anchor".
@@ -134,25 +109,21 @@ def grading_loss(
     cls = _per_tuple("anchor_class", anchor_class, len(g0))
     if not np.all(np.isin(cls, ANCHOR_CLASSES)):
         raise ValueError(f"anchor_class must be one of {ANCHOR_CLASSES}, got {anchor_class}")
-    if clustering_mode not in ("textual", "literal"):
-        raise ValueError(f"unknown clustering_mode {clustering_mode!r}")
 
-    # L1: rank g3 nearer to g2 than g0 is, by at least alpha.
-    arg1 = _row_sq_dist(g2, g3) - _row_sq_dist(g2, g0) + margins.alpha
-    # L2: rank g2 nearer to g0 than g3 is, by at least beta.
-    arg2 = _row_sq_dist(g0, g2) - _row_sq_dist(g0, g3) + margins.beta
+    # L1: rank g3 nearer to g2 than g0 is, by at least ALPHA.
+    arg1 = _row_sq_dist(g2, g3) - _row_sq_dist(g2, g0) + ALPHA
+    # L2: rank g2 nearer to g0 than g3 is, by at least BETA.
+    arg2 = _row_sq_dist(g0, g2) - _row_sq_dist(g0, g3) + BETA
     grads = {
         "g0": _active(arg1, 2.0 * (g2 - g0)) + _active(arg2, 2.0 * (g0 - g2) - 2.0 * (g0 - g3)),
         "g2": _active(arg1, 2.0 * (g2 - g3) - 2.0 * (g2 - g0)) + _active(arg2, 2.0 * (g2 - g0)),
         "g3": _active(arg1, 2.0 * (g3 - g2)) + _active(arg2, 2.0 * (g0 - g3)),
     }
 
-    # L3: tie the anchor to the static-triplet member of its own class;
-    # "literal" mode flips the hinge's sign.
-    sign = 1.0 if clustering_mode == "textual" else -1.0
+    # L3: tie the anchor to the static-triplet member of its own class.
     match = np.where((cls == 0)[:, None], g0, np.where((cls == 2)[:, None], g2, g3))
-    arg3 = sign * (_row_sq_dist(match, anc) - margins.gamma)
-    pull = _active(arg3, sign * 2.0 * (match - anc))
+    arg3 = _row_sq_dist(match, anc) - GAMMA
+    pull = _active(arg3, 2.0 * (match - anc))
     for key, c in zip(("g0", "g2", "g3"), ANCHOR_CLASSES):
         grads[key] = grads[key] + np.where((cls == c)[:, None], pull, 0.0)
     grads["anchor"] = -pull
@@ -161,13 +132,11 @@ def grading_loss(
     return _result(single, terms, grads)
 
 
-def triplet_loss(anchor, positive, negative, margin: float = 1.0) -> LossValue:
-    """Hinge triplet loss max(0, d(a,p) - d(a,n) + margin)."""
+def triplet_loss(anchor, positive, negative) -> LossValue:
+    """Hinge triplet loss max(0, d(a,p) - d(a,n) + MARGIN)."""
     (a, p, n), single = _check_inputs(anchor=anchor, positive=positive, negative=negative)
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
 
-    arg = _row_sq_dist(a, p) - _row_sq_dist(a, n) + margin
+    arg = _row_sq_dist(a, p) - _row_sq_dist(a, n) + MARGIN
     grads = {
         "anchor": _active(arg, 2.0 * (a - p) - 2.0 * (a - n)),
         "positive": _active(arg, 2.0 * (p - a)),
@@ -176,19 +145,17 @@ def triplet_loss(anchor, positive, negative, margin: float = 1.0) -> LossValue:
     return _result(single, {"hinge": np.maximum(0.0, arg)}, grads)
 
 
-def contrastive_loss(a, b, similar, margin: float = 1.0) -> LossValue:
+def contrastive_loss(a, b, similar) -> LossValue:
     """Pairwise contrastive loss on squared distance.
 
     Similar pairs pay d(a,b) (term "attract"); dissimilar pairs pay
-    max(0, margin - d(a,b)) (term "repel").
+    max(0, MARGIN - d(a,b)) (term "repel").
     """
     (ea, eb), single = _check_inputs(a=a, b=b)
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
 
     sim = _per_tuple("similar", similar, len(ea)).astype(bool)
     d = _row_sq_dist(ea, eb)
-    arg = margin - d
+    arg = MARGIN - d
     grads = {
         "a": np.where(sim[:, None], 2.0 * (ea - eb), _active(arg, -2.0 * (ea - eb))),
         "b": np.where(sim[:, None], 2.0 * (eb - ea), _active(arg, -2.0 * (eb - ea))),

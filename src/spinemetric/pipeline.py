@@ -4,9 +4,11 @@ learning, and binary fracture fine-tuning.
 Stages run strictly in the order label-pretrain -> representation-learn ->
 fracture-train; a stage of 0 epochs is skipped. Metric stages mine one
 tuple per training sample per epoch (re-mined each epoch from a shifted
-seed) and minimize the configured loss with Adam. Entering the fracture
-stage swaps the embedding head for the two-logit classifier head;
-batch-norm running statistics carry across stages.
+seed) and minimize their plan's loss with Adam; the loss margins are the
+constants of ``losses``. Entering the fracture stage swaps the embedding
+head for the two-logit classifier head; batch-norm running statistics carry
+across stages. ``PipelineConfig`` holds what a run varies: the network, the
+stage plans, the learning rate and the seed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .backbone.model import (
 from .backbone.optim import adam_init, adam_step
 from .data import patch_set
 from .evaluation import Metrics, binary_fracture_labels, evaluate_folds
-from .losses import GradingMargins, contrastive_loss, cross_entropy, grading_loss, triplet_loss
+from .losses import contrastive_loss, cross_entropy, grading_loss, triplet_loss
 from .mining import FoldSplit, mine_pairs, mine_quadruplets, mine_triplets
 
 STAGE_LABEL = "LabelPretrain"
@@ -88,16 +90,12 @@ class RunRecord:
 @dataclass(frozen=True)
 class PipelineConfig:
     network: NetworkConfig = NetworkConfig()
-    margins: GradingMargins = GradingMargins()
     stages: tuple = (
         StagePlan(STAGE_LABEL, "contrastive", epochs=30),
         StagePlan(STAGE_REPRESENTATION, "grading", epochs=30),
         StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=40),
     )
     learning_rate: float = 1e-4
-    triplet_margin: float = 1.0
-    contrastive_margin: float = 1.0
-    clustering_mode: str = "textual"
     seed: int = 0
 
     def __post_init__(self):
@@ -115,8 +113,6 @@ class PipelineConfig:
         d = dict(d)
         if "network" in d:
             d["network"] = NetworkConfig.from_dict(d["network"])
-        if "margins" in d:
-            d["margins"] = GradingMargins(**d["margins"])
         if "stages" in d:
             d["stages"] = tuple(StagePlan(**p) for p in d["stages"])
         return cls(**d)
@@ -138,7 +134,7 @@ def _epoch_tuples(plan, targets, count, seed):
     return mined[:, :-1], mined[:, -1]
 
 
-def _metric_batch_loss(emb, per_tuple, loss_kind, config):
+def _metric_batch_loss(emb, per_tuple, loss_kind):
     """Mean loss over a batch of T tuples and d(mean)/d(emb).
 
     ``emb`` is (T, W, D): the network outputs of each tuple's W members
@@ -147,16 +143,11 @@ def _metric_batch_loss(emb, per_tuple, loss_kind, config):
     """
     members = [emb[:, j] for j in range(emb.shape[1])]
     if loss_kind == "grading":
-        lv = grading_loss(
-            *members,
-            anchor_class=per_tuple,
-            margins=config.margins,
-            clustering_mode=config.clustering_mode,
-        )
+        lv = grading_loss(*members, anchor_class=per_tuple)
     elif loss_kind == "triplet":
-        lv = triplet_loss(*members, margin=config.triplet_margin)
+        lv = triplet_loss(*members)
     elif loss_kind == "contrastive":
-        lv = contrastive_loss(*members, similar=per_tuple, margin=config.contrastive_margin)
+        lv = contrastive_loss(*members, similar=per_tuple)
     else:
         lv = cross_entropy(*members, label=per_tuple)
     inv = 1.0 / len(emb)
@@ -214,7 +205,6 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
                 out[slot_row].reshape(batch.shape + (-1,)),
                 None if per_tuple is None else per_tuple[step],
                 plan.loss_kind,
-                config,
             )
             if not np.isfinite(mean_loss):
                 raise FloatingPointError(

@@ -32,7 +32,7 @@ from scipy.optimize import Bounds, minimize
 from spinemetric import pipeline
 from spinemetric.backbone.optim import adam_init, adam_step
 from spinemetric.data import patch_set
-from spinemetric.losses import ANCHOR_CLASSES, GradingMargins, LossValue
+from spinemetric.losses import ALPHA, ANCHOR_CLASSES, BETA, GAMMA, MARGIN, LossValue
 from scipy.ndimage import gaussian_filter
 
 from spinemetric.mining import GradeLabel, RegionLabel
@@ -459,8 +459,9 @@ def grading_loss_reference(
     e_g3,
     e_anchor,
     anchor_class: int,
-    margins: GradingMargins = GradingMargins(),
-    clustering_mode: str = "textual",
+    alpha: float = ALPHA,
+    beta: float = BETA,
+    gamma: float = GAMMA,
 ) -> LossValue:
     """Ranked quadruplet loss over the three fracture grades.
 
@@ -471,12 +472,7 @@ def grading_loss_reference(
 
         L1 = max(0, d(g2, g3) - d(g2, g0) + alpha)
         L2 = max(0, d(g0, g2) - d(g0, g3) + beta)
-        L3 = max(0, d(match, anchor) - gamma)   ["textual" mode]
-             max(0, gamma - d(match, anchor))   ["literal" mode]
-
-    ``textual`` (default) attracts the anchor to its match, the intended
-    clustering behaviour; ``literal`` keeps the opposite-signed variant
-    for comparison runs.
+        L3 = max(0, d(match, anchor) - gamma)
 
     Returns a LossValue with terms L1/L2/L3 and gradients keyed by
     "g0", "g2", "g3", "anchor".
@@ -488,13 +484,11 @@ def grading_loss_reference(
     _check_same_dim(("e_g0", g0), ("e_g2", g2), ("e_g3", g3), ("e_anchor", anc))
     if anchor_class not in ANCHOR_CLASSES:
         raise ValueError(f"anchor_class must be one of {ANCHOR_CLASSES}, got {anchor_class}")
-    if clustering_mode not in ("textual", "literal"):
-        raise ValueError(f"unknown clustering_mode {clustering_mode!r}")
 
     grads = {k: np.zeros_like(g0) for k in ("g0", "g2", "g3", "anchor")}
 
     # L1: rank g3 nearer to g2 than g0 is, by at least alpha.
-    arg1 = _sq_dist(g2, g3) - _sq_dist(g2, g0) + margins.alpha
+    arg1 = _sq_dist(g2, g3) - _sq_dist(g2, g0) + alpha
     l1 = max(0.0, arg1)
     if arg1 > 0.0:
         grads["g2"] += 2.0 * (g2 - g3) - 2.0 * (g2 - g0)
@@ -502,7 +496,7 @@ def grading_loss_reference(
         grads["g0"] += 2.0 * (g2 - g0)
 
     # L2: rank g2 nearer to g0 than g3 is, by at least beta.
-    arg2 = _sq_dist(g0, g2) - _sq_dist(g0, g3) + margins.beta
+    arg2 = _sq_dist(g0, g2) - _sq_dist(g0, g3) + beta
     l2 = max(0.0, arg2)
     if arg2 > 0.0:
         grads["g0"] += 2.0 * (g0 - g2) - 2.0 * (g0 - g3)
@@ -512,25 +506,17 @@ def grading_loss_reference(
     # L3: tie the anchor to the static-triplet member of its own class.
     match_key = {0: "g0", 2: "g2", 3: "g3"}[anchor_class]
     match = {"g0": g0, "g2": g2, "g3": g3}[match_key]
-    dm = _sq_dist(match, anc)
-    if clustering_mode == "textual":
-        arg3 = dm - margins.gamma
-        l3 = max(0.0, arg3)
-        if arg3 > 0.0:
-            grads[match_key] += 2.0 * (match - anc)
-            grads["anchor"] += 2.0 * (anc - match)
-    else:
-        arg3 = margins.gamma - dm
-        l3 = max(0.0, arg3)
-        if arg3 > 0.0:
-            grads[match_key] += -2.0 * (match - anc)
-            grads["anchor"] += -2.0 * (anc - match)
+    arg3 = _sq_dist(match, anc) - gamma
+    l3 = max(0.0, arg3)
+    if arg3 > 0.0:
+        grads[match_key] += 2.0 * (match - anc)
+        grads["anchor"] += 2.0 * (anc - match)
 
     terms = {"L1": l1, "L2": l2, "L3": l3}
     return LossValue(total=l1 + l2 + l3, terms=terms, gradients=grads)
 
 
-def triplet_loss_reference(anchor, positive, negative, margin: float = 1.0) -> LossValue:
+def triplet_loss_reference(anchor, positive, negative, margin: float = MARGIN) -> LossValue:
     """Hinge triplet loss max(0, d(a,p) - d(a,n) + margin)."""
     a = _check_embedding("anchor", anchor)
     p = _check_embedding("positive", positive)
@@ -549,7 +535,7 @@ def triplet_loss_reference(anchor, positive, negative, margin: float = 1.0) -> L
     return LossValue(total=loss, terms={"hinge": loss}, gradients=grads)
 
 
-def contrastive_loss_reference(a, b, similar: bool, margin: float = 1.0) -> LossValue:
+def contrastive_loss_reference(a, b, similar: bool, margin: float = MARGIN) -> LossValue:
     """Pairwise contrastive loss on squared distance.
 
     Similar pairs pay d(a,b); dissimilar pairs pay max(0, margin - d(a,b)).
@@ -810,7 +796,6 @@ def run_stage_reference(model, plan, samples, seed: int, config) -> list[float]:
                 out.reshape(batch.shape + (-1,)),
                 None if per_tuple is None else per_tuple[step],
                 plan.loss_kind,
-                config,
             )
             model.zero_grad()
             adam_step(model, opt, model.backward(upstream.reshape(out.shape)))

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 This module checks criteria 1, 2 and 6-9, which are exact property suites,
-and criterion 3, the margins that grading-loss training opens between the
-grade centroids. Criteria 4 and 5, the probe comparison and the classifier
+and criterion 3, the margins ALPHA and BETA (constants of ``losses``) that
+grading-loss training opens between the grade centroids. Criteria 4 and 5, the probe comparison and the classifier
 comparison, are not checked here; ROADMAP item 1 tracks them.
 """
 
@@ -16,7 +16,8 @@ import pytest
 from spinemetric.backbone import NetworkConfig, init_model
 from spinemetric.evaluation import confusion_metrics, embed_samples
 from spinemetric.losses import (
-    GradingMargins,
+    ALPHA,
+    BETA,
     contrastive_loss,
     cross_entropy,
     grading_loss,
@@ -46,8 +47,6 @@ from .oracles import arc_length_to_knot, numeric_gradient, rel_err, sq_dist_loop
 from .test_evaluation import brute_force_counts
 from .test_losses import _sample_off_kink_quadruplet
 
-MARGINS = GradingMargins(1.5, 1.0, 0.5)
-
 # Desk-scale benchmark: 600 samples at the published 1133:104:46 ratio and a
 # reduced backbone (the full 112px architecture is covered by its own tests).
 BENCH_SEED = 11
@@ -70,19 +69,15 @@ def _report(n, text):
 class TestCriterion1LossExactness:
     def test_loss_exactness(self):
         cases = [
-            (grading_loss([0.0], [2.0], [3.0], [0.2], 0, MARGINS).total, 0.0),
-            (
-                grading_loss([0.0], [2.0], [3.0], [0.2], 0, MARGINS, "literal").total,
-                0.46,
-            ),
-            (grading_loss([1.0], [1.0], [1.0], [1.0], 0, MARGINS).total, 2.5),
-            (grading_loss([0.0], [1.0], [1.2], [1.0], 2, MARGINS).total, 1.10),
-            (triplet_loss([0.0], [0.0], [0.0], 1.0).total, 1.0),
-            (triplet_loss([0.0, 0.0], [1.0, 0.0], [3.0, 0.0], 1.0).total, 0.0),
-            (triplet_loss([0.0, 0.0], [2.0, 0.0], [1.0, 0.0], 0.5).total, 3.5),
+            (grading_loss([0.0], [2.0], [3.0], [0.2], 0).total, 0.0),
+            (grading_loss([1.0], [1.0], [1.0], [1.0], 0).total, 2.5),
+            (grading_loss([0.0], [1.0], [1.2], [1.0], 2).total, 1.10),
+            (triplet_loss([0.0], [0.0], [0.0]).total, 1.0),
+            (triplet_loss([0.0, 0.0], [1.0, 0.0], [3.0, 0.0]).total, 0.0),
+            (triplet_loss([0.0, 0.0], [2.0, 0.0], [1.0, 0.0]).total, 4.0),
             (contrastive_loss([0.0], [0.0], True).total, 0.0),
-            (contrastive_loss([0.0, 0.0], [0.0, 2.0], False, 1.0).total, 0.0),
-            (contrastive_loss([1.0], [1.0], False, 1.0).total, 1.0),
+            (contrastive_loss([0.0, 0.0], [0.0, 2.0], False).total, 0.0),
+            (contrastive_loss([1.0], [1.0], False).total, 1.0),
             (cross_entropy([0.0, 0.0], 0).total, float(np.log(2.0))),
             (cross_entropy([10.0, -10.0], 0).total, float(np.log1p(np.exp(-20.0)))),
             (cross_entropy([10.0, -10.0], 1).total, 20.0 + float(np.log1p(np.exp(-20.0)))),
@@ -90,9 +85,9 @@ class TestCriterion1LossExactness:
         for got, expected in cases:
             assert abs(got - expected) < 1e-6, (got, expected)
         # hinge-zero configurations are exactly zero
-        assert grading_loss([0.0], [3.0], [5.0], [0.1], 0, MARGINS).total == 0.0
-        assert triplet_loss([0.0, 0.0], [1.0, 0.0], [9.0, 0.0], 1.0).total == 0.0
-        assert contrastive_loss([0.0, 0.0], [0.0, 9.0], False, 1.0).total == 0.0
+        assert grading_loss([0.0], [3.0], [5.0], [0.1], 0).total == 0.0
+        assert triplet_loss([0.0, 0.0], [1.0, 0.0], [9.0, 0.0]).total == 0.0
+        assert contrastive_loss([0.0, 0.0], [0.0, 9.0], False).total == 0.0
         _report(1, "all hand-derived loss values reproduced within 1e-6")
 
 
@@ -101,15 +96,15 @@ class TestCriterion2GradientFidelity:
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(100):
-            e = _sample_off_kink_quadruplet(rng, MARGINS, min_gap=1e-2)
+            e = _sample_off_kink_quadruplet(rng, min_gap=1e-2)
             anchor_class = int(rng.choice([0, 2, 3]))
-            lv = grading_loss(e[0], e[1], e[2], e[3], anchor_class, MARGINS)
+            lv = grading_loss(e[0], e[1], e[2], e[3], anchor_class)
             for i, key in enumerate(("g0", "g2", "g3", "anchor")):
 
                 def f(v, i=i):
                     inputs = [e[0], e[1], e[2], e[3]]
                     inputs[i] = v
-                    return grading_loss(*inputs, anchor_class, MARGINS).total
+                    return grading_loss(*inputs, anchor_class).total
 
                 fd = numeric_gradient(f, e[i], h=1e-3)
                 worst = max(worst, rel_err(lv.gradients[key], fd, guard=1e-6))
@@ -155,7 +150,6 @@ class TestCriterion3MarginOrdering:
         grades = np.array([s.grade for s in test])
         model = init_model(BENCH_NET, seed=BENCH_SEED)
         config = PipelineConfig(network=BENCH_NET, seed=BENCH_SEED)
-        alpha, beta = config.margins.alpha, config.margins.beta
 
         def centroid_distances():
             """Squared distances d(g2,g3), d(g0,g2), d(g0,g3) between the
@@ -167,16 +161,16 @@ class TestCriterion3MarginOrdering:
         # The phantoms already order the centroids before training, since
         # height loss grows with grade: only the margins show learning.
         d23, d02, d03 = centroid_distances()
-        assert d02 - d23 < alpha and d03 - d02 < beta, (d23, d02, d03)
+        assert d02 - d23 < ALPHA and d03 - d02 < BETA, (d23, d02, d03)
         plan = StagePlan(STAGE_REPRESENTATION, "grading", epochs=10)
         run_stage(model, plan, train, seed=config.seed, config=config)
         d23, d02, d03 = centroid_distances()
         assert d23 < d02 < d03, (d23, d02, d03)
-        assert d02 - d23 >= alpha and d03 - d02 >= beta, (d23, d02, d03)
+        assert d02 - d23 >= ALPHA and d03 - d02 >= BETA, (d23, d02, d03)
         _report(
             3,
             f"after grading training d(g2,g3)={d23:.2f} < d(g0,g2)={d02:.2f} < d(g0,g3)={d03:.2f}, "
-            f"margins {d02 - d23:.2f} >= alpha={alpha} and {d03 - d02:.2f} >= beta={beta}",
+            f"margins {d02 - d23:.2f} >= ALPHA={ALPHA} and {d03 - d02:.2f} >= BETA={BETA}",
         )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import threading
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinemetric import atomic, data, phantom
+from spinemetric import atomic, cli, data, phantom
 from spinemetric.backbone import NetworkConfig
 from spinemetric.cli import NETWORK_PRESETS, _build_pipeline_config, build_parser, main
 from spinemetric.evaluation import PROBE_GAP_TOL, PROBE_STEPS
@@ -54,6 +55,7 @@ class TestGen:
             ("g0=5,g1=3", "--counts token 'g1=3': unknown grade 'g1' (valid grades: g0, g2, g3)"),
             ("g0=5,g2", "--counts token 'g2' is not of the form grade=count"),
             ("g0=5,g2=x", "--counts token 'g2=x': count 'x' is not an integer"),
+            ("g0=6,g0=9,g2=3,g3=3", "--counts token 'g0=9': grade 'g0' is given more than once"),
         ],
     )
     def test_bad_counts_token_named(self, tmp_path, capsys, counts, message):
@@ -242,10 +244,16 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=rf"^cfg\.json: bad pipeline section \(TypeError\(.*'{key}'"):
             _build_pipeline_config(args, {"pipeline": pipeline})
 
-    @pytest.mark.parametrize("key", ["probe_steps", "probe_regularization"])
+    @pytest.mark.parametrize(
+        "key", ["probe_steps", "probe_regularization", "margins", "triplet_margin", "contrastive_margin",
+                "clustering_mode"]
+    )
     def test_probe_key_named(self, key):
-        # The probe's settings belong to eval (--probe-steps) and evaluation.
-        pipeline = {**PipelineConfig().to_dict(), key: 1}
+        # The probe's settings belong to eval (--probe-steps) and evaluation,
+        # and the loss margins are constants of losses: a pipeline section
+        # that sets any of them, even to the value in use, is refused.
+        value = {"margins": {"alpha": 1.5, "beta": 1.0, "gamma": 0.5}, "clustering_mode": "textual"}.get(key, 1)
+        pipeline = {**PipelineConfig().to_dict(), key: value}
         args = build_parser().parse_args(["train", "--config", "cfg.json", "--out", "o"])
         with pytest.raises(ValueError, match=rf"^cfg\.json: bad pipeline section \(TypeError\(.*'{key}'"):
             _build_pipeline_config(args, {"pipeline": pipeline})
@@ -260,7 +268,7 @@ class TestConfigFile:
         ids=["no-linear-dims", "no-conv-channels", "empty"],
     )
     def test_partial_network_section_loads(self, network, expected):
-        # Like a partial margins section, the fields left out keep their defaults.
+        # The fields left out keep their defaults.
         args = build_parser().parse_args(["train", "--config", "cfg.json", "--out", "o"])
         loaded = _build_pipeline_config(args, {"pipeline": {"network": network}}).network.to_dict()
         assert loaded == {**NetworkConfig().to_dict(), **expected}
@@ -470,6 +478,19 @@ class TestStagesFlag:
             self.plans(stages)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "epochs, message",
+        [
+            ("2,x,4", "--epochs token 'x' is not an integer"),
+            ("2,4", "--epochs needs 3 comma-separated values"),
+        ],
+    )
+    def test_bad_epochs_refused(self, epochs, message):
+        args = build_parser().parse_args(["train", "--epochs", epochs, "--out", "o"])
+        with pytest.raises(ValueError) as exc:
+            _build_pipeline_config(args, {})
+        assert str(exc.value) == message
+
 
 class TestTrain:
     def test_naive_run_and_rerun_identical_metrics(self, dataset_dir, tmp_path):
@@ -580,6 +601,71 @@ class TestTrain:
         assert all(n > 0 for fold in first[1] for n in fold)
         assert run("rerun", "1") == first
         assert run("parallel", "2") == first
+
+    @pytest.mark.parametrize(
+        "loss, digest",
+        [
+            ("grading", "1d69540fabc6b1bae9b73b7546b013526d64c055110a48e3476e9faf0204649f"),
+            ("triplet", "d96a7427936c9ad204882a052dc72b02a4efcfa760f39b1e73ee1ce44de097d8"),
+            ("contrastive", "2b4b7c2a5f12bc76164b0354e6b0426613a05c245bcbbee6fc5e172d5401fa77"),
+        ],
+        ids=["grading", "triplet", "contrastive"],
+    )
+    def test_trained_bits_pinned(self, dataset70, tmp_path, loss, digest):
+        # One digest over what training produces: each fold's checkpoints and
+        # metrics.json, folds.json, and every stage's epoch_losses and
+        # rows_forwarded. records.json's config digest and seconds are left out.
+        out = tmp_path / loss
+        assert run_cli(
+            "train", "--dataset", str(dataset70), "--stages", f"label,{loss},fracture",
+            "--epochs", "2,2,2", "--network", "tiny", "--folds", "2", "--seed", "5", "--out", str(out),
+        ) == 0
+        lines = [
+            f"{p.relative_to(out)} {hashlib.sha256(p.read_bytes()).hexdigest()}"
+            for p in sorted(out.rglob("*"))
+            if p.suffix == ".gmck" or p.name in ("metrics.json", "folds.json")
+        ]
+        lines += [
+            json.dumps([[s["epoch_losses"], s["rows_forwarded"]] for s in json.loads(p.read_text())["stages"]])
+            for p in sorted(out.rglob("records.json"))
+        ]
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+    @pytest.mark.parametrize("jobs, pools", [("64", [2]), ("1", [])], ids=["64", "1"])
+    def test_jobs_start_at_most_one_worker_per_fold(self, dataset_dir, tmp_path, monkeypatch, jobs, pools):
+        started = []
+
+        class RecordingPool:
+            """Runs the folds in this process and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        assert run_cli(
+            "train", "--dataset", str(dataset_dir), "--stages", "fracture", "--epochs", "1",
+            "--network", "tiny", "--folds", "2", "--jobs", jobs, "--out", str(tmp_path / "o"),
+        ) == 0
+        assert started == pools
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_refused(self, dataset_dir, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        assert run_cli(
+            "train", "--dataset", str(dataset_dir), "--stages", "fracture", "--epochs", "1",
+            "--network", "tiny", "--folds", "2", "--jobs", jobs, "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err.strip() == f"error: --jobs must be at least 1, got {jobs}"
+        assert not out.exists()
 
     def test_missing_dataset_errors(self, tmp_path, capsys):
         code = run_cli("train", "--dataset", str(tmp_path / "nope"),

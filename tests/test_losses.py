@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinemetric.losses import (
-    GradingMargins,
+    ALPHA,
+    BETA,
+    GAMMA,
+    MARGIN,
     contrastive_loss,
     cross_entropy,
     grading_loss,
@@ -23,8 +26,6 @@ from .oracles import (
     sq_dist_loop,
     triplet_loss_reference,
 )
-
-MARGINS = GradingMargins(1.5, 1.0, 0.5)
 
 finite_vec = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=8
@@ -66,27 +67,22 @@ class TestSqDist:
 class TestGradingLoss:
     def test_worked_example_inactive_hinges(self):
         # d(g2,g3)=1, d(g2,g0)=4, d(g0,g3)=9, d(g0,anchor)=0.04
-        lv = grading_loss([0.0], [2.0], [3.0], [0.2], 0, MARGINS)
+        lv = grading_loss([0.0], [2.0], [3.0], [0.2], 0)
         assert lv.terms["L1"] == 0.0
         assert lv.terms["L2"] == 0.0
         assert lv.terms["L3"] == 0.0
         assert lv.total == 0.0
 
-    def test_worked_example_literal_mode(self):
-        lv = grading_loss([0.0], [2.0], [3.0], [0.2], 0, MARGINS, clustering_mode="literal")
-        assert lv.terms["L3"] == pytest.approx(0.46, abs=1e-9)
-        assert lv.total == pytest.approx(0.46, abs=1e-9)
-
     def test_coincident_embeddings_reduce_to_margins(self):
         e = [1.0, -2.0]
-        lv = grading_loss(e, e, e, e, 0, MARGINS)
+        lv = grading_loss(e, e, e, e, 0)
         assert lv.terms["L1"] == pytest.approx(1.5)
         assert lv.terms["L2"] == pytest.approx(1.0)
         assert lv.terms["L3"] == 0.0
         assert lv.total == pytest.approx(2.5)
 
     def test_worked_example_active_hinges(self):
-        lv = grading_loss([0.0], [1.0], [1.2], [1.0], 2, MARGINS)
+        lv = grading_loss([0.0], [1.0], [1.2], [1.0], 2)
         assert lv.terms["L1"] == pytest.approx(0.54, abs=1e-9)
         assert lv.terms["L2"] == pytest.approx(0.56, abs=1e-9)
         assert lv.terms["L3"] == 0.0
@@ -96,13 +92,13 @@ class TestGradingLoss:
         rng = np.random.default_rng(0)
         for _ in range(50):
             e = rng.normal(size=(4, 8))
-            lv = grading_loss(e[0], e[1], e[2], e[3], 2, MARGINS)
+            lv = grading_loss(e[0], e[1], e[2], e[3], 2)
             assert lv.total == pytest.approx(sum(lv.terms.values()), abs=1e-9)
             assert all(v >= 0.0 for v in lv.terms.values())
 
     def test_margin_satisfaction_gives_exact_zero(self):
         # 1-D geometry engineered so every constraint holds with slack
-        lv = grading_loss([0.0], [3.0], [5.0], [0.1], 0, MARGINS)
+        lv = grading_loss([0.0], [3.0], [5.0], [0.1], 0)
         assert lv.total == 0.0
         assert all(np.all(g == 0.0) for g in lv.gradients.values())
 
@@ -111,10 +107,8 @@ class TestGradingLoss:
         rng = np.random.default_rng(7)
         e = rng.normal(size=(4, 6))
         anchor_class = [0, 2, 3][which_anchor]
-        base = grading_loss(e[0], e[1], e[2], e[3], anchor_class, MARGINS)
-        moved = grading_loss(
-            e[0] + shift, e[1] + shift, e[2] + shift, e[3] + shift, anchor_class, MARGINS
-        )
+        base = grading_loss(e[0], e[1], e[2], e[3], anchor_class)
+        moved = grading_loss(e[0] + shift, e[1] + shift, e[2] + shift, e[3] + shift, anchor_class)
         for key in base.terms:
             assert moved.terms[key] == pytest.approx(base.terms[key], abs=1e-9)
 
@@ -124,45 +118,41 @@ class TestGradingLoss:
             e = rng.normal(size=(4, 8))
             gap1 = sq_dist_loop(e[1], e[2]) - sq_dist_loop(e[1], e[0])
             gap2 = sq_dist_loop(e[0], e[1]) - sq_dist_loop(e[0], e[2])
-            lv = grading_loss(s * e[0], s * e[1], s * e[2], s * e[3], 0, MARGINS)
+            lv = grading_loss(s * e[0], s * e[1], s * e[2], s * e[3], 0)
             assert lv.terms["L1"] == pytest.approx(max(0.0, s * s * gap1 + 1.5), rel=1e-9)
             assert lv.terms["L2"] == pytest.approx(max(0.0, s * s * gap2 + 1.0), rel=1e-9)
 
     def test_invalid_anchor_class(self):
         with pytest.raises(ValueError):
-            grading_loss([0.0], [1.0], [2.0], [0.0], 1, MARGINS)
+            grading_loss([0.0], [1.0], [2.0], [0.0], 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            grading_loss([0.0, 1.0], [1.0], [2.0], [0.0], 0, MARGINS)
+            grading_loss([0.0, 1.0], [1.0], [2.0], [0.0], 0)
 
 
 class TestMargins:
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            GradingMargins(1.0, 1.5, 0.5)
-        with pytest.raises(ValueError):
-            GradingMargins(1.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            GradingMargins(1.5, 1.0, 0.0)
+        # The healthy-vs-g2 separation is the widest, the clustering radius
+        # the tightest.
+        assert ALPHA > BETA > GAMMA > 0.0
 
     def test_defaults_match_published_settings(self):
-        m = GradingMargins()
-        assert (m.alpha, m.beta, m.gamma) == (1.5, 1.0, 0.5)
+        assert (ALPHA, BETA, GAMMA, MARGIN) == (1.5, 1.0, 0.5, 1.0)
 
 
 class TestTripletLoss:
     def test_coincident(self):
         e = [0.5, 0.5]
-        assert triplet_loss(e, e, e, margin=1.0).total == pytest.approx(1.0)
+        assert triplet_loss(e, e, e).total == pytest.approx(1.0)
 
     def test_satisfied(self):
-        lv = triplet_loss([0.0, 0.0], [1.0, 0.0], [3.0, 0.0], margin=1.0)
+        lv = triplet_loss([0.0, 0.0], [1.0, 0.0], [3.0, 0.0])
         assert lv.total == 0.0
 
     def test_violated(self):
-        lv = triplet_loss([0.0, 0.0], [2.0, 0.0], [1.0, 0.0], margin=0.5)
-        assert lv.total == pytest.approx(3.5)
+        lv = triplet_loss([0.0, 0.0], [2.0, 0.0], [1.0, 0.0])
+        assert lv.total == pytest.approx(4.0)
 
 
 class TestContrastiveLoss:
@@ -170,10 +160,10 @@ class TestContrastiveLoss:
         assert contrastive_loss([1.0, 2.0], [1.0, 2.0], similar=True).total == 0.0
 
     def test_dissimilar_far(self):
-        assert contrastive_loss([0.0, 0.0], [0.0, 2.0], similar=False, margin=1.0).total == 0.0
+        assert contrastive_loss([0.0, 0.0], [0.0, 2.0], similar=False).total == 0.0
 
     def test_dissimilar_coincident(self):
-        lv = contrastive_loss([1.0, 1.0], [1.0, 1.0], similar=False, margin=1.0)
+        lv = contrastive_loss([1.0, 1.0], [1.0, 1.0], similar=False)
         assert lv.total == pytest.approx(1.0)
 
 
@@ -206,14 +196,14 @@ class TestCrossEntropy:
         assert float(np.sum(lv.gradients["logits"])) == pytest.approx(0.0, abs=1e-9)
 
 
-def _sample_off_kink_quadruplet(rng, margins, min_gap=1e-2):
+def _sample_off_kink_quadruplet(rng, min_gap=1e-2):
     """Embeddings whose hinge arguments all sit >= min_gap from zero."""
     while True:
         e = rng.normal(size=(4, 8))
         args = [
-            sq_dist_loop(e[1], e[2]) - sq_dist_loop(e[1], e[0]) + margins.alpha,
-            sq_dist_loop(e[0], e[1]) - sq_dist_loop(e[0], e[2]) + margins.beta,
-            sq_dist_loop(e[0], e[3]) - margins.gamma,
+            sq_dist_loop(e[1], e[2]) - sq_dist_loop(e[1], e[0]) + ALPHA,
+            sq_dist_loop(e[0], e[1]) - sq_dist_loop(e[0], e[2]) + BETA,
+            sq_dist_loop(e[0], e[3]) - GAMMA,
         ]
         if all(abs(a) >= min_gap for a in args):
             return e
@@ -224,14 +214,14 @@ class TestGradients:
     @given(st.integers(0, 10_000))
     def test_grading_loss_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        e = _sample_off_kink_quadruplet(rng, MARGINS)
-        lv = grading_loss(e[0], e[1], e[2], e[3], 0, MARGINS)
+        e = _sample_off_kink_quadruplet(rng)
+        lv = grading_loss(e[0], e[1], e[2], e[3], 0)
         for i, key in enumerate(("g0", "g2", "g3", "anchor")):
 
             def f(v, i=i):
                 inputs = [e[0], e[1], e[2], e[3]]
                 inputs[i] = v
-                return grading_loss(*inputs, 0, MARGINS).total
+                return grading_loss(*inputs, 0).total
 
             fd = numeric_gradient(f, e[i], h=1e-3)
             assert rel_err(lv.gradients[key], fd, guard=1e-6) < 1e-4
@@ -243,13 +233,13 @@ class TestGradients:
             arg = sq_dist_loop(e[0], e[1]) - sq_dist_loop(e[0], e[2]) + 1.0
             if abs(arg) < 1e-2:
                 continue
-            lv = triplet_loss(e[0], e[1], e[2], margin=1.0)
+            lv = triplet_loss(e[0], e[1], e[2])
             for i, key in enumerate(("anchor", "positive", "negative")):
 
                 def f(v, i=i):
                     inputs = [e[0], e[1], e[2]]
                     inputs[i] = v
-                    return triplet_loss(*inputs, margin=1.0).total
+                    return triplet_loss(*inputs).total
 
                 fd = numeric_gradient(f, e[i], h=1e-3)
                 assert rel_err(lv.gradients[key], fd, guard=1e-6) < 1e-4
@@ -261,12 +251,12 @@ class TestGradients:
             a, b = rng.normal(size=(2, 8))
             if not similar and abs(1.0 - sq_dist_loop(a, b)) < 1e-2:
                 continue
-            lv = contrastive_loss(a, b, similar=similar, margin=1.0)
+            lv = contrastive_loss(a, b, similar=similar)
             fd_a = numeric_gradient(
-                lambda v: contrastive_loss(v, b, similar=similar, margin=1.0).total, a
+                lambda v: contrastive_loss(v, b, similar=similar).total, a
             )
             fd_b = numeric_gradient(
-                lambda v: contrastive_loss(a, v, similar=similar, margin=1.0).total, b
+                lambda v: contrastive_loss(a, v, similar=similar).total, b
             )
             assert rel_err(lv.gradients["a"], fd_a, guard=1e-6) < 1e-4
             assert rel_err(lv.gradients["b"], fd_b, guard=1e-6) < 1e-4
@@ -318,35 +308,30 @@ def _kink_quadruplets():
 
 
 class TestBatchedLossesMatchOracles:
-    @pytest.mark.parametrize("mode", ["textual", "literal"])
-    def test_grading_random_batches(self, mode):
+    def test_grading_random_batches(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
             # Per-row scales put every hinge active on some rows, not all.
             e = rng.normal(size=(4, 64, 8)) * rng.uniform(0.05, 1.5, size=(1, 64, 1))
             cls = rng.choice([0, 2, 3], size=64)
-            lv = grading_loss(*e, cls, MARGINS, clustering_mode=mode)
-            per_row = [
-                grading_loss_reference(*e[:, t], int(cls[t]), MARGINS, clustering_mode=mode)
-                for t in range(64)
-            ]
+            lv = grading_loss(*e, cls)
+            per_row = [grading_loss_reference(*e[:, t], int(cls[t])) for t in range(64)]
             _assert_matches_oracle(lv, per_row, GRADING_KEYS)
             for term in ("L1", "L2", "L3"):
                 active = [r.terms[term] > 0 for r in per_row]
                 assert any(active) and not all(active), term
 
-    @pytest.mark.parametrize("mode", ["textual", "literal"])
-    def test_grading_rows_on_the_kinks(self, mode):
+    def test_grading_rows_on_the_kinks(self):
         e, cls = _kink_quadruplets()
-        lv = grading_loss(*e.transpose(1, 0, 2), cls, MARGINS, clustering_mode=mode)
-        per_row = [grading_loss_reference(*q, int(c), MARGINS, clustering_mode=mode) for q, c in zip(e, cls)]
+        lv = grading_loss(*e.transpose(1, 0, 2), cls)
+        per_row = [grading_loss_reference(*q, int(c)) for q, c in zip(e, cls)]
         _assert_matches_oracle(lv, per_row, GRADING_KEYS)
         assert lv.terms["L3"] == 0.0
 
     def test_single_tuple_keeps_vector_shapes(self):
         e = np.random.default_rng(4).normal(size=(4, 8))
-        lv = grading_loss(*e, 3, MARGINS)
-        _assert_matches_oracle(lv, [grading_loss_reference(*e, 3, MARGINS)], GRADING_KEYS)
+        lv = grading_loss(*e, 3)
+        _assert_matches_oracle(lv, [grading_loss_reference(*e, 3)], GRADING_KEYS)
         assert all(g.shape == (8,) for g in lv.gradients.values())
 
     def test_triplet_random_batches_and_kink(self):
@@ -354,10 +339,10 @@ class TestBatchedLossesMatchOracles:
         e = rng.normal(size=(3, 64, 8)) * 0.4
         kink = np.array([[[0.0, 0.0]], [[1.0, 0.0]], [[1.0, 1.0]]])  # d(a,p) - d(a,n) + 1 = 0
         for batch in (e, kink):
-            lv = triplet_loss(*batch, margin=1.0)
-            per_row = [triplet_loss_reference(*batch[:, t], margin=1.0) for t in range(batch.shape[1])]
+            lv = triplet_loss(*batch)
+            per_row = [triplet_loss_reference(*batch[:, t]) for t in range(batch.shape[1])]
             _assert_matches_oracle(lv, per_row, ("anchor", "positive", "negative"))
-        assert triplet_loss(*kink, margin=1.0).total == 0.0
+        assert triplet_loss(*kink).total == 0.0
 
     def test_contrastive_mixed_flags_and_kink(self):
         rng = np.random.default_rng(23)
@@ -367,8 +352,8 @@ class TestBatchedLossesMatchOracles:
         a = np.vstack([a, np.zeros(8)])
         b = np.vstack([b, np.eye(8)[0]])
         similar = np.append(similar, False)
-        lv = contrastive_loss(a, b, similar, margin=1.0)
-        per_row = [contrastive_loss_reference(x, y, bool(s), margin=1.0) for x, y, s in zip(a, b, similar)]
+        lv = contrastive_loss(a, b, similar)
+        per_row = [contrastive_loss_reference(x, y, bool(s)) for x, y, s in zip(a, b, similar)]
         _assert_matches_oracle(lv, per_row, ("a", "b"))
         assert np.all(lv.gradients["a"][-1] == 0.0)
 
@@ -383,7 +368,7 @@ class TestBatchedLossesMatchOracles:
     def test_per_tuple_argument_length_checked(self):
         e = np.zeros((4, 3, 2))
         with pytest.raises(ValueError):
-            grading_loss(*e, [0, 2], MARGINS)
+            grading_loss(*e, [0, 2])
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((3, 2)), [0, 1])
 

@@ -16,7 +16,6 @@ from spinemetric.backbone import (
     save_model,
 )
 from spinemetric.data import patch_set
-from spinemetric.losses import GradingMargins
 from spinemetric.mining import GradeLabel, RegionLabel, make_folds, mine_pairs, mine_quadruplets
 from spinemetric.phantom import PhantomConfig, generate_dataset
 from spinemetric.pipeline import (
@@ -102,7 +101,7 @@ class TestStagePlans:
     def test_default_config_digest_pinned(self):
         # records.json carries this digest: to_dict must not move its bytes.
         digest = hashlib.sha256(PipelineConfig().to_json().encode()).hexdigest()
-        assert digest == "25238977ec973898bf57023314b73a999049d1b47ea0371b6edb2687b388f329"
+        assert digest == "bcbbd25a40cb80c84a73ba42204d2f89d9299a6addf9fb47fb3371011656d207"
 
     def test_run_record_to_dict(self):
         record = RunRecord("FractureTrain", "cross_entropy", [0.5, 0.25], 1.5, "stage1.gmck", 96)
@@ -114,12 +113,6 @@ class TestStagePlans:
             "checkpoint": "stage1.gmck",
             "rows_forwarded": 96,
         }
-
-    def test_margin_hierarchy_refused_at_config_parse(self):
-        doc = tiny_config(StagePlan(STAGE_REPRESENTATION, "grading", epochs=1)).to_dict()
-        doc["margins"] = {"alpha": 0.5, "beta": 1.0, "gamma": 0.2}
-        with pytest.raises(ValueError):
-            PipelineConfig.from_dict(doc)
 
 
 class TestRunStage:
@@ -333,42 +326,31 @@ class TestMetricBatchLoss:
 
     T = 12
 
-    def _oracle(self, loss_kind, emb, per_tuple, config):
+    def _oracle(self, loss_kind, emb, per_tuple):
         if loss_kind == "grading":
-            return [
-                grading_loss_reference(
-                    *e, int(c), config.margins, clustering_mode=config.clustering_mode
-                )
-                for e, c in zip(emb, per_tuple)
-            ], ("g0", "g2", "g3", "anchor")
+            return [grading_loss_reference(*e, int(c)) for e, c in zip(emb, per_tuple)], ("g0", "g2", "g3", "anchor")
         if loss_kind == "triplet":
-            return [triplet_loss_reference(*e, margin=config.triplet_margin) for e in emb], (
-                "anchor", "positive", "negative",
-            )
+            return [triplet_loss_reference(*e) for e in emb], ("anchor", "positive", "negative")
         if loss_kind == "contrastive":
-            return [
-                contrastive_loss_reference(*e, bool(s), margin=config.contrastive_margin)
-                for e, s in zip(emb, per_tuple)
-            ], ("a", "b")
+            return [contrastive_loss_reference(*e, bool(s)) for e, s in zip(emb, per_tuple)], ("a", "b")
         return [cross_entropy_reference(e[0], int(y)) for e, y in zip(emb, per_tuple)], ("logits",)
 
     @pytest.mark.parametrize(
-        "loss_kind, width, per_tuple, mode",
+        "loss_kind, width, per_tuple",
         [
-            ("grading", 4, [0, 2, 3] * 4, "textual"),
-            ("grading", 4, [0, 2, 3] * 4, "literal"),
-            ("triplet", 3, None, "textual"),
-            ("contrastive", 2, [True, False, False] * 4, "textual"),
-            ("cross_entropy", 1, [0, 1, 1] * 4, "textual"),
+            ("grading", 4, [0, 2, 3] * 4),
+            ("triplet", 3, None),
+            ("contrastive", 2, [True, False, False] * 4),
+            ("cross_entropy", 1, [0, 1, 1] * 4),
         ],
+        ids=["grading", "triplet", "contrastive", "cross_entropy"],
     )
-    def test_equals_mean_of_oracle(self, loss_kind, width, per_tuple, mode):
-        config = PipelineConfig(clustering_mode=mode)
+    def test_equals_mean_of_oracle(self, loss_kind, width, per_tuple):
         dim = 2 if loss_kind == "cross_entropy" else 8
         emb = np.random.default_rng(31).normal(size=(self.T, width, dim)) * 0.5
         per_tuple = None if per_tuple is None else np.array(per_tuple)
-        mean, upstream = _metric_batch_loss(emb, per_tuple, loss_kind, config)
-        per_row, keys = self._oracle(loss_kind, emb, per_tuple, config)
+        mean, upstream = _metric_batch_loss(emb, per_tuple, loss_kind)
+        per_row, keys = self._oracle(loss_kind, emb, per_tuple)
         assert mean == pytest.approx(np.mean([lv.total for lv in per_row]), rel=1e-12, abs=1e-12)
         want = np.stack([[lv.gradients[k] for k in keys] for lv in per_row]) / self.T
         assert upstream.dtype == np.float64 and upstream.shape == emb.shape
