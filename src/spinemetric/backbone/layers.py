@@ -14,7 +14,8 @@ with respect to the input while accumulating parameter gradients in-place
 (a ``Conv2d`` with ``input_grad = False`` returns ``None`` instead).
 
 Memory rule: a pass allocates no input-sized array beyond the ones it
-returns or caches, and works in place on those. At the ``full`` preset an
+returns or caches, and works in place on those; a conv pass adds one
+im2col column buffer of at most ``COLS_BYTES``. At the ``full`` preset an
 input-sized float32 array is above glibc's mmap ceiling, so each one is
 page-faulted in fresh. No pass writes into its arguments (``x`` or
 ``dy``): callers may reuse them. A layer may overwrite its own cache,
@@ -40,6 +41,7 @@ take any layout; a C-contiguous input gives the same values, only slower.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _empty_batch_inner(shape, dtype):
@@ -88,9 +90,18 @@ class Layer:
         return cache
 
 
-# Size of one im2col column buffer. The output rows are split into chunks
-# so that no chunk's buffer exceeds it (a chunk holds at least one row).
+# Bytes of one im2col column buffer, a conv pass's extra memory; the input
+# gradient runs over chunks of output rows this size (at least one row).
 COLS_BYTES = 16 * 2**20
+# Forward and dW chunks stay in L2 from the im2col copy to the GEMM: 128-512
+# KiB tied fastest of 64 KiB-16 MiB (Xeon, 2 MiB of L2 per core). A constant,
+# not the host's cache size, keeps the dW bits the same on every machine.
+CACHE_BYTES = 256 * 2**10
+# Those chunks keep at least MIN_COLS columns (rows*W*N): a smaller GEMM call
+# costs more than the cache saves (an N = 2 batch; full conv4's 3.3 MB dW per
+# chunk). They span whole GEMM_COLS blocks (a power of 2) of OpenBLAS's sgemm,
+# which computes a remainder with other bits, so forward keeps one GEMM's bits.
+MIN_COLS, GEMM_COLS = 1024, 16
 
 
 class Conv2d(Layer):
@@ -99,12 +110,13 @@ class Conv2d(Layer):
     The input is padded once into a batch-innermost ``(C, H+2p, W+2p, N)``
     buffer, which is also the backward cache. Each chunk of output rows is
     then unrolled into a ``(C*k*k, rows*W*N)`` column matrix (im2col,
-    Chellapilla et al. 2006): every one of the k*k offset copies moves runs
-    of ``W*N`` floats, one per channel and row. The chunk is one GEMM
-    against the OIHW weight viewed as ``(O, C*k*k)``, written straight into
-    those rows of the ``(O, H, W, N)`` output. Backward rebuilds the columns
-    per chunk from the cache, so memory stays at O(input) plus one chunk's
-    columns, bounded by ``COLS_BYTES``, in both passes.
+    Chellapilla et al. 2006) by one strided copy that moves runs of ``W*N``
+    floats. The chunk is one GEMM against the OIHW weight viewed as
+    ``(O, C*k*k)``, written straight into those rows of the ``(O, H, W, N)``
+    output. Forward and the weight gradient run over cache-sized chunks;
+    backward rebuilds their columns from the cache, then writes ``W^T dy``
+    over them in chunks of up to ``COLS_BYTES`` for col2im. Memory stays at
+    O(input) plus one column buffer, bounded by ``COLS_BYTES``.
 
     It has no bias: in the network a batch norm follows every conv, and its
     mean subtraction cancels any per-channel constant, so a bias would only
@@ -131,25 +143,31 @@ class Conv2d(Layer):
         self.d_weight = np.zeros_like(self.weight)
         self.input_grad = True
 
-    def _chunks(self, xpad):
-        """Yield ``(lo, hi, cols)`` per chunk of output rows: ``cols`` is the
-        ``(C*k*k, (hi-lo)*W*N)`` column matrix of rows ``lo:hi`` of every
-        image, in one buffer that every chunk refills (so a caller may
-        overwrite it). Row ``(c*k + di)*k + dj`` holds channel c shifted by
-        kernel offset (di, dj), matching the OIHW weight order; its columns
-        run over (row, column, image), like the ``(O, H, W, N)`` output."""
+    def _rows(self, xpad):
+        """Rows per chunk, cache-sized and ``COLS_BYTES``-sized, by shape alone."""
         c, hp, wp, n = xpad.shape
+        h, wn = hp - 2 * self.pad, (wp - 2 * self.pad) * n
+        row_bytes = c * self.kernel**2 * wn * xpad.itemsize
+        bounded = max(1, min(h, COLS_BYTES // row_bytes))
+        fast = max(CACHE_BYTES // row_bytes, -(-MIN_COLS // wn))
+        align = GEMM_COLS // min(GEMM_COLS, wn & -wn)  # rows per whole block
+        return min(-(-fast // align) * align, bounded), bounded
+
+    def _chunks(self, xpad, step, buf):
+        """Yield ``(lo, hi, cols)`` per chunk of ``step`` output rows: ``cols``
+        is the ``(C*k*k, (hi-lo)*W*N)`` column matrix of rows ``lo:hi`` of
+        every image, copied from a window view of ``xpad`` to the front of
+        ``buf``, which every chunk refills (so a caller may overwrite it).
+        Row ``(c*k + di)*k + dj`` holds channel c shifted by kernel offset
+        (di, dj), matching the OIHW weight order; its columns run over (row,
+        column, image), like the ``(O, H, W, N)`` output."""
         k = self.kernel
-        h, w = hp - 2 * self.pad, wp - 2 * self.pad
-        row_bytes = c * k * k * w * n * xpad.itemsize
-        step = max(1, min(h, COLS_BYTES // row_bytes))
-        buf = np.empty(c * k * k * step * w * n, dtype=xpad.dtype)
+        windows = sliding_window_view(xpad, (k, k), axis=(1, 2)).transpose(0, 4, 5, 1, 2, 3)
+        c, _, _, h, w, n = windows.shape
         for lo in range(0, h, step):
             hi = min(lo + step, h)
             cols = buf[: c * k * k * (hi - lo) * w * n].reshape(c, k, k, hi - lo, w, n)
-            for di in range(k):
-                for dj in range(k):
-                    cols[:, di, dj] = xpad[:, lo + di : hi + di, dj : dj + w]
+            np.copyto(cols, windows[:, :, :, lo:hi])
             yield lo, hi, cols.reshape(c * k * k, -1)
 
     def forward(self, x, train: bool):
@@ -162,7 +180,9 @@ class Conv2d(Layer):
         wmat = self.weight.reshape(o, -1)
         y = np.empty((o, h, w, n), dtype=x.dtype)
         ymat = y.reshape(o, -1)
-        for lo, hi, cols in self._chunks(xpad):
+        step, _ = self._rows(xpad)
+        buf = np.empty(wmat.shape[1] * step * w * n, dtype=x.dtype)
+        for lo, hi, cols in self._chunks(xpad, step, buf):
             np.matmul(wmat, cols, out=ymat[:, lo * w * n : hi * w * n])
         self._cache = xpad if train else None
         return y.transpose(3, 0, 1, 2)
@@ -175,19 +195,22 @@ class Conv2d(Layer):
         wmat = self.weight.reshape(o, -1)
         d_wmat = self.d_weight.reshape(o, -1)
         dxpad = np.zeros_like(xpad) if self.input_grad else None
-        for lo, hi, cols in self._chunks(xpad):
-            dy_rows = dymat[:, lo * w * n : hi * w * n]
-            d_wmat += (cols @ dy_rows.T).T  # OpenBLAS runs this orientation faster
-            if dxpad is not None:
-                # col2im, with dcols written over the spent columns: add each
-                # offset's rows back onto the padded input.
-                dcols = np.matmul(wmat.T, dy_rows, out=cols)
-                dcols = dcols.reshape(self.in_channels, k, k, hi - lo, w, n)
-                for di in range(k):
-                    for dj in range(k):
-                        dxpad[:, lo + di : hi + di, dj : dj + w] += dcols[:, di, dj]
+        fast, bounded = self._rows(xpad)
+        buf = np.empty(wmat.shape[1] * bounded * w * n, dtype=xpad.dtype)
+        for lo, hi, cols in self._chunks(xpad, fast, buf):
+            d_wmat += (cols @ dymat[:, lo * w * n : hi * w * n].T).T  # OpenBLAS runs this orientation faster
         if dxpad is None:
             return None
+        for lo in range(0, h, bounded):
+            hi = min(lo + bounded, h)
+            # col2im: dcols = W^T dy of these rows, written over the spent
+            # columns; each offset's rows are added back onto the padded input.
+            dcols = buf[: wmat.shape[1] * (hi - lo) * w * n].reshape(-1, (hi - lo) * w * n)
+            np.matmul(wmat.T, dymat[:, lo * w * n : hi * w * n], out=dcols)
+            dcols = dcols.reshape(self.in_channels, k, k, hi - lo, w, n)
+            for di in range(k):
+                for dj in range(k):
+                    dxpad[:, lo + di : hi + di, dj : dj + w] += dcols[:, di, dj]
         return np.ascontiguousarray(dxpad[:, p : p + h, p : p + w]).transpose(3, 0, 1, 2)
 
 

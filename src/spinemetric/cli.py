@@ -264,6 +264,8 @@ def _build_pipeline_config(args, cfg_file) -> PipelineConfig:
         base = replace(base, stages=tuple(plans))
     if args.epochs:
         counts = [_parse_int(v, "--epochs token") for v in args.epochs.split(",")]
+        if min(counts) < 0:
+            raise ValueError(f"--epochs token {min(counts)} must be at least 0")
         if len(counts) != len(base.stages):
             raise ValueError(
                 f"--epochs needs {len(base.stages)} comma-separated values"
@@ -275,6 +277,14 @@ def _build_pipeline_config(args, cfg_file) -> PipelineConfig:
     if args.seed is not None:
         base = replace(base, seed=args.seed)
     return base
+
+
+def _check_split(n_folds, test_fraction) -> None:
+    """Refuse, by its flag, a fold count or test fraction that ``make_folds`` would."""
+    if n_folds < 1:
+        raise ValueError(f"--folds must be at least 1, got {n_folds}")
+    if not 0 < test_fraction < 1:
+        raise ValueError(f"--test-fraction must lie in (0, 1), got {test_fraction}")
 
 
 def _train_one_fold(data, config, fold, out_dir):
@@ -308,13 +318,14 @@ def cmd_train(args) -> int:
         raise ValueError("no dataset given (use --dataset or a config file entry)")
     manifest, entries, manifest_path = _load_dataset(dataset)
     config = _build_pipeline_config(args, cfg_file)
-    data = load_patch_set(entries, config.network.input_size)
-    out_dir = Path(args.out)
-
     n_folds = args.folds if args.folds is not None else cfg_file.get("folds", _DEFAULT_FOLDS)
     test_fraction = args.test_fraction
     if test_fraction is None:
         test_fraction = cfg_file.get("test_fraction", _DEFAULT_TEST_FRACTION)
+    _check_split(n_folds, test_fraction)
+    data = load_patch_set(entries, config.network.input_size)
+    out_dir = Path(args.out)
+
     folds = make_folds(data.grades, n_folds=n_folds, test_fraction=test_fraction, seed=config.seed)
     _write_text(out_dir / "folds.json", folds_to_json(folds) + "\n")
 
@@ -375,6 +386,7 @@ def _protocol_folds(args, grades):
                 setattr(args, option, default)
         if args.probe_steps < 1:
             raise ValueError(f"--probe-steps must be at least 1, got {args.probe_steps}")
+        _check_split(args.folds, args.test_fraction)
         folds = make_folds(grades, n_folds=args.folds, test_fraction=args.test_fraction, seed=args.seed)
         path = Path(args.checkpoint)
         return folds, [path] * len(folds), HEAD_EMBEDDING, path.stem

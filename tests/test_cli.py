@@ -483,6 +483,7 @@ class TestStagesFlag:
         [
             ("2,x,4", "--epochs token 'x' is not an integer"),
             ("2,4", "--epochs needs 3 comma-separated values"),
+            ("1,-1,1", "--epochs token -1 must be at least 0"),
         ],
     )
     def test_bad_epochs_refused(self, epochs, message):
@@ -490,6 +491,16 @@ class TestStagesFlag:
         with pytest.raises(ValueError) as exc:
             _build_pipeline_config(args, {})
         assert str(exc.value) == message
+
+
+# A fold count or test fraction that make_folds refuses, named by its flag.
+BAD_SPLIT_FLAGS = [
+    pytest.param("--folds", "0", "--folds must be at least 1, got 0", id="folds-0"),
+    pytest.param("--folds", "-2", "--folds must be at least 1, got -2", id="folds-negative"),
+    pytest.param("--test-fraction", "1.5", "--test-fraction must lie in (0, 1), got 1.5", id="fraction-1.5"),
+    pytest.param("--test-fraction", "0", "--test-fraction must lie in (0, 1), got 0.0", id="fraction-0"),
+    pytest.param("--test-fraction", "nan", "--test-fraction must lie in (0, 1), got nan", id="fraction-nan"),
+]
 
 
 class TestTrain:
@@ -605,9 +616,9 @@ class TestTrain:
     @pytest.mark.parametrize(
         "loss, digest",
         [
-            ("grading", "1d69540fabc6b1bae9b73b7546b013526d64c055110a48e3476e9faf0204649f"),
-            ("triplet", "d96a7427936c9ad204882a052dc72b02a4efcfa760f39b1e73ee1ce44de097d8"),
-            ("contrastive", "2b4b7c2a5f12bc76164b0354e6b0426613a05c245bcbbee6fc5e172d5401fa77"),
+            ("grading", "9cc39290806b39c014b51900cc7357933b08c0a2ad49dbb636dfb28542d848de"),
+            ("triplet", "50babd810d0becc2622d05d47d6ccfb843796fa2457c85d8e9664d2ba6da3f09"),
+            ("contrastive", "317e4550cdd1558957f97deae98d12c8cbe54ad35a76a231a08f349e41bda5b7"),
         ],
         ids=["grading", "triplet", "contrastive"],
     )
@@ -665,6 +676,16 @@ class TestTrain:
             "--network", "tiny", "--folds", "2", "--jobs", jobs, "--out", str(out),
         ) == 1
         assert capsys.readouterr().err.strip() == f"error: --jobs must be at least 1, got {jobs}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", BAD_SPLIT_FLAGS)
+    def test_bad_split_flag_named(self, dataset_dir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "o"
+        assert run_cli(
+            "train", "--dataset", str(dataset_dir), "--stages", "fracture", "--epochs", "1",
+            "--network", "tiny", flag, value, "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
         assert not out.exists()
 
     def test_missing_dataset_errors(self, tmp_path, capsys):
@@ -771,6 +792,15 @@ class TestEvalAndProject:
                        "--run", str(trained), "--out", str(out)) == 0
         run = json.loads((out / "run.json").read_text())
         assert (run["folds"], run["test_fraction"], run["probe_steps"], run["seed"]) == (2, None, None, None)
+
+    @pytest.mark.parametrize("flag, value, message", BAD_SPLIT_FLAGS)
+    def test_bad_split_flag_named(self, dataset_dir, embedding_ckpt, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "probe"
+        code = run_cli("eval", "--protocol", "probe", "--dataset", str(dataset_dir),
+                       "--checkpoint", str(embedding_ckpt), flag, value, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("steps", ["0", "-4"])
     def test_probe_steps_below_one_refused(self, dataset_dir, embedding_ckpt, tmp_path, capsys, steps):

@@ -116,7 +116,35 @@ class TestGradientChecks:
         fd_layer_check(Linear(10, 4, RNG, np.float64, bias=True), x, stride=3)
 
 
+def _force_rows(monkeypatch, x, kernel, cache_rows, bounded):
+    """Set the chunk constants so that ``cache_rows`` rows of ``x``'s columns
+    fill the cache budget and ``bounded`` rows the column buffer, with no
+    column floor or block."""
+    n, c, _, width = x.shape
+    row_bytes = c * kernel * kernel * width * n * x.itemsize
+    monkeypatch.setattr(layers, "CACHE_BYTES", int(cache_rows * row_bytes))
+    monkeypatch.setattr(layers, "COLS_BYTES", bounded * row_bytes + 1)
+    monkeypatch.setattr(layers, "MIN_COLS", 1)
+    monkeypatch.setattr(layers, "GEMM_COLS", 1)
+
+
+def _check_against_direct_loops(conv, x, dy, rows):
+    """Forward, backward and the oracle at 1e-10, with ``rows`` the
+    expected (forward and weight-gradient, input-gradient) rows per chunk."""
+    y = conv.forward(x, train=True)
+    assert conv._rows(conv._cache) == rows
+    dx = conv.backward(dy)
+    y_ref, dw_ref, _, dx_ref = conv2d_direct(x, conv.weight, np.zeros(conv.out_channels), dy)
+    np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(conv.d_weight, dw_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
+
+
 class TestConvOracle:
+    # Rows per chunk (forward and weight gradient, input gradient): both
+    # loops run several chunks and end on a shorter one.
+    ROWS = {7: (2, 3), 6: (4, 5)}
+
     @pytest.mark.parametrize("kernel,size", [(3, 7), (5, 6)])
     def test_chunked_conv_matches_direct_loops(self, monkeypatch, kernel, size):
         n, c, o = 5, 2, 3
@@ -124,20 +152,26 @@ class TestConvOracle:
         conv = Conv2d(c, o, kernel, rng, np.float64)
         x = rng.normal(size=(n, c, size, size))
         dy = rng.normal(size=(n, o, size, size))
-        # Two output rows per column buffer: chunks of 2, ..., 2 and a last
-        # row when the size is odd.
-        row_bytes = c * kernel * kernel * size * n * 8
-        monkeypatch.setattr(layers, "COLS_BYTES", 2 * row_bytes + 1)
+        _force_rows(monkeypatch, x, kernel, *self.ROWS[size])
+        _check_against_direct_loops(conv, x, dy, self.ROWS[size])
 
-        y = conv.forward(x, train=True)
-        expected_chunks = [2] * (size // 2) + [1] * (size % 2)
-        assert [hi - lo for lo, hi, _ in conv._chunks(conv._cache)] == expected_chunks
-        dx = conv.backward(dy)
-
-        y_ref, dw_ref, _, dx_ref = conv2d_direct(x, conv.weight, np.zeros(o), dy)
-        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(conv.d_weight, dw_ref, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
+    @pytest.mark.parametrize(
+        "n, cache_rows, rows",
+        [
+            # One image, in chunks of 3 rows (3, 3, 3) and 4 rows (4, 4, 1).
+            pytest.param(1, 3, (3, 4), id="one-image"),
+            # One row's columns are twice the cache budget: one-row chunks.
+            pytest.param(4, 0.5, (1, 4), id="row-over-cache"),
+        ],
+    )
+    def test_chunk_edge_cases_match_direct_loops(self, monkeypatch, n, cache_rows, rows):
+        c, o, kernel, size = 3, 2, 5, 9
+        rng = np.random.default_rng(n)
+        conv = Conv2d(c, o, kernel, rng, np.float64)
+        x = rng.normal(size=(n, c, size, size))
+        dy = rng.normal(size=(n, o, size, size))
+        _force_rows(monkeypatch, x, kernel, cache_rows, rows[1])
+        _check_against_direct_loops(conv, x, dy, rows)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_weight_gradient_matches_dy_cols_product(self, monkeypatch, dtype):
@@ -146,14 +180,16 @@ class TestConvOracle:
         n, c, o, kernel, size = 7, 4, 8, 5, 12
         rng = np.random.default_rng(21)
         conv = Conv2d(c, o, kernel, rng, dtype)
-        monkeypatch.setattr(layers, "COLS_BYTES", 5 * c * kernel * kernel * size * n * np.dtype(dtype).itemsize)
         x = rng.normal(size=(n, c, size, size)).astype(dtype)
+        _force_rows(monkeypatch, x, kernel, 5, 12)
         dy = rng.normal(size=(n, o, size, size)).astype(dtype)
 
         conv.forward(x, train=True)
         dymat = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).reshape(o, -1)
         expected, chunks = np.zeros((o, c * kernel * kernel), dtype), 0
-        for lo, hi, cols in conv._chunks(conv._cache):  # one column buffer, refilled per chunk
+        fast, _ = conv._rows(conv._cache)
+        buf = np.empty(c * kernel * kernel * fast * size * n, dtype)
+        for lo, hi, cols in conv._chunks(conv._cache, fast, buf):  # one column buffer, refilled per chunk
             expected += dymat[:, lo * size * n : hi * size * n] @ cols.T
             chunks += 1
         conv.backward(dy)
@@ -161,6 +197,38 @@ class TestConvOracle:
         assert chunks == 3
         np.testing.assert_allclose(conv.d_weight.reshape(o, -1), expected, rtol=1e-6,
                                    atol=1e-6 * np.abs(expected).max())
+
+    # Rows per chunk (forward and weight gradient, input gradient) of every
+    # float32 conv of the presets, by (in channels, size) and batch rows N.
+    PRESET_ROWS = {
+        "tiny.conv1": (2, 16, {2: (16, 16), 32: (2, 16), 100: (1, 16)}),
+        "tiny.conv2": (6, 8, {2: (8, 8), 32: (4, 8), 100: (2, 8)}),
+        "reduced.conv1": (2, 28, {2: (24, 28), 32: (2, 28), 100: (1, 28)}),
+        "reduced.conv2": (8, 14, {2: (14, 14), 32: (3, 14), 100: (2, 14)}),
+        "full.conv1": (2, 112, {2: (5, 112), 32: (1, 23), 100: (1, 7)}),
+        "full.conv2": (32, 56, {2: (10, 46), 32: (1, 2), 100: (1, 1)}),
+        "full.conv3": (64, 28, {2: (20, 28), 32: (2, 2), 100: (1, 1)}),
+        "full.conv4": (128, 14, {2: (14, 14), 32: (2, 2), 100: (1, 1)}),
+    }
+
+    @pytest.mark.parametrize("layer", PRESET_ROWS)
+    def test_chunk_rows_pinned(self, layer):
+        """The partition is a function of the shape and the module constants."""
+        c, size, rows = self.PRESET_ROWS[layer]
+        conv = Conv2d(c, 1, 5, np.random.default_rng(0))
+        for n, expected in rows.items():
+            xpad = np.broadcast_to(np.float32(0), (c, size + 4, size + 4, n))
+            assert conv._rows(xpad) == expected, n
+
+    def test_forward_bits_do_not_depend_on_chunking(self, monkeypatch):
+        """Cache-sized chunks in whole GEMM_COLS blocks give the forward bits
+        of one GEMM over all the columns (reduced conv1 at N = 2: 24 of 28 rows)."""
+        rng = np.random.default_rng(5)
+        conv = Conv2d(2, 8, 5, rng)
+        x = _batch_inner(rng.normal(size=(2, 2, 28, 28)).astype(np.float32))
+        y = conv.forward(x, train=False)
+        monkeypatch.setattr(layers, "CACHE_BYTES", layers.COLS_BYTES)
+        assert np.array_equal(y, conv.forward(x, train=False))
 
 
 def _batch_inner(a):
