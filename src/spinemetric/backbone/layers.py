@@ -99,9 +99,11 @@ COLS_BYTES = 16 * 2**20
 CACHE_BYTES = 256 * 2**10
 # Those chunks keep at least MIN_COLS columns (rows*W*N): a smaller GEMM call
 # costs more than the cache saves (an N = 2 batch; full conv4's 3.3 MB dW per
-# chunk). They span whole GEMM_COLS blocks (a power of 2) of OpenBLAS's sgemm,
-# which computes a remainder with other bits, so forward keeps one GEMM's bits.
-MIN_COLS, GEMM_COLS = 1024, 16
+# chunk). They span whole GEMM_COLS blocks (a power of 2) where the shape
+# allows: OpenBLAS's sgemm computes a remainder of 16 columns with other bits
+# (so forward keeps one GEMM's bits), and its dW sum over 32k + 16 columns has
+# other bits at 1 thread than at 2 (over 32k columns, the same at 1-8).
+MIN_COLS, GEMM_COLS = 1024, 32
 
 
 class Conv2d(Layer):

@@ -616,9 +616,9 @@ class TestTrain:
     @pytest.mark.parametrize(
         "loss, digest",
         [
-            ("grading", "9cc39290806b39c014b51900cc7357933b08c0a2ad49dbb636dfb28542d848de"),
-            ("triplet", "50babd810d0becc2622d05d47d6ccfb843796fa2457c85d8e9664d2ba6da3f09"),
-            ("contrastive", "317e4550cdd1558957f97deae98d12c8cbe54ad35a76a231a08f349e41bda5b7"),
+            ("grading", "c17b3b81f49f7d3f85050f7f11e13b6ba2672476245180e04ee02cc3aea532ae"),
+            ("triplet", "24926df42c3a145c37a05bb6f65d65a465b6b78fa54746d59c1be1b7795a6188"),
+            ("contrastive", "457234749730bc64679481c89bbdb5db0047eb34bf378cef136745f9f407bbce"),
         ],
         ids=["grading", "triplet", "contrastive"],
     )

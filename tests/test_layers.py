@@ -2,6 +2,10 @@
 behavioral contracts (tie-breaking, eval purity, cache errors)."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,8 +207,8 @@ class TestConvOracle:
     PRESET_ROWS = {
         "tiny.conv1": (2, 16, {2: (16, 16), 32: (2, 16), 100: (1, 16)}),
         "tiny.conv2": (6, 8, {2: (8, 8), 32: (4, 8), 100: (2, 8)}),
-        "reduced.conv1": (2, 28, {2: (24, 28), 32: (2, 28), 100: (1, 28)}),
-        "reduced.conv2": (8, 14, {2: (14, 14), 32: (3, 14), 100: (2, 14)}),
+        "reduced.conv1": (2, 28, {2: (24, 28), 32: (2, 28), 100: (2, 28)}),
+        "reduced.conv2": (8, 14, {2: (14, 14), 32: (3, 14), 100: (4, 14)}),
         "full.conv1": (2, 112, {2: (5, 112), 32: (1, 23), 100: (1, 7)}),
         "full.conv2": (32, 56, {2: (10, 46), 32: (1, 2), 100: (1, 1)}),
         "full.conv3": (64, 28, {2: (20, 28), 32: (2, 2), 100: (1, 1)}),
@@ -229,6 +233,38 @@ class TestConvOracle:
         y = conv.forward(x, train=False)
         monkeypatch.setattr(layers, "CACHE_BYTES", layers.COLS_BYTES)
         assert np.array_equal(y, conv.forward(x, train=False))
+
+    def test_weight_gradient_bits_do_not_depend_on_blas_threads(self):
+        """dW chunks of whole 32-column blocks give the same bits at 1, 2 and
+        4 BLAS threads. OpenBLAS reads its count when numpy loads, so each
+        count runs in its own interpreter."""
+        env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
+        outputs = set()
+        for threads in ("1", "2", "4"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", DW_DIGESTS], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, outputs
+
+
+# Prints the SHA-256 of the weight gradient of the tiny convs and of reduced
+# conv1, at batch sizes where a 16-column block rule gave other bits at 2
+# BLAS threads than at 1.
+DW_DIGESTS = """
+import hashlib
+import numpy as np
+from spinemetric.backbone.layers import Conv2d
+for c, o, size, n in ((2, 6, 16, 7), (6, 16, 8, 50), (6, 16, 8, 131), (2, 8, 28, 50)):
+    rng = np.random.default_rng(n)
+    conv = Conv2d(c, o, 5, rng)
+    conv.input_grad = False
+    x = rng.normal(size=(c, size, size, n)).astype(np.float32).transpose(3, 0, 1, 2)
+    conv.forward(x, train=True)
+    conv.backward(rng.normal(size=(o, size, size, n)).astype(np.float32).transpose(3, 0, 1, 2))
+    print(hashlib.sha256(conv.d_weight.tobytes()).hexdigest())
+"""
 
 
 def _batch_inner(a):
