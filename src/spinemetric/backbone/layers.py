@@ -14,10 +14,11 @@ with respect to the input while accumulating parameter gradients in-place
 (a ``Conv2d`` with ``input_grad = False`` returns ``None`` instead).
 
 Memory rule: a pass allocates no input-sized array beyond the ones it
-returns or caches, and works in place on those; a conv pass adds one
-im2col column buffer of at most ``COLS_BYTES``. At the ``full`` preset an
-input-sized float32 array is above glibc's mmap ceiling, so each one is
-page-faulted in fresh. No pass writes into its arguments (``x`` or
+returns or caches, and works in place on those. A conv pass adds one buffer
+of about ``COLS_BYTES``: forward's im2col columns, or backward's weight
+gradient columns and then the input gradient's D and T. At the ``full``
+preset an input-sized float32 array is above glibc's mmap ceiling, so each
+one is page-faulted in fresh. No pass writes into its arguments (``x`` or
 ``dy``): callers may reuse them. A layer may overwrite its own cache,
 which it drops after backward.
 
@@ -90,8 +91,8 @@ class Layer:
         return cache
 
 
-# Bytes of one im2col column buffer, a conv pass's extra memory; the input
-# gradient runs over chunks of output rows this size (at least one row).
+# Bytes of a conv pass's one extra buffer; the input gradient runs over
+# chunks of output rows whose D and T fill this much (at least one row).
 COLS_BYTES = 16 * 2**20
 # Forward and dW chunks stay in L2 from the im2col copy to the GEMM: 128-512
 # KiB tied fastest of 64 KiB-16 MiB (Xeon, 2 MiB of L2 per core). A constant,
@@ -102,7 +103,9 @@ CACHE_BYTES = 256 * 2**10
 # chunk). They span whole GEMM_COLS blocks (a power of 2) where the shape
 # allows: OpenBLAS's sgemm computes a remainder of 16 columns with other bits
 # (so forward keeps one GEMM's bits), and its dW sum over 32k + 16 columns has
-# other bits at 1 thread than at 2 (over 32k columns, the same at 1-8).
+# other bits at 1 thread than at 2 (over 32k columns, the same at 1-8). So a
+# dW chunk that no row count aligns is padded with zero columns to whole
+# blocks, which leaves its 1-thread bits as they were.
 MIN_COLS, GEMM_COLS = 1024, 32
 
 
@@ -110,15 +113,23 @@ class Conv2d(Layer):
     """Stride-1 'same' convolution with square odd kernels, lowered to GEMMs.
 
     The input is padded once into a batch-innermost ``(C, H+2p, W+2p, N)``
-    buffer, which is also the backward cache. Each chunk of output rows is
-    then unrolled into a ``(C*k*k, rows*W*N)`` column matrix (im2col,
-    Chellapilla et al. 2006) by one strided copy that moves runs of ``W*N``
-    floats. The chunk is one GEMM against the OIHW weight viewed as
-    ``(O, C*k*k)``, written straight into those rows of the ``(O, H, W, N)``
-    output. Forward and the weight gradient run over cache-sized chunks;
-    backward rebuilds their columns from the cache, then writes ``W^T dy``
-    over them in chunks of up to ``COLS_BYTES`` for col2im. Memory stays at
-    O(input) plus one column buffer, bounded by ``COLS_BYTES``.
+    buffer, which is also the backward cache. Forward and the weight
+    gradient run over cache-sized chunks of output rows: each is unrolled
+    into a ``(C*k*k, rows*W*N)`` column matrix (im2col, Chellapilla et al.
+    2006) by one strided copy that moves runs of ``W*N`` floats, and is one
+    GEMM against the OIHW weight viewed as ``(O, C*k*k)``. Forward writes
+    it straight into those rows of the ``(O, H, W, N)`` output; backward
+    rebuilds the columns from the cache for the weight gradient.
+
+    The input gradient is lowered by kernel columns instead (kn2col,
+    Vasudevan et al. 2017), in chunks of rows whose D and T fit
+    ``COLS_BYTES``. D stacks the k row shifts of ``dy``; one GEMM with the
+    flipped weight viewed as ``(k*C, O*k)`` sums them over output channels
+    and kernel rows into T; and T's k column shifts are added into ``dx``,
+    each over the columns it keeps inside the image. That copies ``dy`` k
+    times, where col2im wrote ``dx`` k*k times and added it back, for the
+    same multiply-adds. Memory stays at O(input) plus one buffer of about
+    ``COLS_BYTES``: the dW columns, then D and T.
 
     It has no bias: in the network a batch norm follows every conv, and its
     mean subtraction cancels any per-channel constant, so a bias would only
@@ -146,31 +157,38 @@ class Conv2d(Layer):
         self.input_grad = True
 
     def _rows(self, xpad):
-        """Rows per chunk, cache-sized and ``COLS_BYTES``-sized, by shape alone."""
+        """Rows per chunk by shape alone: cache-sized for forward and dW,
+        ``COLS_BYTES``-sized for the input gradient's D and T, which hold
+        ``(O + C)*k`` rows of ``rows*W*N`` floats."""
         c, hp, wp, n = xpad.shape
-        h, wn = hp - 2 * self.pad, (wp - 2 * self.pad) * n
-        row_bytes = c * self.kernel**2 * wn * xpad.itemsize
+        k, p = self.kernel, self.pad
+        h, wn = hp - 2 * p, (wp - 2 * p) * n
+        row_bytes = c * k * k * wn * xpad.itemsize
         bounded = max(1, min(h, COLS_BYTES // row_bytes))
         fast = max(CACHE_BYTES // row_bytes, -(-MIN_COLS // wn))
         align = GEMM_COLS // min(GEMM_COLS, wn & -wn)  # rows per whole block
-        return min(-(-fast // align) * align, bounded), bounded
+        dx_rows = COLS_BYTES // ((self.out_channels + c) * k * wn * xpad.itemsize)
+        return min(-(-fast // align) * align, bounded), max(1, min(h, dx_rows))
 
-    def _chunks(self, xpad, step, buf):
+    def _chunks(self, xpad, step, buf, block=1):
         """Yield ``(lo, hi, cols)`` per chunk of ``step`` output rows: ``cols``
         is the ``(C*k*k, (hi-lo)*W*N)`` column matrix of rows ``lo:hi`` of
         every image, copied from a window view of ``xpad`` to the front of
         ``buf``, which every chunk refills (so a caller may overwrite it).
         Row ``(c*k + di)*k + dj`` holds channel c shifted by kernel offset
         (di, dj), matching the OIHW weight order; its columns run over (row,
-        column, image), like the ``(O, H, W, N)`` output."""
+        column, image), like the ``(O, H, W, N)`` output, and are followed
+        by zero columns up to a whole number of ``block`` columns."""
         k = self.kernel
         windows = sliding_window_view(xpad, (k, k), axis=(1, 2)).transpose(0, 4, 5, 1, 2, 3)
         c, _, _, h, w, n = windows.shape
         for lo in range(0, h, step):
             hi = min(lo + step, h)
-            cols = buf[: c * k * k * (hi - lo) * w * n].reshape(c, k, k, hi - lo, w, n)
-            np.copyto(cols, windows[:, :, :, lo:hi])
-            yield lo, hi, cols.reshape(c * k * k, -1)
+            m = (hi - lo) * w * n
+            cols = buf[: c * k * k * -(-m // block) * block].reshape(c * k * k, -1)
+            np.copyto(cols[:, :m].reshape(c, k, k, hi - lo, w, n), windows[:, :, :, lo:hi])
+            cols[:, m:] = 0
+            yield lo, hi, cols
 
     def forward(self, x, train: bool):
         n, c, h, w = x.shape
@@ -192,28 +210,48 @@ class Conv2d(Layer):
     def backward(self, dy):
         xpad = self._take_cache()
         n, o, h, w = dy.shape
-        p, k = self.pad, self.kernel
+        c, p, k = self.in_channels, self.pad, self.kernel
+        wn = w * n
         dymat = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).reshape(o, -1)
-        wmat = self.weight.reshape(o, -1)
         d_wmat = self.d_weight.reshape(o, -1)
-        dxpad = np.zeros_like(xpad) if self.input_grad else None
-        fast, bounded = self._rows(xpad)
-        buf = np.empty(wmat.shape[1] * bounded * w * n, dtype=xpad.dtype)
-        for lo, hi, cols in self._chunks(xpad, fast, buf):
-            d_wmat += (cols @ dymat[:, lo * w * n : hi * w * n].T).T  # OpenBLAS runs this orientation faster
-        if dxpad is None:
+        fast, rows = self._rows(xpad)
+        size = c * k * k * -(-fast * wn // GEMM_COLS) * GEMM_COLS
+        if self.input_grad:
+            size = max(size, (o + c) * k * rows * wn)
+        buf = np.empty(size, dtype=xpad.dtype)  # dW columns, then D and T
+        for lo, hi, cols in self._chunks(xpad, fast, buf, GEMM_COLS):
+            dyc = dymat[:, lo * wn : hi * wn]
+            if cols.shape[1] > dyc.shape[1]:  # a chunk padded to whole blocks
+                dyc = np.pad(dyc, ((0, 0), (0, cols.shape[1] - dyc.shape[1])))
+            d_wmat += (cols @ dyc.T).T  # OpenBLAS runs this orientation faster
+        if not self.input_grad:
             return None
-        for lo in range(0, h, bounded):
-            hi = min(lo + bounded, h)
-            # col2im: dcols = W^T dy of these rows, written over the spent
-            # columns; each offset's rows are added back onto the padded input.
-            dcols = buf[: wmat.shape[1] * (hi - lo) * w * n].reshape(-1, (hi - lo) * w * n)
-            np.matmul(wmat.T, dymat[:, lo * w * n : hi * w * n], out=dcols)
-            dcols = dcols.reshape(self.in_channels, k, k, hi - lo, w, n)
-            for di in range(k):
-                for dj in range(k):
-                    dxpad[:, lo + di : hi + di, dj : dj + w] += dcols[:, di, dj]
-        return np.ascontiguousarray(dxpad[:, p : p + h, p : p + w]).transpose(3, 0, 1, 2)
+        # dx[c, r, s] sums flip[o, c, ei, ej] * dy[o, r + ei - p, s + ej - p]
+        # over (o, ei, ej), with flip the weight turned by 180 degrees. Per
+        # chunk of rows, D holds the k row shifts (ei) of dy, T = W_flip D
+        # sums over (o, ei), and T's k column shifts (ej) are added up, each
+        # over the columns where it stays inside the image.
+        wflip = np.ascontiguousarray(self.weight[:, :, ::-1, ::-1].transpose(3, 1, 0, 2)).reshape(k * c, o * k)
+        dy4 = dymat.reshape(o, h, w, n)
+        dx = np.empty((c, h, w, n), dtype=xpad.dtype)
+        for lo in range(0, h, rows):
+            hi = min(lo + rows, h)
+            d = buf[: o * k * (hi - lo) * wn].reshape(o, k, hi - lo, w, n)
+            t = buf[d.size : d.size + k * c * (hi - lo) * wn].reshape(k, c, hi - lo, w, n)
+            for ei in range(k):
+                src = lo + ei - p  # the dy row of D's first row
+                a = min(max(-src, 0), hi - lo)
+                b = max(min(h - src, hi - lo), a)
+                d[:, ei, :a] = 0
+                d[:, ei, a:b] = dy4[:, src + a : src + b]
+                d[:, ei, b:] = 0
+            np.matmul(wflip, d.reshape(o * k, -1), out=t.reshape(k * c, -1))
+            out = dx[:, lo:hi]
+            np.copyto(out, t[p])
+            for shift in range(1, p + 1):
+                out[:, :, :-shift] += t[p + shift, :, :, shift:]
+                out[:, :, shift:] += t[p - shift, :, :, :-shift]
+        return dx.transpose(3, 0, 1, 2)
 
 
 class MaxPool2d(Layer):

@@ -616,9 +616,9 @@ class TestTrain:
     @pytest.mark.parametrize(
         "loss, digest",
         [
-            ("grading", "c17b3b81f49f7d3f85050f7f11e13b6ba2672476245180e04ee02cc3aea532ae"),
-            ("triplet", "24926df42c3a145c37a05bb6f65d65a465b6b78fa54746d59c1be1b7795a6188"),
-            ("contrastive", "457234749730bc64679481c89bbdb5db0047eb34bf378cef136745f9f407bbce"),
+            ("grading", "efe4ac93046fb98228e996e3d4857fb1899426086fcc5774ef1188fbc2483537"),
+            ("triplet", "964cae0eb65bca8cc7275e3639541a105e854226ea00d82f7acf392320d25b13"),
+            ("contrastive", "0a6f9dc69973c625b6f1ae87265fb377e846726fd7f0dbb061cd6b0baf47d84e"),
         ],
         ids=["grading", "triplet", "contrastive"],
     )

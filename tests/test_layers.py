@@ -120,16 +120,19 @@ class TestGradientChecks:
         fd_layer_check(Linear(10, 4, RNG, np.float64, bias=True), x, stride=3)
 
 
-def _force_rows(monkeypatch, x, kernel, cache_rows, bounded):
-    """Set the chunk constants so that ``cache_rows`` rows of ``x``'s columns
-    fill the cache budget and ``bounded`` rows the column buffer, with no
-    column floor or block."""
+def _force_rows(monkeypatch, conv, x, cache_rows, dx_rows, block=1):
+    """Set the chunk constants so that ``cache_rows`` rows of ``x``'s im2col
+    columns fill the cache budget and ``dx_rows`` rows of the input
+    gradient's D and T the buffer, with no column floor and ``block``-column
+    blocks."""
     n, c, _, width = x.shape
-    row_bytes = c * kernel * kernel * width * n * x.itemsize
+    k = conv.kernel
+    row_bytes = c * k * k * width * n * x.itemsize
+    dx_bytes = (conv.out_channels + c) * k * dx_rows * width * n * x.itemsize
     monkeypatch.setattr(layers, "CACHE_BYTES", int(cache_rows * row_bytes))
-    monkeypatch.setattr(layers, "COLS_BYTES", bounded * row_bytes + 1)
+    monkeypatch.setattr(layers, "COLS_BYTES", dx_bytes)
     monkeypatch.setattr(layers, "MIN_COLS", 1)
-    monkeypatch.setattr(layers, "GEMM_COLS", 1)
+    monkeypatch.setattr(layers, "GEMM_COLS", block)
 
 
 def _check_against_direct_loops(conv, x, dy, rows):
@@ -146,35 +149,40 @@ def _check_against_direct_loops(conv, x, dy, rows):
 
 class TestConvOracle:
     # Rows per chunk (forward and weight gradient, input gradient): both
-    # loops run several chunks and end on a shorter one.
+    # loops run several chunks and end on a shorter one, and the first and
+    # last input-gradient chunks read zero rows past dy's edges.
     ROWS = {7: (2, 3), 6: (4, 5)}
 
     @pytest.mark.parametrize("kernel,size", [(3, 7), (5, 6)])
     def test_chunked_conv_matches_direct_loops(self, monkeypatch, kernel, size):
-        n, c, o = 5, 2, 3
+        n, c, o = 5, 2, 6
         rng = np.random.default_rng(kernel)
         conv = Conv2d(c, o, kernel, rng, np.float64)
         x = rng.normal(size=(n, c, size, size))
         dy = rng.normal(size=(n, o, size, size))
-        _force_rows(monkeypatch, x, kernel, *self.ROWS[size])
+        _force_rows(monkeypatch, conv, x, *self.ROWS[size])
         _check_against_direct_loops(conv, x, dy, self.ROWS[size])
 
     @pytest.mark.parametrize(
-        "n, cache_rows, rows",
+        "n, cache_rows, rows, block",
         [
-            # One image, in chunks of 3 rows (3, 3, 3) and 4 rows (4, 4, 1).
-            pytest.param(1, 3, (3, 4), id="one-image"),
+            # One image, in chunks of 3 rows (3, 3, 3) and 4 rows (4, 4, 1);
+            # each 27-column dW chunk is padded to a 32-column block.
+            pytest.param(1, 3, (3, 4), 32, id="one-image"),
             # One row's columns are twice the cache budget: one-row chunks.
-            pytest.param(4, 0.5, (1, 4), id="row-over-cache"),
+            pytest.param(4, 0.5, (1, 4), 1, id="row-over-cache"),
+            # One-row input-gradient chunks, fewer rows than the padding:
+            # in the first two, D's first row shifts are all zero rows.
+            pytest.param(2, 1, (1, 1), 1, id="one-row-chunks"),
         ],
     )
-    def test_chunk_edge_cases_match_direct_loops(self, monkeypatch, n, cache_rows, rows):
-        c, o, kernel, size = 3, 2, 5, 9
+    def test_chunk_edge_cases_match_direct_loops(self, monkeypatch, n, cache_rows, rows, block):
+        c, o, kernel, size = 3, 9, 5, 9
         rng = np.random.default_rng(n)
         conv = Conv2d(c, o, kernel, rng, np.float64)
         x = rng.normal(size=(n, c, size, size))
         dy = rng.normal(size=(n, o, size, size))
-        _force_rows(monkeypatch, x, kernel, cache_rows, rows[1])
+        _force_rows(monkeypatch, conv, x, cache_rows, rows[1], block)
         _check_against_direct_loops(conv, x, dy, rows)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -185,7 +193,7 @@ class TestConvOracle:
         rng = np.random.default_rng(21)
         conv = Conv2d(c, o, kernel, rng, dtype)
         x = rng.normal(size=(n, c, size, size)).astype(dtype)
-        _force_rows(monkeypatch, x, kernel, 5, 12)
+        _force_rows(monkeypatch, conv, x, 5, 12)
         dy = rng.normal(size=(n, o, size, size)).astype(dtype)
 
         conv.forward(x, train=True)
@@ -203,23 +211,24 @@ class TestConvOracle:
                                    atol=1e-6 * np.abs(expected).max())
 
     # Rows per chunk (forward and weight gradient, input gradient) of every
-    # float32 conv of the presets, by (in channels, size) and batch rows N.
+    # float32 conv of the presets, by (in channels, out channels, size) and
+    # batch rows N.
     PRESET_ROWS = {
-        "tiny.conv1": (2, 16, {2: (16, 16), 32: (2, 16), 100: (1, 16)}),
-        "tiny.conv2": (6, 8, {2: (8, 8), 32: (4, 8), 100: (2, 8)}),
-        "reduced.conv1": (2, 28, {2: (24, 28), 32: (2, 28), 100: (2, 28)}),
-        "reduced.conv2": (8, 14, {2: (14, 14), 32: (3, 14), 100: (4, 14)}),
-        "full.conv1": (2, 112, {2: (5, 112), 32: (1, 23), 100: (1, 7)}),
-        "full.conv2": (32, 56, {2: (10, 46), 32: (1, 2), 100: (1, 1)}),
-        "full.conv3": (64, 28, {2: (20, 28), 32: (2, 2), 100: (1, 1)}),
-        "full.conv4": (128, 14, {2: (14, 14), 32: (2, 2), 100: (1, 1)}),
+        "tiny.conv1": (2, 6, 16, {2: (16, 16), 32: (2, 16), 100: (1, 16)}),
+        "tiny.conv2": (6, 12, 8, {2: (8, 8), 32: (4, 8), 100: (2, 8)}),
+        "reduced.conv1": (2, 8, 28, {2: (24, 28), 32: (2, 28), 100: (2, 28)}),
+        "reduced.conv2": (8, 16, 14, {2: (14, 14), 32: (3, 14), 100: (4, 14)}),
+        "full.conv1": (2, 32, 112, {2: (5, 110), 32: (1, 6), 100: (1, 2)}),
+        "full.conv2": (32, 64, 56, {2: (10, 56), 32: (1, 4), 100: (1, 1)}),
+        "full.conv3": (64, 128, 28, {2: (20, 28), 32: (2, 4), 100: (1, 1)}),
+        "full.conv4": (128, 256, 14, {2: (14, 14), 32: (2, 4), 100: (1, 1)}),
     }
 
     @pytest.mark.parametrize("layer", PRESET_ROWS)
     def test_chunk_rows_pinned(self, layer):
         """The partition is a function of the shape and the module constants."""
-        c, size, rows = self.PRESET_ROWS[layer]
-        conv = Conv2d(c, 1, 5, np.random.default_rng(0))
+        c, o, size, rows = self.PRESET_ROWS[layer]
+        conv = Conv2d(c, o, 5, np.random.default_rng(0))
         for n, expected in rows.items():
             xpad = np.broadcast_to(np.float32(0), (c, size + 4, size + 4, n))
             assert conv._rows(xpad) == expected, n
@@ -235,28 +244,41 @@ class TestConvOracle:
         assert np.array_equal(y, conv.forward(x, train=False))
 
     def test_weight_gradient_bits_do_not_depend_on_blas_threads(self):
-        """dW chunks of whole 32-column blocks give the same bits at 1, 2 and
-        4 BLAS threads. OpenBLAS reads its count when numpy loads, so each
-        count runs in its own interpreter."""
-        env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
-        outputs = set()
-        for threads in ("1", "2", "4"):
-            env["OPENBLAS_NUM_THREADS"] = threads
-            proc = subprocess.run([sys.executable, "-c", DW_DIGESTS], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outputs.add(proc.stdout)
-        assert len(outputs) == 1, outputs
+        """dW chunks of whole 32-column blocks, zero-padded where no row
+        count aligns them, give the same bits at 1, 2 and 4 BLAS threads."""
+        assert len(_outputs_at_blas_threads(DW_DIGESTS)) == 1
+
+    def test_input_gradient_bits_do_not_depend_on_blas_threads(self):
+        """The input gradient of tiny conv2 and reduced conv2 has the same
+        bits at 1, 2 and 4 BLAS threads."""
+        assert len(_outputs_at_blas_threads(DX_DIGESTS)) == 1
 
 
-# Prints the SHA-256 of the weight gradient of the tiny convs and of reduced
-# conv1, at batch sizes where a 16-column block rule gave other bits at 2
-# BLAS threads than at 1.
+def _outputs_at_blas_threads(script):
+    """The set of what ``script`` prints at 1, 2 and 4 OpenBLAS threads.
+    OpenBLAS reads its count when numpy loads, so each count runs in its
+    own interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
+    outputs = set()
+    for threads in ("1", "2", "4"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    return outputs
+
+
+# Prints the SHA-256 of one backward's weight gradient of the tiny convs and
+# of reduced conv1, at batch sizes where a 16-column block rule gave other
+# bits at 2 BLAS threads than at 1, and of reduced conv2 (8 to 16 channels,
+# 14 px), whose unpadded dW chunks did at N = 7, 50 and 100.
 DW_DIGESTS = """
 import hashlib
 import numpy as np
 from spinemetric.backbone.layers import Conv2d
-for c, o, size, n in ((2, 6, 16, 7), (6, 16, 8, 50), (6, 16, 8, 131), (2, 8, 28, 50)):
+for c, o, size, n in ((2, 6, 16, 7), (6, 16, 8, 50), (6, 16, 8, 131), (2, 8, 28, 50),
+                      (8, 16, 14, 7), (8, 16, 14, 50), (8, 16, 14, 100)):
     rng = np.random.default_rng(n)
     conv = Conv2d(c, o, 5, rng)
     conv.input_grad = False
@@ -264,6 +286,23 @@ for c, o, size, n in ((2, 6, 16, 7), (6, 16, 8, 50), (6, 16, 8, 131), (2, 8, 28,
     conv.forward(x, train=True)
     conv.backward(rng.normal(size=(o, size, size, n)).astype(np.float32).transpose(3, 0, 1, 2))
     print(hashlib.sha256(conv.d_weight.tobytes()).hexdigest())
+"""
+
+# Prints the SHA-256 of one backward's input gradient of tiny conv2 (6 to 12
+# channels, 8 px) and reduced conv2 (8 to 16 channels, 14 px) at N = 7, 50
+# and 131.
+DX_DIGESTS = """
+import hashlib
+import numpy as np
+from spinemetric.backbone.layers import Conv2d
+for c, o, size in ((6, 12, 8), (8, 16, 14)):
+    for n in (7, 50, 131):
+        rng = np.random.default_rng(n)
+        conv = Conv2d(c, o, 5, rng)
+        x = rng.normal(size=(c, size, size, n)).astype(np.float32).transpose(3, 0, 1, 2)
+        conv.forward(x, train=True)
+        dx = conv.backward(rng.normal(size=(o, size, size, n)).astype(np.float32).transpose(3, 0, 1, 2))
+        print(hashlib.sha256(np.ascontiguousarray(dx).tobytes()).hexdigest())
 """
 
 
