@@ -29,14 +29,17 @@ then those of the batch with row ``i`` repeated ``row_counts[i]`` times, and
 backward, given each row's summed upstream gradient D, returns that batch's
 input gradient summed per row: gamma/sigma * (D - m*sum(D)/N -
 m*xhat*sum(D*xhat)/N), with m the row counts and N = sum(m) (times H*W
-for ``BatchNorm2d``).
+for ``(N, C, H, W)`` maps).
 
 Layout rule: every array inside a conv block (conv, batch norm, ReLU,
 max-pool) keeps the ``(N, C, H, W)`` shape but is laid out batch-innermost:
 it is the ``.transpose(3, 0, 1, 2)`` view of a C-contiguous ``(C, H, W, N)``
 buffer. Outputs and input gradients of those layers are allocated that way,
-so the im2col copies in ``Conv2d`` move runs of ``W*N`` floats. The layers
-take any layout; a C-contiguous input gives the same values, only slower.
+so the im2col copies in ``Conv2d`` move runs of ``W*N`` floats. ``Flatten``
+is a view both ways: forward hands the first linear layer a batch-innermost
+``(N, F)`` batch, and ``Linear`` returns its input gradient batch-innermost,
+so backward hands the last pool one too. The layers take any layout; a
+C-contiguous input gives the same values, only slower.
 """
 
 from __future__ import annotations
@@ -288,9 +291,6 @@ class MaxPool2d(Layer):
 
     def backward(self, dy):
         idx, shape = self._take_cache()
-        # A C-ordered dy (from Flatten) is copied batch-innermost once: four
-        # products over mismatched layouts cost several times that copy.
-        dy = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
         dx = _empty_batch_inner(shape, dy.dtype)
         hit = np.empty_like(idx, dtype=bool)
         for k, (i, j) in enumerate(self.OFFSETS):
@@ -299,7 +299,7 @@ class MaxPool2d(Layer):
         return dx
 
 
-class _BatchNormBase(Layer):
+class BatchNorm(Layer):
     """Batch normalization over every axis but the channel axis 1.
 
     ``(N, C)`` and ``(N, C, H, W)`` inputs share one path: both are viewed
@@ -384,14 +384,6 @@ class _BatchNormBase(Layer):
         return self._batch_first(dx, dy.shape)
 
 
-class BatchNorm2d(_BatchNormBase):
-    """Batch normalization of ``(N, C, H, W)`` maps, per channel."""
-
-
-class BatchNorm1d(_BatchNormBase):
-    """Batch normalization of ``(N, C)`` features, per feature."""
-
-
 class LeakyReLU(Layer):
     """Leaky rectifier; slope 0 gives a plain ReLU. x == 0 takes the slope side.
 
@@ -458,4 +450,4 @@ class Linear(Layer):
         self.d_weight += dy.T @ x
         if self.bias is not None:
             self.d_bias += dy.sum(axis=0)
-        return dy @ self.weight
+        return (self.weight.T @ dy.T).T  # batch-innermost

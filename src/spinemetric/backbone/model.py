@@ -14,16 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .layers import (
-    BatchNorm1d,
-    BatchNorm2d,
-    Conv2d,
-    Flatten,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    _BatchNormBase,
-)
+from .layers import BatchNorm, Conv2d, Flatten, LeakyReLU, Linear, MaxPool2d
 
 HEAD_EMBEDDING = "embedding8"
 HEAD_CLASSIFIER = "classifier2"
@@ -112,7 +103,7 @@ class PatchEncoder:
         c_in = INPUT_CHANNELS
         for i, c_out in enumerate(config.conv_channels, start=1):
             self._add(f"conv{i}", Conv2d(c_in, c_out, KERNEL, rng, dtype))
-            self._add(f"bn{i}", BatchNorm2d(c_out, BN_EPSILON, BN_MOMENTUM, dtype))
+            self._add(f"bn{i}", BatchNorm(c_out, BN_EPSILON, BN_MOMENTUM, dtype))
             self._add(f"relu{i}", LeakyReLU(0.0))
             self._add(f"pool{i}", MaxPool2d())
             c_in = c_out
@@ -122,7 +113,7 @@ class PatchEncoder:
         d_in = config.flat_features
         for j, d_out in enumerate(config.linear_dims[:-1], start=1):
             self._add(f"fc{j}", Linear(d_in, d_out, rng, dtype))
-            self._add(f"fbn{j}", BatchNorm1d(d_out, BN_EPSILON, BN_MOMENTUM, dtype))
+            self._add(f"fbn{j}", BatchNorm(d_out, BN_EPSILON, BN_MOMENTUM, dtype))
             self._add(f"lrelu{j}", LeakyReLU(LEAKY_SLOPE))
             d_in = d_out
         self._add("head", _init_head(config, self.head, rng))
@@ -182,7 +173,7 @@ class PatchEncoder:
         """Weight row ``i`` of the next train forward by ``counts[i]`` in
         every batch norm (see the row-count rule in ``layers``)."""
         for layer in self._layers:
-            if isinstance(layer, _BatchNormBase):
+            if isinstance(layer, BatchNorm):
                 layer.row_counts = counts
 
     def backward(self, d_out) -> dict:

@@ -24,6 +24,8 @@ METRIC_NAMES = ("sensitivity", "specificity", "f1")
 PROBE_GAP_TOL = 1e-8  # the probe solver stops at this duality gap
 PROBE_REGULARIZATION = 1e-3  # the probe's lambda
 PROBE_STEPS = 100_000  # the probe solver's default iteration cap
+EVAL_BATCH = 64  # rows per eval-mode forward
+SVG_SIZE, SVG_PAD = 480, 32  # the projection plot's side and margin, in px
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class LinearProbe:
         return (self.decision(embeddings) > 0).astype(int)
 
 
-def _probe_dual(embeddings, labels, regularization: float, n_steps: int):
+def _probe_dual(embeddings, labels, n_steps: int):
     """The probe's checked inputs and solved dual: (a, w = z^T a, iterations, gap)."""
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
@@ -126,9 +128,8 @@ def _probe_dual(embeddings, labels, regularization: float, n_steps: int):
         raise ValueError("probe training needs both classes present")
     if n_steps < 1:
         raise ValueError(f"probe iteration cap must be at least 1, got {n_steps}")
-    if not (np.isfinite(regularization) and regularization > 0):
-        raise ValueError(f"probe regularization must be finite and positive, got {regularization}")
 
+    regularization = PROBE_REGULARIZATION
     z = np.where(y == 1, 1.0, -1.0)[:, None] * np.concatenate([x, np.ones((len(x), 1))], axis=1)
     n, u = len(z), 1.0 / (regularization * len(z))
     # a mid-box, v = u - a kept apart so neither rounds to 0, and g = z z^T a - 1 = s - t.
@@ -162,18 +163,14 @@ def _probe_dual(embeddings, labels, regularization: float, n_steps: int):
         a, v, s, t = np.minimum(a + step * da, u), v - step * da, s + step * ds, t + step * dt
 
 
-def linear_probe_train(
-    embeddings,
-    labels,
-    regularization: float = PROBE_REGULARIZATION,
-    n_steps: int = PROBE_STEPS,
-) -> LinearProbe:
+def linear_probe_train(embeddings, labels, n_steps: int = PROBE_STEPS) -> LinearProbe:
     """Fit the maximum-margin linear probe on frozen embeddings: minimize
-    lambda/2 |w|^2 + mean hinge over the rows [x, 1] through the dual
+    lambda/2 |w|^2 + mean hinge over the rows [x, 1], lambda being
+    ``PROBE_REGULARIZATION``, through the dual
     min 1/2 |z^T a|^2 - sum(a), 0 <= a <= 1/(lambda n), z = y [x, 1], w = z^T a.
     A primal-dual interior-point method stops at a duality gap of ``PROBE_GAP_TOL``,
     after ``n_steps`` iterations, or on a stall: a zero step, or a gap that is rounding."""
-    _, w, iterations, gap = _probe_dual(embeddings, labels, regularization, n_steps)
+    _, w, iterations, gap = _probe_dual(embeddings, labels, n_steps)
     return LinearProbe(weights=w[:-1], bias=float(w[-1]), iterations=iterations, gap=gap)
 
 
@@ -182,24 +179,24 @@ def binary_fracture_labels(grades) -> np.ndarray:
     return (np.asarray(grades, dtype=int) != GradeLabel.G0).astype(int)
 
 
-def _eval_outputs(model, samples, batch_size: int) -> np.ndarray:
+def _eval_outputs(model, samples) -> np.ndarray:
     """Eval-mode network outputs for a PatchSet or a PatchSample list, in
-    order, batch by batch."""
+    order, ``EVAL_BATCH`` rows at a time."""
     images = patch_set(samples, model.config.input_size).images
-    batches = range(0, len(images), batch_size)
-    return np.concatenate([model.forward(images[i : i + batch_size], train=False) for i in batches])
+    batches = range(0, len(images), EVAL_BATCH)
+    return np.concatenate([model.forward(images[i : i + EVAL_BATCH], train=False) for i in batches])
 
 
-def embed_samples(model, samples, batch_size: int = 64) -> np.ndarray:
+def embed_samples(model, samples) -> np.ndarray:
     """Eval-mode embeddings for a PatchSet or a PatchSample list, in order."""
-    return _eval_outputs(model, samples, batch_size)
+    return _eval_outputs(model, samples)
 
 
-def embed_logits(model, samples, batch_size: int = 64) -> np.ndarray:
+def embed_logits(model, samples) -> np.ndarray:
     """Eval-mode classifier logits for a PatchSet or a PatchSample list, in order."""
     if model.head != HEAD_CLASSIFIER:
         raise ValueError("classifier evaluation requires the classifier head")
-    return _eval_outputs(model, samples, batch_size)
+    return _eval_outputs(model, samples)
 
 
 def evaluate_folds(models, samples, folds, n_steps: int = PROBE_STEPS) -> FoldSummary:
@@ -264,8 +261,9 @@ def projection_csv(ids, grades, coords) -> str:
     return "\n".join(lines) + "\n"
 
 
-def projection_svg(grades, coords, size: int = 480, pad: int = 32) -> str:
+def projection_svg(grades, coords) -> str:
     """Minimal deterministic scatter plot, colored by grade."""
+    size, pad = SVG_SIZE, SVG_PAD
     coords = np.asarray(coords, dtype=np.float64)
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)

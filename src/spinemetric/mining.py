@@ -37,6 +37,7 @@ class RegionLabel(IntEnum):
 
 GRADES = (GradeLabel.G0, GradeLabel.G2, GradeLabel.G3)
 REGIONS = tuple(RegionLabel)
+SIMILAR_FRACTION = 0.5  # share of mined pairs whose members share a class
 
 
 @dataclass(frozen=True)
@@ -214,17 +215,15 @@ def mine_triplets(labels, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def mine_pairs(labels, count: int, similar_fraction: float, seed: int) -> np.ndarray:
+def mine_pairs(labels, count: int, seed: int) -> np.ndarray:
     """Sample ``count`` pairs with an exact similar share, as a (count, 3)
     intp array with columns (i, j, similar), ``similar`` being 1 or 0.
 
-    Exactly round(count * similar_fraction) pairs share a class; the rest
+    Exactly round(count * SIMILAR_FRACTION) pairs share a class; the rest
     cross classes. Pair order is shuffled deterministically.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if not (0.0 <= similar_fraction <= 1.0):
-        raise ValueError("similar_fraction must lie in [0, 1]")
     labels = list(labels)
     pools, rich = _class_pools(labels)
     if not rich:
@@ -233,7 +232,7 @@ def mine_pairs(labels, count: int, similar_fraction: float, seed: int) -> np.nda
         raise ValueError("need at least two classes for dissimilar pairs")
 
     rng = np.random.default_rng([seed])
-    n_similar = int(np.floor(count * similar_fraction + 0.5))
+    n_similar = int(np.floor(count * SIMILAR_FRACTION + 0.5))
     pairs = np.zeros((count, 3), dtype=np.intp)
     pairs[:n_similar, 2] = 1
     for t in range(n_similar):

@@ -7,6 +7,12 @@ grades apply an anterior-wedge or biconcave height reduction whose drawn
 fraction is recorded in the sample's generator parameters, so silhouette
 measurements can be checked against ground truth.
 
+The phantom's geometry is fixed by module constants: the body sizes per
+region, the height-loss bands of grades 2 and 3, the wedge share, the body
+intensity, the gap between neighbors and the heatmap width.
+``PhantomConfig`` holds only what a dataset may vary: its seed, the centre
+jitter, the noise amplitude and the blur.
+
 Rendering is anti-aliased per column (pixel value = covered fraction of the
 pixel), which keeps column-height measurements accurate to well under a
 pixel before noise.
@@ -42,13 +48,30 @@ PATCH_CENTER = PATCH_SIZE // 2
 CHUNK = 32
 
 # (width range, height range) of the vertebral body in mm, per region.
-DEFAULT_REGION_DIMS = {
+REGION_DIMS = {
     RegionLabel.T1_T5: ((22.0, 26.0), (20.0, 24.0)),
     RegionLabel.T6_T9: ((26.0, 30.0), (24.0, 28.0)),
     RegionLabel.T10_T12: ((30.0, 35.0), (28.0, 32.0)),
     RegionLabel.L1_L4: ((34.0, 40.0), (32.0, 36.0)),
     RegionLabel.L5: ((36.0, 42.0), (34.0, 40.0)),
 }
+# Height-loss fraction bands of Genant's grades 2 (moderate) and 3 (severe).
+G2_HEIGHT_LOSS = (0.26, 0.40)
+G3_HEIGHT_LOSS = (0.41, 0.70)
+WEDGE_PROBABILITY = 0.5  # share of bodies drawn as anterior wedges, the rest biconcave
+BODY_INTENSITY = (0.65, 0.85)
+NEIGHBOR_GAP = (4.0, 8.0)  # mm between stacked bodies
+HEATMAP_SIGMA = 8.0  # px, width of the centroid heatmap's Gaussian
+# Largest jitter that keeps the graded body, up to its largest extent
+# across, on the patch: 35 px.
+MAX_JITTER_PX = PATCH_CENTER - float(np.max(list(REGION_DIMS.values()))) / 2.0
+# The constants above under the PhantomConfig keys they once had, hashed
+# with the fields so that every manifest's config digest stays as it was.
+_DIGEST_CONSTANTS = dict(
+    region_dims=REGION_DIMS, g2_height_loss=G2_HEIGHT_LOSS, g3_height_loss=G3_HEIGHT_LOSS,
+    wedge_probability=WEDGE_PROBABILITY, body_intensity=BODY_INTENSITY, neighbor_context=True,
+    neighbor_gap=NEIGHBOR_GAP, heatmap_sigma=HEATMAP_SIGMA,
+)
 
 # Paper-scale class sizes: healthy / moderate / severe.
 PAPER_GRADE_TOTALS = {GradeLabel.G0: 1133, GradeLabel.G2: 104, GradeLabel.G3: 46}
@@ -56,39 +79,24 @@ PAPER_GRADE_TOTALS = {GradeLabel.G0: 1133, GradeLabel.G2: 104, GradeLabel.G3: 46
 
 @dataclass(frozen=True)
 class PhantomConfig:
-    region_dims: dict = field(default_factory=lambda: dict(DEFAULT_REGION_DIMS))
-    g2_height_loss: tuple = (0.26, 0.40)
-    g3_height_loss: tuple = (0.41, 0.70)
-    wedge_probability: float = 0.5
-    body_intensity: tuple = (0.65, 0.85)
+    """What a dataset may vary: Gaussian noise and blur sigmas (0 turns
+    either off), and a centre jitter of at most ``MAX_JITTER_PX`` px."""
+
     noise_amplitude: float = 0.02
     blur_sigma: float = 0.7
-    neighbor_context: bool = True
-    neighbor_gap: tuple = (4.0, 8.0)
-    heatmap_sigma: float = 8.0
     jitter_px: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        for lo, hi in (self.g2_height_loss, self.g3_height_loss):
-            if not (0.0 < lo < hi < 1.0):
-                raise ValueError("height-loss ranges must be increasing within (0, 1)")
-        if not self.g3_height_loss[0] > self.g2_height_loss[1]:
-            raise ValueError("severe height-loss range must lie strictly above moderate")
-        if not (0.0 <= self.wedge_probability <= 1.0):
-            raise ValueError("wedge_probability must lie in [0, 1]")
         if self.jitter_px < 0:
             raise ValueError("jitter_px must be nonnegative")
-        # The graded body, up to its largest extent across, stays on the patch.
-        limit = PATCH_CENTER - max(np.max(dims) for dims in self.region_dims.values()) / 2.0
-        if self.jitter_px > limit:
+        if self.jitter_px > MAX_JITTER_PX:
             raise ValueError(
-                f"jitter_px {self.jitter_px} can move the graded body off the patch "
-                f"(at most {limit:g} px with these region_dims)"
+                f"jitter_px {self.jitter_px} can move the graded body off the patch (at most {MAX_JITTER_PX:g} px)"
             )
 
     def digest(self) -> str:
-        return hashlib.sha256(canonical_json(asdict(self)).encode()).hexdigest()
+        return hashlib.sha256(canonical_json({**_DIGEST_CONSTANTS, **asdict(self)}).encode()).hexdigest()
 
 
 @dataclass
@@ -124,26 +132,29 @@ def _column_heights(i, w, height, loss, wedge):
 
 def _height_loss(config, grade, u: float) -> float:
     """Height-loss fraction of a body of ``grade`` from a uniform draw ``u``;
-    healthy bodies keep zero loss."""
+    healthy bodies keep zero loss. No field of ``config`` is read yet: it
+    is passed so that a loss setting reaches patches and spine volumes
+    alike."""
     if grade == GradeLabel.G0:
         return 0.0
-    lo, hi = config.g2_height_loss if grade == GradeLabel.G2 else config.g3_height_loss
+    lo, hi = G2_HEIGHT_LOSS if grade == GradeLabel.G2 else G3_HEIGHT_LOSS
     return lo + u * (hi - lo)
 
 
-def centroid_heatmap(row, col, sigma: float, size: int = PATCH_SIZE) -> np.ndarray:
-    """float32 (size, size) Gaussian heatmap channel peaking at 1 at (row, col)."""
-    axis = np.arange(size, dtype=np.float64)
+def centroid_heatmap(row, col) -> np.ndarray:
+    """float32 patch-sized Gaussian heatmap channel of width
+    ``HEATMAP_SIGMA`` peaking at 1 at (row, col)."""
+    axis = np.arange(PATCH_SIZE, dtype=np.float64)
     d2 = (axis[:, None] - row) ** 2 + (axis[None, :] - col) ** 2
-    return np.exp(-d2 / (2.0 * sigma**2)).astype(np.float32)
+    return np.exp(-d2 / (2.0 * HEATMAP_SIGMA**2)).astype(np.float32)
 
 
 def _draw_body_params(rng, config, region, grade):
-    (w_lo, w_hi), (h_lo, h_hi) = config.region_dims[RegionLabel(region)]
+    (w_lo, w_hi), (h_lo, h_hi) = REGION_DIMS[RegionLabel(region)]
     width = rng.uniform(w_lo, w_hi)
     height = rng.uniform(h_lo, h_hi)
-    intensity = rng.uniform(*config.body_intensity)
-    mode = "wedge" if rng.random() < config.wedge_probability else "biconcave"
+    intensity = rng.uniform(*BODY_INTENSITY)
+    mode = "wedge" if rng.random() < WEDGE_PROBABILITY else "biconcave"
     # Draw the loss fraction unconditionally so consuming the stream does
     # not depend on the grade.
     loss = _height_loss(config, grade, rng.random())
@@ -164,18 +175,17 @@ def _draw_sample(rng, config, grade, region):
     cy, cx = PATCH_CENTER + jr, PATCH_CENTER + jc
     bodies = [(cy, cx, width, height, mode == "wedge", loss, intensity)]
 
-    if config.neighbor_context:
-        # Healthy neighbors stacked outward until they leave the patch.
-        for direction in (-1, +1):
-            edge = height / 2.0
-            while True:
-                n_w, n_h, n_int, _, _ = _draw_body_params(rng, config, region, GradeLabel.G0)
-                gap = rng.uniform(*config.neighbor_gap)
-                n_cy = cy + direction * (edge + gap + n_h / 2.0)
-                if n_cy + n_h / 2.0 < 0 or n_cy - n_h / 2.0 > PATCH_SIZE:
-                    break
-                bodies.append((n_cy, cx, n_w, n_h, True, 0.0, n_int))
-                edge += gap + n_h
+    # Healthy neighbors stacked outward until they leave the patch.
+    for direction in (-1, +1):
+        edge = height / 2.0
+        while True:
+            n_w, n_h, n_int, _, _ = _draw_body_params(rng, config, region, GradeLabel.G0)
+            gap = rng.uniform(*NEIGHBOR_GAP)
+            n_cy = cy + direction * (edge + gap + n_h / 2.0)
+            if n_cy + n_h / 2.0 < 0 or n_cy - n_h / 2.0 > PATCH_SIZE:
+                break
+            bodies.append((n_cy, cx, n_w, n_h, True, 0.0, n_int))
+            edge += gap + n_h
 
     params = {
         "width": round(width, 6),
@@ -259,7 +269,7 @@ def _render(config: PhantomConfig, labels, blocks, entries: list):
             if amplitude > 0:
                 rng.standard_normal(out=image[k])
             if centre not in heatmaps:
-                heatmaps[centre] = centroid_heatmap(*centre, config.heatmap_sigma)
+                heatmaps[centre] = centroid_heatmap(*centre)
             rows[k, 1] = heatmaps[centre]
             entries.append({"id": id, "grade": int(grade), "region": int(region), "file": None, "params": params})
 

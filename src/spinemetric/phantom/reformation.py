@@ -18,7 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.ndimage import map_coordinates
 
-from .patches import centroid_heatmap
+from .patches import PATCH_CENTER, PATCH_SIZE, centroid_heatmap
 from .volume import SpineVolume
 
 _DENSE_PER_SEGMENT = 512
@@ -97,19 +97,12 @@ def reformat_curved(volume: SpineVolume) -> Reformation:
     return Reformation(image=image, centroids_rc=centroids_rc, out_of_bounds=oob, labels=names)
 
 
-def extract_patch(
-    reformation: np.ndarray,
-    centroid_rc,
-    sigma: float = 8.0,
-    jitter_px: int = 0,
-    jitter_seed: int = 0,
-    patch_size: int = 112,
-):
+def extract_patch(reformation: np.ndarray, centroid_rc, jitter_px: int = 0, jitter_seed: int = 0):
     """Crop a patch around a centroid and build its Gaussian heatmap channel.
 
-    The crop is centered on the (optionally jittered) centroid with bilinear
-    sampling and zero padding outside the grid. The heatmap peaks (value 1)
-    at the centroid's in-patch position.
+    The ``PATCH_SIZE`` crop is centered on the (optionally jittered)
+    centroid with bilinear sampling and zero padding outside the grid. The
+    heatmap peaks (value 1) at the centroid's in-patch position.
     """
     r0, c0 = float(centroid_rc[0]), float(centroid_rc[1])
     jr = jc = 0
@@ -118,12 +111,11 @@ def extract_patch(
         jr = int(rng.integers(-jitter_px, jitter_px + 1))
         jc = int(rng.integers(-jitter_px, jitter_px + 1))
 
-    half = patch_size // 2
-    rows = r0 + jr - half + np.arange(patch_size, dtype=np.float64)
-    cols = c0 + jc - half + np.arange(patch_size, dtype=np.float64)
+    rows = r0 + jr - PATCH_CENTER + np.arange(PATCH_SIZE, dtype=np.float64)
+    cols = c0 + jc - PATCH_CENTER + np.arange(PATCH_SIZE, dtype=np.float64)
     rr, cc = np.meshgrid(rows, cols, indexing="ij")
     coords = np.stack([rr.ravel(), cc.ravel()])
     image = map_coordinates(reformation, coords, output=np.float32, order=1, mode="constant", cval=0.0)
 
     # The heatmap peaks at the centroid's position inside the patch.
-    return image.reshape(rr.shape), centroid_heatmap(half - jr, half - jc, sigma, patch_size)
+    return image.reshape(rr.shape), centroid_heatmap(PATCH_CENTER - jr, PATCH_CENTER - jc)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mining import GradeLabel, RegionLabel
-from .patches import PhantomConfig, _column_heights, _height_loss
+from .patches import BODY_INTENSITY, REGION_DIMS, PhantomConfig, _column_heights, _height_loss
 
 # T1..L5, cranio-caudal. Requests for n vertebrae take the last n names.
 SPINE_NAMES = tuple(f"T{i}" for i in range(1, 13)) + tuple(f"L{i}" for i in range(1, 6))
@@ -69,7 +69,9 @@ def generate_spine_volume(
     spine on integer-aligned voxel centers); ``|curvature|`` may be at most
     ``MAX_CURVATURE``. Per-vertebra shape draws come from independent (seed,
     index) streams, so changing one vertebra's grade perturbs only that
-    vertebra's voxels.
+    vertebra's voxels. The bodies take the patch module's constants; no
+    field of ``config`` is read yet, though it is passed on to
+    ``_height_loss`` so that a loss setting would reach the volume too.
     """
     if not (1 <= n_vertebrae <= len(SPINE_NAMES)):
         raise ValueError(f"n_vertebrae must lie in [1, {len(SPINE_NAMES)}]")
@@ -86,12 +88,12 @@ def generate_spine_volume(
     for k, (name, grade) in enumerate(zip(names, grades)):
         rng = np.random.default_rng([seed, k])
         region = region_of_vertebra(name)
-        (w_lo, w_hi), (h_lo, h_hi) = config.region_dims[region]
+        (w_lo, w_hi), (h_lo, h_hi) = REGION_DIMS[region]
         width = int(rng.integers(int(w_lo), int(w_hi) + 1))
         depth = int(rng.integers(int(w_lo), int(w_hi) + 1))
         height = int(rng.integers(int(h_lo), int(h_hi) + 1))
         loss = _height_loss(config, grade, rng.random())
-        intensity = rng.uniform(*config.body_intensity)
+        intensity = rng.uniform(*BODY_INTENSITY)
         bodies.append((name, grade, width, depth, height, loss, intensity))
 
     gaps = [int(layout_rng.integers(4, 9)) for _ in range(n_vertebrae - 1)]

@@ -130,7 +130,7 @@ def _epoch_tuples(plan, targets, count, seed):
     if plan.loss_kind == "grading":
         mined = mine_quadruplets(targets, count, seed)
     else:
-        mined = mine_pairs(targets, count, similar_fraction=0.5, seed=seed)
+        mined = mine_pairs(targets, count, seed)
     return mined[:, :-1], mined[:, -1]
 
 

@@ -35,8 +35,9 @@ from spinemetric.data import patch_set
 from spinemetric.losses import ALPHA, ANCHOR_CLASSES, BETA, GAMMA, MARGIN, LossValue
 from scipy.ndimage import gaussian_filter
 
-from spinemetric.mining import GradeLabel, RegionLabel
+from spinemetric.mining import SIMILAR_FRACTION, GradeLabel, RegionLabel
 from spinemetric.phantom.patches import (
+    NEIGHBOR_GAP,
     PATCH_CENTER,
     PATCH_SIZE,
     PatchSample,
@@ -263,18 +264,17 @@ def generate_patch_reference(config, grade, region, id) -> PatchSample:
     image = np.zeros((PATCH_SIZE, PATCH_SIZE), dtype=np.float64)
     render_body_reference(image, cy, cx, width, height, mode, loss, intensity)
 
-    if config.neighbor_context:
-        # Healthy neighbors stacked outward until they leave the patch.
-        for direction in (-1, +1):
-            edge = height / 2.0
-            while True:
-                n_w, n_h, n_int, _, _ = _draw_body_params(rng, config, region, GradeLabel.G0)
-                gap = rng.uniform(*config.neighbor_gap)
-                n_cy = cy + direction * (edge + gap + n_h / 2.0)
-                if n_cy + n_h / 2.0 < 0 or n_cy - n_h / 2.0 > PATCH_SIZE:
-                    break
-                render_body_reference(image, n_cy, cx, n_w, n_h, "wedge", 0.0, n_int)
-                edge += gap + n_h
+    # Healthy neighbors stacked outward until they leave the patch.
+    for direction in (-1, +1):
+        edge = height / 2.0
+        while True:
+            n_w, n_h, n_int, _, _ = _draw_body_params(rng, config, region, GradeLabel.G0)
+            gap = rng.uniform(*NEIGHBOR_GAP)
+            n_cy = cy + direction * (edge + gap + n_h / 2.0)
+            if n_cy + n_h / 2.0 < 0 or n_cy - n_h / 2.0 > PATCH_SIZE:
+                break
+            render_body_reference(image, n_cy, cx, n_w, n_h, "wedge", 0.0, n_int)
+            edge += gap + n_h
 
     if config.blur_sigma > 0:
         image = gaussian_filter(image, sigma=config.blur_sigma)
@@ -282,7 +282,7 @@ def generate_patch_reference(config, grade, region, id) -> PatchSample:
         image = image + rng.normal(0.0, config.noise_amplitude, size=image.shape)
     image = np.clip(image, 0.0, 1.0).astype(np.float32)
 
-    heatmap = centroid_heatmap(cy, cx, config.heatmap_sigma)
+    heatmap = centroid_heatmap(cy, cx)
 
     params = {
         "width": round(width, 6),
@@ -643,13 +643,11 @@ def mine_triplets_reference(labels, count: int, seed: int) -> list[tuple[int, in
     return out
 
 
-def mine_pairs_reference(labels, count: int, similar_fraction: float, seed: int):
+def mine_pairs_reference(labels, count: int, seed: int):
     """``mine_pairs`` as a per-tuple scan: the other-class pool is rebuilt
     from all labels for every dissimilar pair."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if not (0.0 <= similar_fraction <= 1.0):
-        raise ValueError("similar_fraction must lie in [0, 1]")
     labels = list(labels)
     by_class: dict = {}
     for i, l in enumerate(labels):
@@ -661,7 +659,7 @@ def mine_pairs_reference(labels, count: int, similar_fraction: float, seed: int)
         raise ValueError("need at least two classes for dissimilar pairs")
 
     rng = np.random.default_rng([seed])
-    n_similar = int(np.floor(count * similar_fraction + 0.5))
+    n_similar = int(np.floor(count * SIMILAR_FRACTION + 0.5))
     pairs = []
     for _ in range(n_similar):
         c = rich[int(rng.integers(len(rich)))]

@@ -219,7 +219,7 @@ class TestBackward:
         np.add.at(d_rows, slots, up)
 
         distinct, duplicated = init_model(REDUCED, seed=11), init_model(REDUCED, seed=11)
-        # With one repeated row, BatchNorm1d outputs its beta plus rounding
+        # With one repeated row, each fbn layer outputs its beta plus rounding
         # noise; betas away from 0 keep the LeakyReLU after it off its kink.
         for name, p in distinct.parameters().items():
             if name.endswith(".beta"):
@@ -233,7 +233,7 @@ class TestBackward:
         duplicated.zero_grad()
         duplicated.backward(up)
 
-        # With one repeated row, every gradient below BatchNorm1d is 0 in real
+        # With one repeated row, every gradient below an fbn layer is 0 in real
         # arithmetic, so only rounding noise is left on both sides. So each
         # group is also compared with an absolute tolerance of 1e-12 times
         # its largest magnitude.

@@ -310,7 +310,7 @@ class TestConfigFile:
         "jitter, message",
         [
             (-1, "jitter_px must be nonnegative"),
-            (150, "jitter_px 150 can move the graded body off the patch (at most 35 px with these region_dims)"),
+            (150, "jitter_px 150 can move the graded body off the patch (at most 35 px)"),
         ],
         ids=["negative", "off-the-patch"],
     )

@@ -216,7 +216,7 @@ class TestProbeSolver:
         assert probe.iterations <= 30
         w_ref, b_ref, a_ref = lbfgsb_probe_reference(x, y, PROBE_REGULARIZATION, PROBE_STEPS, PROBE_GAP_TOL)
         np.testing.assert_array_equal(probe.predict(x), (x @ w_ref + b_ref > 0).astype(int))
-        a = evaluation._probe_dual(x, y, PROBE_REGULARIZATION, PROBE_STEPS)[0]
+        a = evaluation._probe_dual(x, y, PROBE_STEPS)[0]
         gaps = [duality_gap(x, y, PROBE_REGULARIZATION, dual)[0] for dual in (a, a_ref)]
         assert max(gaps) <= PROBE_GAP_TOL
         # The primal is lambda-strongly convex, so each solution lies within
@@ -229,8 +229,9 @@ class TestProbeSolver:
     def test_duality_gap_at_return(self, probe_sets, monkeypatch, name, regularization, tol):
         x, y, _ = probe_sets[name]
         monkeypatch.setattr(evaluation, "PROBE_GAP_TOL", tol)
-        probe = linear_probe_train(x, y, regularization=regularization)
-        a = evaluation._probe_dual(x, y, regularization, PROBE_STEPS)[0]
+        monkeypatch.setattr(evaluation, "PROBE_REGULARIZATION", regularization)
+        probe = linear_probe_train(x, y)
+        a = evaluation._probe_dual(x, y, PROBE_STEPS)[0]
         assert np.all((a >= 0) & (a <= 1 / (regularization * len(x))))
         gap, w = duality_gap(x, y, regularization, a)
         assert gap <= tol
@@ -252,7 +253,7 @@ class TestProbeSolver:
         with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")
             probe = linear_probe_train(x, y, n_steps=100_000)
-            a = evaluation._probe_dual(x, y, PROBE_REGULARIZATION, 100_000)[0]
+            a = evaluation._probe_dual(x, y, 100_000)[0]
         assert probe.iterations < 100
         assert np.all(np.isfinite(probe.weights)) and np.isfinite(probe.bias)
         assert np.all((a >= 0) & (a <= 1 / (PROBE_REGULARIZATION * len(x))))
@@ -263,10 +264,6 @@ class TestProbeSolver:
         [
             ([0, 1, 0], {"n_steps": 0}, "probe iteration cap must be at least 1, got 0"),
             ([0, 1, 0], {"n_steps": -5}, "probe iteration cap must be at least 1, got -5"),
-            ([0, 1, 0], {"regularization": 0.0}, "probe regularization must be finite and positive, got 0.0"),
-            ([0, 1, 0], {"regularization": -1e-3}, "probe regularization must be finite and positive"),
-            ([0, 1, 0], {"regularization": float("nan")}, "probe regularization must be finite and positive"),
-            ([0, 1, 0], {"regularization": float("inf")}, "probe regularization must be finite and positive"),
             ([0, 1, 2], {}, "probe labels must be 0 \\(healthy\\) or 1 \\(fractured\\)"),
             ([-1, 1, -1], {}, "probe labels must be 0"),
             ([0, 1, 0.5], {}, "probe labels must be 0"),
@@ -363,7 +360,7 @@ class TestProtocols:
             assert m.sensitivity == 0.0 and m.specificity == 1.0
             assert m.tn + m.fn == len(fold.test_ids)
 
-    def test_patch_set_scores_like_sample_list(self):
+    def test_patch_set_scores_like_sample_list(self, monkeypatch):
         samples = tiny_dataset()
         data = patch_set(samples, TINY_NET.input_size)
         folds = make_folds([s.grade for s in samples], 2, 0.3, seed=1)
@@ -373,7 +370,8 @@ class TestProtocols:
             a = evaluate_folds(models, samples, folds, n_steps=300)
             b = evaluate_folds(models, data, folds, n_steps=300)
             assert a.to_json() == b.to_json()
-        a, b = embed_samples(embedder, samples, batch_size=7), embed_samples(embedder, data, batch_size=7)
+        monkeypatch.setattr(evaluation, "EVAL_BATCH", 7)
+        a, b = embed_samples(embedder, samples), embed_samples(embedder, data)
         assert a.shape == (len(samples), 8)
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
         assert np.array_equal(binary_fracture_labels([s.grade for s in samples]), binary_fracture_labels(data.grades))

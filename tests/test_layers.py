@@ -10,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinemetric.backbone import layers
+from spinemetric.backbone import init_model, layers
 from spinemetric.backbone.layers import (
-    BatchNorm1d,
-    BatchNorm2d,
+    BatchNorm,
     Conv2d,
     Flatten,
     LeakyReLU,
     Linear,
     MaxPool2d,
 )
+from spinemetric.cli import NETWORK_PRESETS
 
 from .oracles import (
     batchnorm_eval,
@@ -72,9 +72,15 @@ def fd_layer_check(layer, x, h=1e-5, tol=1e-3, stride=7, row_counts=None):
 
 
 # Row counts of a distinct-row batch: every row once, one row standing for
-# a batch of six identical rows (zero batch variance in BatchNorm1d), and a
-# mix of repeats.
+# a batch of six identical rows (zero batch variance on (N, C) features),
+# and a mix of repeats.
 ROW_COUNTS = {"ones": [1, 1, 1, 1], "repeated": [6], "mixed": [3, 1, 2, 5]}
+
+
+def bn_ranks(maps, features):
+    """Per-row shapes of BatchNorm's two cases, (N, C, H, W) maps and
+    (N, C) features, under the test ids of the per-rank classes it replaced."""
+    return [pytest.param(maps, id="BatchNorm2d-shape0"), pytest.param(features, id="BatchNorm1d-shape1")]
 
 
 class TestGradientChecks:
@@ -88,18 +94,18 @@ class TestGradientChecks:
 
     def test_batchnorm2d(self):
         x = RNG.normal(size=(4, 3, 6, 6))
-        fd_layer_check(BatchNorm2d(3, 1e-5, 0.1, np.float64), x)
+        fd_layer_check(BatchNorm(3, 1e-5, 0.1, np.float64), x)
 
     def test_batchnorm1d(self):
         x = RNG.normal(size=(8, 5))
-        fd_layer_check(BatchNorm1d(5, 1e-5, 0.1, np.float64), x)
+        fd_layer_check(BatchNorm(5, 1e-5, 0.1, np.float64), x)
 
     @pytest.mark.parametrize("pattern", ROW_COUNTS)
-    @pytest.mark.parametrize("cls,shape", [(BatchNorm2d, (3, 6, 6)), (BatchNorm1d, (5,))])
-    def test_batchnorm_with_row_counts(self, cls, shape, pattern):
+    @pytest.mark.parametrize("shape", bn_ranks((3, 6, 6), (5,)))
+    def test_batchnorm_with_row_counts(self, shape, pattern):
         counts = ROW_COUNTS[pattern]
         x = RNG.normal(size=(len(counts),) + shape)
-        fd_layer_check(cls(shape[0], 1e-5, 0.1, np.float64), x, stride=3, row_counts=counts)
+        fd_layer_check(BatchNorm(shape[0], 1e-5, 0.1, np.float64), x, stride=3, row_counts=counts)
 
     def test_leaky_relu(self):
         x = RNG.normal(size=(4, 3, 4, 4))
@@ -318,7 +324,7 @@ def _is_batch_inner(a):
 
 CONV_BLOCK_LAYERS = {
     "conv": lambda: Conv2d(3, 4, 3, np.random.default_rng(14), np.float64),
-    "batchnorm": lambda: BatchNorm2d(3, 1e-5, 0.1, np.float64),
+    "batchnorm": lambda: BatchNorm(3, 1e-5, 0.1, np.float64),
     "relu": lambda: LeakyReLU(0.0),
     "maxpool": lambda: MaxPool2d(),
 }
@@ -350,6 +356,17 @@ class TestBatchInnerLayout:
         for key in inner[3]:
             assert_matches(plain[3][key], inner[3][key], 1e-12)
 
+    def test_last_pool_gets_batch_inner_gradient_in_train_step(self, monkeypatch):
+        # Flatten's backward is a view of the first linear layer's input
+        # gradient, so that gradient must come out batch-innermost.
+        model = init_model(NETWORK_PRESETS["tiny"], seed=0)
+        pool = dict(zip(model._names, model._layers))["pool2"]
+        seen, backward = [], pool.backward
+        monkeypatch.setattr(pool, "backward", lambda dy: seen.append(dy) or backward(dy))
+        y = model.forward(np.random.default_rng(17).normal(size=(7, 2, 16, 16)), train=True)
+        model.backward(np.random.default_rng(18).normal(size=y.shape))
+        assert len(seen) == 1 and _is_batch_inner(seen[0])
+
 
 # float64 layers match the float64 oracles to 1e-12; float32 ones to 1e-5
 # relative, measured against the oracle run on the same float32 values.
@@ -364,8 +381,8 @@ def assert_matches(actual, expected, tol):
     np.testing.assert_allclose(np.asarray(actual, np.float64), expected, rtol=tol, atol=floor)
 
 
-def _seeded_batchnorm(cls, c, dtype, rng):
-    bn = cls(c, 1e-5, 0.1, dtype)
+def _seeded_batchnorm(c, dtype, rng):
+    bn = BatchNorm(c, 1e-5, 0.1, dtype)
     bn.gamma[...] = rng.uniform(0.5, 2.0, c)
     bn.beta[...] = rng.normal(size=c)
     bn.running_mean[...] = rng.normal(size=c)
@@ -375,12 +392,10 @@ def _seeded_batchnorm(cls, c, dtype, rng):
 
 class TestPointwiseOracles:
     @pytest.mark.parametrize("dtype,tol", DTYPE_TOLERANCES)
-    @pytest.mark.parametrize(
-        "cls,shape", [(BatchNorm2d, (4, 3, 5, 6)), (BatchNorm1d, (16, 5))]
-    )
-    def test_batchnorm_train(self, cls, shape, dtype, tol):
+    @pytest.mark.parametrize("shape", bn_ranks((4, 3, 5, 6), (16, 5)))
+    def test_batchnorm_train(self, shape, dtype, tol):
         rng = np.random.default_rng(7)
-        bn = _seeded_batchnorm(cls, shape[1], dtype, rng)
+        bn = _seeded_batchnorm(shape[1], dtype, rng)
         bn.d_gamma[...] = rng.normal(size=shape[1])  # backward accumulates
         bn.d_beta[...] = rng.normal(size=shape[1])
         start = {k: v.copy() for k, v in (*bn.params().items(), *bn.state().items())}
@@ -403,12 +418,10 @@ class TestPointwiseOracles:
         assert_matches(bn.running_var, var_ref, tol)
 
     @pytest.mark.parametrize("dtype,tol", DTYPE_TOLERANCES)
-    @pytest.mark.parametrize(
-        "cls,shape", [(BatchNorm2d, (4, 3, 5, 6)), (BatchNorm1d, (16, 5))]
-    )
-    def test_batchnorm_eval(self, cls, shape, dtype, tol):
+    @pytest.mark.parametrize("shape", bn_ranks((4, 3, 5, 6), (16, 5)))
+    def test_batchnorm_eval(self, shape, dtype, tol):
         rng = np.random.default_rng(8)
-        bn = _seeded_batchnorm(cls, shape[1], dtype, rng)
+        bn = _seeded_batchnorm(shape[1], dtype, rng)
         x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
         y = bn.forward(x, train=False)
         assert_matches(
@@ -454,8 +467,8 @@ class TestBatchNormRowCounts:
     """A distinct-row batch with row counts behaves as the duplicated batch."""
 
     @pytest.mark.parametrize("pattern", ROW_COUNTS)
-    @pytest.mark.parametrize("cls,shape", [(BatchNorm2d, (3, 5, 6)), (BatchNorm1d, (5,))])
-    def test_matches_duplicated_batch(self, cls, shape, pattern):
+    @pytest.mark.parametrize("shape", bn_ranks((3, 5, 6), (5,)))
+    def test_matches_duplicated_batch(self, shape, pattern):
         rng = np.random.default_rng(12)
         counts = ROW_COUNTS[pattern]
         # Slot s of the duplicated batch holds distinct row slots[s].
@@ -465,8 +478,8 @@ class TestBatchNormRowCounts:
         d_rows = np.zeros_like(x)
         np.add.at(d_rows, slots, dy)
 
-        distinct = _seeded_batchnorm(cls, shape[0], np.float64, np.random.default_rng(3))
-        duplicated = _seeded_batchnorm(cls, shape[0], np.float64, np.random.default_rng(3))
+        distinct = _seeded_batchnorm(shape[0], np.float64, np.random.default_rng(3))
+        duplicated = _seeded_batchnorm(shape[0], np.float64, np.random.default_rng(3))
         distinct.row_counts = counts
         y = distinct.forward(x, train=True)
         dx = distinct.backward(d_rows)
@@ -474,8 +487,8 @@ class TestBatchNormRowCounts:
         dx_dup = np.zeros_like(x)
         np.add.at(dx_dup, slots, duplicated.backward(dy))
 
-        # Absolute tolerance too: with one repeated row, BatchNorm1d's input
-        # gradient is 0 in real arithmetic, so only rounding noise is left.
+        # Absolute tolerance too: with one repeated row, the input gradient
+        # on features is 0 in real arithmetic, so only rounding noise is left.
         close = functools.partial(np.testing.assert_allclose, rtol=1e-12, atol=1e-12)
         close(y[slots], y_dup)
         close(dx, dx_dup)
@@ -483,7 +496,7 @@ class TestBatchNormRowCounts:
             close(getattr(distinct, name), getattr(duplicated, name), err_msg=name)
 
     def test_counts_are_used_by_one_train_forward(self):
-        bn = BatchNorm1d(2, 1e-5, 0.1, np.float64)
+        bn = BatchNorm(2, 1e-5, 0.1, np.float64)
         x = RNG.normal(size=(3, 2))
         bn.row_counts = [1, 2, 3]
         bn.forward(x, train=False)
@@ -492,7 +505,7 @@ class TestBatchNormRowCounts:
         assert bn.row_counts is None
 
     def test_count_length_must_match_batch(self):
-        bn = BatchNorm2d(2, 1e-5, 0.1, np.float64)
+        bn = BatchNorm(2, 1e-5, 0.1, np.float64)
         bn.row_counts = [1, 2]
         with pytest.raises(ValueError, match="2 row counts for a batch of 3 rows"):
             bn.forward(RNG.normal(size=(3, 2, 2, 2)), train=True)
@@ -531,7 +544,7 @@ class TestMaxPoolTies:
 
 class TestBatchNormBehavior:
     def test_eval_uses_running_stats_and_is_pure(self):
-        bn = BatchNorm2d(2, 1e-5, 0.1, np.float64)
+        bn = BatchNorm(2, 1e-5, 0.1, np.float64)
         x = RNG.normal(size=(4, 2, 3, 3))
         bn.forward(x, train=True)
         mean_before = bn.running_mean.copy()
@@ -541,13 +554,13 @@ class TestBatchNormBehavior:
         assert np.array_equal(bn.running_mean, mean_before)
 
     def test_train_updates_running_stats(self):
-        bn = BatchNorm1d(3, 1e-5, 0.1, np.float64)
+        bn = BatchNorm(3, 1e-5, 0.1, np.float64)
         x = RNG.normal(size=(16, 3)) + 5.0
         bn.forward(x, train=True)
         assert not np.allclose(bn.running_mean, 0.0)
 
     def test_normalization_output_statistics(self):
-        bn = BatchNorm1d(3, 1e-8, 0.1, np.float64)
+        bn = BatchNorm(3, 1e-8, 0.1, np.float64)
         x = RNG.normal(size=(256, 3)) * 4 + 2
         y = bn.forward(x, train=True)
         assert np.allclose(y.mean(axis=0), 0.0, atol=1e-9)
@@ -558,8 +571,8 @@ def _every_layer(dtype):
     rng = np.random.default_rng(11)
     return [
         (Conv2d(2, 3, 3, rng, dtype), (2, 2, 4, 4)),
-        (BatchNorm2d(2, 1e-5, 0.1, dtype), (3, 2, 4, 4)),
-        (BatchNorm1d(4, 1e-5, 0.1, dtype), (5, 4)),
+        (BatchNorm(2, 1e-5, 0.1, dtype), (3, 2, 4, 4)),
+        (BatchNorm(4, 1e-5, 0.1, dtype), (5, 4)),
         (MaxPool2d(), (2, 2, 4, 4)),
         (LeakyReLU(0.0), (2, 2, 4, 4)),
         (LeakyReLU(0.01), (2, 2, 4, 4)),
@@ -600,7 +613,7 @@ class TestCacheDiscipline:
         "layer,shape",
         [
             (Conv2d(2, 3, 5, RNG, np.float64), (1, 2, 4, 4)),
-            (BatchNorm2d(2, 1e-5, 0.1, np.float64), (2, 2, 4, 4)),
+            (BatchNorm(2, 1e-5, 0.1, np.float64), (2, 2, 4, 4)),
             (MaxPool2d(), (1, 2, 4, 4)),
             (LeakyReLU(0.01), (1, 2, 4, 4)),
             (Flatten(), (1, 2, 4, 4)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinemetric.mining import (
+    SIMILAR_FRACTION,
     GradeLabel,
     RegionLabel,
     folds_from_json,
@@ -162,22 +163,22 @@ class TestMineTriplets:
 class TestMinePairs:
     def test_exact_similar_fraction(self):
         labels = ["A", "A", "B", "B"]
-        pairs = mine_pairs(labels, count=100, similar_fraction=0.5, seed=3)
+        pairs = mine_pairs(labels, count=100, seed=3)
         n_similar = sum(1 for i, j, sim in pairs if sim)
-        assert n_similar == 50
+        assert n_similar == round(100 * SIMILAR_FRACTION) == 50
         for i, j, sim in pairs:
             assert (labels[i] == labels[j]) == sim
 
     def test_pigeonhole_error(self):
         with pytest.raises(ValueError):
-            mine_pairs(["A", "B"], count=10, similar_fraction=1.0, seed=0)
+            mine_pairs(["A", "B"], count=10, seed=0)
 
     def test_count_zero(self):
-        assert mine_pairs(["A", "A", "B"], count=0, similar_fraction=0.5, seed=0).shape == (0, 3)
+        assert mine_pairs(["A", "A", "B"], count=0, seed=0).shape == (0, 3)
 
     def test_determinism(self):
         labels = ["A"] * 6 + ["B"] * 6
-        assert np.array_equal(mine_pairs(labels, 50, 0.4, seed=9), mine_pairs(labels, 50, 0.4, seed=9))
+        assert np.array_equal(mine_pairs(labels, 50, seed=9), mine_pairs(labels, 50, seed=9))
 
 
 def random_label_sets():
@@ -223,8 +224,8 @@ class TestMiningMatchesReference:
     @pytest.mark.parametrize("labels,seed", random_label_sets())
     def test_pairs_identical(self, labels, seed):
         count = 2 * len(labels)
-        got = mine_pairs(labels, count, 0.5, seed)
-        assert_matches_reference(got, mine_pairs_reference(labels, count, 0.5, seed), 3)
+        got = mine_pairs(labels, count, seed)
+        assert_matches_reference(got, mine_pairs_reference(labels, count, seed), 3)
 
     @pytest.mark.parametrize("count", [0, 1, 9])
     def test_index_arrays(self, count):
@@ -236,7 +237,7 @@ class TestMiningMatchesReference:
             mine_triplets(grades, count, 3), mine_triplets_reference(grades, count, 3), 3
         )
         assert_matches_reference(
-            mine_pairs(grades, count, 0.5, 3), mine_pairs_reference(grades, count, 0.5, 3), 3
+            mine_pairs(grades, count, 3), mine_pairs_reference(grades, count, 3), 3
         )
 
 

@@ -25,8 +25,19 @@ from spinemetric.phantom import (
     write_volume,
 )
 
+from spinemetric.phantom import patches as patches_module
 from spinemetric.phantom import volume as volume_module
-from spinemetric.phantom.patches import CHUNK, PATCH_SIZE, _paint
+from spinemetric.phantom.patches import (
+    BODY_INTENSITY,
+    CHUNK,
+    G2_HEIGHT_LOSS,
+    G3_HEIGHT_LOSS,
+    MAX_JITTER_PX,
+    PATCH_SIZE,
+    REGION_DIMS,
+    WEDGE_PROBABILITY,
+    _paint,
+)
 
 from .oracles import (
     anterior_height_ratio,
@@ -44,13 +55,15 @@ GOOD_ENTRY = {"file": "sample_000000.vpat", "grade": 0, "region": 1, "id": 0}
 
 
 class TestConfig:
-    def test_loss_ranges_validated(self):
-        with pytest.raises(ValueError):
-            PhantomConfig(g2_height_loss=(0.26, 0.50), g3_height_loss=(0.41, 0.70))
-        with pytest.raises(ValueError):
-            PhantomConfig(g2_height_loss=(0.0, 0.40))
-        with pytest.raises(ValueError):
-            PhantomConfig(g3_height_loss=(0.41, 1.0))
+    def test_fixed_geometry_invariants(self):
+        # Height-loss bands increasing, disjoint and inside (0, 1), moderate below severe.
+        (g2_lo, g2_hi), (g3_lo, g3_hi) = G2_HEIGHT_LOSS, G3_HEIGHT_LOSS
+        assert 0.0 < g2_lo < g2_hi < g3_lo < g3_hi < 1.0
+        assert 0.0 <= WEDGE_PROBABILITY <= 1.0
+        assert 0.0 < BODY_INTENSITY[0] < BODY_INTENSITY[1] <= 1.0
+        # The largest body is 42 px across: a jitter above 56 - 21 px could
+        # move it off the patch.
+        assert MAX_JITTER_PX == 35
 
     def test_digest_changes_with_seed(self):
         assert PhantomConfig(seed=1).digest() != PhantomConfig(seed=2).digest()
@@ -221,9 +234,6 @@ class TestChunkedRenderer:
             {"blur_sigma": 1.5},
             {"noise_amplitude": 0.0},
             {"noise_amplitude": 0.1},
-            {"neighbor_context": False},
-            {"wedge_probability": 0.0},
-            {"wedge_probability": 1.0},
             {"jitter_px": 6, "blur_sigma": 0.0, "noise_amplitude": 0.0},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default",
@@ -237,16 +247,12 @@ class TestChunkedRenderer:
         assert_matches_reference(PhantomConfig(jitter_px=3), counts, seed=11)
 
     def test_bodies_off_the_patch(self):
-        # The largest default body is 42 px across: a jitter above 56 - 21
-        # px could move it off the patch, and is refused.
+        # A jitter above MAX_JITTER_PX could move the graded body off the
+        # patch, and is refused.
         assert_matches_reference(PhantomConfig(jitter_px=35), self.COUNTS, seed=1)
         for jitter in (36, 150):
             with pytest.raises(ValueError, match=f"jitter_px {jitter} can move the graded body off the patch"):
                 PhantomConfig(jitter_px=jitter)
-        small = {r: ((10.0, 12.0), (10.0, 12.0)) for r in RegionLabel}
-        PhantomConfig(region_dims=small, jitter_px=50)
-        with pytest.raises(ValueError, match="at most 50 px"):
-            PhantomConfig(region_dims=small, jitter_px=51)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -257,8 +263,6 @@ class TestChunkedRenderer:
         jitter_px=st.integers(0, 8),
         blur_sigma=st.sampled_from([0.0, 0.3, 0.7, 1.5, 2.2]),
         noise_amplitude=st.sampled_from([0.0, 0.02, 0.1]),
-        neighbor_context=st.booleans(),
-        wedge_probability=st.sampled_from([0.0, 0.5, 1.0]),
     )
     def test_matches_reference_patch(self, seed, id, grade, region, **fields):
         config = PhantomConfig(seed=seed, **fields)
@@ -482,7 +486,7 @@ class TestSpineVolume:
         diff = np.argwhere(healthy.voxels != fractured.voxels)
         assert diff.size > 0
         zk, _, _ = healthy.centroids[8][1]
-        (_, _), (_, h_hi) = CFG.region_dims[RegionLabel.T6_T9]  # vertebra 8 is T9
+        (_, _), (_, h_hi) = REGION_DIMS[RegionLabel.T6_T9]  # vertebra 8 is T9
         assert np.all(np.abs(diff[:, 0] - zk) <= h_hi / 2 + 2)
 
     def test_determinism(self):
@@ -560,13 +564,14 @@ class TestVolumePainter:
         ids=["default", "tiny", "small"],
     )
     def test_volume_matches_per_column_painter(self, monkeypatch, dims, g3_loss):
-        region_dims = {r: dims for r in RegionLabel} if dims else dict(CFG.region_dims)
-        config = PhantomConfig(region_dims=region_dims, g3_height_loss=g3_loss)
+        if dims:
+            monkeypatch.setattr(volume_module, "REGION_DIMS", {r: dims for r in RegionLabel})
+        monkeypatch.setattr(patches_module, "G3_HEIGHT_LOSS", g3_loss)
         cases = [(seed, n, curvature) for seed, (n, curvature) in enumerate(
             [(17, 0.3), (17, -0.8), (9, 0.0), (3, 0.55), (1, -0.2), (5, 1.0)])]
         grades = [G3, G0, G2, G3] * 5
-        painted = [generate_spine_volume(config, n, c, grades[:n], s).voxels for s, n, c in cases]
+        painted = [generate_spine_volume(CFG, n, c, grades[:n], s).voxels for s, n, c in cases]
         monkeypatch.setattr(volume_module, "_paint_body", paint_body_reference)
         for (seed, n, curvature), voxels in zip(cases, painted):
-            expected = generate_spine_volume(config, n, curvature, grades[:n], seed).voxels
+            expected = generate_spine_volume(CFG, n, curvature, grades[:n], seed).voxels
             assert np.array_equal(voxels.view(np.uint32), expected.view(np.uint32))

@@ -111,14 +111,14 @@ class TestReformatCurved:
 class TestExtractPatch:
     def test_constant_grid_center(self):
         grid = np.ones((200, 200), dtype=np.float32)
-        image, heatmap = extract_patch(grid, (100, 100), sigma=8.0)
+        image, heatmap = extract_patch(grid, (100, 100))
         assert image.shape == (112, 112) and heatmap.shape == (112, 112)
         assert np.all(image == 1.0)
         assert heatmap[56, 56] == pytest.approx(1.0)
 
     def test_corner_centroid_zero_pads_three_quadrants(self):
         grid = np.ones((200, 200), dtype=np.float32)
-        image, _ = extract_patch(grid, (0, 0), sigma=8.0)
+        image, _ = extract_patch(grid, (0, 0))
         assert np.all(image[:56, :56] == 0.0)
         assert np.all(image[:56, 56:] == 0.0)
         assert np.all(image[56:, :56] == 0.0)
@@ -126,26 +126,24 @@ class TestExtractPatch:
 
     def test_heatmap_gaussian_value_at_distance_sigma(self):
         grid = np.zeros((150, 150), dtype=np.float32)
-        _, heatmap = extract_patch(grid, (75, 75), sigma=8.0)
+        _, heatmap = extract_patch(grid, (75, 75))
         assert heatmap[56, 56 + 8] == pytest.approx(np.exp(-0.5), rel=1e-6)
         assert heatmap[56 + 8, 56] == pytest.approx(np.exp(-0.5), rel=1e-6)
 
     def test_jitter_moves_crop_but_heatmap_follows_centroid(self):
         rng_grid = np.random.default_rng(0).random((300, 300)).astype(np.float32)
-        image_j, heatmap_j = extract_patch(
-            rng_grid, (150, 150), sigma=8.0, jitter_px=4, jitter_seed=11
-        )
+        image_j, heatmap_j = extract_patch(rng_grid, (150, 150), jitter_px=4, jitter_seed=11)
         peak = np.unravel_index(heatmap_j.argmax(), heatmap_j.shape)
         jr, jc = 56 - peak[0], 56 - peak[1]
         assert abs(jr) <= 4 and abs(jc) <= 4
         # the image is the unjittered crop shifted by the jitter
-        image_0, _ = extract_patch(rng_grid, (150 + jr, 150 + jc), sigma=8.0)
+        image_0, _ = extract_patch(rng_grid, (150 + jr, 150 + jc))
         assert np.allclose(image_j, image_0, atol=1e-6)
         assert heatmap_j.max() == pytest.approx(1.0)
 
     def test_subpixel_centroid_uses_bilinear_interpolation(self):
         grid = np.zeros((100, 100), dtype=np.float32)
         grid[50, 50] = 1.0
-        image, _ = extract_patch(grid, (50.5, 50.0), sigma=8.0)
+        image, _ = extract_patch(grid, (50.5, 50.0))
         assert image[55, 56] == pytest.approx(0.5, abs=1e-6)
         assert image[56, 56] == pytest.approx(0.5, abs=1e-6)
