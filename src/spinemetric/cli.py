@@ -35,7 +35,6 @@ from .pipeline import (
     STAGE_LOSSES,
     STAGE_REPRESENTATION,
     PipelineConfig,
-    StagePlan,
     run_pipeline,
 )
 
@@ -68,31 +67,6 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_json(path: Path, doc) -> None:
     _write_text(path, canonical_json(doc) + "\n")
-
-
-# Config-file value types, named as in error messages, and the Python types
-# JSON parses them to. JSON true and false parse to bool, which none lists.
-_CONFIG_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,), "an object": (dict,)}
-
-
-def _load_config_file(path, keys) -> dict:
-    """The JSON object in config file ``path`` ({} for None). ``keys`` maps
-    each allowed top-level key to its type's name in ``_CONFIG_TYPES``."""
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: config file is not UTF-8 JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config file is not a JSON object")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {unknown} (known keys: {sorted(keys)})")
-    for key, value in doc.items():
-        if type(value) not in _CONFIG_TYPES[keys[key]]:
-            raise ValueError(f"{path}: config key {key!r} must be {keys[key]}, got {json.dumps(value)}")
-    return doc
 
 
 def _load_dataset(dataset):
@@ -145,19 +119,14 @@ def cmd_gen(args) -> int:
     if not math.isfinite(args.scale):
         raise ValueError(f"--scale must be a finite number, got {args.scale}")
     out_dir = Path(args.out)
-    cfg_file = _load_config_file(args.config, {"seed": "an integer", "jitter_px": "an integer"})
-    seed = args.seed if args.seed is not None else cfg_file.get("seed", 0)
-    try:
-        config = phantom.PhantomConfig(seed=seed, jitter_px=cfg_file.get("jitter_px", 0))
-    except ValueError as exc:  # only the file's values can be refused
-        raise ValueError(f"{args.config}: {exc}") from None
-
     if args.counts:
         totals = _parse_counts(args.counts)
         if any(v < 0 for v in totals.values()):
             raise ValueError("counts must be nonnegative")
         counts = phantom.counts_at_ratio(totals, scale=1.0)
     elif args.preset == "paper-ratio":
+        if args.scale <= 0:
+            raise ValueError(f"--scale must be positive, got {args.scale}")
         counts = phantom.counts_at_ratio(phantom.PAPER_GRADE_TOTALS, scale=args.scale)
     else:
         raise ValueError(f"unknown preset {args.preset!r}")
@@ -167,13 +136,13 @@ def cmd_gen(args) -> int:
         raise ValueError("requested dataset is empty (count 0)")
     log.info("generating %d samples into %s", total, out_dir)
 
-    manifest = phantom.stream_dataset(config, counts, seed, out_dir)
+    manifest = phantom.stream_dataset(phantom.PhantomConfig(seed=args.seed), counts, args.seed, out_dir)
     digest = phantom.manifest_digest(manifest)
     _write_json(
         out_dir / "run.json",
         {
             "command": "gen",
-            "seed": seed,
+            "seed": args.seed,
             "preset": args.preset,
             "scale": args.scale,
             "counts": args.counts,
@@ -192,19 +161,18 @@ def cmd_reformat(args) -> int:
     if not math.isfinite(args.curvature):
         raise ValueError(f"--curvature must be a finite number, got {args.curvature}")
     out_dir = Path(args.out)
-    seed = args.seed if args.seed is not None else 0
     grades = [_parse_grade(g, "--grades") for g in args.grades.split(",")] if args.grades else None
     if not 3 <= args.vertebrae <= len(phantom.SPINE_NAMES):  # a curved reformation needs 3 centroids
         raise ValueError(f"--vertebrae must lie in [3, {len(phantom.SPINE_NAMES)}], got {args.vertebrae}")
     if grades is None:
-        rng = np.random.default_rng([seed, 555])
+        rng = np.random.default_rng([args.seed, 555])
         grades = [GradeLabel(int(rng.choice([0, 0, 0, 2, 3]))) for _ in range(args.vertebrae)]
     elif len(grades) != args.vertebrae:
         raise ValueError("--grades length must equal --vertebrae")
 
-    config = phantom.PhantomConfig(seed=seed)
+    config = phantom.PhantomConfig(seed=args.seed)
     volume = phantom.generate_spine_volume(
-        config, n_vertebrae=args.vertebrae, curvature=args.curvature, grades=grades, seed=seed
+        config, n_vertebrae=args.vertebrae, curvature=args.curvature, grades=grades, seed=args.seed
     )
     reformation = phantom.reformat_curved(volume)
 
@@ -221,7 +189,7 @@ def cmd_reformat(args) -> int:
         out_dir / "run.json",
         {
             "command": "reformat",
-            "seed": seed,
+            "seed": args.seed,
             "vertebrae": args.vertebrae,
             "curvature": args.curvature,
             "grades": [int(g) for g in grades],
@@ -236,23 +204,17 @@ def cmd_reformat(args) -> int:
 # --- train ---------------------------------------------------------------
 
 
-def _build_pipeline_config(args, cfg_file) -> PipelineConfig:
-    try:
-        base = PipelineConfig.from_dict(cfg_file["pipeline"]) if "pipeline" in cfg_file else PipelineConfig()
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"{args.config}: bad pipeline section ({exc!r})") from None
-    if args.network:
-        base = replace(base, network=NETWORK_PRESETS[args.network])
+def _build_pipeline_config(args) -> PipelineConfig:
+    config = PipelineConfig(network=NETWORK_PRESETS[args.network], seed=args.seed)
     if args.stages:
         tokens = [t.strip() for t in args.stages.split(",") if t.strip()]
         rep_losses = [t for t in tokens if t in STAGE_LOSSES[STAGE_REPRESENTATION]]
         if len(rep_losses) > 1:
             raise ValueError("at most one representation loss may be listed")
-        # Epochs and batch size come from the configured plan of the same
-        # stage, else from the default config's.
-        known = {p.stage: p for p in PipelineConfig().stages + base.stages}
+        # Epochs and batch size come from the default plan of the same stage.
+        defaults = {p.stage: p for p in config.stages}
         plans = [
-            StagePlan(stage, loss, epochs=known[stage].epochs, batch_size=known[stage].batch_size)
+            replace(defaults[stage], loss_kind=loss)
             for token, (stage, loss) in _STAGE_TOKENS.items()
             if token in tokens
         ]
@@ -261,22 +223,15 @@ def _build_pipeline_config(args, cfg_file) -> PipelineConfig:
             raise ValueError(f"unknown stage tokens: {unknown}")
         if not plans:
             raise ValueError("--stages selected no stages")
-        base = replace(base, stages=tuple(plans))
+        config = replace(config, stages=tuple(plans))
     if args.epochs:
         counts = [_parse_int(v, "--epochs token") for v in args.epochs.split(",")]
         if min(counts) < 0:
             raise ValueError(f"--epochs token {min(counts)} must be at least 0")
-        if len(counts) != len(base.stages):
-            raise ValueError(
-                f"--epochs needs {len(base.stages)} comma-separated values"
-            )
-        base = replace(
-            base,
-            stages=tuple(replace(p, epochs=e) for p, e in zip(base.stages, counts)),
-        )
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
-    return base
+        if len(counts) != len(config.stages):
+            raise ValueError(f"--epochs needs {len(config.stages)} comma-separated values")
+        config = replace(config, stages=tuple(replace(p, epochs=e) for p, e in zip(config.stages, counts)))
+    return config
 
 
 def _check_split(n_folds, test_fraction) -> None:
@@ -309,24 +264,13 @@ def _train_one_fold(data, config, fold, out_dir):
 def cmd_train(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg_file = _load_config_file(
-        args.config,
-        {"dataset": "a string", "folds": "an integer", "test_fraction": "a number", "pipeline": "an object"},
-    )
-    dataset = args.dataset or cfg_file.get("dataset")
-    if not dataset:
-        raise ValueError("no dataset given (use --dataset or a config file entry)")
-    manifest, entries, manifest_path = _load_dataset(dataset)
-    config = _build_pipeline_config(args, cfg_file)
-    n_folds = args.folds if args.folds is not None else cfg_file.get("folds", _DEFAULT_FOLDS)
-    test_fraction = args.test_fraction
-    if test_fraction is None:
-        test_fraction = cfg_file.get("test_fraction", _DEFAULT_TEST_FRACTION)
-    _check_split(n_folds, test_fraction)
+    manifest, entries, manifest_path = _load_dataset(args.dataset)
+    config = _build_pipeline_config(args)
+    _check_split(args.folds, args.test_fraction)
     data = load_patch_set(entries, config.network.input_size)
     out_dir = Path(args.out)
 
-    folds = make_folds(data.grades, n_folds=n_folds, test_fraction=test_fraction, seed=config.seed)
+    folds = make_folds(data.grades, n_folds=args.folds, test_fraction=args.test_fraction, seed=config.seed)
     _write_text(out_dir / "folds.json", folds_to_json(folds) + "\n")
 
     _write_json(
@@ -336,8 +280,8 @@ def cmd_train(args) -> int:
             "dataset": str(manifest_path),
             "dataset_digest": phantom.manifest_digest(manifest),
             "pipeline": config.to_dict(),
-            "folds": n_folds,
-            "test_fraction": test_fraction,
+            "folds": args.folds,
+            "test_fraction": args.test_fraction,
             "jobs": args.jobs,
         },
     )
@@ -500,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="paper-ratio", help="dataset preset (paper-ratio)")
     p.add_argument("--scale", type=float, default=1.0, help="scale factor on preset class totals")
     p.add_argument("--counts", help="explicit per-grade totals, e.g. g0=100,g2=30,g3=10")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
@@ -509,19 +452,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertebrae", type=int, default=17)
     p.add_argument("--curvature", type=float, default=0.3)
     p.add_argument("--grades", help="comma list of per-vertebra grades (g0/g2/g3)")
-    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reformat)
 
     p = sub.add_parser("train", help="run the staged training pipeline over folds")
-    p.add_argument("--dataset", help="dataset directory or manifest.json")
+    p.add_argument("--dataset", required=True, help="dataset directory or manifest.json")
     p.add_argument("--stages", help="comma list: label, one of contrastive/triplet/grading, fracture")
     p.add_argument("--epochs", help="comma list of per-stage epoch counts")
-    p.add_argument("--network", choices=sorted(NETWORK_PRESETS), help="network preset")
-    p.add_argument("--folds", type=int, help=f"number of folds (default {_DEFAULT_FOLDS})")
-    p.add_argument("--test-fraction", type=float, help=f"test split share (default {_DEFAULT_TEST_FRACTION})")
-    p.add_argument("--config", help="JSON config file with a 'pipeline' section")
-    p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+    p.add_argument("--network", choices=sorted(NETWORK_PRESETS), default="full",
+                   help="network preset (default full)")
+    p.add_argument("--folds", type=int, default=_DEFAULT_FOLDS, help=f"number of folds (default {_DEFAULT_FOLDS})")
+    p.add_argument("--test-fraction", type=float, default=_DEFAULT_TEST_FRACTION,
+                   help=f"test split share (default {_DEFAULT_TEST_FRACTION})")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--jobs", type=int, default=1, help="parallel fold workers (at most one per fold)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -208,16 +208,24 @@ def read_manifest(manifest_path):
         raise ValueError(f"{manifest_path}: manifest has no samples list")
     if not manifest["samples"]:
         raise ValueError(f"{manifest_path}: manifest lists no samples")
-    entries = []
+    entries, ids = [], set()
     for k, entry in enumerate(manifest["samples"]):
         try:
             if not isinstance(entry["file"], str):
                 raise TypeError(f"file {entry['file']!r} is not a string")
+            sample_id, params = entry["id"], entry.get("params", {})
+            if type(sample_id) is not int or sample_id < 0:  # a bool is no id
+                raise ValueError(f"id {sample_id!r} is not a nonnegative int")
+            if sample_id in ids:
+                raise ValueError(f"id {sample_id} repeats an earlier entry's")
+            if not isinstance(params, dict):
+                raise TypeError(f"params {params!r} is not an object")
+            ids.add(sample_id)
             fields = dict(
                 grade=GradeLabel(entry["grade"]),
                 region=RegionLabel(entry["region"]),
-                id=entry["id"],
-                params=entry.get("params", {}),
+                id=sample_id,
+                params=params,
             )
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"{manifest_path}: malformed sample entry {k} ({exc!r})") from exc

@@ -79,8 +79,9 @@ PAPER_GRADE_TOTALS = {GradeLabel.G0: 1133, GradeLabel.G2: 104, GradeLabel.G3: 46
 
 @dataclass(frozen=True)
 class PhantomConfig:
-    """What a dataset may vary: Gaussian noise and blur sigmas (0 turns
-    either off), and a centre jitter of at most ``MAX_JITTER_PX`` px."""
+    """What a dataset may vary: Gaussian noise and blur sigmas (finite and
+    at least 0; 0 turns either off), and a centre jitter of at most
+    ``MAX_JITTER_PX`` px."""
 
     noise_amplitude: float = 0.02
     blur_sigma: float = 0.7
@@ -88,6 +89,9 @@ class PhantomConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("noise_amplitude", "blur_sigma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a finite number of at least 0, got {getattr(self, name)}")
         if self.jitter_px < 0:
             raise ValueError("jitter_px must be nonnegative")
         if self.jitter_px > MAX_JITTER_PX:

@@ -108,15 +108,6 @@ class PipelineConfig:
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
 
-    @classmethod
-    def from_dict(cls, d) -> "PipelineConfig":
-        d = dict(d)
-        if "network" in d:
-            d["network"] = NetworkConfig.from_dict(d["network"])
-        if "stages" in d:
-            d["stages"] = tuple(StagePlan(**p) for p in d["stages"])
-        return cls(**d)
-
 
 def _epoch_tuples(plan, targets, count, seed):
     """One epoch's tuples: (T, W) row indices into the stacked split, and

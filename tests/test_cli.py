@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from spinemetric import atomic, cli, data, phantom
-from spinemetric.backbone import NetworkConfig
 from spinemetric.cli import NETWORK_PRESETS, _build_pipeline_config, build_parser, main
 from spinemetric.evaluation import PROBE_GAP_TOL, PROBE_STEPS
 from spinemetric.mining import GradeLabel
@@ -170,11 +169,13 @@ class TestGen:
         for s in samples:
             assert read_sample_tensor(tmp_path / f"sample_{s.id:06d}.vpat").tobytes() == s.to_tensor().tobytes()
 
-    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
     def test_non_finite_scale_refused(self, tmp_path, capsys, scale):
+        # A scale that is not finite, or not positive, is named before any work.
         out = tmp_path / "ds"
         assert run_cli("gen", "--scale", scale, "--out", str(out)) == 1
-        assert capsys.readouterr().err.strip() == f"error: --scale must be a finite number, got {scale}"
+        want = "a finite number" if scale in ("nan", "inf") else "positive"
+        assert capsys.readouterr().err.strip() == f"error: --scale must be {want}, got {float(scale)}"
         assert not out.exists()
 
     def test_smaller_regen_removes_stale_sample_files(self, tmp_path):
@@ -188,174 +189,6 @@ class TestGen:
         kept = {"manifest.json", "run.json", "notes.txt", "reformation.vpat"}
         assert {p.name for p in out.iterdir()} == named | kept
         assert (out / "reformation.vpat").read_text() == "reformation.vpat"
-
-
-class TestConfigFile:
-    @pytest.mark.parametrize("command", ["gen", "train"])
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            (b"{not json", "config file is not UTF-8 JSON (Expecting property name"),
-            (b'{"seed": "\xff"}', "config file is not UTF-8 JSON ("),
-        ],
-        ids=["not-json", "not-utf8"],
-    )
-    def test_not_json_named(self, tmp_path, capsys, command, content, message):
-        path = tmp_path / "cfg.json"
-        path.write_bytes(content)
-        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "o")) == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
-
-    @pytest.mark.parametrize("command", ["gen", "train"])
-    def test_not_an_object_named(self, tmp_path, capsys, command):
-        path = tmp_path / "cfg.json"
-        path.write_text("[1, 2]")
-        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "o")) == 1
-        assert capsys.readouterr().err.strip() == f"error: {path}: config file is not a JSON object"
-
-    def test_bad_pipeline_section_named(self, dataset_dir, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"pipeline": {"bogus": 1}}))
-        code = run_cli("train", "--dataset", str(dataset_dir), "--config", str(path),
-                       "--out", str(tmp_path / "o"))
-        assert code == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith(f"error: {path}: bad pipeline section (TypeError(") and "'bogus'" in err
-
-    def test_zero_network_size_named(self, dataset_dir, tmp_path, capsys):
-        network = dict(NETWORK_PRESETS["tiny"].to_dict(), input_size=0)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"pipeline": {"network": network}}))
-        code = run_cli("train", "--dataset", str(dataset_dir), "--config", str(path),
-                       "--out", str(tmp_path / "o"))
-        assert code == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith(f"error: {path}: bad pipeline section (") and "input_size must be at least 1" in err
-
-    @pytest.mark.parametrize(
-        "key", ["input_channels", "kernel", "classifier_classes", "leaky_slope", "bn_epsilon", "bn_momentum", "enabled"]
-    )
-    def test_fixed_architecture_key_named(self, key):
-        # The encoder's fixed choices are constants, and a stage runs unless
-        # it has 0 epochs: a pipeline section that sets any of them is refused.
-        pipeline = PipelineConfig().to_dict()
-        (pipeline["stages"][0] if key == "enabled" else pipeline["network"])[key] = 1
-        args = build_parser().parse_args(["train", "--config", "cfg.json", "--out", "o"])
-        with pytest.raises(ValueError, match=rf"^cfg\.json: bad pipeline section \(TypeError\(.*'{key}'"):
-            _build_pipeline_config(args, {"pipeline": pipeline})
-
-    @pytest.mark.parametrize(
-        "key", ["probe_steps", "probe_regularization", "margins", "triplet_margin", "contrastive_margin",
-                "clustering_mode"]
-    )
-    def test_probe_key_named(self, key):
-        # The probe's settings belong to eval (--probe-steps) and evaluation,
-        # and the loss margins are constants of losses: a pipeline section
-        # that sets any of them, even to the value in use, is refused.
-        value = {"margins": {"alpha": 1.5, "beta": 1.0, "gamma": 0.5}, "clustering_mode": "textual"}.get(key, 1)
-        pipeline = {**PipelineConfig().to_dict(), key: value}
-        args = build_parser().parse_args(["train", "--config", "cfg.json", "--out", "o"])
-        with pytest.raises(ValueError, match=rf"^cfg\.json: bad pipeline section \(TypeError\(.*'{key}'"):
-            _build_pipeline_config(args, {"pipeline": pipeline})
-
-    @pytest.mark.parametrize(
-        "network, expected",
-        [
-            ({"input_size": 16, "conv_channels": [6, 12]}, {"input_size": 16, "conv_channels": (6, 12)}),
-            ({"linear_dims": [32, 8]}, {"linear_dims": (32, 8)}),
-            ({}, {}),
-        ],
-        ids=["no-linear-dims", "no-conv-channels", "empty"],
-    )
-    def test_partial_network_section_loads(self, network, expected):
-        # The fields left out keep their defaults.
-        args = build_parser().parse_args(["train", "--config", "cfg.json", "--out", "o"])
-        loaded = _build_pipeline_config(args, {"pipeline": {"network": network}}).network.to_dict()
-        assert loaded == {**NetworkConfig().to_dict(), **expected}
-
-    def test_readme_example_loads(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("A JSON config file can replace flags:", 1)[1]
-        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
-        config = PipelineConfig.from_dict(example["pipeline"])
-        assert config.network == NETWORK_PRESETS["reduced"]
-
-    def test_unknown_gen_key_named(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"jiter_px": 3, "sed": 9}))
-        out = tmp_path / "o"
-        assert run_cli("gen", "--counts", "g0=3,g2=2,g3=2", "--config", str(path), "--out", str(out)) == 1
-        err = capsys.readouterr().err.strip()
-        assert err == f"error: {path}: unknown config keys ['jiter_px', 'sed'] (known keys: ['jitter_px', 'seed'])"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            ({"seed": "7"}, "config key 'seed' must be an integer, got \"7\""),
-            ({"seed": True}, "config key 'seed' must be an integer, got true"),
-            ({"jitter_px": 1.5}, "config key 'jitter_px' must be an integer, got 1.5"),
-        ],
-        ids=["seed-string", "seed-bool", "jitter-float"],
-    )
-    def test_gen_value_type_named(self, tmp_path, capsys, doc, message):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "o"
-        assert run_cli("gen", "--counts", "g0=3,g2=2,g3=2", "--config", str(path), "--out", str(out)) == 1
-        assert capsys.readouterr().err.strip() == f"error: {path}: {message}"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "jitter, message",
-        [
-            (-1, "jitter_px must be nonnegative"),
-            (150, "jitter_px 150 can move the graded body off the patch (at most 35 px)"),
-        ],
-        ids=["negative", "off-the-patch"],
-    )
-    def test_gen_bad_jitter_named(self, tmp_path, capsys, jitter, message):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"jitter_px": jitter}))
-        out = tmp_path / "o"
-        assert run_cli("gen", "--counts", "g0=3,g2=1,g3=1", "--seed", "1", "--config", str(path), "--out", str(out)) == 1
-        assert capsys.readouterr().err.strip() == f"error: {path}: {message}"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            ({"folds": 1.7}, "config key 'folds' must be an integer, got 1.7"),
-            ({"folds": True}, "config key 'folds' must be an integer, got true"),
-            ({"folds": "x"}, "config key 'folds' must be an integer, got \"x\""),
-            ({"test_fraction": "0.3"}, "config key 'test_fraction' must be a number, got \"0.3\""),
-            ({"test_fraction": True}, "config key 'test_fraction' must be a number, got true"),
-            ({"dataset": 5}, "config key 'dataset' must be a string, got 5"),
-            ({"pipeline": []}, "config key 'pipeline' must be an object, got []"),
-        ],
-        ids=["folds-float", "folds-bool", "folds-string", "fraction-string", "fraction-bool",
-             "dataset-int", "pipeline-list"],
-    )
-    def test_train_value_type_named(self, dataset_dir, tmp_path, capsys, doc, message):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "o"
-        assert run_cli("train", "--dataset", str(dataset_dir), "--network", "tiny", "--epochs", "1,1,1",
-                       "--config", str(path), "--out", str(out)) == 1
-        assert capsys.readouterr().err.strip() == f"error: {path}: {message}"
-        assert not out.exists()
-
-    def test_unknown_train_key_named(self, dataset_dir, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dataset": str(dataset_dir), "seed": 3, "folds": 2}))
-        out = tmp_path / "o"
-        assert run_cli("train", "--config", str(path), "--out", str(out)) == 1
-        err = capsys.readouterr().err.strip()
-        assert err == (
-            f"error: {path}: unknown config keys ['seed'] "
-            "(known keys: ['dataset', 'folds', 'pipeline', 'test_fraction'])"
-        )
-        assert not out.exists()
 
 
 class TestReformat:
@@ -434,9 +267,9 @@ class TestReformat:
 
 class TestStagesFlag:
     @staticmethod
-    def plans(stages, cfg_file=None):
-        args = build_parser().parse_args(["train", "--stages", stages, "--out", "o"])
-        config = _build_pipeline_config(args, cfg_file or {})
+    def plans(stages):
+        args = build_parser().parse_args(["train", "--dataset", "d", "--stages", stages, "--out", "o"])
+        config = _build_pipeline_config(args)
         return [(p.stage, p.loss_kind, p.epochs, p.batch_size) for p in config.stages]
 
     @pytest.mark.parametrize(
@@ -457,13 +290,14 @@ class TestStagesFlag:
     def test_tokens_give_plans_in_stage_order(self, stages, want):
         assert self.plans(stages) == want
 
-    def test_epochs_and_batch_size_from_config_file(self):
-        cfg = {"pipeline": {"stages": [
-            {"stage": "RepresentationLearn", "loss_kind": "grading", "epochs": 7, "batch_size": 5},
-        ]}}
-        assert self.plans("triplet,fracture", cfg) == [
-            ("RepresentationLearn", "triplet", 7, 5), ("FractureTrain", "cross_entropy", 40, 32),
-        ]
+    def test_flag_defaults_give_default_config(self):
+        # A run set by flags alone resolves to the default config, so its
+        # run.json and records.json config_digest stay those of PipelineConfig().
+        args = build_parser().parse_args(["train", "--dataset", "d", "--out", "o"])
+        config = _build_pipeline_config(args)
+        assert config == PipelineConfig()
+        assert config.to_json() == PipelineConfig().to_json()
+        assert (args.folds, args.test_fraction) == (15, 0.25)
 
     @pytest.mark.parametrize(
         "stages, message",
@@ -487,9 +321,9 @@ class TestStagesFlag:
         ],
     )
     def test_bad_epochs_refused(self, epochs, message):
-        args = build_parser().parse_args(["train", "--epochs", epochs, "--out", "o"])
+        args = build_parser().parse_args(["train", "--dataset", "d", "--epochs", epochs, "--out", "o"])
         with pytest.raises(ValueError) as exc:
-            _build_pipeline_config(args, {})
+            _build_pipeline_config(args)
         assert str(exc.value) == message
 
 

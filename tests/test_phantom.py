@@ -68,6 +68,24 @@ class TestConfig:
     def test_digest_changes_with_seed(self):
         assert PhantomConfig(seed=1).digest() != PhantomConfig(seed=2).digest()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"noise_amplitude": float("nan")}, "noise_amplitude must be a finite number of at least 0, got nan"),
+            ({"noise_amplitude": float("inf")}, "noise_amplitude must be a finite number of at least 0, got inf"),
+            ({"noise_amplitude": -0.1}, "noise_amplitude must be a finite number of at least 0, got -0.1"),
+            ({"blur_sigma": float("nan")}, "blur_sigma must be a finite number of at least 0, got nan"),
+            ({"blur_sigma": float("inf")}, "blur_sigma must be a finite number of at least 0, got inf"),
+            ({"blur_sigma": -1.0}, "blur_sigma must be a finite number of at least 0, got -1.0"),
+            ({"jitter_px": -1}, "jitter_px must be nonnegative"),
+        ],
+        ids=["noise-nan", "noise-inf", "noise-negative", "blur-nan", "blur-inf", "blur-negative", "jitter-negative"],
+    )
+    def test_bad_field_refused_by_name(self, overrides, message):
+        with pytest.raises(ValueError) as exc:
+            PhantomConfig(**overrides)
+        assert str(exc.value) == message
+
     def test_default_digest_pinned(self):
         # Every dataset manifest records this digest: its encoding must not move.
         assert PhantomConfig().digest() == "1a310341472d9745b3a024f57446f9644fad2301a3875b2744d0ec189e0ac7ee"
@@ -380,8 +398,16 @@ class TestGenerateDataset:
             {**GOOD_ENTRY, "region": "x"},
             {**GOOD_ENTRY, "file": 5},
             list(GOOD_ENTRY.values()),
+            {**GOOD_ENTRY, "id": "abc"},
+            {**GOOD_ENTRY, "id": 1.5},
+            {**GOOD_ENTRY, "id": True},
+            {**GOOD_ENTRY, "id": None},
+            {**GOOD_ENTRY, "id": -3},
+            {**GOOD_ENTRY, "id": GOOD_ENTRY["id"]},
+            {**GOOD_ENTRY, "id": 1, "params": [1, 2]},
         ],
-        ids=["empty", "grade-7", "region-x", "file-not-string", "list"],
+        ids=["empty", "grade-7", "region-x", "file-not-string", "list", "id-string", "id-float", "id-bool",
+             "id-null", "id-negative", "id-repeated", "params-list"],
     )
     def test_malformed_sample_entry_rejected(self, tmp_path, entry):
         write_sample_tensor(tmp_path / GOOD_ENTRY["file"], np.zeros((2, 112, 112), np.float32))
