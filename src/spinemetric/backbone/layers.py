@@ -327,12 +327,12 @@ class BatchNorm(Layer):
     @staticmethod
     def _channel_first(x):
         """``x`` as a ``(C, L)`` array over the batch-last axes ``(C, ..., N)``."""
-        return np.moveaxis(x, 0, -1).reshape(x.shape[1], -1)
+        return x.transpose(*range(1, x.ndim), 0).reshape(x.shape[1], -1)
 
     @staticmethod
     def _batch_first(a, shape):
         """Inverse of ``_channel_first``: ``(C, L)`` back to ``shape``."""
-        return np.moveaxis(a.reshape(*shape[1:], shape[0]), -1, 0)
+        return a.reshape(*shape[1:], shape[0]).transpose(-1, *range(len(shape) - 1))
 
     def forward(self, x, train: bool):
         xc = self._channel_first(x)

@@ -100,6 +100,7 @@ class PatchEncoder:
 
         self._names: list[str] = []
         self._layers: list = []
+        self._maps: dict = {}
         c_in = INPUT_CHANNELS
         for i, c_out in enumerate(config.conv_channels, start=1):
             self._add(f"conv{i}", Conv2d(c_in, c_out, KERNEL, rng, dtype))
@@ -126,12 +127,18 @@ class PatchEncoder:
 
     def _tensors(self, kind: str) -> dict:
         """``{"<layer>.<tensor>": array}`` over every layer's ``kind`` map
-        (``"params"``, ``"grads"`` or ``"state"``), in layer order."""
-        return {
-            f"{name}.{key}": arr
-            for name, layer in zip(self._names, self._layers)
-            for key, arr in getattr(layer, kind)().items()
-        }
+        (``"params"``, ``"grads"`` or ``"state"``), in layer order.
+
+        The maps are built once and kept until ``swap_head`` replaces a
+        layer: every layer keeps its arrays for life and updates them in
+        place. Each call returns a new dict of the same arrays."""
+        if kind not in self._maps:
+            self._maps[kind] = {
+                f"{name}.{key}": arr
+                for name, layer in zip(self._names, self._layers)
+                for key, arr in getattr(layer, kind)().items()
+            }
+        return dict(self._maps[kind])
 
     def parameters(self) -> dict:
         return self._tensors("params")
@@ -198,6 +205,7 @@ class PatchEncoder:
             raise ValueError(f"unknown head {new_head!r}; expected one of {HEADS}")
         rng = np.random.default_rng([seed])
         self._layers[-1] = _init_head(self.config, new_head, rng)
+        self._maps.clear()
         self.head = new_head
         return self
 

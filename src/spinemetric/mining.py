@@ -165,22 +165,23 @@ def mine_quadruplets(labels, count: int, seed: int) -> np.ndarray:
     if max(len(v) for v in by_grade.values()) < 2:
         raise ValueError("need at least one grade with >= 2 samples for anchors")
 
-    pools = {int(g): np.array(by_grade[g]) for g in GRADES}
+    pools = [by_grade[g] for g in GRADES]
     rng = np.random.default_rng([seed])
-    out = np.empty((count, 5), dtype=np.intp)
-    for t in range(count):
-        statics = [int(pool[rng.integers(len(pool))]) for pool in pools.values()]
-        n = int(rng.choice([0, 2, 3]))
-        pool = pools[n]
+    out = []
+    for _ in range(count):
+        statics = [pool[rng.integers(len(pool))] for pool in pools]
+        # The stream of rng.choice([0, 2, 3]), without its per-call overhead.
+        k = rng.integers(3)
+        n, pool = (0, 2, 3)[k], pools[k]
         if len(pool) < 2:
             raise ValueError(
                 f"anchor class {n} has a single sample occupying the static slot"
             )
-        anchor = static = statics[GRADES.index(n)]
+        anchor = static = statics[k]
         while anchor == static:
-            anchor = int(pool[rng.integers(len(pool))])
-        out[t] = statics + [anchor, n]
-    return out
+            anchor = pool[rng.integers(len(pool))]
+        out.append(statics + [anchor, n])
+    return np.array(out, dtype=np.intp).reshape(count, 5)
 
 
 def _class_pools(labels):

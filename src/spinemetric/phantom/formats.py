@@ -211,11 +211,20 @@ def read_manifest(manifest_path):
     entries, ids = [], set()
     for k, entry in enumerate(manifest["samples"]):
         try:
-            if not isinstance(entry["file"], str):
-                raise TypeError(f"file {entry['file']!r} is not a string")
+            name = entry["file"]
+            if not isinstance(name, str):
+                raise TypeError(f"file {name!r} is not a string")
+            # Only a bare name stays in the manifest's directory, and the
+            # manifest digest covers only the name. (An absolute path holds
+            # a separator.)
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ValueError(f"file {name!r} is not a bare file name")
             sample_id, params = entry["id"], entry.get("params", {})
             if type(sample_id) is not int or sample_id < 0:  # a bool is no id
                 raise ValueError(f"id {sample_id!r} is not a nonnegative int")
+            for key in ("grade", "region"):
+                if type(entry[key]) is not int:  # nor a grade or region
+                    raise TypeError(f"{key} {entry[key]!r} is not an int")
             if sample_id in ids:
                 raise ValueError(f"id {sample_id} repeats an earlier entry's")
             if not isinstance(params, dict):
@@ -229,7 +238,7 @@ def read_manifest(manifest_path):
             )
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"{manifest_path}: malformed sample entry {k} ({exc!r})") from exc
-        entries.append((manifest_path.parent / entry["file"], fields))
+        entries.append((manifest_path.parent / name, fields))
     return manifest, entries
 
 

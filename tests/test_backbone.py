@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from spinemetric.backbone import (
     load_model,
     save_model,
 )
+from spinemetric.backbone import optim
 from spinemetric.backbone.checkpoint import HEADER, VERSION
 from spinemetric.backbone.model import _init_head
 from spinemetric.cli import NETWORK_PRESETS
@@ -389,6 +391,98 @@ class TestAdam:
         for p in model.parameters().values():
             assert np.all(np.isfinite(p))
 
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_blocks_spanning_tensors_match_reference(self, monkeypatch, block):
+        # Blocks far smaller than a tensor, and blocks that cut across
+        # several tensors, give the per-tensor expression's bits.
+        monkeypatch.setattr(optim, "BLOCK_ELEMENTS", block)
+        model = init_model(replace(REDUCED, dtype="float32"), seed=3)
+        opt = adam_init(model, learning_rate=1e-3)
+        assert any(len(segments) > 1 for *_, segments in opt.blocks) == (block > 1)
+        params = {k: p.copy() for k, p in model.parameters().items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        rng = np.random.default_rng(8)
+        for step in range(1, 4):
+            grads = {k: (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3)).astype("float32")
+                     for k, p in params.items()}
+            adam_step(model, opt, grads)
+            adam_step_reference(params, m, v, grads, step, 1e-3)
+        for k, p in model.parameters().items():
+            assert p.tobytes() == params[k].tobytes(), k
+            assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes(), k
+
+    def test_moments_are_views_of_one_flat_state(self):
+        model = init_model(REDUCED, seed=3)
+        opt = adam_init(model)
+        offset = 0
+        for k, p in model.parameters().items():
+            assert opt.m[k].shape == p.shape and opt.m[k].base is opt.flat_m
+            assert opt.v[k].shape == p.shape and opt.v[k].base is opt.flat_v
+            assert np.shares_memory(opt.m[k], opt.flat_m[offset : offset + p.size])
+            offset += p.size
+        assert opt.flat_m.size == opt.flat_v.size == offset
+
+    def test_full_step_allocates_no_tensor_sized_array(self):
+        # fc1.weight of the full preset is 12.3 MiB in float32: a step that
+        # copied it, or gathered all gradients into one array, would pass
+        # the bound. The step's block buffers belong to the state.
+        model = init_model(NETWORK_PRESETS["full"], seed=0)
+        opt = adam_init(model)
+        grads = model.gradients()
+        for g in grads.values():
+            g.fill(1e-3)
+        tracemalloc.start()
+        try:
+            adam_step(model, opt, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("fault", ["missing", "unknown"])
+    def test_gradient_map_must_name_every_parameter_and_no_other(self, fault):
+        model = init_model(REDUCED, seed=3)
+        opt = adam_init(model)
+        before = {k: p.copy() for k, p in model.parameters().items()}
+        grads = {k: np.ones_like(p) for k, p in before.items()}
+        if fault == "missing":
+            name = "fc1.weight"
+            del grads[name]
+        else:
+            name = "fc9.weight"
+            grads[name] = np.ones(3)
+        with pytest.raises(KeyError, match=re.escape(repr(name))):
+            adam_step(model, opt, grads)
+        assert opt.step_count == 0
+        for k, p in model.parameters().items():
+            assert np.array_equal(p, before[k]) and not opt.m[k].any() and not opt.v[k].any()
+
+    def test_gradient_dtype_mismatch_rejected(self):
+        m = _ScalarModel()
+        opt = adam_init(m)
+        with pytest.raises(ValueError, match="'w'"):
+            adam_step(m, opt, {"w": np.ones(1, np.float32)})
+        assert m.w[0] == 0.0 and opt.step_count == 0
+
+    def test_parameters_of_two_dtypes_rejected(self):
+        # One flat state holds every tensor's moments in one dtype.
+        m = _ScalarModel()
+        m.parameters = lambda: {"w": m.w, "u": np.zeros(2, np.float32)}
+        with pytest.raises(ValueError, match="one dtype"):
+            adam_init(m)
+
+    def test_state_of_another_model_rejected(self):
+        # The state's blocks name the tensors it was made for.
+        model = init_model(REDUCED, seed=3)
+        opt = adam_init(_ScalarModel())
+        before = {k: p.copy() for k, p in model.parameters().items()}
+        with pytest.raises(ValueError, match="optimizer state"):
+            adam_step(model, opt, {k: np.ones_like(p) for k, p in before.items()})
+        assert opt.step_count == 0 and not opt.flat_m.any()
+        for k, p in model.parameters().items():
+            assert np.array_equal(p, before[k]), k
+
 
 class TestSwapHead:
     def test_swap_to_classifier(self):
@@ -424,6 +518,34 @@ class TestSwapHead:
         m = init_model(REDUCED, seed=0)
         with pytest.raises(ValueError):
             m.swap_head("classifier5", seed=0)
+
+    @pytest.mark.parametrize("how", ["swap_head", "load_model"])
+    def test_tensor_maps_follow_the_new_head(self, tmp_path, how):
+        m = init_model(REDUCED, seed=0)
+        m.parameters(), m.gradients(), m.bn_stats()  # builds the cached maps
+        m.swap_head(HEAD_CLASSIFIER, seed=5)
+        if how == "load_model":
+            save_model(m, tmp_path / "m.gmck")
+            m = load_model(tmp_path / "m.gmck")
+        params, grads = m.parameters(), m.gradients()
+        for name, layer in zip(m._names, m._layers):
+            for key, arr in layer.params().items():
+                assert params[f"{name}.{key}"] is arr
+            for key, arr in layer.grads().items():
+                assert grads[f"{name}.{key}"] is arr
+        head = m._layers[-1]
+        assert params["head.weight"] is head.weight and grads["head.bias"] is head.d_bias
+        # Each call hands out its own dict.
+        params.pop("head.weight")
+        assert m.parameters()["head.weight"] is head.weight
+
+        opt = adam_init(m, learning_rate=1e-2)
+        before = {k: p.copy() for k, p in m.parameters().items()}
+        out = m.forward(np.random.default_rng(1).normal(size=(4, 2, 8, 8)), train=True)
+        m.zero_grad()
+        adam_step(m, opt, m.backward(np.sign(out)))
+        for k in ("head.weight", "head.bias"):
+            assert not np.array_equal(m.parameters()[k], before[k]), k
 
 
 def write_checkpoint(path, blob, payload=b""):

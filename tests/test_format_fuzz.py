@@ -8,6 +8,7 @@ and both must give the same result. A checkpoint carries a digest of its
 manifest and payload, so any changed byte of it is refused.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -114,6 +115,48 @@ def test_truncated_manifest_rejected(dataset, data):
     root, _, good_manifest, _ = dataset
     length = data.draw(st.integers(0, len(good_manifest) - 1))
     _assert_rejected_naming(_load_damaged(dataset, manifest=good_manifest[:length]), root / "manifest.json")
+
+
+def _with_entry(good_manifest, **changes) -> bytes:
+    """The manifest bytes with ``changes`` made to its one sample entry."""
+    doc = json.loads(good_manifest)
+    doc["samples"][0].update(changes)
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"grade": False}, {"grade": True}, {"region": True}, {"region": False}],
+    ids=["grade-false", "grade-true", "region-true", "region-false"],
+)
+def test_bool_label_rejected(dataset, changes):
+    # GradeLabel(False) would be G0 and RegionLabel(True) T6_T9.
+    root, _, good_manifest, _ = dataset
+    result = _load_damaged(dataset, manifest=_with_entry(good_manifest, **changes))
+    _assert_rejected_naming(result, root / "manifest.json")
+    key, value = next(iter(changes.items()))
+    assert "malformed sample entry 0" in result and f"{key} {value!r} is not an int" in result
+
+
+@pytest.mark.parametrize(
+    "file",
+    ["../outside.vpat", "sub/sample_000000.vpat", "sub\\sample_000000.vpat", "/abs/sample_000000.vpat",
+     ".", "..", ""],
+)
+def test_sample_file_not_bare_name_rejected(dataset, tmp_path, file):
+    # A scratch manifest beside readable copies of the sample file, so only
+    # the name check stands between the manifest and a file outside it.
+    _, good_vpat, good_manifest, _ = dataset
+    root = tmp_path / "data"
+    (root / "sub").mkdir(parents=True)
+    for copy in (tmp_path / "outside.vpat", root / "sub" / "sample_000000.vpat"):
+        copy.write_bytes(good_vpat)
+    (root / "manifest.json").write_bytes(_with_entry(good_manifest, file=file))
+    for load in (load_dataset, lambda path: load_patch_set(read_manifest(path)[1], PATCH_SIZE)):
+        with pytest.raises(ValueError) as info:
+            load(root / "manifest.json")
+        _assert_rejected_naming(str(info.value), root / "manifest.json")
+        assert "is not a bare file name" in str(info.value)
 
 
 @pytest.fixture(scope="module")
