@@ -28,16 +28,10 @@ VERSION = 3
 HEADER = 12 + hashlib.sha256().digest_size
 
 
-def _all_tensors(model: PatchEncoder) -> dict:
-    tensors = dict(model.parameters())
-    tensors.update(model.bn_stats())
-    return tensors
-
-
 def save_model(model: PatchEncoder, path) -> None:
     """Write a checkpoint. Tensors are stored as float32 regardless of the
     in-memory dtype (the format is fixed)."""
-    tensors = _all_tensors(model)
+    tensors = {**model.parameters(), **model.bn_stats()}
     names = sorted(tensors)
     manifest = {
         "config": model.config.to_dict(),
@@ -85,10 +79,13 @@ def load_model(path) -> PatchEncoder:
         entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in manifest["tensors"]]
         if not all(isinstance(name, str) for name, *_ in entries):
             raise TypeError("tensor names must be strings")
+        # A float or bool entry compares equal to the model's int.
+        if not all(type(d) is int and d >= 0 for _, shape, _ in entries for d in shape):
+            raise ValueError("tensor shapes must list nonnegative ints")
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest ({exc!r})") from exc
 
-    tensors = _all_tensors(model)
+    tensors = {**model.parameters(), **model.bn_stats()}
     listed = [name for name, *_ in entries]
     if sorted(listed) != sorted(tensors):
         missing = sorted(set(tensors) - set(listed))

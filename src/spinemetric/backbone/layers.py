@@ -6,12 +6,15 @@ gradient buffer is the attribute ``d_<name>``; ``STATE`` lists the
 non-trainable ones (batch-norm running statistics). ``params()``,
 ``grads()`` and ``state()`` are built from those tuples, in their order.
 
-Each layer owns its parameters and gradient buffers. A train-mode forward
-caches whatever backward needs; eval-mode forwards cache nothing and are
-side-effect free. Upstream gradients use the sum-reduction convention:
-``backward(dy)`` expects d(scalar loss)/d(output) and returns the gradient
-with respect to the input while accumulating parameter gradients in-place
-(a ``Conv2d`` with ``input_grad = False`` returns ``None`` instead).
+Each layer holds its parameters and gradient buffers. Inside a
+``PatchEncoder`` they are views of the model's flat ``flat_params`` and
+``flat_grads`` arrays, so a layer updates them only in place and never
+rebinds them. A train-mode forward caches whatever backward needs;
+eval-mode forwards cache nothing and are side-effect free. Upstream
+gradients use the sum-reduction convention: ``backward(dy)`` expects
+d(scalar loss)/d(output) and returns the gradient with respect to the input
+while accumulating parameter gradients in-place (a ``Conv2d`` with
+``input_grad = False`` returns ``None`` instead).
 
 Memory rule: a pass allocates no input-sized array beyond the ones it
 returns or caches, and works in place on those. A conv pass adds one buffer

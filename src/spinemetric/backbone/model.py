@@ -100,7 +100,6 @@ class PatchEncoder:
 
         self._names: list[str] = []
         self._layers: list = []
-        self._maps: dict = {}
         c_in = INPUT_CHANNELS
         for i, c_out in enumerate(config.conv_channels, start=1):
             self._add(f"conv{i}", Conv2d(c_in, c_out, KERNEL, rng, dtype))
@@ -118,6 +117,7 @@ class PatchEncoder:
             self._add(f"lrelu{j}", LeakyReLU(LEAKY_SLOPE))
             d_in = d_out
         self._add("head", _init_head(config, self.head, rng))
+        self._pack()
 
     def _add(self, name, layer):
         self._names.append(name)
@@ -125,33 +125,38 @@ class PatchEncoder:
 
     # --- parameter access -------------------------------------------------
 
-    def _tensors(self, kind: str) -> dict:
-        """``{"<layer>.<tensor>": array}`` over every layer's ``kind`` map
-        (``"params"``, ``"grads"`` or ``"state"``), in layer order.
-
-        The maps are built once and kept until ``swap_head`` replaces a
-        layer: every layer keeps its arrays for life and updates them in
-        place. Each call returns a new dict of the same arrays."""
-        if kind not in self._maps:
-            self._maps[kind] = {
-                f"{name}.{key}": arr
-                for name, layer in zip(self._names, self._layers)
-                for key, arr in getattr(layer, kind)().items()
-            }
-        return dict(self._maps[kind])
+    def _pack(self):
+        """Copy every trainable tensor end to end into ``flat_params``, in
+        layer and ``PARAMS`` order (the naming rule in ``layers``), give each
+        a zeroed gradient in the same slot of ``flat_grads``, and rebind
+        every layer attribute to a view of its slot; then build the
+        ``"<layer>.<tensor>"`` maps of both and of the batch-norm state.
+        Gradients start at zero, not copied: every backward follows a
+        ``zero_grad``."""
+        layers = list(zip(self._names, self._layers))
+        slots = [(layer, f"{n}.{k}", k, getattr(layer, k)) for n, layer in layers for k in layer.PARAMS]
+        self.flat_params = np.concatenate([p.ravel() for *_, p in slots])
+        self.flat_grads = np.zeros(self.flat_params.size, self.flat_params.dtype)
+        cuts = np.cumsum([p.size for *_, p in slots])[:-1]
+        self._maps = {"state": {f"{n}.{k}": a for n, layer in layers for k, a in layer.state().items()}}
+        for kind, prefix, flat in (("params", "", self.flat_params), ("grads", "d_", self.flat_grads)):
+            self._maps[kind] = {name: v.reshape(p.shape) for (_, name, _, p), v in zip(slots, np.split(flat, cuts))}
+            for layer, name, key, _ in slots:
+                setattr(layer, prefix + key, self._maps[kind][name])
 
     def parameters(self) -> dict:
-        return self._tensors("params")
+        """A new dict of views of ``flat_params``, in its order."""
+        return dict(self._maps["params"])
 
     def gradients(self) -> dict:
-        return self._tensors("grads")
+        """A new dict of views of ``flat_grads``, in its order."""
+        return dict(self._maps["grads"])
 
     def bn_stats(self) -> dict:
-        return self._tensors("state")
+        return dict(self._maps["state"])
 
     def zero_grad(self):
-        for g in self.gradients().values():
-            g.fill(0.0)
+        self.flat_grads.fill(0.0)
 
     @property
     def output_dim(self) -> int:
@@ -199,13 +204,16 @@ class PatchEncoder:
     def swap_head(self, new_head: str, seed: int) -> "PatchEncoder":
         """Replace the final linear layer with a freshly seeded one.
 
-        Every other parameter and all running statistics are left untouched.
+        Every other parameter keeps its bytes, in new flat arrays, every
+        gradient is zeroed, and all running statistics are left untouched.
+        An ``AdamState`` made before a swap that resizes the head is refused
+        by ``adam_step``.
         """
         if new_head not in HEADS:
             raise ValueError(f"unknown head {new_head!r}; expected one of {HEADS}")
         rng = np.random.default_rng([seed])
         self._layers[-1] = _init_head(self.config, new_head, rng)
-        self._maps.clear()
+        self._pack()
         self.head = new_head
         return self
 

@@ -318,13 +318,28 @@ _PROBE_OPTIONS = {"folds": _DEFAULT_FOLDS, "test_fraction": _DEFAULT_TEST_FRACTI
                   "probe_steps": PROBE_STEPS, "seed": 0}
 
 
+def _check_protocol_options(args) -> None:
+    """Refuse, by flag and before any file is read, an option that the
+    protocol needs and lacks or that only the other protocol takes."""
+    if args.protocol == "probe":
+        if not args.checkpoint:
+            raise ValueError("--protocol probe requires --checkpoint")
+        foreign = {"run": "it evaluates --checkpoint"}
+    else:
+        if not args.run:
+            raise ValueError("--protocol classify requires --run (a train output dir)")
+        foreign = {"checkpoint": "its checkpoints come from --run",
+                   **dict.fromkeys(_PROBE_OPTIONS, "its folds come from --run")}
+    for option, why in foreign.items():
+        if getattr(args, option) is not None:
+            raise ValueError(f"--protocol {args.protocol} does not take --{option.replace('_', '-')}: {why}")
+
+
 def _protocol_folds(args, grades):
     """The protocol's folds, one checkpoint path per fold, the head those
     checkpoints must carry, and the name of the evaluated setup. Fills in
     the probe options' defaults on ``args``."""
     if args.protocol == "probe":
-        if not args.checkpoint:
-            raise ValueError("--protocol probe requires --checkpoint")
         for option, default in _PROBE_OPTIONS.items():
             if getattr(args, option) is None:
                 setattr(args, option, default)
@@ -334,21 +349,13 @@ def _protocol_folds(args, grades):
         folds = make_folds(grades, n_folds=args.folds, test_fraction=args.test_fraction, seed=args.seed)
         path = Path(args.checkpoint)
         return folds, [path] * len(folds), HEAD_EMBEDDING, path.stem
-    if args.protocol == "classify":
-        if not args.run:
-            raise ValueError("--protocol classify requires --run (a train output dir)")
-        for option in _PROBE_OPTIONS:
-            if getattr(args, option) is not None:
-                flag = "--" + option.replace("_", "-")
-                raise ValueError(f"--protocol classify does not take {flag}: its folds come from --run")
-        folds_path = Path(args.run) / "folds.json"
-        try:
-            folds = folds_from_json(folds_path.read_text(), n_samples=len(grades))
-        except ValueError as exc:
-            raise ValueError(f"{folds_path}: {exc}") from None
-        paths = [folds_path.parent / f"fold_{f.fold_id:02d}" / "final.gmck" for f in folds]
-        return folds, paths, HEAD_CLASSIFIER, folds_path.parent.name
-    raise ValueError(f"unknown protocol {args.protocol!r}")
+    folds_path = Path(args.run) / "folds.json"
+    try:
+        folds = folds_from_json(folds_path.read_text(), n_samples=len(grades))
+    except ValueError as exc:
+        raise ValueError(f"{folds_path}: {exc}") from None
+    paths = [folds_path.parent / f"fold_{f.fold_id:02d}" / "final.gmck" for f in folds]
+    return folds, paths, HEAD_CLASSIFIER, folds_path.parent.name
 
 
 def _check_run_dataset(run_dir: Path, manifest_path: Path, manifest: dict) -> None:
@@ -371,6 +378,7 @@ def _load_checkpoint(path, head, use):
 
 
 def cmd_eval(args) -> int:
+    _check_protocol_options(args)
     manifest, entries, manifest_path = _load_dataset(args.dataset)
     out_dir = Path(args.out)
 

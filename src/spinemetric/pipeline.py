@@ -204,8 +204,8 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
             d_out = np.zeros_like(out)
             np.add.at(d_out, slot_row, upstream.reshape(len(slot_row), -1))
             model.zero_grad()
-            grads = model.backward(d_out)
-            adam_step(model, opt, grads)
+            model.backward(d_out)
+            adam_step(model, opt)
             losses.append((mean_loss, len(batch)))
             record.rows_forwarded += len(distinct)
         record.epoch_losses.append(

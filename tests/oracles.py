@@ -796,7 +796,8 @@ def run_stage_reference(model, plan, samples, seed: int, config) -> list[float]:
                 plan.loss_kind,
             )
             model.zero_grad()
-            adam_step(model, opt, model.backward(upstream.reshape(out.shape)))
+            model.backward(upstream.reshape(out.shape))
+            adam_step(model, opt)
             total += mean_loss * len(batch)
         epoch_losses.append(total / len(rows))
     return epoch_losses

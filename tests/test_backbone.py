@@ -293,11 +293,29 @@ class TestBackward:
 
 
 class _ScalarModel:
-    def __init__(self, value=0.0):
-        self.w = np.array([value])
+    """One parameter ``w`` in the flat layout that ``adam_step`` reads."""
 
-    def parameters(self):
-        return {"w": self.w}
+    def __init__(self, value=0.0):
+        self.flat_params = np.array([value])
+        self.flat_grads = np.zeros(1)
+        self.w = self.flat_params
+
+    def gradients(self):
+        return {"w": self.flat_grads}
+
+
+def moments(model, flat):
+    """A flat Adam moment cut into the model's tensors, by name."""
+    out, offset = {}, 0
+    for k, p in model.parameters().items():
+        out[k] = flat[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
+    return out
+
+
+def set_gradients(model, grads):
+    for k, g in model.gradients().items():
+        g[...] = grads[k]
 
 
 class TestAdam:
@@ -305,7 +323,8 @@ class TestAdam:
         # m_hat = v_hat = 1 at t=1, so the update is lr / (1 + eps)
         m = _ScalarModel(0.0)
         opt = adam_init(m, learning_rate=1e-4)
-        adam_step(m, opt, {"w": np.array([1.0])})
+        m.flat_grads[0] = 1.0
+        adam_step(m, opt)
         expected = -1e-4 / (1.0 + 1e-8)
         assert m.w[0] == pytest.approx(expected, rel=1e-12)
         assert opt.step_count == 1
@@ -313,7 +332,7 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         m = _ScalarModel(0.7)
         opt = adam_init(m)
-        adam_step(m, opt, {"w": np.zeros(1)})
+        adam_step(m, opt)
         assert m.w[0] == 0.7
         assert opt.step_count == 1
 
@@ -326,8 +345,8 @@ class TestAdam:
             for step in range(3):
                 out = model.forward(x, train=True)
                 model.zero_grad()
-                grads = model.backward(np.ones_like(out))
-                adam_step(model, opt, grads)
+                model.backward(np.ones_like(out))
+                adam_step(model, opt)
             runs.append({k: v.copy() for k, v in model.parameters().items()})
         for name in runs[0]:
             assert np.array_equal(runs[0][name], runs[1][name])
@@ -346,38 +365,34 @@ class TestAdam:
                 k: (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3) * (step != 3)).astype(dtype)
                 for k, p in params.items()
             }
-            adam_step(model, opt, grads)
+            set_gradients(model, grads)
+            adam_step(model, opt)
             adam_step_reference(params, m, v, grads, step, 1e-3)
+            opt_m, opt_v = moments(model, opt.m), moments(model, opt.v)
             for k, p in model.parameters().items():
                 assert p.tobytes() == params[k].tobytes(), k
-                assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes(), k
+                assert opt_m[k].tobytes() == m[k].tobytes() and opt_v[k].tobytes() == v[k].tobytes(), k
 
     def test_non_finite_gradient_in_any_tensor_refused_before_any_write(self):
         model = init_model(REDUCED, seed=3)
         opt = adam_init(model)
-        before = {k: p.copy() for k, p in model.parameters().items()}
-        grads = {k: np.ones_like(p) for k, p in before.items()}
-        last = list(grads)[-1]
-        grads[last].flat[-1] = np.inf
+        before = model.flat_params.copy()
+        model.flat_grads.fill(1.0)
+        last = list(model.gradients())[-1]
+        model.gradients()[last].flat[-1] = np.inf
         with pytest.raises(FloatingPointError, match=re.escape(repr(last))):
-            adam_step(model, opt, grads)
+            adam_step(model, opt)
         assert opt.step_count == 0
-        for k, p in model.parameters().items():
-            assert np.array_equal(p, before[k]) and not opt.m[k].any() and not opt.v[k].any()
+        assert np.array_equal(model.flat_params, before) and not opt.m.any() and not opt.v.any()
 
     def test_non_finite_gradient_refused(self):
         m = _ScalarModel(0.5)
         opt = adam_init(m)
-        with pytest.raises(FloatingPointError):
-            adam_step(m, opt, {"w": np.array([np.nan])})
+        m.flat_grads[0] = np.nan
+        with pytest.raises(FloatingPointError, match="'w'"):
+            adam_step(m, opt)
         assert m.w[0] == 0.5
         assert opt.step_count == 0
-
-    def test_shape_mismatch_rejected(self):
-        m = _ScalarModel()
-        opt = adam_init(m)
-        with pytest.raises(ValueError):
-            adam_step(m, opt, {"w": np.zeros(2)})
 
     def test_parameters_stay_finite_over_many_steps(self):
         model = init_model(REDUCED, seed=12)
@@ -387,9 +402,9 @@ class TestAdam:
             x = rng.normal(size=(4, 2, 8, 8))
             out = model.forward(x, train=True)
             model.zero_grad()
-            adam_step(model, opt, model.backward(np.sign(out)))
-        for p in model.parameters().values():
-            assert np.all(np.isfinite(p))
+            model.backward(np.sign(out))
+            adam_step(model, opt)
+        assert np.all(np.isfinite(model.flat_params))
 
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_blocks_spanning_tensors_match_reference(self, monkeypatch, block):
@@ -398,7 +413,7 @@ class TestAdam:
         monkeypatch.setattr(optim, "BLOCK_ELEMENTS", block)
         model = init_model(replace(REDUCED, dtype="float32"), seed=3)
         opt = adam_init(model, learning_rate=1e-3)
-        assert any(len(segments) > 1 for *_, segments in opt.blocks) == (block > 1)
+        assert all(b.size == block for b in opt.buffers)
         params = {k: p.copy() for k, p in model.parameters().items()}
         m = {k: np.zeros_like(p) for k, p in params.items()}
         v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -406,82 +421,48 @@ class TestAdam:
         for step in range(1, 4):
             grads = {k: (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3)).astype("float32")
                      for k, p in params.items()}
-            adam_step(model, opt, grads)
+            set_gradients(model, grads)
+            adam_step(model, opt)
             adam_step_reference(params, m, v, grads, step, 1e-3)
+        opt_m, opt_v = moments(model, opt.m), moments(model, opt.v)
         for k, p in model.parameters().items():
             assert p.tobytes() == params[k].tobytes(), k
-            assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes(), k
+            assert opt_m[k].tobytes() == m[k].tobytes() and opt_v[k].tobytes() == v[k].tobytes(), k
 
     def test_moments_are_views_of_one_flat_state(self):
+        # One flat first and one flat second moment, slot for slot with
+        # the model's flat parameters.
         model = init_model(REDUCED, seed=3)
         opt = adam_init(model)
-        offset = 0
-        for k, p in model.parameters().items():
-            assert opt.m[k].shape == p.shape and opt.m[k].base is opt.flat_m
-            assert opt.v[k].shape == p.shape and opt.v[k].base is opt.flat_v
-            assert np.shares_memory(opt.m[k], opt.flat_m[offset : offset + p.size])
-            offset += p.size
-        assert opt.flat_m.size == opt.flat_v.size == offset
+        for moment in (opt.m, opt.v):
+            assert moment.shape == model.flat_params.shape and moment.dtype == model.flat_params.dtype
+        assert not np.shares_memory(opt.m, opt.v)
 
     def test_full_step_allocates_no_tensor_sized_array(self):
         # fc1.weight of the full preset is 12.3 MiB in float32: a step that
-        # copied it, or gathered all gradients into one array, would pass
-        # the bound. The step's block buffers belong to the state.
+        # copied it, or any flat array, would pass the bound. The step's
+        # block buffers belong to the state.
         model = init_model(NETWORK_PRESETS["full"], seed=0)
         opt = adam_init(model)
-        grads = model.gradients()
-        for g in grads.values():
-            g.fill(1e-3)
+        model.flat_grads.fill(1e-3)
         tracemalloc.start()
         try:
-            adam_step(model, opt, grads)
+            adam_step(model, opt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("fault", ["missing", "unknown"])
-    def test_gradient_map_must_name_every_parameter_and_no_other(self, fault):
-        model = init_model(REDUCED, seed=3)
-        opt = adam_init(model)
-        before = {k: p.copy() for k, p in model.parameters().items()}
-        grads = {k: np.ones_like(p) for k, p in before.items()}
-        if fault == "missing":
-            name = "fc1.weight"
-            del grads[name]
-        else:
-            name = "fc9.weight"
-            grads[name] = np.ones(3)
-        with pytest.raises(KeyError, match=re.escape(repr(name))):
-            adam_step(model, opt, grads)
-        assert opt.step_count == 0
-        for k, p in model.parameters().items():
-            assert np.array_equal(p, before[k]) and not opt.m[k].any() and not opt.v[k].any()
-
-    def test_gradient_dtype_mismatch_rejected(self):
-        m = _ScalarModel()
-        opt = adam_init(m)
-        with pytest.raises(ValueError, match="'w'"):
-            adam_step(m, opt, {"w": np.ones(1, np.float32)})
-        assert m.w[0] == 0.0 and opt.step_count == 0
-
-    def test_parameters_of_two_dtypes_rejected(self):
-        # One flat state holds every tensor's moments in one dtype.
-        m = _ScalarModel()
-        m.parameters = lambda: {"w": m.w, "u": np.zeros(2, np.float32)}
-        with pytest.raises(ValueError, match="one dtype"):
-            adam_init(m)
-
     def test_state_of_another_model_rejected(self):
-        # The state's blocks name the tensors it was made for.
+        # The state's moments have the size of the model it was made for.
         model = init_model(REDUCED, seed=3)
         opt = adam_init(_ScalarModel())
-        before = {k: p.copy() for k, p in model.parameters().items()}
+        before = model.flat_params.copy()
+        model.flat_grads.fill(1.0)
         with pytest.raises(ValueError, match="optimizer state"):
-            adam_step(model, opt, {k: np.ones_like(p) for k, p in before.items()})
-        assert opt.step_count == 0 and not opt.flat_m.any()
-        for k, p in model.parameters().items():
-            assert np.array_equal(p, before[k]), k
+            adam_step(model, opt)
+        assert opt.step_count == 0 and not opt.m.any()
+        assert np.array_equal(model.flat_params, before)
 
 
 class TestSwapHead:
@@ -543,10 +524,43 @@ class TestSwapHead:
         before = {k: p.copy() for k, p in m.parameters().items()}
         out = m.forward(np.random.default_rng(1).normal(size=(4, 2, 8, 8)), train=True)
         m.zero_grad()
-        adam_step(m, opt, m.backward(np.sign(out)))
+        m.backward(np.sign(out))
+        adam_step(m, opt)
         for k in ("head.weight", "head.bias"):
             assert not np.array_equal(m.parameters()[k], before[k]), k
 
+
+    def test_tensors_are_views_of_the_flat_arrays_in_order(self, tmp_path):
+        # After a train step, an Adam step, a head swap and a reload, the
+        # parameters and gradients lie end to end in the flat arrays, in map
+        # order; the swap keeps every other tensor's bytes and zeroes the
+        # gradients.
+        m = init_model(REDUCED, seed=0)
+        opt = adam_init(m, learning_rate=1e-2)
+        out = m.forward(np.random.default_rng(1).normal(size=(4, 2, 8, 8)), train=True)
+        m.zero_grad()
+        m.backward(np.sign(out))
+        adam_step(m, opt)
+
+        def body(model):
+            tensors = {**model.parameters(), **model.bn_stats()}
+            return {k: t.tobytes() for k, t in tensors.items() if not k.startswith("head.")}
+
+        before = body(m)
+        assert m.flat_grads.any()
+        m.swap_head(HEAD_CLASSIFIER, seed=5)
+        assert body(m) == before and not m.flat_grads.any()
+        save_model(m, tmp_path / "m.gmck")
+        for model in (m, load_model(tmp_path / "m.gmck")):
+            for flat, tensors in ((model.flat_params, model.parameters()), (model.flat_grads, model.gradients())):
+                offset = 0
+                for k, t in tensors.items():
+                    assert t.base is flat and t.ctypes.data == flat[offset:].ctypes.data, k
+                    assert t.flags.c_contiguous, k
+                    offset += t.size
+                assert offset == flat.size
+            assert list(model.parameters()) == list(model.gradients())
+            assert list(model.parameters())[-2:] == ["head.weight", "head.bias"]
 
 def write_checkpoint(path, blob, payload=b""):
     """A GMCK file of manifest bytes ``blob`` and ``payload``, with the digest
@@ -679,8 +693,13 @@ class TestCheckpoint:
              r"shape \(1, 2, 3\) does not match model shape \("),
             (lambda m: m["tensors"][0].update(name=7),
              r"malformed manifest \(TypeError\('tensor names must be strings'\)\)"),
+            # Equal to the model's ints, but not ints: reshape would raise.
+            (lambda m: m["tensors"][0].update(shape=[float(d) for d in m["tensors"][0]["shape"]]),
+             r"malformed manifest \(ValueError\('tensor shapes must list nonnegative ints'\)\)"),
+            (lambda m: m["tensors"][0].update(shape=[True, *m["tensors"][0]["shape"][1:]]),
+             r"malformed manifest \(ValueError\('tensor shapes must list nonnegative ints'\)\)"),
         ],
-        ids=["float16-tensor", "shape-disagrees", "name-not-string"],
+        ids=["float16-tensor", "shape-disagrees", "name-not-string", "shape-float", "shape-bool"],
     )
     def test_manifest_bad_value_rejected(self, tmp_path, edit, message):
         path = tmp_path / "v.gmck"

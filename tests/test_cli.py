@@ -657,6 +657,21 @@ class TestEvalAndProject:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "protocol, own, other, message",
+        [
+            ("classify", "--run", "--checkpoint", "--protocol classify does not take --checkpoint: its checkpoints come from --run"),
+            ("probe", "--checkpoint", "--run", "--protocol probe does not take --run: it evaluates --checkpoint"),
+        ],
+    )
+    def test_protocol_rejects_the_other_protocols_input(self, tmp_path, capsys, protocol, own, other, message):
+        # Refused by flag before any file is read: none of the paths exist.
+        code = run_cli("eval", "--protocol", protocol, "--dataset", str(tmp_path / "no-data"),
+                       own, str(tmp_path / "a"), other, str(tmp_path / "b"), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("not json", "Expecting value"),

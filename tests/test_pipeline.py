@@ -221,9 +221,9 @@ class TestEveryParameterTrains:
         # 1e-14 at most, which Adam would turn into steps of its own.
         steps = []
 
-        def recording(model, opt, grads):
-            steps.append({name: float(np.max(np.abs(g))) for name, g in grads.items()})
-            adam_step(model, opt, grads)
+        def recording(model, opt):
+            steps.append({name: float(np.max(np.abs(g))) for name, g in model.gradients().items()})
+            adam_step(model, opt)
 
         monkeypatch.setattr(pipeline, "adam_step", recording)
         net = replace(TINY_NET, dtype="float64")
