@@ -3,8 +3,8 @@
 Naming rule: each layer names its tensors once, in two tuples.
 ``PARAMS`` lists the trainable tensors, each an attribute of that name whose
 gradient buffer is the attribute ``d_<name>``; ``STATE`` lists the
-non-trainable ones (batch-norm running statistics). ``params()``,
-``grads()`` and ``state()`` are built from those tuples, in their order.
+non-trainable ones (batch-norm running statistics). ``PatchEncoder`` builds
+its tensor maps from those tuples, in their order.
 
 Each layer holds its parameters and gradient buffers. Inside a
 ``PatchEncoder`` they are views of the model's flat ``flat_params`` and
@@ -64,21 +64,11 @@ def kaiming_uniform(rng, shape, fan_in, dtype):
 
 
 class Layer:
-    """Base layer: tensor maps built from ``PARAMS``/``STATE``, plus forward/backward."""
+    """Base layer: tensors named by ``PARAMS``/``STATE``, plus forward/backward."""
 
     PARAMS: tuple = ()
     STATE: tuple = ()
     _cache = None
-
-    def params(self) -> dict:
-        return {name: getattr(self, name) for name in self.PARAMS}
-
-    def grads(self) -> dict:
-        return {name: getattr(self, f"d_{name}") for name in self.PARAMS}
-
-    def state(self) -> dict:
-        """Non-trainable tensors (running statistics)."""
-        return {name: getattr(self, name) for name in self.STATE}
 
     def forward(self, x, train: bool):
         raise NotImplementedError
@@ -302,6 +292,11 @@ class MaxPool2d(Layer):
         return dx
 
 
+# Every batch norm's variance offset and running-statistics momentum.
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.1
+
+
 class BatchNorm(Layer):
     """Batch normalization over every axis but the channel axis 1.
 
@@ -317,9 +312,7 @@ class BatchNorm(Layer):
     STATE = ("running_mean", "running_var")
     row_counts = None
 
-    def __init__(self, num_features, epsilon, momentum, dtype=np.float32):
-        self.epsilon = epsilon
-        self.momentum = momentum
+    def __init__(self, num_features, dtype=np.float32):
         self.gamma = np.ones(num_features, dtype=dtype)
         self.beta = np.zeros(num_features, dtype=dtype)
         self.running_mean = np.zeros(num_features, dtype=dtype)
@@ -341,7 +334,7 @@ class BatchNorm(Layer):
         xc = self._channel_first(x)
         self._cache = None
         if not train:
-            scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+            scale = self.gamma / np.sqrt(self.running_var + BN_EPSILON)
             shift = self.beta - self.running_mean * scale
             y = np.multiply(xc, scale[:, None], dtype=x.dtype)
             y += shift[:, None]
@@ -359,10 +352,9 @@ class BatchNorm(Layer):
         # Running stats follow the usual convention: unbiased variance
         # for the running estimate, biased for the normalization itself.
         unbiased = var * (m / max(m - 1, 1))
-        mom = self.momentum
-        self.running_mean[...] = (1 - mom) * self.running_mean + mom * mu
-        self.running_var[...] = (1 - mom) * self.running_var + mom * unbiased
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
+        self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std[:, None]
         y = np.multiply(xhat, self.gamma[:, None], dtype=x.dtype)
         y += self.beta[:, None]

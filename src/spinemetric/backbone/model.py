@@ -27,8 +27,6 @@ INPUT_CHANNELS = 2
 KERNEL = 5
 CLASSIFIER_CLASSES = 2
 LEAKY_SLOPE = 0.01
-BN_EPSILON = 1e-5
-BN_MOMENTUM = 0.1
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class PatchEncoder:
         c_in = INPUT_CHANNELS
         for i, c_out in enumerate(config.conv_channels, start=1):
             self._add(f"conv{i}", Conv2d(c_in, c_out, KERNEL, rng, dtype))
-            self._add(f"bn{i}", BatchNorm(c_out, BN_EPSILON, BN_MOMENTUM, dtype))
+            self._add(f"bn{i}", BatchNorm(c_out, dtype))
             self._add(f"relu{i}", LeakyReLU(0.0))
             self._add(f"pool{i}", MaxPool2d())
             c_in = c_out
@@ -113,7 +111,7 @@ class PatchEncoder:
         d_in = config.flat_features
         for j, d_out in enumerate(config.linear_dims[:-1], start=1):
             self._add(f"fc{j}", Linear(d_in, d_out, rng, dtype))
-            self._add(f"fbn{j}", BatchNorm(d_out, BN_EPSILON, BN_MOMENTUM, dtype))
+            self._add(f"fbn{j}", BatchNorm(d_out, dtype))
             self._add(f"lrelu{j}", LeakyReLU(LEAKY_SLOPE))
             d_in = d_out
         self._add("head", _init_head(config, self.head, rng))
@@ -138,7 +136,7 @@ class PatchEncoder:
         self.flat_params = np.concatenate([p.ravel() for *_, p in slots])
         self.flat_grads = np.zeros(self.flat_params.size, self.flat_params.dtype)
         cuts = np.cumsum([p.size for *_, p in slots])[:-1]
-        self._maps = {"state": {f"{n}.{k}": a for n, layer in layers for k, a in layer.state().items()}}
+        self._maps = {"state": {f"{n}.{k}": getattr(layer, k) for n, layer in layers for k in layer.STATE}}
         for kind, prefix, flat in (("params", "", self.flat_params), ("grads", "d_", self.flat_grads)):
             self._maps[kind] = {name: v.reshape(p.shape) for (_, name, _, p), v in zip(slots, np.split(flat, cuts))}
             for layer, name, key, _ in slots:
@@ -157,10 +155,6 @@ class PatchEncoder:
 
     def zero_grad(self):
         self.flat_grads.fill(0.0)
-
-    @property
-    def output_dim(self) -> int:
-        return self._layers[-1].out_features
 
     # --- forward / backward -----------------------------------------------
 

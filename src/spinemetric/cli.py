@@ -33,6 +33,7 @@ from .pipeline import (
     STAGE_FRACTURE,
     STAGE_LABEL,
     STAGE_LOSSES,
+    STAGE_ORDER,
     STAGE_REPRESENTATION,
     PipelineConfig,
     run_pipeline,
@@ -84,6 +85,9 @@ def _load_dataset(dataset):
 
 # --- gen ---------------------------------------------------------------
 
+# The preset options of `gen`, with their defaults; --counts takes neither.
+_GEN_PRESET_OPTIONS = {"preset": "paper-ratio", "scale": 1.0}
+
 
 def _parse_grade(name: str, where: str) -> GradeLabel:
     try:
@@ -116,20 +120,26 @@ def _parse_counts(text: str) -> dict:
 
 
 def cmd_gen(args) -> int:
-    if not math.isfinite(args.scale):
-        raise ValueError(f"--scale must be a finite number, got {args.scale}")
     out_dir = Path(args.out)
     if args.counts:
+        for option in ("preset", "scale"):
+            if getattr(args, option) is not None:
+                raise ValueError(f"--counts does not take --{option}: the counts give every grade's total")
         totals = _parse_counts(args.counts)
         if any(v < 0 for v in totals.values()):
             raise ValueError("counts must be nonnegative")
         counts = phantom.counts_at_ratio(totals, scale=1.0)
-    elif args.preset == "paper-ratio":
+    else:
+        for option, default in _GEN_PRESET_OPTIONS.items():
+            if getattr(args, option) is None:
+                setattr(args, option, default)
+        if not math.isfinite(args.scale):
+            raise ValueError(f"--scale must be a finite number, got {args.scale}")
+        if args.preset != "paper-ratio":
+            raise ValueError(f"unknown preset {args.preset!r}")
         if args.scale <= 0:
             raise ValueError(f"--scale must be positive, got {args.scale}")
         counts = phantom.counts_at_ratio(phantom.PAPER_GRADE_TOTALS, scale=args.scale)
-    else:
-        raise ValueError(f"unknown preset {args.preset!r}")
 
     total = sum(counts.values())
     if total <= 0:
@@ -208,21 +218,25 @@ def _build_pipeline_config(args) -> PipelineConfig:
     config = PipelineConfig(network=NETWORK_PRESETS[args.network], seed=args.seed)
     if args.stages:
         tokens = [t.strip() for t in args.stages.split(",") if t.strip()]
+        repeated = [t for k, t in enumerate(tokens) if t in tokens[:k]]
+        if repeated:
+            raise ValueError(f"--stages token {repeated[0]!r} is given more than once")
         rep_losses = [t for t in tokens if t in STAGE_LOSSES[STAGE_REPRESENTATION]]
         if len(rep_losses) > 1:
             raise ValueError("at most one representation loss may be listed")
-        # Epochs and batch size come from the default plan of the same stage.
-        defaults = {p.stage: p for p in config.stages}
-        plans = [
-            replace(defaults[stage], loss_kind=loss)
-            for token, (stage, loss) in _STAGE_TOKENS.items()
-            if token in tokens
-        ]
         unknown = [t for t in tokens if t not in _STAGE_TOKENS]
         if unknown:
             raise ValueError(f"unknown stage tokens: {unknown}")
-        if not plans:
+        if not tokens:
             raise ValueError("--stages selected no stages")
+        order = [STAGE_ORDER.index(_STAGE_TOKENS[t][0]) for t in tokens]
+        for k in range(1, len(tokens)):
+            if order[k] < order[k - 1]:
+                raise ValueError(f"--stages token {tokens[k]!r} comes after {tokens[k - 1]!r}; "
+                                 "stages run in the order label, representation loss, fracture")
+        # Epochs and batch size come from the default plan of the same stage.
+        defaults = {p.stage: p for p in config.stages}
+        plans = [replace(defaults[stage], loss_kind=loss) for stage, loss in map(_STAGE_TOKENS.get, tokens)]
         config = replace(config, stages=tuple(plans))
     if args.epochs:
         counts = [_parse_int(v, "--epochs token") for v in args.epochs.split(",")]
@@ -449,9 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a phantom patch dataset")
-    p.add_argument("--preset", default="paper-ratio", help="dataset preset (paper-ratio)")
-    p.add_argument("--scale", type=float, default=1.0, help="scale factor on preset class totals")
-    p.add_argument("--counts", help="explicit per-grade totals, e.g. g0=100,g2=30,g3=10")
+    p.add_argument("--preset", help="dataset preset (default paper-ratio)")
+    p.add_argument("--scale", type=float, help="scale factor on preset class totals (default 1.0)")
+    p.add_argument("--counts", help="explicit per-grade totals, e.g. g0=100,g2=30,g3=10; "
+                                    "takes no --preset or --scale")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
@@ -466,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run the staged training pipeline over folds")
     p.add_argument("--dataset", required=True, help="dataset directory or manifest.json")
-    p.add_argument("--stages", help="comma list: label, one of contrastive/triplet/grading, fracture")
+    p.add_argument("--stages", help="comma list, in this order: label, one of contrastive/triplet/grading, fracture")
     p.add_argument("--epochs", help="comma list of per-stage epoch counts")
     p.add_argument("--network", choices=sorted(NETWORK_PRESETS), default="full",
                    help="network preset (default full)")

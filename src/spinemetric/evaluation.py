@@ -15,9 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .atomic import canonical_json
 from .backbone.model import HEAD_CLASSIFIER
-from .data import patch_set
+from .data import PatchSet, patch_set
 from .mining import GradeLabel
 
 METRIC_NAMES = ("sensitivity", "specificity", "f1")
@@ -81,9 +80,6 @@ class FoldSummary:
             "std": self.std,
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
 
 def confusion_metrics(predictions, truths) -> Metrics:
     """Count the confusion matrix; 1 = fractured = positive."""
@@ -109,9 +105,6 @@ class LinearProbe:
 
     def decision(self, embeddings) -> np.ndarray:
         return np.asarray(embeddings) @ self.weights + self.bias
-
-    def predict(self, embeddings) -> np.ndarray:
-        return (self.decision(embeddings) > 0).astype(int)
 
 
 def _probe_dual(embeddings, labels, n_steps: int):
@@ -199,36 +192,33 @@ def embed_logits(model, samples) -> np.ndarray:
     return _eval_outputs(model, samples)
 
 
-def evaluate_folds(models, samples, folds, n_steps: int = PROBE_STEPS) -> FoldSummary:
+def evaluate_folds(models, data: PatchSet, folds, n_steps: int = PROBE_STEPS) -> FoldSummary:
     """Per-fold metrics of one model per fold, scored on the fold's test split.
 
-    ``samples`` is a PatchSet or a PatchSample list; a list is stacked once,
-    at the first model's input size. A classifier-headed model predicts by
-    argmax over its two logits. An embedding-headed model is embedded over
-    all samples, once for a run of consecutive folds that share it, and a
-    linear probe fit on the fold's training rows predicts its test rows, and
-    that fold's metrics carry the fit's iterations and duality gap.
+    Each test row gets one score, and it is called fractured when the score
+    is above 0. A classifier-headed model scores a row by its logit margin
+    z1 - z0, which for finite logits is the argmax with a tie going to
+    healthy. An embedding-headed model is embedded over all rows, once for a
+    run of consecutive folds that share it, and a linear probe fit on the
+    fold's training rows scores its test rows by ``decision``; that fold's
+    metrics carry the fit's iterations and duality gap.
     """
     if len(models) != len(folds):
         raise ValueError(f"need one model per fold ({len(models)} models, {len(folds)} folds)")
     summary, embedded, emb = FoldSummary(), None, None
-    if not models:
-        return summary
-    data = patch_set(samples, models[0].config.input_size)
     y = binary_fracture_labels(data.grades)
     for model, fold in zip(models, folds):
-        data = patch_set(data, model.config.input_size)
-        te = list(fold.test_ids)
+        te, fit = list(fold.test_ids), {}
         if model.head == HEAD_CLASSIFIER:
-            metrics = confusion_metrics(np.argmax(embed_logits(model, data.take(te)), axis=1), y[te])
+            logits = embed_logits(model, data.take(te))
+            scores = logits[:, 1] - logits[:, 0]
         else:
             if model is not embedded:
                 embedded, emb = model, embed_samples(model, data)
             tr = list(fold.train_ids)
             probe = linear_probe_train(emb[tr], y[tr], n_steps=n_steps)
-            metrics = replace(confusion_metrics(probe.predict(emb[te]), y[te]),
-                              probe_iterations=probe.iterations, probe_gap=probe.gap)
-        summary.folds.append(metrics)
+            scores, fit = probe.decision(emb[te]), {"probe_iterations": probe.iterations, "probe_gap": probe.gap}
+        summary.folds.append(replace(confusion_metrics(scores > 0, y[te]), **fit))
     return summary
 
 

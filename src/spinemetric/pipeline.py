@@ -4,11 +4,11 @@ learning, and binary fracture fine-tuning.
 Stages run strictly in the order label-pretrain -> representation-learn ->
 fracture-train; a stage of 0 epochs is skipped. Metric stages mine one
 tuple per training sample per epoch (re-mined each epoch from a shifted
-seed) and minimize their plan's loss with Adam; the loss margins are the
-constants of ``losses``. Entering the fracture stage swaps the embedding
-head for the two-logit classifier head; batch-norm running statistics carry
-across stages. ``PipelineConfig`` holds what a run varies: the network, the
-stage plans, the learning rate and the seed.
+seed) and minimize their plan's loss with Adam at ``LEARNING_RATE``; the
+loss margins are the constants of ``losses``. Entering the fracture stage
+swaps the embedding head for the two-logit classifier head; batch-norm
+running statistics carry across stages. ``PipelineConfig`` holds what a run
+varies: the network, the stage plans and the seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .backbone.model import (
     init_model,
 )
 from .backbone.optim import adam_init, adam_step
-from .data import patch_set
+from .data import PatchSet, patch_set
 from .evaluation import Metrics, binary_fracture_labels, evaluate_folds
 from .losses import contrastive_loss, cross_entropy, grading_loss, triplet_loss
 from .mining import FoldSplit, mine_pairs, mine_quadruplets, mine_triplets
@@ -38,7 +38,7 @@ STAGE_FRACTURE = "FractureTrain"
 STAGE_ORDER = (STAGE_LABEL, STAGE_REPRESENTATION, STAGE_FRACTURE)
 
 STAGE_LOSSES = {
-    STAGE_LABEL: ("contrastive", "triplet"),
+    STAGE_LABEL: ("contrastive",),
     STAGE_REPRESENTATION: ("contrastive", "triplet", "grading"),
     STAGE_FRACTURE: ("cross_entropy",),
 }
@@ -46,6 +46,7 @@ STAGE_LOSSES = {
 # Seed offsets keeping per-stage mining streams disjoint.
 _STAGE_SEED_OFFSET = {STAGE_LABEL: 100_000, STAGE_REPRESENTATION: 200_000, STAGE_FRACTURE: 300_000}
 _HEAD_SEED_OFFSET = 400_000
+LEARNING_RATE = 1e-4  # Adam's step size in every stage
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,6 @@ class PipelineConfig:
         StagePlan(STAGE_REPRESENTATION, "grading", epochs=30),
         StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=40),
     )
-    learning_rate: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -103,7 +103,7 @@ class PipelineConfig:
         validate_stage_plans(self.stages)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "learning_rate": LEARNING_RATE}  # under its old field's key
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
@@ -165,6 +165,8 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
     A step forwards each distinct row of its batch once, with batch norm
     weighting it by its number of tuple slots, and sums the slots' upstream
     gradients onto it: the duplicated batch's result up to summation order.
+
+    No stage reads ``config``; it is kept for callers that pass it.
     """
     if len(samples) == 0:
         raise ValueError("empty training split")
@@ -182,7 +184,7 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
         raise ValueError("fracture training split contains a single class")
 
     base_seed = seed + _STAGE_SEED_OFFSET[plan.stage]
-    opt = adam_init(model, learning_rate=config.learning_rate)
+    opt = adam_init(model, learning_rate=LEARNING_RATE)
     for epoch in range(plan.epochs):
         rows, per_tuple = _epoch_tuples(plan, targets, len(data), base_seed + epoch)
         losses = []
@@ -220,21 +222,16 @@ def model_seed_for_fold(config: PipelineConfig, fold_id: int) -> int:
     return config.seed + 1009 * fold_id
 
 
-def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_dir=None):
-    """Run the stages on the fold's training split, skipping any of 0
-    epochs, then score the test split. ``samples`` is a PatchSet or a
-    PatchSample list, which is stacked once at the network's input size.
-
-    Classifier-headed models are scored by argmax over the two logits;
-    embedding-headed runs fall back to the linear-probe protocol on this
-    fold. With ``checkpoint_dir`` set, a checkpoint is written after every
-    stage (recorded on its RunRecord). Returns (model, Metrics, [RunRecord]).
+def run_pipeline(config: PipelineConfig, data: PatchSet, fold: FoldSplit, checkpoint_dir=None):
+    """Run the stages on the fold's training split of ``data``, skipping any
+    of 0 epochs, then score the test split (see evaluate_folds). With
+    ``checkpoint_dir`` set, a checkpoint is written after every stage
+    (recorded on its RunRecord). Returns (model, Metrics, [RunRecord]).
     """
     from pathlib import Path
 
     from .backbone.checkpoint import save_model
 
-    data = patch_set(samples, config.network.input_size)
     ids = set(fold.train_ids) | set(fold.test_ids)
     if ids != set(range(len(data))):
         raise ValueError("fold does not cover the dataset exactly")
@@ -256,7 +253,6 @@ def run_pipeline(config: PipelineConfig, samples, fold: FoldSplit, checkpoint_di
     return model, metrics, records
 
 
-def score_fold(model, samples, fold) -> Metrics:
-    """Metrics of a trained model on the fold's test split of a PatchSet or
-    a PatchSample list (see evaluate_folds)."""
-    return evaluate_folds([model], samples, [fold]).folds[0]
+def score_fold(model, data: PatchSet, fold) -> Metrics:
+    """Metrics of a trained model on the fold's test split of ``data`` (see evaluate_folds)."""
+    return evaluate_folds([model], data, [fold]).folds[0]

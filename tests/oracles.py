@@ -772,7 +772,7 @@ def load_dataset_reference(manifest_path) -> list[np.ndarray]:
     return tensors
 
 
-def run_stage_reference(model, plan, samples, seed: int, config) -> list[float]:
+def run_stage_reference(model, plan, samples, seed: int) -> list[float]:
     """``pipeline.run_stage`` with every tuple slot forwarded as its own
     network row, repeats included, so that train-mode batch norm sees the
     duplicated batch. Trains ``model`` in place; returns the epoch losses."""
@@ -781,7 +781,7 @@ def run_stage_reference(model, plan, samples, seed: int, config) -> list[float]:
         model.swap_head(pipeline.HEAD_CLASSIFIER, seed=seed + pipeline._HEAD_SEED_OFFSET)
     targets = pipeline._stage_targets(plan, data)
     base_seed = seed + pipeline._STAGE_SEED_OFFSET[plan.stage]
-    opt = adam_init(model, learning_rate=config.learning_rate)
+    opt = adam_init(model, learning_rate=pipeline.LEARNING_RATE)
     epoch_losses = []
     for epoch in range(plan.epochs):
         rows, per_tuple = pipeline._epoch_tuples(plan, targets, len(data), base_seed + epoch)

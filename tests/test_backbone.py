@@ -472,7 +472,7 @@ class TestSwapHead:
         stats = {k: v.copy() for k, v in m.bn_stats().items()}
         m.swap_head(HEAD_CLASSIFIER, seed=77)
         assert m.head == HEAD_CLASSIFIER
-        assert m.output_dim == 2
+        assert m._layers[-1].out_features == 2
         assert m.forward(np.zeros((1, 2, 8, 8)), train=False).shape == (1, 2)
         assert m.parameters()["conv1.weight"].tobytes() == conv1.tobytes()
         for k, v in m.bn_stats().items():
@@ -510,10 +510,9 @@ class TestSwapHead:
             m = load_model(tmp_path / "m.gmck")
         params, grads = m.parameters(), m.gradients()
         for name, layer in zip(m._names, m._layers):
-            for key, arr in layer.params().items():
-                assert params[f"{name}.{key}"] is arr
-            for key, arr in layer.grads().items():
-                assert grads[f"{name}.{key}"] is arr
+            for key in layer.PARAMS:
+                assert params[f"{name}.{key}"] is getattr(layer, key)
+                assert grads[f"{name}.{key}"] is getattr(layer, f"d_{key}")
         head = m._layers[-1]
         assert params["head.weight"] is head.weight and grads["head.bias"] is head.d_bias
         # Each call hands out its own dict.

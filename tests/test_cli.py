@@ -178,6 +178,26 @@ class TestGen:
         assert capsys.readouterr().err.strip() == f"error: --scale must be {want}, got {float(scale)}"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--scale", "0.5"), ("--scale", "nan"), ("--scale", "1"), ("--preset", "bogus"),
+                        ("--preset", "paper-ratio")]
+    )
+    def test_counts_refuse_preset_options(self, tmp_path, capsys, flag, value):
+        # --counts fixes every total, so a preset option would go unused; it
+        # is named before anything renders.
+        out = tmp_path / "ds"
+        assert run_cli("gen", "--counts", "g0=6,g2=3,g3=3", flag, value, "--out", str(out)) == 1
+        want = f"error: --counts does not take {flag}: the counts give every grade's total"
+        assert capsys.readouterr().err.strip() == want
+        assert not out.exists()
+
+    def test_run_json_records_the_options_used(self, tmp_path, dataset_dir):
+        run = json.loads((dataset_dir / "run.json").read_text())
+        assert (run["counts"], run["preset"], run["scale"]) == ("g0=12,g2=5,g3=5", None, None)
+        assert run_cli("gen", "--scale", "0.02", "--out", str(tmp_path / "s")) == 0
+        run = json.loads((tmp_path / "s" / "run.json").read_text())
+        assert (run["counts"], run["preset"], run["scale"]) == (None, "paper-ratio", 0.02)
+
     def test_smaller_regen_removes_stale_sample_files(self, tmp_path):
         out = tmp_path / "ds"
         assert run_cli("gen", "--counts", "g0=6,g2=2,g3=2", "--seed", "1", "--out", str(out)) == 0
@@ -265,6 +285,9 @@ class TestReformat:
         assert err == "error: --grades: unknown grade 'g4' (valid grades: g0, g2, g3)"
 
 
+IN_ORDER = "stages run in the order label, representation loss, fracture"
+
+
 class TestStagesFlag:
     @staticmethod
     def plans(stages):
@@ -275,7 +298,7 @@ class TestStagesFlag:
     @pytest.mark.parametrize(
         "stages, want",
         [
-            ("fracture,grading,label", [
+            ("label,grading,fracture", [
                 ("LabelPretrain", "contrastive", 30, 32),
                 ("RepresentationLearn", "grading", 30, 32),
                 ("FractureTrain", "cross_entropy", 40, 32),
@@ -284,7 +307,6 @@ class TestStagesFlag:
                 ("RepresentationLearn", "triplet", 30, 32), ("FractureTrain", "cross_entropy", 40, 32),
             ]),
             ("contrastive", [("RepresentationLearn", "contrastive", 30, 32)]),
-            ("label,label", [("LabelPretrain", "contrastive", 30, 32)]),
         ],
     )
     def test_tokens_give_plans_in_stage_order(self, stages, want):
@@ -305,6 +327,12 @@ class TestStagesFlag:
             ("grading,triplet", "at most one representation loss may be listed"),
             ("label,finetune", "unknown stage tokens: ['finetune']"),
             (" , ", "--stages selected no stages"),
+            ("label,label", "--stages token 'label' is given more than once"),
+            ("label,label,fracture", "--stages token 'label' is given more than once"),
+            ("grading,fracture,grading", "--stages token 'grading' is given more than once"),
+            ("fracture,label", "--stages token 'label' comes after 'fracture'; " + IN_ORDER),
+            ("label,fracture,triplet", "--stages token 'triplet' comes after 'fracture'; " + IN_ORDER),
+            ("contrastive,label", "--stages token 'label' comes after 'contrastive'; " + IN_ORDER),
         ],
     )
     def test_bad_tokens_refused(self, stages, message):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinemetric import evaluation
+from spinemetric.atomic import canonical_json
 from spinemetric.backbone import HEAD_CLASSIFIER, NetworkConfig, init_model
 from spinemetric.data import patch_set
 from spinemetric.evaluation import (
@@ -158,14 +159,14 @@ class TestConfusionMetrics:
 class TestLinearProbe:
     def test_separable_pair(self):
         probe = linear_probe_train([[-1.0], [1.0]], [0, 1], n_steps=2000)
-        assert probe.predict([[-1.0]])[0] == 0
-        assert probe.predict([[1.0]])[0] == 1
+        assert not probe.decision([[-1.0]])[0] > 0
+        assert probe.decision([[1.0]])[0] > 0
 
     def test_xor_not_separable(self):
         X = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         y = [0, 1, 1, 0]
         probe = linear_probe_train(X, y, n_steps=5000)
-        acc = float((probe.predict(X) == np.array(y)).mean())
+        acc = float(((probe.decision(X) > 0) == np.array(y)).mean())
         # enumeration oracle: the best linear rule on the XOR square gets 3/4
         best = 0.0
         for theta in np.linspace(0.0, np.pi, 361):
@@ -190,7 +191,7 @@ class TestLinearProbe:
         X = np.vstack([rng.normal(size=(60, 4)), rng.normal(size=(20, 4)) + 2.5])
         y = np.array([0] * 60 + [1] * 20)
         probe = linear_probe_train(X, y, n_steps=20000)
-        assert float((probe.predict(X) == y).mean()) >= 0.95
+        assert float(((probe.decision(X) > 0) == y).mean()) >= 0.95
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -207,7 +208,7 @@ class TestProbeSolver:
     @pytest.mark.parametrize("name", PROBE_SETS)
     def test_predictions_match_pegasos(self, probe_sets, name):
         x, y, (w, b) = probe_sets[name]
-        np.testing.assert_array_equal(linear_probe_train(x, y).predict(x), (x @ w + b > 0).astype(int))
+        np.testing.assert_array_equal(linear_probe_train(x, y).decision(x) > 0, x @ w + b > 0)
 
     @pytest.mark.parametrize("name", PROBE_SETS + ("paper_ratio",))
     def test_matches_lbfgsb_oracle(self, probe_sets, name):
@@ -215,7 +216,7 @@ class TestProbeSolver:
         probe = linear_probe_train(x, y)
         assert probe.iterations <= 30
         w_ref, b_ref, a_ref = lbfgsb_probe_reference(x, y, PROBE_REGULARIZATION, PROBE_STEPS, PROBE_GAP_TOL)
-        np.testing.assert_array_equal(probe.predict(x), (x @ w_ref + b_ref > 0).astype(int))
+        np.testing.assert_array_equal(probe.decision(x) > 0, x @ w_ref + b_ref > 0)
         a = evaluation._probe_dual(x, y, PROBE_STEPS)[0]
         gaps = [duality_gap(x, y, PROBE_REGULARIZATION, dual)[0] for dual in (a, a_ref)]
         assert max(gaps) <= PROBE_GAP_TOL
@@ -288,8 +289,8 @@ class TestFoldSummary:
 
     def test_json_deterministic(self):
         s = FoldSummary(folds=[Metrics(5, 1, 10, 2)])
-        assert s.to_json() == s.to_json()
-        doc = json.loads(s.to_json())
+        assert canonical_json(s.to_dict()) == canonical_json(s.to_dict())
+        doc = json.loads(canonical_json(s.to_dict()))
         assert set(doc) == {"folds", "mean", "std"}
 
 
@@ -298,9 +299,10 @@ class TestProtocols:
         samples = tiny_dataset()
         model = init_model(TINY_NET, seed=0)
         folds = make_folds([s.grade for s in samples], 2, 0.3, seed=1)
-        a = evaluate_folds([model] * len(folds), samples, folds, n_steps=500)
-        b = evaluate_folds([model] * len(folds), samples, folds, n_steps=500)
-        assert a.to_json() == b.to_json()
+        data = patch_set(samples, TINY_NET.input_size)
+        a = evaluate_folds([model] * len(folds), data, folds, n_steps=500)
+        b = evaluate_folds([model] * len(folds), data, folds, n_steps=500)
+        assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
         assert len(a.folds) == 2
 
     def test_probe_fits_train_rows_and_scores_test_rows(self, monkeypatch):
@@ -316,7 +318,7 @@ class TestProtocols:
             return linear_probe_train(x, labels, **kwargs)
 
         monkeypatch.setattr(evaluation, "linear_probe_train", recording)
-        got = evaluate_folds([model] * 2, samples, folds, n_steps=300)
+        got = evaluate_folds([model] * 2, patch_set(samples, TINY_NET.input_size), folds, n_steps=300)
         assert len(fits) == 2
         for fold, (x, labels, kwargs), metrics in zip(folds, fits, got.folds):
             tr, te = list(fold.train_ids), list(fold.test_ids)
@@ -324,11 +326,12 @@ class TestProtocols:
             np.testing.assert_array_equal(labels, y[tr])
             assert kwargs == {"n_steps": 300}
             probe = linear_probe_train(emb[tr], y[tr], n_steps=300)
-            assert metrics == replace(confusion_metrics(probe.predict(emb[te]), y[te]),
+            assert metrics == replace(confusion_metrics(probe.decision(emb[te]) > 0, y[te]),
                                       probe_iterations=probe.iterations, probe_gap=probe.gap)
 
     def test_one_model_over_folds_is_embedded_once(self, monkeypatch):
         samples = tiny_dataset()
+        data = patch_set(samples, TINY_NET.input_size)
         folds = make_folds([s.grade for s in samples], 3, 0.3, seed=1)
         calls = []
 
@@ -338,38 +341,65 @@ class TestProtocols:
 
         monkeypatch.setattr(evaluation, "embed_samples", counting)
         model = init_model(TINY_NET, seed=0)
-        evaluate_folds([model] * 3, samples, folds, n_steps=50)
+        evaluate_folds([model] * 3, data, folds, n_steps=50)
         assert calls == [model]
         other = init_model(TINY_NET, seed=1)
         calls.clear()
-        evaluate_folds([model, other, other], samples, folds, n_steps=50)
+        evaluate_folds([model, other, other], data, folds, n_steps=50)
         assert calls == [model, other]
+
+    @staticmethod
+    def _rigged_classifier(bias):
+        m = init_model(TINY_NET, seed=0).swap_head(HEAD_CLASSIFIER, seed=0)
+        m.parameters()["head.weight"][...] = 0.0
+        m.parameters()["head.bias"][...] = np.array(bias, dtype=np.float32)
+        return m
 
     def test_classifier_majority_predictor_has_zero_sensitivity(self):
         samples = tiny_dataset()
         folds = make_folds([s.grade for s in samples], 2, 0.3, seed=2)
-        models = []
-        for _ in folds:
-            m = init_model(TINY_NET, seed=0).swap_head(HEAD_CLASSIFIER, seed=0)
-            # rig the head so logit 0 (healthy) always wins
-            m.parameters()["head.weight"][...] = 0.0
-            m.parameters()["head.bias"][...] = np.array([10.0, -10.0], dtype=np.float32)
-            models.append(m)
-        summary = evaluate_folds(models, samples, folds)
+        # rig the head so logit 0 (healthy) always wins
+        models = [self._rigged_classifier([10.0, -10.0]) for _ in folds]
+        summary = evaluate_folds(models, patch_set(samples, TINY_NET.input_size), folds)
         for fold, m in zip(folds, summary.folds):
             assert m.sensitivity == 0.0 and m.specificity == 1.0
             assert m.tn + m.fn == len(fold.test_ids)
 
-    def test_patch_set_scores_like_sample_list(self, monkeypatch):
+    def test_tied_logits_score_healthy(self):
+        samples = tiny_dataset()
+        folds = make_folds([s.grade for s in samples], 2, 0.3, seed=2)
+        models = [self._rigged_classifier([3.0, 3.0]) for _ in folds]
+        summary = evaluate_folds(models, patch_set(samples, TINY_NET.input_size), folds)
+        for fold, m in zip(folds, summary.folds):
+            assert m.tp + m.fp == 0 and m.tn + m.fn == len(fold.test_ids)
+
+    def test_logit_margin_matches_argmax(self, monkeypatch):
+        # z1 - z0 > 0 is argmax's rule, a tie going to healthy (class 0),
+        # also for logits one ulp apart.
         samples = tiny_dataset()
         data = patch_set(samples, TINY_NET.input_size)
-        folds = make_folds([s.grade for s in samples], 2, 0.3, seed=1)
+        folds = make_folds(data.grades, 3, 0.3, seed=2)
+        rng, drawn = np.random.default_rng(9), []
+
+        def random_logits(model, rows):
+            z = rng.normal(size=(len(rows), 2)).astype(np.float32)
+            z[::3, 1] = z[::3, 0]
+            z[1::3, 1] = np.nextafter(z[1::3, 0], np.float32(np.inf))
+            drawn.append(z)
+            return z
+
+        monkeypatch.setattr(evaluation, "embed_logits", random_logits)
+        models = [self._rigged_classifier([0.0, 0.0])] * len(folds)
+        summary = evaluate_folds(models, data, folds)
+        y = binary_fracture_labels(data.grades)
+        assert len(drawn) == len(folds)
+        for fold, z, got in zip(folds, drawn, summary.folds):
+            assert got == confusion_metrics(np.argmax(z, axis=1), y[list(fold.test_ids)])
+
+    def test_patch_set_embeds_like_sample_list(self, monkeypatch):
+        samples = tiny_dataset()
+        data = patch_set(samples, TINY_NET.input_size)
         embedder = init_model(TINY_NET, seed=0)
-        classifiers = [init_model(TINY_NET, seed=k).swap_head(HEAD_CLASSIFIER, seed=k) for k in (1, 2)]
-        for models in ([embedder] * 2, classifiers):
-            a = evaluate_folds(models, samples, folds, n_steps=300)
-            b = evaluate_folds(models, data, folds, n_steps=300)
-            assert a.to_json() == b.to_json()
         monkeypatch.setattr(evaluation, "EVAL_BATCH", 7)
         a, b = embed_samples(embedder, samples), embed_samples(embedder, data)
         assert a.shape == (len(samples), 8)
@@ -380,7 +410,7 @@ class TestProtocols:
         samples = tiny_dataset()
         folds = make_folds([s.grade for s in samples], 2, 0.3, seed=2)
         with pytest.raises(ValueError, match="one model per fold"):
-            evaluate_folds([init_model(TINY_NET, seed=0)], samples, folds)
+            evaluate_folds([init_model(TINY_NET, seed=0)], patch_set(samples, TINY_NET.input_size), folds)
 
 
 class TestProjection:

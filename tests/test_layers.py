@@ -49,13 +49,13 @@ def fd_layer_check(layer, x, h=1e-5, tol=1e-3, stride=7, row_counts=None):
         return float(np.sum(forward() * R))
 
     forward()
-    for g in layer.grads().values():
-        g.fill(0.0)
+    for name in layer.PARAMS:
+        getattr(layer, f"d_{name}").fill(0.0)
     dx = layer.backward(R)
-    grads = {k: v.copy() for k, v in layer.grads().items()}
+    grads = {name: getattr(layer, f"d_{name}").copy() for name in layer.PARAMS}
 
     tensors = [("input", x, dx)] + [
-        (name, layer.params()[name], grads[name]) for name in layer.params()
+        (name, getattr(layer, name), grads[name]) for name in layer.PARAMS
     ]
     for name, tensor, analytic in tensors:
         flat = tensor.ravel()
@@ -94,18 +94,18 @@ class TestGradientChecks:
 
     def test_batchnorm2d(self):
         x = RNG.normal(size=(4, 3, 6, 6))
-        fd_layer_check(BatchNorm(3, 1e-5, 0.1, np.float64), x)
+        fd_layer_check(BatchNorm(3, np.float64), x)
 
     def test_batchnorm1d(self):
         x = RNG.normal(size=(8, 5))
-        fd_layer_check(BatchNorm(5, 1e-5, 0.1, np.float64), x)
+        fd_layer_check(BatchNorm(5, np.float64), x)
 
     @pytest.mark.parametrize("pattern", ROW_COUNTS)
     @pytest.mark.parametrize("shape", bn_ranks((3, 6, 6), (5,)))
     def test_batchnorm_with_row_counts(self, shape, pattern):
         counts = ROW_COUNTS[pattern]
         x = RNG.normal(size=(len(counts),) + shape)
-        fd_layer_check(BatchNorm(shape[0], 1e-5, 0.1, np.float64), x, stride=3, row_counts=counts)
+        fd_layer_check(BatchNorm(shape[0], np.float64), x, stride=3, row_counts=counts)
 
     def test_leaky_relu(self):
         x = RNG.normal(size=(4, 3, 4, 4))
@@ -324,7 +324,7 @@ def _is_batch_inner(a):
 
 CONV_BLOCK_LAYERS = {
     "conv": lambda: Conv2d(3, 4, 3, np.random.default_rng(14), np.float64),
-    "batchnorm": lambda: BatchNorm(3, 1e-5, 0.1, np.float64),
+    "batchnorm": lambda: BatchNorm(3, np.float64),
     "relu": lambda: LeakyReLU(0.0),
     "maxpool": lambda: MaxPool2d(),
 }
@@ -336,7 +336,7 @@ class TestBatchInnerLayout:
         dy = np.random.default_rng(16).normal(size=y.shape)
         dx = layer.backward(layout(dy))
         y_eval = layer.forward(layout(x), train=False)
-        grads = {k: v.copy() for k, v in layer.grads().items()}
+        grads = {name: getattr(layer, f"d_{name}").copy() for name in layer.PARAMS}
         return y, dx, y_eval, grads
 
     @pytest.mark.parametrize("name", sorted(CONV_BLOCK_LAYERS))
@@ -382,7 +382,7 @@ def assert_matches(actual, expected, tol):
 
 
 def _seeded_batchnorm(c, dtype, rng):
-    bn = BatchNorm(c, 1e-5, 0.1, dtype)
+    bn = BatchNorm(c, dtype)
     bn.gamma[...] = rng.uniform(0.5, 2.0, c)
     bn.beta[...] = rng.normal(size=c)
     bn.running_mean[...] = rng.normal(size=c)
@@ -398,7 +398,7 @@ class TestPointwiseOracles:
         bn = _seeded_batchnorm(shape[1], dtype, rng)
         bn.d_gamma[...] = rng.normal(size=shape[1])  # backward accumulates
         bn.d_beta[...] = rng.normal(size=shape[1])
-        start = {k: v.copy() for k, v in (*bn.params().items(), *bn.state().items())}
+        start = {name: getattr(bn, name).copy() for name in (*bn.PARAMS, *bn.STATE)}
         d_gamma0, d_beta0 = bn.d_gamma.astype(np.float64), bn.d_beta.astype(np.float64)
         x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
         dy = rng.normal(size=shape).astype(dtype)
@@ -496,7 +496,7 @@ class TestBatchNormRowCounts:
             close(getattr(distinct, name), getattr(duplicated, name), err_msg=name)
 
     def test_counts_are_used_by_one_train_forward(self):
-        bn = BatchNorm(2, 1e-5, 0.1, np.float64)
+        bn = BatchNorm(2, np.float64)
         x = RNG.normal(size=(3, 2))
         bn.row_counts = [1, 2, 3]
         bn.forward(x, train=False)
@@ -505,7 +505,7 @@ class TestBatchNormRowCounts:
         assert bn.row_counts is None
 
     def test_count_length_must_match_batch(self):
-        bn = BatchNorm(2, 1e-5, 0.1, np.float64)
+        bn = BatchNorm(2, np.float64)
         bn.row_counts = [1, 2]
         with pytest.raises(ValueError, match="2 row counts for a batch of 3 rows"):
             bn.forward(RNG.normal(size=(3, 2, 2, 2)), train=True)
@@ -544,7 +544,7 @@ class TestMaxPoolTies:
 
 class TestBatchNormBehavior:
     def test_eval_uses_running_stats_and_is_pure(self):
-        bn = BatchNorm(2, 1e-5, 0.1, np.float64)
+        bn = BatchNorm(2, np.float64)
         x = RNG.normal(size=(4, 2, 3, 3))
         bn.forward(x, train=True)
         mean_before = bn.running_mean.copy()
@@ -554,13 +554,14 @@ class TestBatchNormBehavior:
         assert np.array_equal(bn.running_mean, mean_before)
 
     def test_train_updates_running_stats(self):
-        bn = BatchNorm(3, 1e-5, 0.1, np.float64)
+        bn = BatchNorm(3, np.float64)
         x = RNG.normal(size=(16, 3)) + 5.0
         bn.forward(x, train=True)
         assert not np.allclose(bn.running_mean, 0.0)
 
-    def test_normalization_output_statistics(self):
-        bn = BatchNorm(3, 1e-8, 0.1, np.float64)
+    def test_normalization_output_statistics(self, monkeypatch):
+        monkeypatch.setattr(layers, "BN_EPSILON", 1e-8)
+        bn = BatchNorm(3, np.float64)
         x = RNG.normal(size=(256, 3)) * 4 + 2
         y = bn.forward(x, train=True)
         assert np.allclose(y.mean(axis=0), 0.0, atol=1e-9)
@@ -571,8 +572,8 @@ def _every_layer(dtype):
     rng = np.random.default_rng(11)
     return [
         (Conv2d(2, 3, 3, rng, dtype), (2, 2, 4, 4)),
-        (BatchNorm(2, 1e-5, 0.1, dtype), (3, 2, 4, 4)),
-        (BatchNorm(4, 1e-5, 0.1, dtype), (5, 4)),
+        (BatchNorm(2, dtype), (3, 2, 4, 4)),
+        (BatchNorm(4, dtype), (5, 4)),
         (MaxPool2d(), (2, 2, 4, 4)),
         (LeakyReLU(0.0), (2, 2, 4, 4)),
         (LeakyReLU(0.01), (2, 2, 4, 4)),
@@ -613,7 +614,7 @@ class TestCacheDiscipline:
         "layer,shape",
         [
             (Conv2d(2, 3, 5, RNG, np.float64), (1, 2, 4, 4)),
-            (BatchNorm(2, 1e-5, 0.1, np.float64), (2, 2, 4, 4)),
+            (BatchNorm(2, np.float64), (2, 2, 4, 4)),
             (MaxPool2d(), (1, 2, 4, 4)),
             (LeakyReLU(0.01), (1, 2, 4, 4)),
             (Flatten(), (1, 2, 4, 4)),

@@ -21,6 +21,7 @@ from spinemetric.phantom import PhantomConfig, generate_dataset
 from spinemetric.pipeline import (
     STAGE_FRACTURE,
     STAGE_LABEL,
+    STAGE_LOSSES,
     STAGE_REPRESENTATION,
     PipelineConfig,
     RunRecord,
@@ -140,7 +141,7 @@ class TestRunStage:
         assert model.head == HEAD_EMBEDDING
         run_stage(model, config.stages[0], samples, seed=0, config=config)
         assert model.head == HEAD_CLASSIFIER
-        assert model.output_dim == 2
+        assert model._layers[-1].out_features == 2
 
     def test_metric_stage_requires_embedding_head(self):
         samples = balanced_samples()
@@ -178,7 +179,7 @@ class TestRunStage:
         "plan",
         [
             StagePlan(STAGE_LABEL, "contrastive", epochs=2),
-            StagePlan(STAGE_LABEL, "triplet", epochs=2),
+            StagePlan(STAGE_REPRESENTATION, "triplet", epochs=2),
             StagePlan(STAGE_REPRESENTATION, "grading", epochs=2),
             StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=2),
         ],
@@ -193,7 +194,7 @@ class TestRunStage:
             runs.append((record.epoch_losses, param_bytes(model)))
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("loss_kind", ["contrastive", "triplet"])
+    @pytest.mark.parametrize("loss_kind", STAGE_LOSSES[STAGE_LABEL])
     def test_label_pretrain_losses_run(self, loss_kind):
         samples = balanced_samples(per_grade=2)
         config = tiny_config(StagePlan(STAGE_LABEL, loss_kind, epochs=2))
@@ -208,7 +209,7 @@ class TestEveryParameterTrains:
         "plan",
         [
             StagePlan(STAGE_LABEL, "contrastive", epochs=1, batch_size=8),
-            StagePlan(STAGE_LABEL, "triplet", epochs=1, batch_size=8),
+            StagePlan(STAGE_REPRESENTATION, "triplet", epochs=1, batch_size=8),
             StagePlan(STAGE_REPRESENTATION, "grading", epochs=1, batch_size=8),
             StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=1, batch_size=8),
         ],
@@ -240,13 +241,13 @@ class TestDistinctRows:
         "plan",
         [
             StagePlan(STAGE_LABEL, "contrastive", epochs=1, batch_size=8),
-            StagePlan(STAGE_LABEL, "triplet", epochs=1, batch_size=8),
+            StagePlan(STAGE_REPRESENTATION, "triplet", epochs=1, batch_size=8),
             StagePlan(STAGE_REPRESENTATION, "grading", epochs=1, batch_size=8),
             StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=1, batch_size=8),
         ],
         ids=lambda p: p.loss_kind,
     )
-    def test_matches_duplicated_batch_oracle(self, plan):
+    def test_matches_duplicated_batch_oracle(self, monkeypatch, plan):
         # On some steps a bn2.beta channel's true gradient is 0: each of its
         # pooled features is positive in every row of the batch or in none,
         # so its shift moves fc1's output by the same amount in every row,
@@ -255,12 +256,13 @@ class TestDistinctRows:
         # sides: bn2.beta ends up to 4e-10 apart at the default lr of 1e-4,
         # and 4e-12 apart at 1e-6. Every other parameter moves by about lr
         # per step, so 1e-10 still resolves it.
+        monkeypatch.setattr(pipeline, "LEARNING_RATE", 1e-6)
         net = replace(TINY_NET, dtype="float64")
-        config = PipelineConfig(network=net, stages=(plan,), seed=4, learning_rate=1e-6)
+        config = PipelineConfig(network=net, stages=(plan,), seed=4)
         samples = balanced_samples(per_grade=2)
         model, reference = init_model(net, seed=4), init_model(net, seed=4)
         record = run_stage(model, plan, samples, seed=4, config=config)
-        want_losses = run_stage_reference(reference, plan, samples, seed=4, config=config)
+        want_losses = run_stage_reference(reference, plan, samples, seed=4)
 
         close = functools.partial(np.testing.assert_allclose, rtol=1e-10, atol=1e-10)
         close(record.epoch_losses, want_losses)
@@ -371,7 +373,7 @@ class TestRunPipeline:
         samples = balanced_samples()
         config = tiny_config(StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=2))
         folds = make_folds([s.grade for s in samples], 1, 0.3, seed=4)
-        model, metrics, records = run_pipeline(config, samples, folds[0])
+        model, metrics, records = run_pipeline(config, patch_set(samples, TINY_NET.input_size), folds[0])
         assert model.head == HEAD_CLASSIFIER
         assert len(records) == 1
         assert records[0].stage == STAGE_FRACTURE
@@ -385,7 +387,7 @@ class TestRunPipeline:
             StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=1),
         )
         folds = make_folds([s.grade for s in samples], 1, 0.3, seed=4)
-        model, metrics, records = run_pipeline(config, samples, folds[0])
+        model, metrics, records = run_pipeline(config, patch_set(samples, TINY_NET.input_size), folds[0])
         assert [r.stage for r in records] == [STAGE_LABEL, STAGE_REPRESENTATION, STAGE_FRACTURE]
         assert model.head == HEAD_CLASSIFIER
 
@@ -393,7 +395,7 @@ class TestRunPipeline:
         samples = balanced_samples()
         config = tiny_config(StagePlan(STAGE_REPRESENTATION, "grading", epochs=1))
         folds = make_folds([s.grade for s in samples], 1, 0.3, seed=4)
-        model, metrics, _ = run_pipeline(config, samples, folds[0])
+        model, metrics, _ = run_pipeline(config, patch_set(samples, TINY_NET.input_size), folds[0])
         assert model.head == HEAD_EMBEDDING
         assert metrics.tp + metrics.fp + metrics.tn + metrics.fn == len(folds[0].test_ids)
 
@@ -404,7 +406,7 @@ class TestRunPipeline:
             StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=1),
         )
         folds = make_folds([s.grade for s in samples], 1, 0.3, seed=4)
-        _, _, records = run_pipeline(config, samples, folds[0])
+        _, _, records = run_pipeline(config, patch_set(samples, TINY_NET.input_size), folds[0])
         assert [r.stage for r in records] == [STAGE_FRACTURE]
 
     def test_determinism_of_metrics(self):
@@ -416,8 +418,8 @@ class TestRunPipeline:
         folds = make_folds([s.grade for s in samples], 1, 0.3, seed=4)
         import json
 
-        _, m1, _ = run_pipeline(config, samples, folds[0])
-        _, m2, _ = run_pipeline(config, samples, folds[0])
+        _, m1, _ = run_pipeline(config, patch_set(samples, TINY_NET.input_size), folds[0])
+        _, m2, _ = run_pipeline(config, patch_set(samples, TINY_NET.input_size), folds[0])
         assert json.dumps(m1.to_dict(), sort_keys=True) == json.dumps(m2.to_dict(), sort_keys=True)
 
     def test_fold_must_cover_dataset(self):
@@ -425,4 +427,4 @@ class TestRunPipeline:
         config = tiny_config(StagePlan(STAGE_FRACTURE, "cross_entropy", epochs=1))
         folds = make_folds([s.grade for s in samples[:-2]], 1, 0.3, seed=4)
         with pytest.raises(ValueError):
-            run_pipeline(config, samples, folds[0])
+            run_pipeline(config, patch_set(samples, TINY_NET.input_size), folds[0])
