@@ -103,6 +103,31 @@ class TestInit:
         b = init_model(REDUCED, seed=4)
         assert not np.array_equal(a.parameters()["conv1.weight"], b.parameters()["conv1.weight"])
 
+    # SHA-256 of flat_params and then every batch-norm statistic, in map
+    # order: after init_model(preset, seed=0), then after a swap to the
+    # classifier head with seed 1.
+    INITIAL_BITS = {
+        "tiny": ("2ba081e613e223d611b580c2eaa62ea04b1d33de517853aec8a5b3ad4b4b86d0",
+                 "d9fc300bc686049e4ed01cde52c977019cd5b033e977606997a143312a010854"),
+        "reduced": ("1a2c40e71e5f5a98f637624ed0e5ddbd0959a2206b07bbe85b8d98a54e272ba0",
+                    "a3ba10a14ddb2ae40aa19d0e2369647b255e3b05fa6a7ea733def4fa82e40462"),
+        "full": ("53fc8ad3a5d52507a8dfdee967f80a3bcc7a44e851f056e33be17edf424650bf",
+                 "27139a4c0789c36ce1928dab12769e8cebddd9083f38ef5880ee59043f7ee591"),
+    }
+
+    @pytest.mark.parametrize("preset", INITIAL_BITS)
+    def test_initial_bits_pinned(self, preset):
+        def bits(model):
+            digest = hashlib.sha256(model.flat_params.tobytes())
+            for stat in model.bn_stats().values():
+                digest.update(stat.tobytes())
+            return digest.hexdigest()
+
+        model = init_model(NETWORK_PRESETS[preset], seed=0)
+        initial = bits(model)
+        model.swap_head(HEAD_CLASSIFIER, seed=1)
+        assert (initial, bits(model)) == self.INITIAL_BITS[preset]
+
     def test_biases_zero_bn_identity(self):
         m = init_model(REDUCED, seed=0)
         assert np.all(m.parameters()["bn1.gamma"] == 1.0)
