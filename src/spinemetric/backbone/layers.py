@@ -1,16 +1,17 @@
 """Network layers with explicit forward/backward passes.
 
-Naming rule: each layer names its tensors once, in two tuples.
-``PARAMS`` lists the trainable tensors, each an attribute of that name whose
-gradient buffer is the attribute ``d_<name>``; ``STATE`` lists the
+Naming rule: each layer declares its tensors once. ``PARAMS`` maps each
+trainable tensor's name to its shape; the tensor is the attribute of that
+name and its gradient the attribute ``d_<name>``. ``STATE`` lists the
 non-trainable ones (batch-norm running statistics). ``PatchEncoder`` builds
-its tensor maps from those tuples, in their order.
+its tensor maps from those declarations, in their order.
 
-Each layer holds its parameters and gradient buffers. Inside a
-``PatchEncoder`` they are views of the model's flat ``flat_params`` and
-``flat_grads`` arrays, so a layer updates them only in place and never
-rebinds them. A train-mode forward caches whatever backward needs;
-eval-mode forwards cache nothing and are side-effect free. Upstream
+Ownership rule: a layer allocates its ``STATE`` but nothing in ``PARAMS``:
+the model initialises each trainable tensor and gradient in its slot of the
+flat ``flat_params`` and ``flat_grads`` arrays and binds the attribute to a
+view of it (``model._init_tensors``), so a layer updates them only in place
+and never rebinds them. A train-mode forward caches whatever backward
+needs; eval-mode forwards cache nothing and are side-effect free. Upstream
 gradients use the sum-reduction convention: ``backward(dy)`` expects
 d(scalar loss)/d(output) and returns the gradient with respect to the input
 while accumulating parameter gradients in-place (a ``Conv2d`` with
@@ -57,16 +58,10 @@ def _empty_batch_inner(shape, dtype):
     return np.empty((c, h, w, n), dtype=dtype).transpose(3, 0, 1, 2)
 
 
-def kaiming_uniform(rng, shape, fan_in, dtype):
-    """He-uniform draw: U(-b, b) with b = sqrt(6 / fan_in)."""
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
 class Layer:
     """Base layer: tensors named by ``PARAMS``/``STATE``, plus forward/backward."""
 
-    PARAMS: tuple = ()
+    PARAMS: dict = {}
     STATE: tuple = ()
     _cache = None
 
@@ -136,20 +131,14 @@ class Conv2d(Layer):
     nothing uses.
     """
 
-    PARAMS = ("weight",)
-
-    def __init__(self, in_channels, out_channels, kernel, rng, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, kernel):
         if kernel % 2 != 1:
             raise ValueError("kernel size must be odd for same-size output")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.pad = kernel // 2
-        fan_in = in_channels * kernel * kernel
-        self.weight = kaiming_uniform(
-            rng, (out_channels, in_channels, kernel, kernel), fan_in, dtype
-        )
-        self.d_weight = np.zeros_like(self.weight)
+        self.PARAMS = {"weight": (out_channels, in_channels, kernel, kernel)}
         self.input_grad = True
 
     def _rows(self, xpad):
@@ -308,17 +297,13 @@ class BatchNorm(Layer):
     weights tiled to ``(L,)``; backward builds the input gradient over it.
     """
 
-    PARAMS = ("gamma", "beta")
     STATE = ("running_mean", "running_var")
     row_counts = None
 
     def __init__(self, num_features, dtype=np.float32):
-        self.gamma = np.ones(num_features, dtype=dtype)
-        self.beta = np.zeros(num_features, dtype=dtype)
+        self.PARAMS = {"gamma": (num_features,), "beta": (num_features,)}
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
-        self.d_gamma = np.zeros_like(self.gamma)
-        self.d_beta = np.zeros_like(self.beta)
 
     @staticmethod
     def _channel_first(x):
@@ -415,23 +400,16 @@ class Flatten(Layer):
 
 
 class Linear(Layer):
-    """Fully connected layer; ``bias=True`` adds a bias that starts at zero,
-    draws nothing from ``rng`` and is listed in the layer's own ``PARAMS``."""
+    """Fully connected layer; ``bias=True`` adds a bias to its ``PARAMS``."""
 
-    PARAMS = ("weight",)
     bias = None
 
-    def __init__(self, in_features, out_features, rng, dtype=np.float32, bias=False):
+    def __init__(self, in_features, out_features, bias=False):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = kaiming_uniform(
-            rng, (out_features, in_features), in_features, dtype
-        )
-        self.d_weight = np.zeros_like(self.weight)
+        self.PARAMS = {"weight": (out_features, in_features)}
         if bias:
-            self.PARAMS = ("weight", "bias")
-            self.bias = np.zeros(out_features, dtype=dtype)
-            self.d_bias = np.zeros_like(self.bias)
+            self.PARAMS["bias"] = (out_features,)
 
     def forward(self, x, train: bool):
         if x.shape[1] != self.in_features:

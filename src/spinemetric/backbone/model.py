@@ -10,6 +10,7 @@ property tests and desk-scale benchmarks stay fast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -77,14 +78,43 @@ class NetworkConfig:
         return cls(**d)
 
 
-def _init_head(config: NetworkConfig, head: str, rng) -> Linear:
+def _init_head(config: NetworkConfig, head: str) -> Linear:
     # Only the classifier head has a bias: a batch norm cancels a hidden
     # layer's, and the metric losses read only differences of embeddings.
     in_features = (
         config.linear_dims[-2] if len(config.linear_dims) > 1 else config.flat_features
     )
     out = config.embedding_dim if head == HEAD_EMBEDDING else CLASSIFIER_CLASSES
-    return Linear(in_features, out, rng, config.np_dtype, bias=head == HEAD_CLASSIFIER)
+    return Linear(in_features, out, bias=head == HEAD_CLASSIFIER)
+
+
+def _init_tensors(layers, dtype, rng, kept=()):
+    """Lay the trainable tensors of ``layers``, ``(name, layer)`` pairs, end
+    to end in new zeroed ``flat_params`` and ``flat_grads`` arrays, in layer
+    and ``PARAMS`` order, and bind each ``<name>`` and ``d_<name>`` to a view
+    of its slot. ``kept`` fills the first slots; then, in slot order, each
+    ``weight`` is drawn He-uniform from ``rng`` (U(-b, b), b = sqrt(6 /
+    fan_in), in float64 and cast to ``dtype``) and each ``gamma`` set to 1.
+    Returns both arrays and the params, grads and state name maps."""
+    layers = list(layers)
+    slots = [(layer, f"{n}.{k}", k, shape) for n, layer in layers for k, shape in layer.PARAMS.items()]
+    flat_params = np.zeros(sum(math.prod(shape) for *_, shape in slots), dtype)
+    flat_grads = np.zeros_like(flat_params)
+    flat_params[: len(kept)] = kept
+    state = {f"{n}.{k}": getattr(layer, k) for n, layer in layers for k in layer.STATE}
+    maps, offset = {"params": {}, "grads": {}, "state": state}, 0
+    for layer, name, key, shape in slots:
+        end = offset + math.prod(shape)
+        for kind, flat, attr in (("params", flat_params, key), ("grads", flat_grads, f"d_{key}")):
+            maps[kind][name] = flat[offset:end].reshape(shape)
+            setattr(layer, attr, maps[kind][name])
+        if offset >= len(kept) and key == "weight":
+            bound = np.sqrt(6.0 / math.prod(shape[1:]))
+            maps["params"][name][...] = rng.uniform(-bound, bound, size=shape)
+        elif offset >= len(kept) and key == "gamma":
+            maps["params"][name].fill(1)
+        offset = end
+    return flat_params, flat_grads, maps
 
 
 class PatchEncoder:
@@ -93,14 +123,13 @@ class PatchEncoder:
     def __init__(self, config: NetworkConfig, seed: int):
         self.config = config
         self.head = HEAD_EMBEDDING
-        rng = np.random.default_rng([seed])
         dtype = config.np_dtype
 
         self._names: list[str] = []
         self._layers: list = []
         c_in = INPUT_CHANNELS
         for i, c_out in enumerate(config.conv_channels, start=1):
-            self._add(f"conv{i}", Conv2d(c_in, c_out, KERNEL, rng, dtype))
+            self._add(f"conv{i}", Conv2d(c_in, c_out, KERNEL))
             self._add(f"bn{i}", BatchNorm(c_out, dtype))
             self._add(f"relu{i}", LeakyReLU(0.0))
             self._add(f"pool{i}", MaxPool2d())
@@ -110,37 +139,20 @@ class PatchEncoder:
         self._add("flatten", Flatten())
         d_in = config.flat_features
         for j, d_out in enumerate(config.linear_dims[:-1], start=1):
-            self._add(f"fc{j}", Linear(d_in, d_out, rng, dtype))
+            self._add(f"fc{j}", Linear(d_in, d_out))
             self._add(f"fbn{j}", BatchNorm(d_out, dtype))
             self._add(f"lrelu{j}", LeakyReLU(LEAKY_SLOPE))
             d_in = d_out
-        self._add("head", _init_head(config, self.head, rng))
-        self._pack()
+        self._add("head", _init_head(config, self.head))
+        self.flat_params, self.flat_grads, self._maps = _init_tensors(
+            zip(self._names, self._layers), dtype, np.random.default_rng([seed])
+        )
 
     def _add(self, name, layer):
         self._names.append(name)
         self._layers.append(layer)
 
     # --- parameter access -------------------------------------------------
-
-    def _pack(self):
-        """Copy every trainable tensor end to end into ``flat_params``, in
-        layer and ``PARAMS`` order (the naming rule in ``layers``), give each
-        a zeroed gradient in the same slot of ``flat_grads``, and rebind
-        every layer attribute to a view of its slot; then build the
-        ``"<layer>.<tensor>"`` maps of both and of the batch-norm state.
-        Gradients start at zero, not copied: every backward follows a
-        ``zero_grad``."""
-        layers = list(zip(self._names, self._layers))
-        slots = [(layer, f"{n}.{k}", k, getattr(layer, k)) for n, layer in layers for k in layer.PARAMS]
-        self.flat_params = np.concatenate([p.ravel() for *_, p in slots])
-        self.flat_grads = np.zeros(self.flat_params.size, self.flat_params.dtype)
-        cuts = np.cumsum([p.size for *_, p in slots])[:-1]
-        self._maps = {"state": {f"{n}.{k}": getattr(layer, k) for n, layer in layers for k in layer.STATE}}
-        for kind, prefix, flat in (("params", "", self.flat_params), ("grads", "d_", self.flat_grads)):
-            self._maps[kind] = {name: v.reshape(p.shape) for (_, name, _, p), v in zip(slots, np.split(flat, cuts))}
-            for layer, name, key, _ in slots:
-                setattr(layer, prefix + key, self._maps[kind][name])
 
     def parameters(self) -> dict:
         """A new dict of views of ``flat_params``, in its order."""
@@ -198,22 +210,27 @@ class PatchEncoder:
     def swap_head(self, new_head: str, seed: int) -> "PatchEncoder":
         """Replace the final linear layer with a freshly seeded one.
 
-        Every other parameter keeps its bytes, in new flat arrays, every
-        gradient is zeroed, and all running statistics are left untouched.
+        Every other parameter keeps its bytes, copied as one prefix into new
+        flat arrays, every gradient is zeroed, and all running statistics
+        are left untouched.
         An ``AdamState`` made before a swap that resizes the head is refused
         by ``adam_step``.
         """
         if new_head not in HEADS:
             raise ValueError(f"unknown head {new_head!r}; expected one of {HEADS}")
-        rng = np.random.default_rng([seed])
-        self._layers[-1] = _init_head(self.config, new_head, rng)
-        self._pack()
+        head_size = sum(math.prod(shape) for shape in self._layers[-1].PARAMS.values())
+        self._layers[-1] = _init_head(self.config, new_head)
+        self.flat_params, self.flat_grads, self._maps = _init_tensors(
+            zip(self._names, self._layers), self.config.np_dtype, np.random.default_rng([seed]),
+            kept=self.flat_params[:-head_size],
+        )
         self.head = new_head
         return self
 
 
 def init_model(config: NetworkConfig, seed: int) -> PatchEncoder:
-    """Build a seeded network: He-uniform weights, unit BN scale, and no bias
-    but a classifier head's (see ``_init_head``)."""
+    """Build a seeded network: He-uniform weights, unit BN scale, and zero
+    BN shift and classifier bias, each set once in its flat slot (see
+    ``_init_tensors``; only a classifier head has a bias)."""
     return PatchEncoder(config, seed)
 

@@ -30,6 +30,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import Bounds, minimize
 
 from spinemetric import pipeline
+from spinemetric.backbone.model import _init_tensors
 from spinemetric.backbone.optim import adam_init, adam_step
 from spinemetric.data import patch_set
 from spinemetric.losses import ALPHA, ANCHOR_CLASSES, BETA, GAMMA, MARGIN, LossValue
@@ -88,6 +89,18 @@ def adam_step_reference(params, m, v, gradients, step, learning_rate):
         m_hat = m[name] / bc1
         v_hat = v[name] / bc2
         params[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+# --- standalone layers -------------------------------------------------------
+
+
+def with_tensors(layer, dtype, rng=None):
+    """``layer`` with its trainable tensors allocated, bound and initialised
+    as the only layer of a model would have them: not an oracle, but the
+    model's own ``_init_tensors``, so the library keeps one allocation path.
+    Weights are drawn from ``rng``; a layer without one needs none."""
+    _init_tensors([("layer", layer)], np.dtype(dtype), rng)
+    return layer
 
 
 # --- direct convolution ------------------------------------------------------

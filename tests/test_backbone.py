@@ -25,7 +25,7 @@ from spinemetric.cli import NETWORK_PRESETS
 from spinemetric.mining import GradeLabel, RegionLabel
 from spinemetric.phantom import PhantomConfig, generate_patch
 
-from .oracles import adam_step_reference, rel_err
+from .oracles import adam_step_reference, rel_err, with_tensors
 
 REDUCED = NetworkConfig(input_size=8, conv_channels=(3, 4), linear_dims=(6, 5), dtype="float64")
 
@@ -127,6 +127,19 @@ class TestInit:
         initial = bits(model)
         model.swap_head(HEAD_CLASSIFIER, seed=1)
         assert (initial, bits(model)) == self.INITIAL_BITS[preset]
+
+    def test_full_init_builds_each_tensor_once(self):
+        # flat_params, flat_grads and the float64 draw of the largest weight
+        # (full fc1, 24.5 MiB) before its cast into the slot: a second copy
+        # of any tensor set, or a layer-owned gradient, passes the bound.
+        tracemalloc.start()
+        try:
+            model = init_model(NETWORK_PRESETS["full"], seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(p.size for p in model.parameters().values())
+        assert peak <= 2 * model.flat_params.nbytes + 8 * largest + 2**20
 
     def test_biases_zero_bn_identity(self):
         m = init_model(REDUCED, seed=0)
@@ -517,7 +530,7 @@ class TestSwapHead:
     def test_swapped_head_matches_direct_layer_init(self):
         m = init_model(REDUCED, seed=0)
         m.swap_head(HEAD_CLASSIFIER, seed=55)
-        direct = _init_head(REDUCED, HEAD_CLASSIFIER, np.random.default_rng([55]))
+        direct = with_tensors(_init_head(REDUCED, HEAD_CLASSIFIER), REDUCED.np_dtype, np.random.default_rng([55]))
         assert np.array_equal(m.parameters()["head.weight"], direct.weight)
 
     def test_unknown_head_rejected(self):

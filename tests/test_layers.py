@@ -28,6 +28,7 @@ from .oracles import (
     leaky_relu_reference,
     maxpool_reference,
     rel_err,
+    with_tensors,
 )
 
 RNG = np.random.default_rng(1234)
@@ -86,26 +87,26 @@ def bn_ranks(maps, features):
 class TestGradientChecks:
     def test_conv(self):
         x = RNG.normal(size=(2, 3, 8, 8))
-        fd_layer_check(Conv2d(3, 4, 5, RNG, np.float64), x)
+        fd_layer_check(with_tensors(Conv2d(3, 4, 5), np.float64, RNG), x)
 
     def test_conv_3x3(self):
         x = RNG.normal(size=(2, 2, 6, 6))
-        fd_layer_check(Conv2d(2, 3, 3, RNG, np.float64), x)
+        fd_layer_check(with_tensors(Conv2d(2, 3, 3), np.float64, RNG), x)
 
     def test_batchnorm2d(self):
         x = RNG.normal(size=(4, 3, 6, 6))
-        fd_layer_check(BatchNorm(3, np.float64), x)
+        fd_layer_check(with_tensors(BatchNorm(3, np.float64), np.float64), x)
 
     def test_batchnorm1d(self):
         x = RNG.normal(size=(8, 5))
-        fd_layer_check(BatchNorm(5, np.float64), x)
+        fd_layer_check(with_tensors(BatchNorm(5, np.float64), np.float64), x)
 
     @pytest.mark.parametrize("pattern", ROW_COUNTS)
     @pytest.mark.parametrize("shape", bn_ranks((3, 6, 6), (5,)))
     def test_batchnorm_with_row_counts(self, shape, pattern):
         counts = ROW_COUNTS[pattern]
         x = RNG.normal(size=(len(counts),) + shape)
-        fd_layer_check(BatchNorm(shape[0], np.float64), x, stride=3, row_counts=counts)
+        fd_layer_check(with_tensors(BatchNorm(shape[0], np.float64), np.float64), x, stride=3, row_counts=counts)
 
     def test_leaky_relu(self):
         x = RNG.normal(size=(4, 3, 4, 4))
@@ -123,7 +124,7 @@ class TestGradientChecks:
 
     def test_linear(self):
         x = RNG.normal(size=(6, 10))
-        fd_layer_check(Linear(10, 4, RNG, np.float64, bias=True), x, stride=3)
+        fd_layer_check(with_tensors(Linear(10, 4, bias=True), np.float64, RNG), x, stride=3)
 
 
 def _force_rows(monkeypatch, conv, x, cache_rows, dx_rows, block=1):
@@ -163,7 +164,7 @@ class TestConvOracle:
     def test_chunked_conv_matches_direct_loops(self, monkeypatch, kernel, size):
         n, c, o = 5, 2, 6
         rng = np.random.default_rng(kernel)
-        conv = Conv2d(c, o, kernel, rng, np.float64)
+        conv = with_tensors(Conv2d(c, o, kernel), np.float64, rng)
         x = rng.normal(size=(n, c, size, size))
         dy = rng.normal(size=(n, o, size, size))
         _force_rows(monkeypatch, conv, x, *self.ROWS[size])
@@ -185,7 +186,7 @@ class TestConvOracle:
     def test_chunk_edge_cases_match_direct_loops(self, monkeypatch, n, cache_rows, rows, block):
         c, o, kernel, size = 3, 9, 5, 9
         rng = np.random.default_rng(n)
-        conv = Conv2d(c, o, kernel, rng, np.float64)
+        conv = with_tensors(Conv2d(c, o, kernel), np.float64, rng)
         x = rng.normal(size=(n, c, size, size))
         dy = rng.normal(size=(n, o, size, size))
         _force_rows(monkeypatch, conv, x, cache_rows, rows[1], block)
@@ -197,7 +198,7 @@ class TestConvOracle:
         (cols dy^T)^T, against the dy cols^T product of the same chunks."""
         n, c, o, kernel, size = 7, 4, 8, 5, 12
         rng = np.random.default_rng(21)
-        conv = Conv2d(c, o, kernel, rng, dtype)
+        conv = with_tensors(Conv2d(c, o, kernel), dtype, rng)
         x = rng.normal(size=(n, c, size, size)).astype(dtype)
         _force_rows(monkeypatch, conv, x, 5, 12)
         dy = rng.normal(size=(n, o, size, size)).astype(dtype)
@@ -234,7 +235,7 @@ class TestConvOracle:
     def test_chunk_rows_pinned(self, layer):
         """The partition is a function of the shape and the module constants."""
         c, o, size, rows = self.PRESET_ROWS[layer]
-        conv = Conv2d(c, o, 5, np.random.default_rng(0))
+        conv = with_tensors(Conv2d(c, o, 5), np.float32, np.random.default_rng(0))
         for n, expected in rows.items():
             xpad = np.broadcast_to(np.float32(0), (c, size + 4, size + 4, n))
             assert conv._rows(xpad) == expected, n
@@ -243,7 +244,7 @@ class TestConvOracle:
         """Cache-sized chunks in whole GEMM_COLS blocks give the forward bits
         of one GEMM over all the columns (reduced conv1 at N = 2: 24 of 28 rows)."""
         rng = np.random.default_rng(5)
-        conv = Conv2d(2, 8, 5, rng)
+        conv = with_tensors(Conv2d(2, 8, 5), np.float32, rng)
         x = _batch_inner(rng.normal(size=(2, 2, 28, 28)).astype(np.float32))
         y = conv.forward(x, train=False)
         monkeypatch.setattr(layers, "CACHE_BYTES", layers.COLS_BYTES)
@@ -264,7 +265,8 @@ def _outputs_at_blas_threads(script):
     """The set of what ``script`` prints at 1, 2 and 4 OpenBLAS threads.
     OpenBLAS reads its count when numpy loads, so each count runs in its
     own interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(layers.__file__).parents[2])}
+    root = Path(layers.__file__).parents[3]  # the checkout: src/ and tests/
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
     outputs = set()
     for threads in ("1", "2", "4"):
         env["OPENBLAS_NUM_THREADS"] = threads
@@ -283,10 +285,11 @@ DW_DIGESTS = """
 import hashlib
 import numpy as np
 from spinemetric.backbone.layers import Conv2d
+from tests.oracles import with_tensors
 for c, o, size, n in ((2, 6, 16, 7), (6, 16, 8, 50), (6, 16, 8, 131), (2, 8, 28, 50),
                       (8, 16, 14, 7), (8, 16, 14, 50), (8, 16, 14, 100)):
     rng = np.random.default_rng(n)
-    conv = Conv2d(c, o, 5, rng)
+    conv = with_tensors(Conv2d(c, o, 5), np.float32, rng)
     conv.input_grad = False
     x = rng.normal(size=(c, size, size, n)).astype(np.float32).transpose(3, 0, 1, 2)
     conv.forward(x, train=True)
@@ -301,10 +304,11 @@ DX_DIGESTS = """
 import hashlib
 import numpy as np
 from spinemetric.backbone.layers import Conv2d
+from tests.oracles import with_tensors
 for c, o, size in ((6, 12, 8), (8, 16, 14)):
     for n in (7, 50, 131):
         rng = np.random.default_rng(n)
-        conv = Conv2d(c, o, 5, rng)
+        conv = with_tensors(Conv2d(c, o, 5), np.float32, rng)
         x = rng.normal(size=(c, size, size, n)).astype(np.float32).transpose(3, 0, 1, 2)
         conv.forward(x, train=True)
         dx = conv.backward(rng.normal(size=(o, size, size, n)).astype(np.float32).transpose(3, 0, 1, 2))
@@ -323,8 +327,8 @@ def _is_batch_inner(a):
 
 
 CONV_BLOCK_LAYERS = {
-    "conv": lambda: Conv2d(3, 4, 3, np.random.default_rng(14), np.float64),
-    "batchnorm": lambda: BatchNorm(3, np.float64),
+    "conv": lambda: with_tensors(Conv2d(3, 4, 3), np.float64, np.random.default_rng(14)),
+    "batchnorm": lambda: with_tensors(BatchNorm(3, np.float64), np.float64),
     "relu": lambda: LeakyReLU(0.0),
     "maxpool": lambda: MaxPool2d(),
 }
@@ -382,7 +386,7 @@ def assert_matches(actual, expected, tol):
 
 
 def _seeded_batchnorm(c, dtype, rng):
-    bn = BatchNorm(c, dtype)
+    bn = with_tensors(BatchNorm(c, dtype), dtype)
     bn.gamma[...] = rng.uniform(0.5, 2.0, c)
     bn.beta[...] = rng.normal(size=c)
     bn.running_mean[...] = rng.normal(size=c)
@@ -496,7 +500,7 @@ class TestBatchNormRowCounts:
             close(getattr(distinct, name), getattr(duplicated, name), err_msg=name)
 
     def test_counts_are_used_by_one_train_forward(self):
-        bn = BatchNorm(2, np.float64)
+        bn = with_tensors(BatchNorm(2, np.float64), np.float64)
         x = RNG.normal(size=(3, 2))
         bn.row_counts = [1, 2, 3]
         bn.forward(x, train=False)
@@ -505,7 +509,7 @@ class TestBatchNormRowCounts:
         assert bn.row_counts is None
 
     def test_count_length_must_match_batch(self):
-        bn = BatchNorm(2, np.float64)
+        bn = with_tensors(BatchNorm(2, np.float64), np.float64)
         bn.row_counts = [1, 2]
         with pytest.raises(ValueError, match="2 row counts for a batch of 3 rows"):
             bn.forward(RNG.normal(size=(3, 2, 2, 2)), train=True)
@@ -544,7 +548,7 @@ class TestMaxPoolTies:
 
 class TestBatchNormBehavior:
     def test_eval_uses_running_stats_and_is_pure(self):
-        bn = BatchNorm(2, np.float64)
+        bn = with_tensors(BatchNorm(2, np.float64), np.float64)
         x = RNG.normal(size=(4, 2, 3, 3))
         bn.forward(x, train=True)
         mean_before = bn.running_mean.copy()
@@ -554,14 +558,14 @@ class TestBatchNormBehavior:
         assert np.array_equal(bn.running_mean, mean_before)
 
     def test_train_updates_running_stats(self):
-        bn = BatchNorm(3, np.float64)
+        bn = with_tensors(BatchNorm(3, np.float64), np.float64)
         x = RNG.normal(size=(16, 3)) + 5.0
         bn.forward(x, train=True)
         assert not np.allclose(bn.running_mean, 0.0)
 
     def test_normalization_output_statistics(self, monkeypatch):
         monkeypatch.setattr(layers, "BN_EPSILON", 1e-8)
-        bn = BatchNorm(3, np.float64)
+        bn = with_tensors(BatchNorm(3, np.float64), np.float64)
         x = RNG.normal(size=(256, 3)) * 4 + 2
         y = bn.forward(x, train=True)
         assert np.allclose(y.mean(axis=0), 0.0, atol=1e-9)
@@ -571,14 +575,14 @@ class TestBatchNormBehavior:
 def _every_layer(dtype):
     rng = np.random.default_rng(11)
     return [
-        (Conv2d(2, 3, 3, rng, dtype), (2, 2, 4, 4)),
-        (BatchNorm(2, dtype), (3, 2, 4, 4)),
-        (BatchNorm(4, dtype), (5, 4)),
+        (with_tensors(Conv2d(2, 3, 3), dtype, rng), (2, 2, 4, 4)),
+        (with_tensors(BatchNorm(2, dtype), dtype), (3, 2, 4, 4)),
+        (with_tensors(BatchNorm(4, dtype), dtype), (5, 4)),
         (MaxPool2d(), (2, 2, 4, 4)),
         (LeakyReLU(0.0), (2, 2, 4, 4)),
         (LeakyReLU(0.01), (2, 2, 4, 4)),
         (Flatten(), (2, 2, 4, 4)),
-        (Linear(4, 3, rng, dtype), (5, 4)),
+        (with_tensors(Linear(4, 3), dtype, rng), (5, 4)),
     ]
 
 
@@ -613,12 +617,12 @@ class TestCacheDiscipline:
     @pytest.mark.parametrize(
         "layer,shape",
         [
-            (Conv2d(2, 3, 5, RNG, np.float64), (1, 2, 4, 4)),
-            (BatchNorm(2, np.float64), (2, 2, 4, 4)),
+            (with_tensors(Conv2d(2, 3, 5), np.float64, RNG), (1, 2, 4, 4)),
+            (with_tensors(BatchNorm(2, np.float64), np.float64), (2, 2, 4, 4)),
             (MaxPool2d(), (1, 2, 4, 4)),
             (LeakyReLU(0.01), (1, 2, 4, 4)),
             (Flatten(), (1, 2, 4, 4)),
-            (Linear(4, 2, RNG, np.float64), (3, 4)),
+            (with_tensors(Linear(4, 2), np.float64, RNG), (3, 4)),
         ],
     )
     def test_backward_without_forward_raises(self, layer, shape):
@@ -626,7 +630,7 @@ class TestCacheDiscipline:
             layer.backward(np.zeros(shape))
 
     def test_eval_forward_does_not_enable_backward(self):
-        lin = Linear(4, 2, RNG, np.float64)
+        lin = with_tensors(Linear(4, 2), np.float64, RNG)
         lin.forward(np.zeros((3, 4)), train=False)
         with pytest.raises(RuntimeError):
             lin.backward(np.zeros((3, 2)))
