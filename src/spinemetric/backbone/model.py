@@ -42,8 +42,13 @@ class NetworkConfig:
         object.__setattr__(self, "linear_dims", tuple(self.linear_dims))
         if not self.conv_channels or not self.linear_dims:
             raise ValueError("conv_channels and linear_dims must be non-empty")
-        for name in ("input_size", "conv_channels", "linear_dims"):
-            if np.min(getattr(self, name)) < 1:
+        sizes = {"input_size": (self.input_size,), "conv_channels": self.conv_channels,
+                 "linear_dims": self.linear_dims}
+        for name, values in sizes.items():
+            # A float or a bool (True is a 1) would reach the layer shapes.
+            if any(type(v) is not int for v in values):
+                raise ValueError(f"{name} must be {'an int' if name == 'input_size' else 'ints'}, got {getattr(self, name)!r}")
+            if min(values) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         divisor = 2 ** len(self.conv_channels)
         if self.input_size % divisor != 0:

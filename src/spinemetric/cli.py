@@ -522,6 +522,10 @@ def main(argv=None) -> int:
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
     try:
+        # gen, reformat, train and eval seed NumPy generators, which refuse a
+        # negative seed only once files are written or read.
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except Exception as exc:  # single-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

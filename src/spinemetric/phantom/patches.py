@@ -81,7 +81,7 @@ PAPER_GRADE_TOTALS = {GradeLabel.G0: 1133, GradeLabel.G2: 104, GradeLabel.G3: 46
 class PhantomConfig:
     """What a dataset may vary: Gaussian noise and blur sigmas (finite and
     at least 0; 0 turns either off), and a centre jitter of at most
-    ``MAX_JITTER_PX`` px."""
+    ``MAX_JITTER_PX`` px; the jitter and the seed are nonnegative ints."""
 
     noise_amplitude: float = 0.02
     blur_sigma: float = 0.7
@@ -90,10 +90,15 @@ class PhantomConfig:
 
     def __post_init__(self):
         for name in ("noise_amplitude", "blur_sigma"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be a finite number of at least 0, got {getattr(self, name)}")
-        if self.jitter_px < 0:
-            raise ValueError("jitter_px must be nonnegative")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be a finite number of at least 0, got {value}")
+        for name in ("jitter_px", "seed"):
+            # A float jitter would render and hash as given; a bool is an int.
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.jitter_px > MAX_JITTER_PX:
             raise ValueError(
                 f"jitter_px {self.jitter_px} can move the graded body off the patch (at most {MAX_JITTER_PX:g} px)"

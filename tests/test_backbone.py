@@ -75,8 +75,14 @@ class TestConfig:
             ("conv_channels", (3, 0), "conv_channels must be at least 1"),
             ("linear_dims", (0, 5), "linear_dims must be at least 1"),
             ("dtype", "int32", "dtype must be a floating-point type"),
+            ("input_size", 8.0, "input_size must be an int, got 8.0"),
+            ("input_size", True, "input_size must be an int, got True"),
+            ("conv_channels", (3, 4.5), re.escape("conv_channels must be ints, got (3, 4.5)")),
+            ("conv_channels", (True, 4), re.escape("conv_channels must be ints, got (True, 4)")),
+            ("linear_dims", (6, np.int64(5)), "linear_dims must be ints, got "),
         ],
-        ids=["zero-input-size", "zero-conv-channels", "zero-linear-dim", "int-dtype"],
+        ids=["zero-input-size", "zero-conv-channels", "zero-linear-dim", "int-dtype", "float-input-size",
+             "bool-input-size", "float-conv-channel", "bool-conv-channel", "numpy-linear-dim"],
     )
     def test_bad_value_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -285,6 +285,34 @@ class TestReformat:
         assert err == "error: --grades: unknown grade 'g4' (valid grades: g0, g2, g3)"
 
 
+class TestSeedFlag:
+    """A negative --seed is refused by flag before any file is read or written."""
+
+    def test_gen_keeps_the_earlier_dataset(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run_cli("gen", "--counts", "g0=3,g2=1,g3=1", "--seed", "1", "--out", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("gen", "--counts", "g0=3,g2=1,g3=1", "--seed", "-1", "--out", str(out)) == 1
+        assert capsys.readouterr().err.strip() == "error: --seed must be a nonnegative integer, got -1"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reformat"],
+            ["train", "--dataset", "no-data"],
+            ["eval", "--protocol", "probe", "--dataset", "no-data", "--checkpoint", "no.gmck"],
+        ],
+        ids=["reformat", "train", "eval"],
+    )
+    def test_negative_seed_named_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # the dataset and checkpoint paths do not exist
+        assert run_cli(*argv, "--seed", "-3", "--out", "o") == 1
+        assert capsys.readouterr().err.strip() == "error: --seed must be a nonnegative integer, got -3"
+        assert list(tmp_path.iterdir()) == []
+
+
 IN_ORDER = "stages run in the order label, representation loss, fracture"
 
 

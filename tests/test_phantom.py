@@ -78,8 +78,18 @@ class TestConfig:
             ({"blur_sigma": float("inf")}, "blur_sigma must be a finite number of at least 0, got inf"),
             ({"blur_sigma": -1.0}, "blur_sigma must be a finite number of at least 0, got -1.0"),
             ({"jitter_px": -1}, "jitter_px must be nonnegative"),
+            ({"noise_amplitude": True}, "noise_amplitude must be a finite number of at least 0, got True"),
+            ({"blur_sigma": False}, "blur_sigma must be a finite number of at least 0, got False"),
+            ({"jitter_px": float("nan")}, "jitter_px must be an int, got nan"),
+            ({"jitter_px": 2.5}, "jitter_px must be an int, got 2.5"),
+            ({"jitter_px": True}, "jitter_px must be an int, got True"),
+            ({"seed": -1}, "seed must be nonnegative"),
+            ({"seed": 1.0}, "seed must be an int, got 1.0"),
+            ({"seed": False}, "seed must be an int, got False"),
         ],
-        ids=["noise-nan", "noise-inf", "noise-negative", "blur-nan", "blur-inf", "blur-negative", "jitter-negative"],
+        ids=["noise-nan", "noise-inf", "noise-negative", "blur-nan", "blur-inf", "blur-negative", "jitter-negative",
+             "noise-bool", "blur-bool", "jitter-nan", "jitter-float", "jitter-bool", "seed-negative", "seed-float",
+             "seed-bool"],
     )
     def test_bad_field_refused_by_name(self, overrides, message):
         with pytest.raises(ValueError) as exc:
