@@ -47,7 +47,8 @@ class NetworkConfig:
         for name, values in sizes.items():
             # A float or a bool (True is a 1) would reach the layer shapes.
             if any(type(v) is not int for v in values):
-                raise ValueError(f"{name} must be {'an int' if name == 'input_size' else 'ints'}, got {getattr(self, name)!r}")
+                what = "an int" if name == "input_size" else "ints"
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
             if min(values) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         divisor = 2 ** len(self.conv_channels)
@@ -103,8 +104,8 @@ def _init_tensors(layers, dtype, rng, kept=()):
     Returns both arrays and the params, grads and state name maps."""
     layers = list(layers)
     slots = [(layer, f"{n}.{k}", k, shape) for n, layer in layers for k, shape in layer.PARAMS.items()]
-    flat_params = np.zeros(sum(math.prod(shape) for *_, shape in slots), dtype)
-    flat_grads = np.zeros_like(flat_params)
+    size = sum(math.prod(shape) for *_, shape in slots)
+    flat_params, flat_grads = np.zeros(size, dtype), np.zeros(size, dtype)  # not zeros_like: it writes every page
     flat_params[: len(kept)] = kept
     state = {f"{n}.{k}": getattr(layer, k) for n, layer in layers for k in layer.STATE}
     maps, offset = {"params": {}, "grads": {}, "state": state}, 0
