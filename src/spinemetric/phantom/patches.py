@@ -94,10 +94,11 @@ class PhantomConfig:
             if isinstance(value, bool) or not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be a finite number of at least 0, got {value}")
         for name in ("jitter_px", "seed"):
+            value = getattr(self, name)
             # A float jitter would render and hash as given; a bool is an int.
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-            if getattr(self, name) < 0:
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.jitter_px > MAX_JITTER_PX:
             raise ValueError(
