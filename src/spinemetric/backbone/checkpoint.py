@@ -73,9 +73,9 @@ def load_model(path) -> PatchEncoder:
 
     try:
         config = NetworkConfig.from_dict(manifest["config"])
-        model = PatchEncoder(config, seed=0)
+        model = PatchEncoder(config, seed=None)  # every slot is filled below
         if manifest["head"] != model.head:
-            model.swap_head(manifest["head"], seed=0)
+            model.swap_head(manifest["head"], seed=None)
         entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in manifest["tensors"]]
         if not all(isinstance(name, str) for name, *_ in entries):
             raise TypeError("tensor names must be strings")

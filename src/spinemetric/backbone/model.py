@@ -101,7 +101,8 @@ def _init_tensors(layers, dtype, rng, kept=()):
     of its slot. ``kept`` fills the first slots; then, in slot order, each
     ``weight`` is drawn He-uniform from ``rng`` (U(-b, b), b = sqrt(6 /
     fan_in), in float64 and cast to ``dtype``) and each ``gamma`` set to 1.
-    Returns both arrays and the params, grads and state name maps."""
+    With ``rng`` None the weights stay zero, for a caller that fills every
+    slot. Returns both arrays and the params, grads and state name maps."""
     layers = list(layers)
     slots = [(layer, f"{n}.{k}", k, shape) for n, layer in layers for k, shape in layer.PARAMS.items()]
     size = sum(math.prod(shape) for *_, shape in slots)
@@ -114,7 +115,7 @@ def _init_tensors(layers, dtype, rng, kept=()):
         for kind, flat, attr in (("params", flat_params, key), ("grads", flat_grads, f"d_{key}")):
             maps[kind][name] = flat[offset:end].reshape(shape)
             setattr(layer, attr, maps[kind][name])
-        if offset >= len(kept) and key == "weight":
+        if offset >= len(kept) and key == "weight" and rng is not None:
             bound = np.sqrt(6.0 / math.prod(shape[1:]))
             maps["params"][name][...] = rng.uniform(-bound, bound, size=shape)
         elif offset >= len(kept) and key == "gamma":
@@ -124,9 +125,10 @@ def _init_tensors(layers, dtype, rng, kept=()):
 
 
 class PatchEncoder:
-    """Convolutional encoder over 2-channel patches with a swappable head."""
+    """Convolutional encoder over 2-channel patches with a swappable head.
+    A ``seed`` of None, here or in ``swap_head``, draws no weight (``load_model``)."""
 
-    def __init__(self, config: NetworkConfig, seed: int):
+    def __init__(self, config: NetworkConfig, seed: int | None):
         self.config = config
         self.head = HEAD_EMBEDDING
         dtype = config.np_dtype
@@ -150,9 +152,8 @@ class PatchEncoder:
             self._add(f"lrelu{j}", LeakyReLU(LEAKY_SLOPE))
             d_in = d_out
         self._add("head", _init_head(config, self.head))
-        self.flat_params, self.flat_grads, self._maps = _init_tensors(
-            zip(self._names, self._layers), dtype, np.random.default_rng([seed])
-        )
+        rng = None if seed is None else np.random.default_rng([seed])
+        self.flat_params, self.flat_grads, self._maps = _init_tensors(zip(self._names, self._layers), dtype, rng)
 
     def _add(self, name, layer):
         self._names.append(name)
@@ -213,7 +214,7 @@ class PatchEncoder:
 
     # --- head management ----------------------------------------------------
 
-    def swap_head(self, new_head: str, seed: int) -> "PatchEncoder":
+    def swap_head(self, new_head: str, seed: int | None) -> "PatchEncoder":
         """Replace the final linear layer with a freshly seeded one.
 
         Every other parameter keeps its bytes, copied as one prefix into new
@@ -226,8 +227,9 @@ class PatchEncoder:
             raise ValueError(f"unknown head {new_head!r}; expected one of {HEADS}")
         head_size = sum(math.prod(shape) for shape in self._layers[-1].PARAMS.values())
         self._layers[-1] = _init_head(self.config, new_head)
+        rng = None if seed is None else np.random.default_rng([seed])
         self.flat_params, self.flat_grads, self._maps = _init_tensors(
-            zip(self._names, self._layers), self.config.np_dtype, np.random.default_rng([seed]),
+            zip(self._names, self._layers), self.config.np_dtype, rng,
             kept=self.flat_params[:-head_size],
         )
         self.head = new_head

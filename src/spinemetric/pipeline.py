@@ -2,10 +2,11 @@
 learning, and binary fracture fine-tuning.
 
 Stages run strictly in the order label-pretrain -> representation-learn ->
-fracture-train; a stage of 0 epochs is skipped. Metric stages mine one
-tuple per training sample per epoch (re-mined each epoch from a shifted
-seed) and minimize their plan's loss with Adam at ``LEARNING_RATE``; the
-loss margins are the constants of ``losses``. Entering the fracture stage
+fracture-train; a stage of 0 epochs is skipped. Each epoch draws one tuple
+per training sample with its loss kind's miner in ``LOSS_TABLE`` (re-mined
+from a shifted seed; a seeded shuffle for fracture training) and minimizes
+the table's batched loss with Adam at ``LEARNING_RATE``; the loss margins
+are the constants of ``losses``. Entering the fracture stage
 swaps the embedding head for the two-logit classifier head; batch-norm
 running statistics carry across stages. ``PipelineConfig`` holds what a run
 varies: the network, the stage plans and the seed.
@@ -64,8 +65,13 @@ class StagePlan:
                 f"stage {self.stage} cannot use loss {self.loss_kind!r}; "
                 f"allowed: {STAGE_LOSSES[self.stage]}"
             )
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        for name, least in (("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            # A bool trains as 1 but hashes as true; a float fails in range().
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def validate_stage_plans(plans) -> None:
@@ -101,6 +107,9 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
         validate_stage_plans(self.stages)
+        # A bool would hash as true; NumPy would refuse a float or negative seed only once a fold starts.
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative int, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "learning_rate": LEARNING_RATE}  # under its old field's key
@@ -109,20 +118,27 @@ class PipelineConfig:
         return canonical_json(self.to_dict())
 
 
-def _epoch_tuples(plan, targets, count, seed):
-    """One epoch's tuples: (T, W) row indices into the stacked split, and
-    the loss's per-tuple argument (anchor class, similar flag or label;
-    None for triplets)."""
-    if plan.stage == STAGE_FRACTURE:
-        order = np.random.default_rng([seed]).permutation(count)
-        return order[:, None], targets[order]
-    if plan.loss_kind == "triplet":
-        return mine_triplets(targets, count, seed), None
-    if plan.loss_kind == "grading":
-        mined = mine_quadruplets(targets, count, seed)
-    else:
-        mined = mine_pairs(targets, count, seed)
+def _split(mined):
+    """A miner's (T, W + 1) array as its (T, W) member rows and its last column."""
     return mined[:, :-1], mined[:, -1]
+
+
+def _shuffled(targets, count, seed):
+    """Every row once, as one-member tuples in a seeded order, and its target."""
+    order = np.random.default_rng([seed]).permutation(count)
+    return order[:, None], targets[order]
+
+
+# Per loss kind, its miner, (targets, count, seed) -> ((T, W) rows into the
+# stacked split, the loss's (T,) per-tuple argument or None), and its batched
+# loss, (W member arrays, per-tuple argument) -> LossValue. Each entry looks
+# its miner and loss up by name when called, so a rebound name reaches it.
+LOSS_TABLE = {
+    "contrastive": (lambda t, n, s: _split(mine_pairs(t, n, s)), lambda m, a: contrastive_loss(*m, a)),
+    "triplet": (lambda t, n, s: (mine_triplets(t, n, s), None), lambda m, a: triplet_loss(*m)),
+    "grading": (lambda t, n, s: _split(mine_quadruplets(t, n, s)), lambda m, a: grading_loss(*m, a)),
+    "cross_entropy": (_shuffled, lambda m, a: cross_entropy(*m, a)),
+}
 
 
 def _metric_batch_loss(emb, per_tuple, loss_kind):
@@ -132,15 +148,7 @@ def _metric_batch_loss(emb, per_tuple, loss_kind):
     (one row of logits for cross-entropy); ``per_tuple`` is the loss's
     (T,) per-tuple argument, None for triplets.
     """
-    members = [emb[:, j] for j in range(emb.shape[1])]
-    if loss_kind == "grading":
-        lv = grading_loss(*members, anchor_class=per_tuple)
-    elif loss_kind == "triplet":
-        lv = triplet_loss(*members)
-    elif loss_kind == "contrastive":
-        lv = contrastive_loss(*members, similar=per_tuple)
-    else:
-        lv = cross_entropy(*members, label=per_tuple)
+    lv = LOSS_TABLE[loss_kind][1]([emb[:, j] for j in range(emb.shape[1])], per_tuple)
     inv = 1.0 / len(emb)
     upstream = np.stack(list(lv.gradients.values()), axis=1) * inv
     return lv.total * inv, upstream.astype(emb.dtype, copy=False)
@@ -186,7 +194,7 @@ def run_stage(model: PatchEncoder, plan: StagePlan, samples, seed: int, config: 
     base_seed = seed + _STAGE_SEED_OFFSET[plan.stage]
     opt = adam_init(model, learning_rate=LEARNING_RATE)
     for epoch in range(plan.epochs):
-        rows, per_tuple = _epoch_tuples(plan, targets, len(data), base_seed + epoch)
+        rows, per_tuple = LOSS_TABLE[plan.loss_kind][0](targets, len(data), base_seed + epoch)
         losses = []
         for lo in range(0, len(rows), plan.batch_size):
             step = slice(lo, lo + plan.batch_size)

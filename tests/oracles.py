@@ -797,7 +797,7 @@ def run_stage_reference(model, plan, samples, seed: int) -> list[float]:
     opt = adam_init(model, learning_rate=pipeline.LEARNING_RATE)
     epoch_losses = []
     for epoch in range(plan.epochs):
-        rows, per_tuple = pipeline._epoch_tuples(plan, targets, len(data), base_seed + epoch)
+        rows, per_tuple = pipeline.LOSS_TABLE[plan.loss_kind][0](targets, len(data), base_seed + epoch)
         total = 0.0
         for lo in range(0, len(rows), plan.batch_size):
             step = slice(lo, lo + plan.batch_size)

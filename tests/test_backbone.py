@@ -651,6 +651,24 @@ class TestCheckpoint:
         save_model(m, tmp_path / "c.gmck")
         assert load_model(tmp_path / "c.gmck").head == HEAD_CLASSIFIER
 
+    @pytest.mark.parametrize("head", [HEAD_EMBEDDING, HEAD_CLASSIFIER])
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch, head):
+        # The payload fills every slot, so a load seeds no generator.
+        m = init_model(REDUCED, seed=3)
+        if head != m.head:
+            m.swap_head(head, seed=4)
+        save_model(m, tmp_path / "m.gmck")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("load_model seeded a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        loaded = load_model(tmp_path / "m.gmck")
+        monkeypatch.undo()
+        assert loaded.head == head and not loaded.flat_grads.any()
+        save_model(loaded, tmp_path / "again.gmck")
+        assert (tmp_path / "again.gmck").read_bytes() == (tmp_path / "m.gmck").read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.gmck"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

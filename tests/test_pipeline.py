@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from spinemetric.backbone import (
     save_model,
 )
 from spinemetric.data import patch_set
+from spinemetric.losses import LossValue
 from spinemetric.mining import GradeLabel, RegionLabel, make_folds, mine_pairs, mine_quadruplets
 from spinemetric.phantom import PhantomConfig, generate_dataset
 from spinemetric.pipeline import (
@@ -73,6 +75,26 @@ class TestStagePlans:
     def test_unknown_stage(self):
         with pytest.raises(ValueError):
             StagePlan("Finetune", "cross_entropy", epochs=1)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("epochs", True, "epochs must be an int, got True"),
+            ("epochs", 2.0, "epochs must be an int, got 2.0"),
+            ("epochs", -1, "epochs must be at least 0, got -1"),
+            ("batch_size", 2.5, "batch_size must be an int, got 2.5"),
+            ("batch_size", False, "batch_size must be an int, got False"),
+            ("batch_size", 0, "batch_size must be at least 1, got 0"),
+        ],
+    )
+    def test_plan_field_refused_by_name(self, name, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StagePlan(STAGE_REPRESENTATION, "grading", **{"epochs": 1, name: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_config_seed_refused_by_name(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a nonnegative int, got {seed!r}")):
+            PipelineConfig(seed=seed)
 
     def test_out_of_order_rejected(self):
         plans = [
@@ -193,6 +215,29 @@ class TestRunStage:
             record = run_stage(model, plan, split, seed=5, config=config)
             runs.append((record.epoch_losses, param_bytes(model)))
         assert runs[0] == runs[1]
+
+    def test_new_loss_table_entry_trains(self, monkeypatch):
+        # A loss kind is one table entry: here a miner of one-row tuples in
+        # row order and a loss pulling each embedding toward the origin.
+        batches = []
+
+        def centre_loss(members, per_tuple):
+            (x,) = members
+            batches.append(x.shape)
+            return LossValue(total=float(np.sum(x * x)), gradients={"x": 2.0 * x})
+
+        def rows_in_order(targets, count, seed):
+            return np.arange(count)[:, None], None
+
+        monkeypatch.setitem(pipeline.LOSS_TABLE, "centre", (rows_in_order, centre_loss))
+        monkeypatch.setitem(STAGE_LOSSES, STAGE_REPRESENTATION, STAGE_LOSSES[STAGE_REPRESENTATION] + ("centre",))
+        samples = balanced_samples(per_grade=2)
+        plan = StagePlan(STAGE_REPRESENTATION, "centre", epochs=20, batch_size=8)
+        model = init_model(TINY_NET, seed=0)
+        record = run_stage(model, plan, samples, seed=0, config=tiny_config(plan))
+        assert len(samples) == 30 and batches == 20 * [(8, 8), (8, 8), (8, 8), (6, 8)]
+        assert record.loss_kind == "centre" and record.rows_forwarded == 20 * 30
+        assert record.epoch_losses[-1] < 0.9 * record.epoch_losses[0]
 
     @pytest.mark.parametrize("loss_kind", STAGE_LOSSES[STAGE_LABEL])
     def test_label_pretrain_losses_run(self, loss_kind):
@@ -318,32 +363,24 @@ class TestMetricBatchLoss:
     oracle losses, with each tuple's gradients divided by the batch size."""
 
     T = 12
+    # Per loss kind: its tuple width, per-tuple argument and per-tuple oracle
+    # (one tuple's members and argument -> LossValue), and the gradient keys.
+    CASES = {
+        "contrastive": (2, [True, False, False] * 4, lambda e, s: contrastive_loss_reference(*e, bool(s)), ("a", "b")),
+        "triplet": (3, None, lambda e, _: triplet_loss_reference(*e), ("anchor", "positive", "negative")),
+        "grading": (4, [0, 2, 3] * 4, lambda e, c: grading_loss_reference(*e, int(c)), ("g0", "g2", "g3", "anchor")),
+        "cross_entropy": (1, [0, 1, 1] * 4, lambda e, y: cross_entropy_reference(e[0], int(y)), ("logits",)),
+    }
 
-    def _oracle(self, loss_kind, emb, per_tuple):
-        if loss_kind == "grading":
-            return [grading_loss_reference(*e, int(c)) for e, c in zip(emb, per_tuple)], ("g0", "g2", "g3", "anchor")
-        if loss_kind == "triplet":
-            return [triplet_loss_reference(*e) for e in emb], ("anchor", "positive", "negative")
-        if loss_kind == "contrastive":
-            return [contrastive_loss_reference(*e, bool(s)) for e, s in zip(emb, per_tuple)], ("a", "b")
-        return [cross_entropy_reference(e[0], int(y)) for e, y in zip(emb, per_tuple)], ("logits",)
-
-    @pytest.mark.parametrize(
-        "loss_kind, width, per_tuple",
-        [
-            ("grading", 4, [0, 2, 3] * 4),
-            ("triplet", 3, None),
-            ("contrastive", 2, [True, False, False] * 4),
-            ("cross_entropy", 1, [0, 1, 1] * 4),
-        ],
-        ids=["grading", "triplet", "contrastive", "cross_entropy"],
-    )
-    def test_equals_mean_of_oracle(self, loss_kind, width, per_tuple):
+    @pytest.mark.parametrize("loss_kind", list(pipeline.LOSS_TABLE))
+    def test_equals_mean_of_oracle(self, loss_kind):
+        # A table entry with no case here fails.
+        width, per_tuple, oracle, keys = self.CASES[loss_kind]
         dim = 2 if loss_kind == "cross_entropy" else 8
         emb = np.random.default_rng(31).normal(size=(self.T, width, dim)) * 0.5
         per_tuple = None if per_tuple is None else np.array(per_tuple)
         mean, upstream = _metric_batch_loss(emb, per_tuple, loss_kind)
-        per_row, keys = self._oracle(loss_kind, emb, per_tuple)
+        per_row = [oracle(e, None if per_tuple is None else per_tuple[t]) for t, e in enumerate(emb)]
         assert mean == pytest.approx(np.mean([lv.total for lv in per_row]), rel=1e-12, abs=1e-12)
         want = np.stack([[lv.gradients[k] for k in keys] for lv in per_row]) / self.T
         assert upstream.dtype == np.float64 and upstream.shape == emb.shape
