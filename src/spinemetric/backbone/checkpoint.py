@@ -2,13 +2,14 @@
 
 Layout: magic ``GMCK`` | version u32 LE | manifest length u32 LE |
 SHA-256 of everything after it (32 bytes) | manifest JSON (utf-8) | raw
-float32 little-endian tensor payloads in manifest order. The manifest
-records the network configuration, the mounted head, and every tensor's
-name/shape/dtype (trainable parameters plus batch-norm running
-statistics). A load checks the digest before it parses the manifest, so a
-damaged byte anywhere, payload included, is refused rather than loaded.
-save -> load -> save reproduces the file byte for byte, and a save
-replaces the file atomically.
+float32 little-endian tensor payloads in manifest order. ``_manifest``
+builds the manifest for save and load alike: network config, mounted head,
+and every tensor's name/shape/dtype (parameters and batch-norm running
+statistics), sorted by name. A load checks the digest first, so a damaged
+byte anywhere is refused; it then builds the model the config and head
+describe, refuses any other manifest or payload size, and fills each slot
+straight from the file's bytes. save -> load -> save reproduces the file
+byte for byte, and a save replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -28,21 +29,37 @@ VERSION = 3
 HEADER = 12 + hashlib.sha256().digest_size
 
 
-def save_model(model: PatchEncoder, path) -> None:
-    """Write a checkpoint. Tensors are stored as float32 regardless of the
-    in-memory dtype (the format is fixed)."""
+def _manifest(model: PatchEncoder) -> tuple[dict, dict]:
+    """The manifest that ``model`` is saved under, and its tensors by name."""
     tensors = {**model.parameters(), **model.bn_stats()}
-    names = sorted(tensors)
     manifest = {
         "config": model.config.to_dict(),
         "head": model.head,
-        "tensors": [
-            {"name": n, "shape": list(tensors[n].shape), "dtype": "float32"}
-            for n in names
-        ],
+        "tensors": [{"name": n, "shape": list(tensors[n].shape), "dtype": "float32"} for n in sorted(tensors)],
     }
+    return manifest, tensors
+
+
+def _first_difference(found, expected, where=""):
+    """``(where, found, expected)`` at the first place, depth first, where two JSON
+    values differ as canonical JSON (2.0 is not 2), or None; a missing entry reads None."""
+    if canonical_json(found) == canonical_json(expected):
+        return None
+    if type(found) is type(expected) and type(found) in (dict, list):
+        a, b = (dict(enumerate(v)) if type(v) is list else v for v in (found, expected))
+        for key in sorted(a.keys() | b.keys()):
+            diff = _first_difference(a.get(key), b.get(key), f"{where}[{key!r}]")
+            if diff:
+                return diff
+    return where, found, expected
+
+
+def save_model(model: PatchEncoder, path) -> None:
+    """Write a checkpoint. Tensors are stored as float32 regardless of the
+    in-memory dtype (the format is fixed)."""
+    manifest, tensors = _manifest(model)
     blob = canonical_json(manifest).encode("utf-8")
-    body = blob + b"".join(np.ascontiguousarray(tensors[n], dtype="<f4").tobytes() for n in names)
+    body = blob + b"".join(np.ascontiguousarray(tensors[n], dtype="<f4").tobytes() for n in sorted(tensors))
     with atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(blob)))
@@ -61,9 +78,7 @@ def load_model(path) -> PatchEncoder:
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     if HEADER + mlen > len(data):
-        raise ValueError(
-            f"{path}: truncated manifest ({len(data) - HEADER} of {mlen} bytes)"
-        )
+        raise ValueError(f"{path}: truncated manifest ({len(data) - HEADER} of {mlen} bytes)")
     if hashlib.sha256(memoryview(data)[HEADER:]).digest() != data[12:HEADER]:
         raise ValueError(f"{path}: checksum mismatch (damaged or truncated checkpoint)")
     try:
@@ -72,47 +87,19 @@ def load_model(path) -> PatchEncoder:
         raise ValueError(f"{path}: manifest is not UTF-8 JSON ({exc})") from exc
 
     try:
-        config = NetworkConfig.from_dict(manifest["config"])
-        model = PatchEncoder(config, seed=None)  # every slot is filled below
-        if manifest["head"] != model.head:
-            model.swap_head(manifest["head"], seed=None)
-        entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in manifest["tensors"]]
-        if not all(isinstance(name, str) for name, *_ in entries):
-            raise TypeError("tensor names must be strings")
-        # A float or bool entry compares equal to the model's int.
-        if not all(type(d) is int and d >= 0 for _, shape, _ in entries for d in shape):
-            raise ValueError("tensor shapes must list nonnegative ints")
-    except (TypeError, KeyError, ValueError) as exc:
+        model = PatchEncoder(NetworkConfig(**manifest["config"]), seed=None, head=manifest["head"])
+    except (TypeError, KeyError, ValueError, MemoryError) as exc:
         raise ValueError(f"{path}: malformed manifest ({exc!r})") from exc
+    expected, tensors = _manifest(model)
+    if diff := _first_difference(manifest, expected):
+        raise ValueError(f"{path}: manifest%s differs: found %r, expected %r" % diff)
 
-    tensors = {**model.parameters(), **model.bn_stats()}
-    listed = [name for name, *_ in entries]
-    if sorted(listed) != sorted(tensors):
-        missing = sorted(set(tensors) - set(listed))
-        unknown = sorted(set(listed) - set(tensors))
-        raise ValueError(
-            f"{path}: manifest tensors do not match the model "
-            f"(missing {missing}, unknown {unknown}, {len(listed)} listed)"
-        )
     offset = HEADER + mlen
-    for name, shape, dtype in entries:
-        if dtype != "float32":
-            raise ValueError(f"{path}: tensor {name!r} dtype {dtype!r} is not 'float32'")
-        if tensors[name].shape != shape:
-            raise ValueError(
-                f"{path}: tensor {name!r} shape {shape} does not match "
-                f"model shape {tensors[name].shape}"
-            )
-        nbytes = int(np.prod(shape)) * 4 if shape else 4
-        payload = data[offset : offset + nbytes]
-        if len(payload) != nbytes:
-            raise ValueError(
-                f"{path}: truncated payload for tensor {name!r} "
-                f"({len(payload)} of {nbytes} bytes)"
-            )
-        raw = np.frombuffer(payload, dtype="<f4")
-        tensors[name][...] = raw.reshape(shape).astype(config.np_dtype)
-        offset += nbytes
-    if offset != len(data):
-        raise ValueError(f"{path}: {len(data) - offset} trailing bytes")
+    listed = 4 * sum(t.size for t in tensors.values())
+    if len(data) - offset != listed:
+        raise ValueError(f"{path}: payload is {len(data) - offset} bytes, the manifest lists {listed}")
+    for name in sorted(tensors):
+        tensor = tensors[name]
+        tensor[...] = np.frombuffer(data, "<f4", tensor.size, offset).reshape(tensor.shape)
+        offset += 4 * tensor.size
     return model

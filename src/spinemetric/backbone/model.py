@@ -79,14 +79,12 @@ class NetworkConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d) -> "NetworkConfig":
-        return cls(**d)
-
 
 def _init_head(config: NetworkConfig, head: str) -> Linear:
     # Only the classifier head has a bias: a batch norm cancels a hidden
     # layer's, and the metric losses read only differences of embeddings.
+    if head not in HEADS:
+        raise ValueError(f"unknown head {head!r}; expected one of {HEADS}")
     in_features = (
         config.linear_dims[-2] if len(config.linear_dims) > 1 else config.flat_features
     )
@@ -125,12 +123,13 @@ def _init_tensors(layers, dtype, rng, kept=()):
 
 
 class PatchEncoder:
-    """Convolutional encoder over 2-channel patches with a swappable head.
-    A ``seed`` of None, here or in ``swap_head``, draws no weight (``load_model``)."""
+    """Convolutional encoder over 2-channel patches with a swappable head,
+    ``head`` at first. A ``seed`` of None, here or in ``swap_head``, draws no
+    weight (``load_model``)."""
 
-    def __init__(self, config: NetworkConfig, seed: int | None):
+    def __init__(self, config: NetworkConfig, seed: int | None, head: str = HEAD_EMBEDDING):
         self.config = config
-        self.head = HEAD_EMBEDDING
+        self.head = head
         dtype = config.np_dtype
 
         self._names: list[str] = []
@@ -223,8 +222,6 @@ class PatchEncoder:
         An ``AdamState`` made before a swap that resizes the head is refused
         by ``adam_step``.
         """
-        if new_head not in HEADS:
-            raise ValueError(f"unknown head {new_head!r}; expected one of {HEADS}")
         head_size = sum(math.prod(shape) for shape in self._layers[-1].PARAMS.values())
         self._layers[-1] = _init_head(self.config, new_head)
         rng = None if seed is None else np.random.default_rng([seed])

@@ -90,7 +90,7 @@ class TestConfig:
 
     def test_round_trip_dict(self):
         cfg = NetworkConfig(input_size=16, conv_channels=(6, 12), linear_dims=(24, 8))
-        assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
+        assert NetworkConfig(**cfg.to_dict()) == cfg
 
 
 class TestInit:
@@ -619,6 +619,13 @@ def split_checkpoint(path):
     return json.loads(data[HEADER : HEADER + mlen]), data[HEADER + mlen :]
 
 
+def tensor_bytes(manifest, payload):
+    """The payload bytes of each tensor entry of a manifest, in its order."""
+    sizes = [4 * int(np.prod(entry["shape"])) for entry in manifest["tensors"]]
+    ends = np.cumsum(sizes)
+    return [payload[end - size : end] for size, end in zip(sizes, ends)]
+
+
 class TestCheckpoint:
     def test_tiny_checkpoint_bytes_pinned(self, tmp_path):
         # The manifest is canonical JSON: a change of encoding moves these bytes.
@@ -679,17 +686,27 @@ class TestCheckpoint:
         path = tmp_path / "m.gmck"
         save_model(init_model(REDUCED, seed=0), path)
         manifest, data = split_checkpoint(path)
-        # Drop head.weight from the manifest and its bytes from the payload.
-        offset, payload = 0, b""
-        for entry in manifest["tensors"]:
-            nbytes = 4 * int(np.prod(entry["shape"]))
-            if entry["name"] != "head.weight":
-                payload += data[offset : offset + nbytes]
-            offset += nbytes
-        manifest["tensors"] = [e for e in manifest["tensors"] if e["name"] != "head.weight"]
-        write_checkpoint(path, json.dumps(manifest).encode(), payload)
-        with pytest.raises(ValueError, match=r"m\.gmck.*missing \['head\.weight'\]"):
+        # Drop head.weight, the last name, from the manifest and its bytes from the payload.
+        kept = [(e, b) for e, b in zip(manifest["tensors"], tensor_bytes(manifest, data)) if e["name"] != "head.weight"]
+        manifest["tensors"] = [e for e, _ in kept]
+        write_checkpoint(path, json.dumps(manifest).encode(), b"".join(b for _, b in kept))
+        want = f"m.gmck: manifest['tensors'][{len(kept)}] differs: found None, expected {{'name': 'head.weight'"
+        with pytest.raises(ValueError, match=re.escape(want)):
             load_model(path)
+
+    def test_permuted_tensor_list_rejected(self, tmp_path):
+        # Entries and payload reversed together, so each name still finds its
+        # own bytes, but the tensor list is not the one save_model writes.
+        path = tmp_path / "r.gmck"
+        save_model(init_model(REDUCED, seed=0), path)
+        manifest, data = split_checkpoint(path)
+        chunks = tensor_bytes(manifest, data)
+        manifest["tensors"].reverse()
+        write_checkpoint(path, json.dumps(manifest).encode(), b"".join(reversed(chunks)))
+        want = "manifest['tensors'][0]['name'] differs: found 'head.weight', expected 'bn1.beta'"
+        with pytest.raises(ValueError, match=re.escape(want) + "$") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "t.gmck"
@@ -701,7 +718,8 @@ class TestCheckpoint:
         # With a digest that matches the short file, the payload check names it.
         manifest, payload = split_checkpoint(path)
         write_checkpoint(path, good[HEADER : len(good) - len(payload) - 6], payload)
-        with pytest.raises(ValueError, match=r"t\.gmck: truncated payload"):
+        want = f"t.gmck: payload is {len(payload)} bytes, the manifest lists {len(payload) + 6}"
+        with pytest.raises(ValueError, match=re.escape(want) + "$"):
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -710,7 +728,8 @@ class TestCheckpoint:
         good = path.read_bytes()
         _, payload = split_checkpoint(path)
         write_checkpoint(path, good[HEADER : len(good) - len(payload)], payload + b"\0" * 6)
-        with pytest.raises(ValueError, match=r"x\.gmck: 6 trailing bytes$") as info:
+        want = f"x.gmck: payload is {len(payload) + 6} bytes, the manifest lists {len(payload)}"
+        with pytest.raises(ValueError, match=re.escape(want) + "$") as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
 
@@ -749,16 +768,17 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda m: m["tensors"][0].update(dtype="float16"), "dtype 'float16' is not 'float32'"),
+            (lambda m: m["tensors"][0].update(dtype="float16"),
+             "manifest['tensors'][0]['dtype'] differs: found 'float16', expected 'float32'"),
             (lambda m: m["tensors"][0].update(shape=[1, 2, 3]),
-             r"shape \(1, 2, 3\) does not match model shape \("),
+             "manifest['tensors'][0]['shape'][0] differs: found 1, expected 3"),
             (lambda m: m["tensors"][0].update(name=7),
-             r"malformed manifest \(TypeError\('tensor names must be strings'\)\)"),
-            # Equal to the model's ints, but not ints: reshape would raise.
+             "manifest['tensors'][0]['name'] differs: found 7, expected 'bn1.beta'"),
+            # Equal to the model's ints, but not ints: canonical JSON tells them apart.
             (lambda m: m["tensors"][0].update(shape=[float(d) for d in m["tensors"][0]["shape"]]),
-             r"malformed manifest \(ValueError\('tensor shapes must list nonnegative ints'\)\)"),
+             "manifest['tensors'][0]['shape'][0] differs: found 3.0, expected 3"),
             (lambda m: m["tensors"][0].update(shape=[True, *m["tensors"][0]["shape"][1:]]),
-             r"malformed manifest \(ValueError\('tensor shapes must list nonnegative ints'\)\)"),
+             "manifest['tensors'][0]['shape'][0] differs: found True, expected 3"),
         ],
         ids=["float16-tensor", "shape-disagrees", "name-not-string", "shape-float", "shape-bool"],
     )
@@ -768,7 +788,7 @@ class TestCheckpoint:
         manifest, payload = split_checkpoint(path)
         edit(manifest)
         write_checkpoint(path, json.dumps(manifest).encode(), payload)
-        with pytest.raises(ValueError, match=message) as info:
+        with pytest.raises(ValueError, match=re.escape(message) + "$") as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
 
@@ -783,6 +803,32 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}$") as info:
                 load_model(path)
             assert str(info.value).startswith(f"{path}: ")
+
+    def test_config_too_large_to_build_named(self, tmp_path):
+        # A digest-valid file whose config asks for a 288 GiB fc1 weight, which
+        # numpy cannot allocate on a host with the kernel's heuristic overcommit.
+        path = tmp_path / "big.gmck"
+        save_model(init_model(NETWORK_PRESETS["tiny"], seed=0), path)
+        manifest, payload = split_checkpoint(path)
+        manifest["config"]["input_size"] = 2**16
+        write_checkpoint(path, json.dumps(manifest).encode(), payload)
+        with pytest.raises(ValueError, match=r"malformed manifest \(\w*MemoryError\(") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_full_load_allocates_only_the_model(self, tmp_path):
+        # The file's bytes, then flat_params and flat_grads, built once with the
+        # file's head: a copy of a tensor, or of the flat arrays, passes the bound.
+        path = tmp_path / "full.gmck"
+        save_model(init_model(NETWORK_PRESETS["full"], seed=0).swap_head(HEAD_CLASSIFIER, seed=1), path)
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.head == HEAD_CLASSIFIER
+        assert peak < path.stat().st_size + model.flat_params.nbytes + model.flat_grads.nbytes + 2**20
 
     def test_manifest_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "w.gmck"

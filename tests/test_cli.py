@@ -313,7 +313,30 @@ class TestSeedFlag:
         assert list(tmp_path.iterdir()) == []
 
 
-IN_ORDER = "stages run in the order label, representation loss, fracture"
+# An empty flag value reaches the flag's own parser, which refuses it by
+# name before any work; it is not read as an absent flag.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--counts", ""], "--counts token '' is not of the form grade=count"),
+        (["reformat", "--grades", ""], "--grades: unknown grade '' (valid grades: g0, g2, g3)"),
+        (["train", "--stages", ""], "--stages selected no stages"),
+        (["train", "--epochs", ""], "--epochs token '' is not an integer"),
+    ],
+    ids=["counts", "grades", "stages", "epochs"],
+)
+def test_empty_flag_value_refused(dataset_dir, tmp_path, capsys, monkeypatch, argv, message):
+    for module, name in [(phantom, "stream_dataset"), (phantom, "generate_spine_volume"), (cli, "load_patch_set")]:
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work started"))
+    if argv[0] == "train":
+        argv = [*argv, "--dataset", str(dataset_dir)]
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
+IN_ORDER = "stages run once each, in the order label, representation loss, fracture"
 
 
 class TestStagesFlag:
@@ -352,12 +375,12 @@ class TestStagesFlag:
     @pytest.mark.parametrize(
         "stages, message",
         [
-            ("grading,triplet", "at most one representation loss may be listed"),
+            ("grading,triplet", "--stages token 'triplet' comes after 'grading'; " + IN_ORDER),
             ("label,finetune", "unknown stage tokens: ['finetune']"),
             (" , ", "--stages selected no stages"),
-            ("label,label", "--stages token 'label' is given more than once"),
-            ("label,label,fracture", "--stages token 'label' is given more than once"),
-            ("grading,fracture,grading", "--stages token 'grading' is given more than once"),
+            ("label,label", "--stages token 'label' comes after 'label'; " + IN_ORDER),
+            ("label,label,fracture", "--stages token 'label' comes after 'label'; " + IN_ORDER),
+            ("grading,fracture,grading", "--stages token 'grading' comes after 'fracture'; " + IN_ORDER),
             ("fracture,label", "--stages token 'label' comes after 'fracture'; " + IN_ORDER),
             ("label,fracture,triplet", "--stages token 'triplet' comes after 'fracture'; " + IN_ORDER),
             ("contrastive,label", "--stages token 'label' comes after 'contrastive'; " + IN_ORDER),
